@@ -5,13 +5,14 @@
 and sinks, call :meth:`run`, get a :class:`~repro.monitor.MonitorReport` --
 but executes as an N-worker deployment:
 
-* the parent consumes the source and routes packets through a
+* the parent consumes the source as columnar
+  :class:`~repro.net.block.PacketBlock` batches and splits each through a
   :class:`~repro.cluster.router.FlowShardRouter` (hash of the canonical
-  5-tuple), batching them into per-shard chunks;
+  5-tuple) into per-shard sub-blocks;
 * each :class:`~repro.cluster.worker.ShardWorker` process runs its own
   :class:`~repro.core.streaming.StreamingQoEPipeline`, rebuilt from the
   ``QoEPipeline.save`` payload, with cross-flow **tick-batched inference**
-  (one vectorized forest call per chunk);
+  (one vectorized forest call per sub-block);
 * a :class:`~repro.cluster.fanin.FanInSink` merges the per-shard estimate
   streams back into one watermark-ordered stream feeding the caller's
   ordinary sinks.
@@ -43,41 +44,39 @@ from repro.core.pipeline import QoEPipeline
 from repro.cluster.fanin import FanInSink
 from repro.cluster.rebalance import RebalancePolicy, ShardLoad, summarize_migrations
 from repro.cluster.router import FlowShardRouter
-from repro.cluster.shm import DEFAULT_SLOT_BYTES, BlockRing, shm_available
+from repro.cluster.shm import DEFAULT_SLOT_BYTES, MIN_SLOT_BYTES, BlockRing, shm_available
 from repro.cluster.worker import ShardWorker
 from repro.monitor import MonitorReport
 from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry, ingest_transport_stats
 from repro.net.estwire import EstimateBatch
-from repro.net.flows import five_tuple
 from repro.sources.base import PacketSource, as_source, iter_blocks
 
 __all__ = ["ShardedQoEMonitor"]
 
-_TRANSPORTS = ("shm", "block", "packets")
-_SHM_RETURNS = ("ring", "queue")
+_TRANSPORTS = ("shm", "block")
 
 
-class _ShmBatcher:
-    """Parent-side forward batcher: packs routed sub-blocks into ring slots.
+class _ForwardLink:
+    """Parent-side forward link of one shard: routed sub-blocks to its worker.
 
-    Sub-blocks accumulate (as references, nothing is copied) until the next
-    one would overflow a slot, then the whole batch is flat-encoded into
-    **one** ring slot behind length-prefixed segment headers -- two
-    semaphore ops and a single ``("shm",)`` token no matter how many routed
-    ticks ride in it.  The worker consumes each segment as its own
-    inference tick, so batching changes wire granularity, never the tick
-    sequence.  Blocks the codec cannot flatten (RTP object columns) or that
-    outsize a slot even after row-splitting fall back to the pickling
-    queue -- always behind a flush, so fallback messages cannot overtake
-    slots already filled and everything still arrives in routed order.
+    Over a ring, sub-blocks accumulate (as references, nothing is copied)
+    until the next one would overflow a slot, then the whole batch is
+    flat-encoded into **one** ring slot behind length-prefixed segment
+    headers -- two semaphore ops and a single ``("shm",)`` token no matter
+    how many routed ticks ride in it.  The worker consumes each segment as
+    its own inference tick, so batching changes wire granularity, never the
+    tick sequence.  Blocks the codec cannot flatten (RTP object columns) or
+    that outsize a slot even after row-splitting go to the pickling queue --
+    always behind a flush, so queue messages cannot overtake slots already
+    filled and everything still arrives in routed order.  With no ring
+    (``transport="block"``) the queue carries every sub-block.
     """
 
-    def __init__(self, monitor: "ShardedQoEMonitor", worker: ShardWorker, batch_slots: bool = True) -> None:
+    def __init__(self, monitor: "ShardedQoEMonitor", worker: ShardWorker) -> None:
         self._monitor = monitor
         self._worker = worker
         self._ring = worker.ring
-        self._batch_slots = batch_slots
         self._pending: list[tuple[int, object]] = []
         self._pending_cost = 0
         self._queue_fallbacks = 0
@@ -85,21 +84,20 @@ class _ShmBatcher:
     def add(self, block) -> None:
         """Queue one routed sub-block, flushing or falling back as needed."""
         ring = self._ring
+        if ring is None:
+            self._monitor._send(self._worker, ("block", block))
+            return
         try:
             size = block.byte_size()
         except ValueError:
             # Not flat-encodable (object columns): the queue still is.
-            self.flush()
-            self._queue_fallbacks += 1
-            self._monitor._send(self._worker, ("block", block))
+            self._fall_back(block)
             return
         if size > ring.max_segment_bytes:
             if len(block) <= 1:
                 # A single row that out-sizes a slot (pathological side
                 # tables): the queue handles it, correctness over zero-copy.
-                self.flush()
-                self._queue_fallbacks += 1
-                self._monitor._send(self._worker, ("block", block))
+                self._fall_back(block)
                 return
             mid = len(block) // 2
             self.add(block[:mid].compact())
@@ -110,34 +108,27 @@ class _ShmBatcher:
             self.flush()
         self._pending.append((size, block))
         self._pending_cost += cost
-        if not self._batch_slots:
-            self.flush()
+
+    def _fall_back(self, block) -> None:
+        self.flush()
+        self._queue_fallbacks += 1
+        self._monitor._send(self._worker, ("block", block))
 
     def flush(self) -> None:
-        """Write every pending sub-block into one slot and announce it.
-
-        Bounded push that keeps draining output, mirroring ``_send``: ring
-        back-pressure must not deadlock the parent against a worker blocked
-        on its own output (the pump also frees return-ring slots), and a
-        dead worker must raise.
-        """
+        """Write every pending sub-block into one slot and announce it."""
         if not self._pending:
             return
         payloads = [(size, block.write_into) for size, block in self._pending]
-        worker = self._worker
         while not self._ring.try_push_segments(payloads, timeout=0.05):
-            self._monitor._pump()
-            if not worker.alive and not self._monitor._done[worker.shard_id]:
-                raise RuntimeError(
-                    f"shard worker {worker.shard_id} died (exit code "
-                    f"{worker.process.exitcode}) before accepting input"
-                ) from None
+            self._monitor._pump_blocked_on(self._worker)
         self._pending = []
         self._pending_cost = 0
-        self._monitor._send(worker, ("shm",))
+        self._monitor._send(self._worker, ("shm",))
 
     def stats(self) -> dict:
-        """Forward-path transport counters for the shard's stats surface."""
+        """Forward-ring transport counters for the shard's stats surface."""
+        if self._ring is None:
+            return {}
         stats = dict(self._ring.transport_stats())
         stats["queue_fallbacks"] = self._queue_fallbacks
         return stats
@@ -165,28 +156,20 @@ class _RebalanceDriver:
         """Account one source block (called before it is partitioned)."""
         if not len(block):
             return
+        router = self._monitor.router
         codes, counts = np.unique(block.flow_codes, return_counts=True)
         for code, count in zip(codes.tolist(), counts.tolist()):
-            self._note(block.flows[code], count)
-        self._advance(float(block.timestamps.max()))
-
-    def observe_packet(self, packet) -> None:
-        """Account one source packet (the legacy per-packet transport)."""
-        self._note(five_tuple(packet), 1)
-        self._advance(packet.timestamp)
-
-    def _note(self, key, count: int) -> None:
-        shard_id = self._monitor.router.shard_of_key(key)
-        canonical = key.bidirectional()[0]
-        flow_packets = self._flow_packets[shard_id]
-        flow_packets[canonical] = flow_packets.get(canonical, 0) + count
-        self._interval_packets[shard_id] += count
-
-    def _advance(self, timestamp: float) -> None:
-        if self._now is None or timestamp > self._now:
-            self._now = timestamp
+            key = block.flows[code]
+            shard_id = router.shard_of_key(key)
+            canonical = key.bidirectional()[0]
+            flow_packets = self._flow_packets[shard_id]
+            flow_packets[canonical] = flow_packets.get(canonical, 0) + count
+            self._interval_packets[shard_id] += count
+        newest = float(block.timestamps.max())
+        if self._now is None or newest > self._now:
+            self._now = newest
         if self._interval_start is None:
-            self._interval_start = timestamp
+            self._interval_start = newest
 
     def tick(self) -> None:
         """Run the policy once per elapsed ``interval_s`` of stream time."""
@@ -237,56 +220,41 @@ class ShardedQoEMonitor:
         Shard count.  ``1`` is a valid (and useful) degenerate case: same
         output, one worker process.
     chunk_size:
-        Packets per routed chunk.  A chunk is both the pickling unit
+        Packets per source block.  A routed sub-block is both the wire unit
         (amortizing IPC overhead) and the inference tick (windows closing in
-        the same chunk share one vectorized forest call).
+        the same sub-block share one vectorized forest call).
     transport:
-        ``"block"`` (default): the source is consumed as columnar
+        What carries a routed sub-block to its worker.  Routing is the same
+        either way: the source is consumed as columnar
         :class:`~repro.net.block.PacketBlock` batches
-        (:func:`~repro.sources.base.iter_blocks`), each split into
-        per-shard sub-blocks with one CRC-32 per *unique flow* (memoized)
-        and shipped as raw array buffers; workers run the engine's columnar
-        :meth:`push_block <repro.core.streaming.StreamingQoEPipeline.push_block>`
-        path.  ``"shm"``: the same routing, but sub-blocks are flat-encoded
-        straight into a per-shard shared-memory
-        :class:`~repro.cluster.shm.BlockRing` (several per slot -- see
-        ``shm_batch_slots``) and decoded as zero-copy array views on the
-        worker side, while estimates come back the same way over a reverse
-        ring per shard (see ``shm_return``) -- no pickling of any payload
-        in either direction; only slot tokens and control messages ride the
-        queues.  Blocks the codec cannot flatten (RTP object columns) or
-        that exceed a ring slot even after splitting fall back to the queue
-        per block, so output never depends on the transport.
-        ``"packets"``: the legacy per-packet routing that pickles
-        ``Packet`` lists.  All three transports emit bit-identical
-        estimates in identical order (pinned by ``tests/cluster/``); they
-        differ only in wire cost.
+        (:func:`~repro.sources.base.iter_blocks`), each split into per-shard
+        sub-blocks with one CRC-32 per *unique flow* (memoized), and workers
+        run the engine's columnar :meth:`push_block
+        <repro.core.streaming.StreamingQoEPipeline.push_block>` path.
+        ``"block"`` (default): sub-blocks and estimates are pickled onto the
+        queues as raw array buffers -- works wherever ``multiprocessing``
+        does.  ``"shm"``: sub-blocks are flat-encoded into a per-shard
+        shared-memory :class:`~repro.cluster.shm.BlockRing` (several per
+        slot) and read as zero-copy views by the worker, and estimate
+        batches (:class:`~repro.net.estwire.EstimateBatch`) come back over a
+        reverse ring, so only slot tokens and control messages ride the
+        queues.  A block or batch the codec cannot flatten, or that outsizes
+        a slot even after splitting, goes over the queue instead, so output
+        never depends on the transport: both emit bit-identical estimates in
+        identical order (pinned by ``tests/cluster/``).
     queue_depth:
         Bound of each shard's input queue, and -- on the ``"shm"``
         transport -- the slot count of its block rings (the pairing:
         every filled ring slot is announced by one queued token).  This is
         the back-pressure knob: a slow shard can be at most ``queue_depth``
         slots behind the router before the router blocks.
-    shm_return:
-        ``"ring"`` (default): per-tick estimate batches are flat-encoded
-        (:class:`~repro.net.estwire.EstimateBatch`) into a reverse
-        per-shard ring and announced with ``("est", shard_id)`` tokens --
-        the zero-pickle return path.  ``"queue"``: the classic pickled
-        ``progress`` messages.  Output is bit-identical either way
-        (``"shm"`` transport only).
-    shm_batch_slots:
-        When true (default), both directions pack multiple flat-encoded
-        payloads into a single ring slot behind length-prefixed segment
-        headers -- forward slots flush when the next sub-block would
-        overflow, reverse slots flush on watermark advance or slot-full --
-        so small chunk sizes stop paying two semaphore ops per payload.
-        Set false to write one payload per slot (``"shm"`` transport only).
     shm_slot_bytes:
         Payload capacity of one ring slot (``"shm"`` transport only;
-        default :data:`~repro.cluster.shm.DEFAULT_SLOT_BYTES`).  The router
-        splits blocks that encode larger than this, so it bounds shared
-        memory (``n_workers * queue_depth * shm_slot_bytes``), not what can
-        be shipped.
+        default :data:`~repro.cluster.shm.DEFAULT_SLOT_BYTES`, minimum
+        :data:`~repro.cluster.shm.MIN_SLOT_BYTES`).  The router splits
+        blocks that encode larger than this, so it bounds shared memory
+        (``2 * n_workers * queue_depth * shm_slot_bytes``), not what can be
+        shipped.
     start_method:
         ``multiprocessing`` start method; the default ``"spawn"`` is the
         portable choice and what the workers are built to be safe under.
@@ -333,9 +301,7 @@ class ShardedQoEMonitor:
         start_method: str = "spawn",
         new_flow_slack_s: float | None = None,
         queue_depth: int = 8,
-        shm_slot_bytes: int | None = None,
-        shm_return: str = "ring",
-        shm_batch_slots: bool = True,
+        shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
         rebalance: RebalancePolicy | None = None,
         obs: ObsConfig | None = None,
     ) -> None:
@@ -343,12 +309,12 @@ class ShardedQoEMonitor:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size!r}")
         if transport not in _TRANSPORTS:
             raise ValueError(f"transport must be one of {_TRANSPORTS}, got {transport!r}")
-        if shm_return not in _SHM_RETURNS:
-            raise ValueError(
-                f"shm_return must be one of {_SHM_RETURNS}, got {shm_return!r}"
-            )
         if queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {queue_depth!r}")
+        if shm_slot_bytes < MIN_SLOT_BYTES:
+            raise ValueError(
+                f"shm_slot_bytes must be >= {MIN_SLOT_BYTES}, got {shm_slot_bytes!r}"
+            )
         if transport == "shm" and not shm_available():
             raise RuntimeError(
                 "transport='shm' requires a working multiprocessing.shared_memory "
@@ -373,8 +339,6 @@ class ShardedQoEMonitor:
         self.new_flow_slack_s = new_flow_slack_s
         self.queue_depth = queue_depth
         self.shm_slot_bytes = shm_slot_bytes
-        self.shm_return = shm_return
-        self.shm_batch_slots = shm_batch_slots
         self.rebalance = rebalance
         self.obs = obs
         #: The fleet registry (``None`` when observability is off): the
@@ -435,23 +399,17 @@ class ShardedQoEMonitor:
         ctx = multiprocessing.get_context(self.start_method)
         out_queue = ctx.Queue()
         payload_json = json.dumps(self.pipeline.to_payload())
-        forward_rings: list[BlockRing] = []
-        return_rings: list[BlockRing] = []
-        if self.transport == "shm":
-            slot_bytes = (
-                self.shm_slot_bytes if self.shm_slot_bytes is not None else DEFAULT_SLOT_BYTES
-            )
-            forward_rings = [
-                BlockRing.create(ctx, self.queue_depth, slot_bytes)
-                for _ in range(self.n_workers)
-            ]
-            if self.shm_return == "ring":
-                return_rings = [
-                    BlockRing.create(ctx, self.queue_depth, slot_bytes)
-                    for _ in range(self.n_workers)
-                ]
-        rings = forward_rings + return_rings
+        n_workers = self.n_workers
+        rings: list[BlockRing] = []
         try:
+            if self.transport == "shm":
+                # rings[i] carries shard i's blocks, rings[n_workers + i] its
+                # estimates.  Created one at a time inside the guard, so a
+                # failing create reclaims the rings already made.
+                for _ in range(2 * n_workers):
+                    rings.append(BlockRing.create(ctx, self.queue_depth, self.shm_slot_bytes))
+            forward_rings = rings[:n_workers] or [None] * n_workers
+            return_rings = rings[n_workers:] or [None] * n_workers
             workers = [
                 ShardWorker(
                     shard_id,
@@ -461,14 +419,13 @@ class ShardedQoEMonitor:
                     out_queue,
                     queue_depth=self.queue_depth,
                     new_flow_slack_s=self.new_flow_slack_s,
-                    ring=forward_rings[shard_id] if forward_rings else None,
-                    return_ring=return_rings[shard_id] if return_rings else None,
-                    batch_slots=self.shm_batch_slots,
+                    ring=forward_rings[shard_id],
+                    return_ring=return_rings[shard_id],
                     obs_dict=self.obs.to_dict() if self.registry is not None else None,
                 )
-                for shard_id in range(self.n_workers)
+                for shard_id in range(n_workers)
             ]
-            fan_in = FanInSink(self.sinks, n_shards=self.n_workers, obs=self.registry)
+            fan_in = FanInSink(self.sinks, n_shards=n_workers, obs=self.registry)
         except BaseException:
             # The main try/finally below is not reached: reclaim the
             # segments here or a failed construction (fd exhaustion, a bad
@@ -481,11 +438,9 @@ class ShardedQoEMonitor:
         self._fan_in = fan_in
         self._workers = workers
         self._rings = rings
-        self._return_rings = return_rings
-        self._batchers: list[_ShmBatcher] | None = None
-        self._buffers: list[list] | None = None
-        self._done = [False] * self.n_workers
-        self._stats: list[dict | None] = [None] * self.n_workers
+        self._links = links = [_ForwardLink(self, worker) for worker in workers]
+        self._done = [False] * n_workers
+        self._stats: list[dict | None] = [None] * n_workers
         #: In-flight migration plumbing: ``migrated`` replies awaiting
         #: pickup, fences installed, and per-dst fences acked but not yet
         #: lifted (waiting for the dst's first post-restore watermark).
@@ -507,74 +462,40 @@ class ShardedQoEMonitor:
             for worker in workers:
                 worker.start()
             stream_started = perf_counter()
-            if self.transport in ("block", "shm"):
-                # Columnar path: the source yields struct-of-arrays blocks
-                # (native fast paths for traces and pcap files), the router
-                # hashes once per unique flow, and what crosses the process
-                # boundary is array buffers -- no per-packet pickling.  On
-                # the shm transport the buffers do not even cross: they are
-                # packed into the shard's ring slots (several sub-blocks per
-                # slot) and read in place.
-                if self.transport == "shm":
-                    self._batchers = [
-                        _ShmBatcher(self, worker, batch_slots=self.shm_batch_slots)
-                        for worker in workers
-                    ]
-                    batchers = self._batchers
-                    send_block = lambda worker, sub: batchers[worker.shard_id].add(sub)
-                else:
-                    send_block = lambda worker, sub: self._send(worker, ("block", sub))
-                blocks = iter_blocks(self.source, self.chunk_size)
+            # The source yields struct-of-arrays blocks (native fast paths
+            # for traces and pcap files), the router hashes once per unique
+            # flow, and each shard's forward link carries its sub-block:
+            # array buffers in a ring slot or a pickle, never packet objects.
+            blocks = iter_blocks(self.source, self.chunk_size)
+            if registry is not None:
+                blocks = registry.timed_iter(blocks, "source_read")
+            for block in blocks:
+                n_packets += len(block)
+                if driver is not None:
+                    driver.observe_block(block)
+                span = perf_counter() if registry is not None else 0.0
+                parts = self.router.partition_block(block)
                 if registry is not None:
-                    blocks = registry.timed_iter(blocks, "source_read")
-                for block in blocks:
-                    n_packets += len(block)
-                    if driver is not None:
-                        driver.observe_block(block)
-                    if registry is not None:
-                        span = perf_counter()
-                        parts = self.router.partition_block(block)
-                        registry.time_stage("router_partition", span)
-                        span = perf_counter()
-                        for shard_id, sub_block in parts:
-                            send_block(workers[shard_id], sub_block)
-                        registry.time_stage("forward_push", span)
-                        registry.inc("qoe_router_blocks_total")
-                        registry.inc("qoe_router_packets_total", len(block))
-                    else:
-                        for shard_id, sub_block in self.router.partition_block(block):
-                            send_block(workers[shard_id], sub_block)
-                    # Drain whatever the workers produced so far: estimates
-                    # reach the sinks while the run is in flight (live
-                    # scrapes work) and parent memory stays O(in-flight),
-                    # not O(all estimates of the capture).
-                    self._pump()
-                    if driver is not None:
-                        # Migrations cut between blocks: every packet of the
-                        # block is routed (or slot-buffered) before any flow
-                        # of it can move.
-                        driver.tick()
-                if self._batchers is not None:
-                    for batcher in self._batchers:
-                        batcher.flush()
-            else:
-                self._buffers = buffers = [[] for _ in range(self.n_workers)]
-                for packet in self.source:
-                    n_packets += 1
-                    if driver is not None:
-                        driver.observe_packet(packet)
-                    shard_id = self.router.shard_of(packet)
-                    buffer = buffers[shard_id]
-                    buffer.append(packet)
-                    if len(buffer) >= self.chunk_size:
-                        self._send(workers[shard_id], ("chunk", buffer))
-                        buffers[shard_id] = []
-                        self._pump()
-                        if driver is not None:
-                            driver.tick()
-                for shard_id, buffer in enumerate(buffers):
-                    if buffer:
-                        self._send(workers[shard_id], ("chunk", buffer))
+                    registry.time_stage("router_partition", span)
+                    span = perf_counter()
+                for shard_id, sub_block in parts:
+                    links[shard_id].add(sub_block)
+                if registry is not None:
+                    registry.time_stage("forward_push", span)
+                    registry.inc("qoe_router_blocks_total")
+                    registry.inc("qoe_router_packets_total", len(block))
+                # Drain whatever the workers produced so far: estimates
+                # reach the sinks while the run is in flight (live scrapes
+                # work) and parent memory stays O(in-flight), not O(all
+                # estimates of the capture).
+                self._pump()
+                if driver is not None:
+                    # Migrations cut between blocks: every packet of the
+                    # block is routed (or slot-buffered) before any flow of
+                    # it can move.
+                    driver.tick()
+            for link in links:
+                link.flush()
             drain_started = perf_counter()
             for worker in workers:
                 self._send(worker, ("stop",))
@@ -600,18 +521,17 @@ class ShardedQoEMonitor:
                 out_queue.cancel_join_thread()
                 out_queue.close()
         self.shard_stats = [stats if stats is not None else {} for stats in self._stats]
-        if self._batchers is not None:
-            for stats, batcher in zip(self.shard_stats, self._batchers):
-                forward = batcher.stats()
-                stats.setdefault("transport", {})["forward"] = forward
-                if registry is not None:
-                    # The parent produced into the forward rings, so it owns
-                    # these counters; the reverse direction arrived with each
-                    # shard's done delta.  Together the registry mirrors
-                    # MonitorReport.transport exactly.
-                    ingest_transport_stats(
-                        registry, forward, "forward", batcher._worker.shard_id
-                    )
+        for shard_id, (stats, link) in enumerate(zip(self.shard_stats, links)):
+            forward = link.stats()
+            if not forward:
+                continue
+            stats.setdefault("transport", {})["forward"] = forward
+            if registry is not None:
+                # The parent produced into the forward rings, so it owns
+                # these counters; the reverse direction arrived with each
+                # shard's done delta.  Together the registry mirrors
+                # MonitorReport.transport exactly.
+                ingest_transport_stats(registry, forward, "forward", shard_id)
         transport = self._aggregate_transport()
         if self.rebalance is not None:
             transport["rebalance"] = {"migrations": len(self.migrations)}
@@ -665,8 +585,8 @@ class ShardedQoEMonitor:
         """Synchronously re-home one canonical flow pair (stop-and-copy).
 
         The cut happens between routed blocks: the source shard first
-        receives everything already routed to it (its batcher / buffer is
-        flushed ahead of the control message on the same FIFO queue), drains
+        receives everything already routed to it (its forward link is flushed
+        ahead of the control message on the same FIFO queue), drains
         the pair into snapshots, and replies.  A fan-in fence then covers
         the in-flight windows until the destination has restored the pair
         and reported a fresh watermark -- see ``_lift_fences``.  The router
@@ -681,11 +601,7 @@ class ShardedQoEMonitor:
             return
         epoch = self.router.next_epoch()
         started = perf_counter()
-        if self._batchers is not None:
-            self._batchers[src].flush()
-        if self._buffers is not None and self._buffers[src]:
-            self._send(self._workers[src], ("chunk", self._buffers[src]))
-            self._buffers[src] = []
+        self._links[src].flush()
         self._send(self._workers[src], ("migrate_out", canonical, epoch))
         parts, bound, counted = self._await_migration(src, epoch)
         if parts and bound is not None:
@@ -771,25 +687,33 @@ class ShardedQoEMonitor:
     # -- internals -------------------------------------------------------------
 
     def _send(self, worker: ShardWorker, message) -> None:
-        """Bounded put that keeps draining output, so back-pressure cannot
-        deadlock the parent against a worker blocked on its own output."""
+        """Bounded put onto ``worker``'s input queue (see ``_pump_blocked_on``)."""
         while True:
             try:
                 worker.in_queue.put(message, timeout=0.05)
                 return
             except queue_module.Full:
-                self._pump()
-                if not worker.alive and not self._done[worker.shard_id]:
-                    raise RuntimeError(
-                        f"shard worker {worker.shard_id} died (exit code "
-                        f"{worker.process.exitcode}) before accepting input"
-                    ) from None
+                self._pump_blocked_on(worker)
+
+    def _pump_blocked_on(self, worker: ShardWorker) -> None:
+        """One turn of waiting on ``worker``'s full input queue or ring.
+
+        Keeps draining output, so back-pressure cannot deadlock the parent
+        against a worker blocked on its own output (the pump also frees
+        return-ring slots); a dead worker raises instead of hanging the run.
+        """
+        self._pump()
+        if not worker.alive and not self._done[worker.shard_id]:
+            raise RuntimeError(
+                f"shard worker {worker.shard_id} died (exit code "
+                f"{worker.process.exitcode}) before accepting input"
+            ) from None
 
     def _aggregate_transport(self) -> dict:
         """Fleet-level ring telemetry: per-direction counters over shards.
 
-        Counts sum; high-water marks take the max.  Empty on the queue
-        transports (and for the directions that used the queue).
+        Counts sum; high-water marks take the max.  Empty on the
+        ``"block"`` transport.
         """
         transport: dict = {}
         for stats in self.shard_stats:
@@ -861,7 +785,7 @@ class ShardedQoEMonitor:
             # sides walk slots in token order.
             _, shard_id, load = message
             self._absorb_load(shard_id, load)
-            ring = self._return_rings[shard_id]
+            ring = self._workers[shard_id].return_ring
             segments = ring.pop_segments(timeout=5.0)
             if segments is None:  # pragma: no cover - token/slot pairing guard
                 raise RuntimeError(

@@ -1,6 +1,6 @@
 """Shared-memory block rings: the zero-copy transport of the data plane.
 
-The queue transports move a :class:`~repro.net.block.PacketBlock` by
+The ``"block"`` transport moves a :class:`~repro.net.block.PacketBlock` by
 pickling its arrays into a pipe and unpickling them on the other side --
 two copies plus per-message interpreter work, which is exactly what
 dominates the sharded monitor's 1-worker overhead (``BENCH_columnar``:
@@ -59,12 +59,16 @@ try:  # pragma: no cover - import guard for exotic platforms
 except ImportError:  # pragma: no cover
     _shared_memory = None
 
-__all__ = ["BlockRing", "RingHandle", "shm_available", "DEFAULT_SLOT_BYTES"]
+__all__ = ["BlockRing", "RingHandle", "shm_available", "DEFAULT_SLOT_BYTES", "MIN_SLOT_BYTES"]
 
 #: Default slot payload capacity.  Sized for the monitor's default
 #: ``chunk_size`` with generous headroom (a 1024-row block with every
 #: optional column is ~58 KiB); the router splits anything larger.
 DEFAULT_SLOT_BYTES = 1 << 20
+
+#: Smallest slot payload capacity a ring accepts (and the monitor's
+#: ``shm_slot_bytes`` floor): room for a one-row block plus its side tables.
+MIN_SLOT_BYTES = 1024
 
 #: Ring-level counter header: u64 slots produced, u64 slots consumed.
 _RING_COUNTER_BYTES = 16
@@ -189,8 +193,8 @@ class BlockRing:
             raise RuntimeError("multiprocessing.shared_memory is unavailable on this platform")
         if slot_count < 1:
             raise ValueError(f"slot_count must be >= 1, got {slot_count!r}")
-        if slot_bytes < 1024:
-            raise ValueError(f"slot_bytes must be >= 1024, got {slot_bytes!r}")
+        if slot_bytes < MIN_SLOT_BYTES:
+            raise ValueError(f"slot_bytes must be >= {MIN_SLOT_BYTES}, got {slot_bytes!r}")
         slot_bytes = (slot_bytes + 7) & ~7
         segment = _shared_memory.SharedMemory(
             create=True,

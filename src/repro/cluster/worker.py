@@ -6,20 +6,19 @@ object: it receives the JSON payload of :meth:`QoEPipeline.to_payload
 ``QoEPipeline.save`` writes to disk -- plus a
 :class:`~repro.core.config.PipelineConfig` dict, and rebuilds the pipeline
 on its side of the process boundary.  That keeps workers **spawn-safe**
-(everything crossing the boundary is plain JSON-able data and packets, no
-trees/forests/closures to pickle) and exercises the persistence format as
-the cluster's wire format: a worker is indistinguishable from a deployment
-site that loaded the model from disk, and reloaded forests predict
-bit-identically by the PR 2 persistence contract.
+(everything crossing the boundary is plain JSON-able data and packet
+blocks, no trees/forests/closures to pickle) and exercises the persistence
+format as the cluster's wire format: a worker is indistinguishable from a
+deployment site that loaded the model from disk, and reloaded forests
+predict bit-identically by the PR 2 persistence contract.
 
 Protocol (control messages are plain tuples over ``multiprocessing``
 queues; with the shared-memory transport the *payloads* in both directions
 ride :class:`~repro.cluster.shm.BlockRing` segments and the queues carry
 only slot tokens)::
 
-    parent -> worker:  ("block", PacketBlock)          one routed tick (columnar)
+    parent -> worker:  ("block", PacketBlock)          one routed tick, pickled
                        ("shm",)                        one ring slot (>= 1 routed ticks)
-                       ("chunk", [Packet, ...])        one routed tick (legacy)
                        ("migrate_out", key, epoch)     drain + snapshot one flow pair
                        ("migrate_in", key, epoch, parts, counted)   restore it
                        ("stop",)                       end of source
@@ -42,22 +41,19 @@ new home, and the new home acknowledges once the flows are live again.
 ``counted`` keeps ``n_flows`` exact across re-homings: the first shard that
 ever saw a flow keeps counting it, every later home lists it as foreign.
 
-The columnar ``("block", ...)`` transport is the default: a
-:class:`~repro.net.block.PacketBlock` pickles as a handful of NumPy array
-buffers plus small side tables, instead of one Python object graph per
-packet, and the worker feeds it to :meth:`StreamingQoEPipeline.push_block
-<repro.core.streaming.StreamingQoEPipeline.push_block>` without ever
-materializing ``Packet`` objects in trained mode.  The ``("shm",)`` token
-goes one further: the parent flat-encodes routed blocks straight into a
-shared-memory ring slot (several per slot behind length-prefixed segment
-headers) and the worker decodes zero-copy array views over that slot,
-consumes each segment as its own inference tick, and only then releases
-the slot for reuse.  The return direction mirrors it: per-tick estimate
-batches are flat-encoded (:class:`~repro.net.estwire.EstimateBatch`) into
-a reverse ring and announced with ``("est", shard_id)`` tokens, so with
-``transport="shm"`` no packet and no estimate payload is pickled in either
-direction.  Every transport produces bit-identical estimates in identical
-order (pinned by ``tests/cluster/``).
+The :class:`~repro.net.block.PacketBlock` is the only data unit a worker
+receives.  A ``("block", ...)`` message pickles it as a handful of NumPy
+array buffers plus small side tables: all of ``transport="block"``, and
+``transport="shm"``'s fallback for a block the flat codec cannot carry.
+A ``("shm",)`` token instead announces a ring slot the parent flat-encoded
+routed blocks into (several per slot behind length-prefixed segment
+headers): the worker decodes zero-copy array views over it, consumes each
+segment as its own inference tick, and only then releases the slot.  The
+return direction mirrors it: with a return ring, per-tick estimate batches
+are flat-encoded (:class:`~repro.net.estwire.EstimateBatch`) into it and
+announced with ``("est", shard_id)`` tokens; without one they ride pickled
+``progress`` messages.  Both transports produce bit-identical estimates in
+identical order (pinned by ``tests/cluster/``).
 
 The worker's output protocol is linear by construction:
 ``(progress|est)* -> done | error``.  :class:`_WorkerChannel` enforces
@@ -65,11 +61,11 @@ it -- a worker that tried to emit ``progress`` after ``done`` would pin the
 fan-in's watermark assumptions (a finished shard's watermark is ``+inf``),
 so the channel raises instead of letting the message out.
 
-Inside the worker each chunk is one inference tick: windows that close in
+Inside the worker each block is one inference tick: windows that close in
 it -- across all of the shard's flows -- are buffered and pushed through the
 per-metric forests in a single vectorized call
-(:meth:`StreamingQoEPipeline.push_chunk
-<repro.core.streaming.StreamingQoEPipeline.push_chunk>`), which is where
+(:meth:`StreamingQoEPipeline.push_block
+<repro.core.streaming.StreamingQoEPipeline.push_block>`), which is where
 cross-flow batched inference happens.  Idle eviction runs the same
 amortized sweep as :class:`~repro.monitor.QoEMonitor`, driven by the
 shard's stream time.
@@ -196,16 +192,9 @@ class _EstimateReturn:
     in :meth:`stats` -- so output never depends on the transport.
     """
 
-    def __init__(
-        self,
-        channel: _WorkerChannel,
-        ring,
-        batch_slots: bool = True,
-        obs: MetricsRegistry | None = None,
-    ) -> None:
+    def __init__(self, channel: _WorkerChannel, ring, obs: MetricsRegistry | None = None) -> None:
         self._channel = channel
         self._ring = ring
-        self._batch_slots = batch_slots
         self._obs = obs
         self._pending: list[tuple[int, EstimateBatch]] = []
         self._pending_cost = 0
@@ -251,7 +240,7 @@ class _EstimateReturn:
             self._pending_cost += cost
         if low_watermark is not None and low_watermark > self._pending_watermark:
             self._pending_watermark = low_watermark
-        if advanced or not self._batch_slots:
+        if advanced:
             self.flush()
 
     def _encoded(self, items, low_watermark) -> list[tuple[int, EstimateBatch]]:
@@ -306,7 +295,6 @@ def shard_worker_main(
     out_queue,
     ring_handle=None,
     return_handle=None,
-    batch_slots: bool = True,
     obs_dict: dict | None = None,
 ) -> None:
     """Worker process entry point (module-level, hence spawn-picklable)."""
@@ -323,7 +311,7 @@ def shard_worker_main(
         # records a sample.
         obs = MetricsRegistry(ObsConfig.from_dict(obs_dict)) if obs_dict is not None else None
         channel.obs = obs
-        returns = _EstimateReturn(channel, return_ring, batch_slots=batch_slots, obs=obs)
+        returns = _EstimateReturn(channel, return_ring, obs=obs)
         pipeline = QoEPipeline.from_payload(json.loads(pipeline_payload))
         config = (
             PipelineConfig.from_dict(config_dict) if config_dict is not None else pipeline.config
@@ -343,21 +331,15 @@ def shard_worker_main(
         migrated_out_keys: set = set()
         foreign_keys: set = set()
 
-        def consume(chunk, is_block: bool) -> None:
+        def consume(block: PacketBlock) -> None:
             """One inference tick: push, sweep idle flows, emit the output."""
             nonlocal newest_ts, n_packets, n_evicted
-            n_packets += len(chunk)
-            if is_block:
-                emitted = engine.push_block(chunk)
-            else:
-                emitted = engine.push_chunk(chunk)
-            if idle_timeout is not None and len(chunk):
-                if is_block:
-                    chunk_newest = float(chunk.timestamps.max())
-                else:
-                    chunk_newest = max(packet.timestamp for packet in chunk)
-                if newest_ts is None or chunk_newest > newest_ts:
-                    newest_ts = chunk_newest
+            n_packets += len(block)
+            emitted = engine.push_block(block)
+            if idle_timeout is not None and len(block):
+                block_newest = float(block.timestamps.max())
+                if newest_ts is None or block_newest > newest_ts:
+                    newest_ts = block_newest
                 if eviction.due(newest_ts):
                     evicted = engine.evict_idle(idle_timeout)
                     sweep_flows = {item.flow for item in evicted}
@@ -424,7 +406,7 @@ def shard_worker_main(
                 segments = ring.pop_segments()
                 try:
                     for segment in segments:
-                        consume(PacketBlock.read_from(segment), True)
+                        consume(PacketBlock.read_from(segment))
                 finally:
                     # Consumed: push_block copied everything it keeps, the
                     # eviction timestamp is a scalar, and the decoded blocks
@@ -436,8 +418,10 @@ def shard_worker_main(
                 migrate_out(message[1], message[2])
             elif kind == "migrate_in":
                 migrate_in(message[2], message[3], message[4])
-            else:
-                consume(message[1], kind == "block")
+            elif kind == "block":
+                consume(message[1])
+            else:  # pragma: no cover - protocol guard
+                raise RuntimeError(f"unknown parent message {kind!r}")
         final_load = engine.load_stats()
         tail = engine.flush()
         if returns.ring_mode:
@@ -490,13 +474,12 @@ class ShardWorker:
         new_flow_slack_s: float | None = None,
         ring=None,
         return_ring=None,
-        batch_slots: bool = True,
         obs_dict: dict | None = None,
     ) -> None:
         self.shard_id = shard_id
         self.in_queue = ctx.Queue(maxsize=queue_depth)
-        #: The shard's shared-memory block rings (``None`` on the queue
-        #: transports).  The parent produces into ``ring`` and consumes from
+        #: The shard's shared-memory block rings (``None`` on the ``"block"``
+        #: transport).  The parent produces into ``ring`` and consumes from
         #: ``return_ring``; the worker attaches the opposite sides from the
         #: handles passed in its arguments.
         self.ring = ring
@@ -512,7 +495,6 @@ class ShardWorker:
                 out_queue,
                 ring.handle() if ring is not None else None,
                 return_ring.handle() if return_ring is not None else None,
-                batch_slots,
                 obs_dict,
             ),
             daemon=True,
@@ -544,7 +526,7 @@ class ShardWorker:
 
         After an abort the worker may never drain its queue; letting the
         feeder thread flush to a full pipe with no reader would block the
-        parent's interpreter exit.  Unsent chunks are irrelevant by then.
+        parent's interpreter exit.  Unsent blocks are irrelevant by then.
         """
         self.in_queue.cancel_join_thread()
         self.in_queue.close()

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import heapq
 import math
-import warnings
 from bisect import bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -221,7 +220,6 @@ class _FlowStream:
         timestamps: np.ndarray,
         sizes: np.ndarray,
         positions: np.ndarray,
-        rows: list | None = None,
     ) -> list[tuple[int, "PipelineEstimate"]]:
         """Feed a run of block rows: the columnar hot path.
 
@@ -229,10 +227,7 @@ class _FlowStream:
         ``positions`` carries each row's index in the enclosing block, and
         every returned estimate is tagged with the position of the row whose
         (virtual) push triggered it, so the engine can interleave flows back
-        into exact per-packet emission order.  ``rows`` is an optional list
-        of packet-like objects for the same rows (kept for callers that
-        still have them); neither mode needs it -- absent rows degrade to
-        ``_BlockRow`` views on the columns.
+        into exact per-packet emission order.
 
         When the run is timestamp-sorted and nothing in it backdates the
         reorder buffer -- the overwhelmingly common case -- the reorder
@@ -269,8 +264,7 @@ class _FlowStream:
             for i in range(m):
                 pos = int(positions[i])
                 self.trigger_pos = pos
-                row = rows[i] if rows is not None else _BlockRow(float(timestamps[i]), int(sizes[i]))
-                for estimate in self.push(row):
+                for estimate in self.push(_BlockRow(float(timestamps[i]), int(sizes[i]))):
                     out.append((pos, estimate))
             self.trigger_pos = None
             return out
@@ -284,20 +278,28 @@ class _FlowStream:
         out = []
         if n_release:
             trig_start = depth - p0
-            if not trained:
-                vectorized = self._push_rows_heuristic(
-                    timestamps, sizes, positions, pending_sorted, p0, n_release, trig_start
+            # The released rows: sorted reorder buffer ++ run prefix.
+            if p0:
+                pend_ts = np.fromiter(
+                    (entry[0] for entry in pending_sorted), dtype=np.float64, count=p0
                 )
+                pend_sz = np.fromiter(
+                    (entry[2].payload_size for entry in pending_sorted), dtype=np.int64, count=p0
+                )
+                rel_ts = np.concatenate((pend_ts, timestamps))[:n_release]
+                rel_sz = np.concatenate((pend_sz, sizes))[:n_release]
+            else:
+                rel_ts = timestamps[:n_release]
+                rel_sz = sizes[:n_release]
+            if not trained:
+                vectorized = self._push_rows_heuristic(rel_ts, rel_sz, positions, trig_start)
                 if vectorized is None:
                     # Liveness bailout: a stale sweep could evict a frame
                     # mid-run, so replay per row -- _release interleaves
                     # finalize_stale exactly.
                     released = [entry[2] for entry in pending_sorted[:n_release]]
-                    if rows is not None:
-                        released.extend(rows[: n_release - len(released)])
-                    else:
-                        for i in range(n_release - len(released)):
-                            released.append(_BlockRow(float(timestamps[i]), int(sizes[i])))
+                    for i in range(n_release - len(released)):
+                        released.append(_BlockRow(float(timestamps[i]), int(sizes[i])))
                     for r, row in enumerate(released):
                         trig = int(positions[trig_start + r])
                         self.trigger_pos = trig
@@ -307,18 +309,6 @@ class _FlowStream:
                 else:
                     out = vectorized
             else:
-                if p0:
-                    pend_ts = np.fromiter(
-                        (entry[0] for entry in pending_sorted), dtype=np.float64, count=p0
-                    )
-                    pend_sz = np.fromiter(
-                        (entry[2].payload_size for entry in pending_sorted), dtype=np.int64, count=p0
-                    )
-                    rel_ts = np.concatenate((pend_ts, timestamps))[:n_release]
-                    rel_sz = np.concatenate((pend_sz, sizes))[:n_release]
-                else:
-                    rel_ts = timestamps[:n_release]
-                    rel_sz = sizes[:n_release]
                 rel_trig = positions[trig_start : trig_start + n_release]
                 if self._watermark is None and self.backfill_limit is not None:
                     first_window = window_index(float(rel_ts[0]), self.start, self.window_s)
@@ -344,25 +334,17 @@ class _FlowStream:
         # Rebuild the reorder buffer: the unreleased tail of (sorted pending
         # ++ incoming) is sorted, hence a valid heap as-is.
         tail = list(pending_sorted[n_release:]) if n_release < p0 else []
-        inc_start = max(0, n_release - p0)
-        if rows is not None:
-            for i in range(inc_start, m):
-                tail.append((float(timestamps[i]), seq0 + i, rows[i]))
-        else:
-            for i in range(inc_start, m):
-                timestamp = float(timestamps[i])
-                tail.append((timestamp, seq0 + i, _BlockRow(timestamp, int(sizes[i]))))
+        for i in range(max(0, n_release - p0), m):
+            timestamp = float(timestamps[i])
+            tail.append((timestamp, seq0 + i, _BlockRow(timestamp, int(sizes[i]))))
         self._pending = tail
         return out
 
     def _push_rows_heuristic(
         self,
-        timestamps: np.ndarray,
-        sizes: np.ndarray,
+        rel_ts: np.ndarray,
+        rel_sz: np.ndarray,
         positions: np.ndarray,
-        pending_sorted: list,
-        p0: int,
-        n_release: int,
         trig_start: int,
     ) -> "list[tuple[int, PipelineEstimate]] | None":
         """Vectorized heuristic release path over one sorted run.
@@ -385,18 +367,7 @@ class _FlowStream:
         """
         assembler = self.assembler
         assert assembler is not None
-        if p0:
-            pend_ts = np.fromiter(
-                (entry[0] for entry in pending_sorted), dtype=np.float64, count=p0
-            )
-            pend_sz = np.fromiter(
-                (entry[2].payload_size for entry in pending_sorted), dtype=np.int64, count=p0
-            )
-            rel_ts = np.concatenate((pend_ts, timestamps))[:n_release]
-            rel_sz = np.concatenate((pend_sz, sizes))[:n_release]
-        else:
-            rel_ts = timestamps[:n_release]
-            rel_sz = sizes[:n_release]
+        n_release = len(rel_ts)
         horizon = float(rel_ts[-1])
         mask = self.classifier.video_mask(rel_sz)
         n_video = int(np.count_nonzero(mask))
@@ -793,15 +764,15 @@ class StreamingQoEPipeline:
         # ``(features, window_start)`` here instead of predicting per window,
         # so ``collect(batch=True)`` can run the forests once, vectorized.
         self._feature_rows: list[tuple[np.ndarray, float]] | None = None
-        # Tick-batch mode: when set (inside push_chunk / push_block),
-        # trained-mode windows append ``(flow, features, window_start,
-        # trigger_pos)`` here and inference runs once per tick over all flows
-        # whose windows closed in it.  ``trigger_pos`` is the triggering
-        # packet's block row (``None`` on the per-packet chunk path); the
-        # tick resolves in trigger order, i.e. per-packet emission order.
-        self._tick_rows: list[tuple[FlowKey | None, np.ndarray, float, int | None]] | None = None
-        # Estimates of a tick whose chunk iterator raised: the windows are
-        # already closed, so they are delivered by the next chunk or flush.
+        # Tick-batch mode: when set (inside push_block), trained-mode
+        # windows append ``(flow, features, window_start, trigger_pos)`` here
+        # and inference runs once per tick over all flows whose windows
+        # closed in it.  ``trigger_pos`` is the triggering packet's block
+        # row; the tick resolves in trigger order, i.e. per-packet emission
+        # order.
+        self._tick_rows: list[tuple[FlowKey | None, np.ndarray, float, int]] | None = None
+        # Estimates of a block that raised mid-tick: the windows are already
+        # closed, so they are delivered by the next push_block or flush.
         self._held_estimates: list[StreamEstimate] = []
 
     @classmethod
@@ -853,73 +824,6 @@ class StreamingQoEPipeline:
             self._flow_order.append(key)
         return [StreamEstimate(flow=key, estimate=e) for e in stream.push(packet)]
 
-    def push_chunk(self, packets: Iterable[Packet]) -> list[StreamEstimate]:
-        """Feed a chunk of packets as one inference *tick*.
-
-        In trained mode, windows that close anywhere in the chunk -- across
-        all flows -- defer their per-window inference; at the end of the
-        chunk the deferred feature vectors are stacked and pushed through
-        each per-metric forest in a single vectorized call
-        (:meth:`~repro.core.estimators.BaseMLEstimator.predict_many`).  Tree
-        traversal is row-independent, so the estimates are bit-identical to
-        per-window :meth:`push` inference and are returned in the same
-        emission order; only the inference overhead is amortized.  This is
-        the hot loop of a sharded worker, where many concurrent flows close
-        windows in the same tick.
-
-        In heuristic (untrained) mode there is no inference to batch and the
-        call is exactly ``push`` per packet.
-
-        If the packet iterator raises mid-chunk, windows that had already
-        closed are not lost: their (resolved) estimates are held and
-        delivered at the front of the next ``push_chunk`` or ``flush`` call,
-        matching ``push``'s property that a closed window's estimate always
-        reaches the caller.
-        """
-        obs = self.obs
-        if obs is None:
-            return self._push_chunk(packets)
-        started = perf_counter()
-        # Only sized inputs are counted up front: materializing an arbitrary
-        # iterator here would consume it before the error-path held-estimate
-        # semantics get a chance to apply.
-        n_packets = len(packets) if hasattr(packets, "__len__") else None
-        emitted = self._push_chunk(packets)
-        obs.time_stage("push_chunk", started)
-        obs.inc("qoe_engine_ticks_total")
-        if n_packets is not None:
-            obs.inc("qoe_engine_packets_total", n_packets)
-        if emitted:
-            obs.inc("qoe_engine_estimates_total", len(emitted))
-        return emitted
-
-    def _push_chunk(self, packets: Iterable[Packet]) -> list[StreamEstimate]:
-        emitted = self._held_estimates
-        self._held_estimates = []
-        if not self.trained or self._feature_rows is not None:
-            try:
-                for packet in packets:
-                    emitted.extend(self.push(packet))
-            except BaseException:
-                self._held_estimates = emitted
-                raise
-            return emitted
-        if self._tick_rows is not None:
-            self._held_estimates = emitted
-            raise RuntimeError("push_chunk is not reentrant")
-        self._tick_rows = []
-        try:
-            for packet in packets:
-                emitted.extend(self.push(packet))
-            emitted.extend(self._flush_tick())
-        except BaseException:
-            emitted.extend(self._flush_tick())
-            self._held_estimates = emitted
-            raise
-        finally:
-            self._tick_rows = None
-        return emitted
-
     def push_block(self, block: PacketBlock) -> list[StreamEstimate]:
         """Feed a columnar :class:`~repro.net.block.PacketBlock` as one tick.
 
@@ -930,17 +834,26 @@ class StreamingQoEPipeline:
         -- vectorized window assignment and array accumulator updates in
         trained mode, vectorized frame assembly and window-close replay in
         heuristic mode.  No packet objects are constructed for sorted
-        in-flow runs in either mode.  Windows closing anywhere in the block
-        share one vectorized inference call, exactly like
-        :meth:`push_chunk`.
+        in-flow runs in either mode.
+
+        In trained mode, windows that close anywhere in the block -- across
+        all flows -- defer their per-window inference; at the end of the
+        block the deferred feature vectors are stacked and pushed through
+        each per-metric forest in a single vectorized call
+        (:meth:`~repro.core.estimators.BaseMLEstimator.predict_many`).  Tree
+        traversal is row-independent, so the estimates are bit-identical to
+        per-window :meth:`push` inference; only the inference overhead is
+        amortized.
 
         **Equivalence contract (pinned by tests):** feeding a capture through
         ``push_block`` emits the same estimates as per-packet :meth:`push`,
         bit-identically and *in the same order* -- every emission is tagged
         with the block row that triggered it and the tick is emitted in
         trigger order, so callers cannot observe which path produced a
-        stream.  Error handling matches ``push_chunk``: estimates of windows
-        that closed before a failure are held for the next call.
+        stream.  If the block fails part-way, the (resolved) estimates of
+        windows that had already closed are held and delivered at the front
+        of the next ``push_block`` or ``flush`` call: like ``push``, a closed
+        window's estimate always reaches the caller.
         """
         if self._closed:
             raise RuntimeError(
@@ -957,7 +870,7 @@ class StreamingQoEPipeline:
         if tick:
             if self._tick_rows is not None:
                 self._held_estimates = held
-                raise RuntimeError("push_chunk/push_block are not reentrant")
+                raise RuntimeError("push_block is not reentrant")
             self._tick_rows = []
         tagged: list[tuple[int, int, StreamEstimate]] = []
         seq = 0
@@ -1101,33 +1014,12 @@ class StreamingQoEPipeline:
           and the per-metric forests run once over all windows (vectorized),
           which is row-for-row identical to predicting at each window close
           but avoids per-window inference overhead.
-
-        The deprecated ``estimates_for`` and ``batch_estimates`` methods are
-        thin aliases of the two modes.
         """
         if not batch:
             emitted = list(self.process(packets))
             emitted.extend(self.flush())
             return emitted
         return self._collect_batch(packets)
-
-    def estimates_for(self, packets: Iterable[Packet]) -> list[StreamEstimate]:
-        """Deprecated alias of :meth:`collect`."""
-        warnings.warn(
-            "StreamingQoEPipeline.estimates_for is deprecated; use collect()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.collect(packets)
-
-    def batch_estimates(self, packets: Iterable[Packet]) -> list["PipelineEstimate"]:
-        """Deprecated alias of :meth:`collect` with ``batch=True``."""
-        warnings.warn(
-            "StreamingQoEPipeline.batch_estimates is deprecated; use collect(packets, batch=True)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.collect(packets, batch=True)
 
     def _collect_batch(self, packets: Iterable[Packet]) -> list["PipelineEstimate"]:
         if self.demux_flows:
@@ -1300,7 +1192,7 @@ class StreamingQoEPipeline:
 
         Three behaviours behind one callback: defer to the batch adapter
         (``collect(batch=True)`` runs the forests once at the end), defer to
-        the current tick (``push_chunk`` batches across flows), or predict
+        the current tick (``push_block`` batches across flows), or predict
         immediately (plain ``push``).  Deferred windows return ``None`` so the
         owning stream emits nothing until the batch is resolved.
         """
@@ -1308,8 +1200,8 @@ class StreamingQoEPipeline:
             self._feature_rows.append((features, window_start))
             return None
         if self._tick_rows is not None:
-            stream = self._streams.get(key)
-            trigger_pos = stream.trigger_pos if stream is not None else None
+            trigger_pos = self._streams[key].trigger_pos
+            assert trigger_pos is not None  # tick windows close only inside push_rows
             self._tick_rows.append((key, features, window_start, trigger_pos))
             return None
         return self._predict_rows([features], [window_start])[0]
@@ -1320,10 +1212,9 @@ class StreamingQoEPipeline:
         if not rows:
             return []
         self._tick_rows = []
-        if rows[0][3] is not None:
-            # Block tick: flows were processed one after another, so restore
-            # the per-packet trigger order (stable on ties) before emitting.
-            rows.sort(key=lambda row: row[3])
+        # Flows were processed one after another, so restore the per-packet
+        # trigger order (stable on ties) before emitting.
+        rows.sort(key=lambda row: row[3])
         estimates = self._predict_rows(
             [features for _, features, _, _ in rows],
             [window_start for _, _, window_start, _ in rows],

@@ -143,7 +143,7 @@ class IdleEvictionSchedule:
     """Amortized idle-eviction scheduling, shared by every monitor loop.
 
     Both :class:`QoEMonitor` (per packet) and the sharded
-    :class:`~repro.cluster.worker.ShardWorker` loop (per chunk) feed stream
+    :class:`~repro.cluster.worker.ShardWorker` loop (per block) feed stream
     time in and sweep when :meth:`due` fires: at most one O(live flows)
     ``evict_idle`` scan per ``idle_timeout_s`` of capture, starting one
     timeout after the first observation.  One implementation keeps the two

@@ -12,8 +12,8 @@ implementations:
 * :class:`~repro.sinks.summary.SummarySink` -- rolling per-flow QoE
   aggregates (running means, degraded-seconds counters);
 * :class:`~repro.sinks.summary.MetricsSnapshotSink` -- monotonic counters
-  exposed via :meth:`~repro.sinks.summary.MetricsSnapshotSink.snapshot` for
-  scraping.
+  exposed via :meth:`~repro.sinks.summary.MetricsSnapshotSink.metrics` /
+  ``render_prometheus`` for scraping.
 
 All sinks other than the collector are O(1) per estimate, preserving the
 engine's O(window)-per-flow memory bound end to end.

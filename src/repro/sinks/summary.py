@@ -8,7 +8,6 @@ what an operator dashboard or a Prometheus scrape endpoint wants.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 from repro.core.streaming import StreamEstimate
@@ -133,9 +132,6 @@ class MetricsSnapshotSink(_DegradationRule):
     serves both.  Counters never reset, so deltas between scrapes are
     meaningful.  Degraded windows are counted per :class:`_DegradationRule`.
     State is O(live flows) (the flow-key set) plus a handful of series.
-
-    The pre-PR-8 :meth:`snapshot` flat mapping is kept as a deprecated
-    alias with its public metric names unchanged.
     """
 
     def __init__(
@@ -149,7 +145,6 @@ class MetricsSnapshotSink(_DegradationRule):
         #: monitor's), otherwise the sink owns a private one.
         self.registry = registry if registry is not None else MetricsRegistry()
         self._flows: set = set()
-        self._sources: set[str] = set()
         self.closed = False
 
     def emit(self, item: StreamEstimate) -> None:
@@ -158,9 +153,7 @@ class MetricsSnapshotSink(_DegradationRule):
             self._flows.add(item.flow)
             registry.set_gauge("qoe_flows_seen", len(self._flows))
         registry.inc("qoe_estimates_total")
-        source = item.estimate.source
-        self._sources.add(source)
-        registry.inc("qoe_estimates_by_source_total", labels=(("source", source),))
+        registry.inc("qoe_estimates_by_source_total", labels=(("source", item.estimate.source),))
         if self._is_degraded(item):
             registry.inc("qoe_degraded_windows_total")
         last = registry.gauge_value("qoe_last_window_start_seconds")
@@ -177,34 +170,3 @@ class MetricsSnapshotSink(_DegradationRule):
     def render_prometheus(self) -> str:
         """The sink's series in the Prometheus text exposition format."""
         return self.registry.render_prometheus()
-
-    def snapshot(self) -> dict[str, float]:
-        """Deprecated: the pre-PR-8 flat ``{metric_name: number}`` mapping.
-
-        Metric names (including the unquoted ``{source=...}`` label form)
-        are unchanged from earlier releases and pinned by test; new code
-        should read :meth:`metrics` or :meth:`render_prometheus`, which use
-        the registry's quoted-label Prometheus series names.
-        """
-        warnings.warn(
-            "MetricsSnapshotSink.snapshot() is deprecated; use metrics() for the "
-            "structured registry snapshot or render_prometheus() for scrape text",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        registry = self.registry
-        counters: dict[str, float] = {
-            "qoe_estimates_total": registry.counter_value("qoe_estimates_total"),
-            "qoe_degraded_windows_total": registry.counter_value("qoe_degraded_windows_total"),
-            "qoe_flows_seen": len(self._flows),
-        }
-        for source in sorted(self._sources):
-            counters[f"qoe_estimates_by_source_total{{source={source}}}"] = (
-                registry.counter_value(
-                    "qoe_estimates_by_source_total", (("source", source),)
-                )
-            )
-        last = registry.gauge_value("qoe_last_window_start_seconds")
-        if last is not None:
-            counters["qoe_last_window_start_seconds"] = last
-        return counters

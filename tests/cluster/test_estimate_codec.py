@@ -234,7 +234,7 @@ class TestOversizedBatchesSplitAcrossSlots:
             rng = random.Random(99)
             items = random_items(rng, 300, flow_pool(5))  # far beyond one slot
             channel = _FakeChannel()
-            returns = _EstimateReturn(channel, ring, batch_slots=True)
+            returns = _EstimateReturn(channel, ring)
             returns.emit(items, 123.0)
             returns.flush()
             tokens = [m for m in channel.messages if m[0] == "est"]
@@ -276,7 +276,7 @@ class TestOversizedBatchesSplitAcrossSlots:
                 ),
             )
             channel = _FakeChannel()
-            returns = _EstimateReturn(channel, ring, batch_slots=True)
+            returns = _EstimateReturn(channel, ring)
             returns.emit([monster], 1.0)
             assert channel.messages == [("progress", [monster], 1.0, None)]
             assert returns.stats()["queue_fallbacks"] == 1

@@ -17,6 +17,7 @@ from repro.cluster.fanin import flow_sort_key
 from repro.cluster.worker import shard_worker_main
 from repro.core.pipeline import PipelineEstimate, QoEPipeline
 from repro.core.streaming import StreamEstimate
+from repro.net.block import PacketBlock
 from repro.net.flows import FlowKey, five_tuple
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.sinks.base import CollectorSink
@@ -313,7 +314,7 @@ class TestShardWorkerLoop:
         in_queue: queue.Queue = queue.Queue()
         out_queue: queue.Queue = queue.Queue()
         for chunk in chunks:
-            in_queue.put(("chunk", chunk))
+            in_queue.put(("block", PacketBlock.from_packets(chunk)))
         in_queue.put(("stop",))
         shard_worker_main(7, payload, config_dict, None, in_queue, out_queue)
         messages = []

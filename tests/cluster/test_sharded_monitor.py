@@ -179,20 +179,7 @@ class TestShardedMonitorSurface:
 
 
 class TestColumnarTransport:
-    """The block transport (default) against the legacy packet transport."""
-
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_block_transport_matches_packet_transport(self, many_flow_packets, n_workers):
-        pipeline = QoEPipeline.for_vca("teams")
-        block_sink, block_report, _ = run_sharded(
-            pipeline, many_flow_packets, n_workers, transport="block"
-        )
-        packet_sink, packet_report, _ = run_sharded(
-            pipeline, many_flow_packets, n_workers, transport="packets"
-        )
-        assert as_rows(block_sink.items) == as_rows(packet_sink.items)
-        assert block_report == packet_report
-        assert block_report.n_packets == len(many_flow_packets)
+    """The block transport (default): pickled ``PacketBlock`` sub-blocks."""
 
     def test_trained_block_transport_bit_identical_to_single_process(
         self, many_flow_packets, trained_pipeline
@@ -213,4 +200,20 @@ class TestColumnarTransport:
                 QoEPipeline.for_vca("teams"),
                 IteratorSource(iter(many_flow_packets)),
                 transport="carrier-pigeon",
+            )
+
+    @pytest.mark.parametrize(
+        "removed, error",
+        [
+            ({"transport": "packets"}, ValueError),
+            ({"shm_return": "queue"}, TypeError),
+            ({"shm_batch_slots": False}, TypeError),
+        ],
+    )
+    def test_removed_options_are_rejected_at_construction(self, many_flow_packets, removed, error):
+        from repro import IteratorSource
+
+        with pytest.raises(error, match=next(iter(removed))):
+            ShardedQoEMonitor(
+                QoEPipeline.for_vca("teams"), IteratorSource(iter(many_flow_packets)), **removed
             )

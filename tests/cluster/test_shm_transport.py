@@ -374,45 +374,6 @@ class _RecordingMonitor(ShardedQoEMonitor):
 
 
 class TestZeroPickleReturnPath:
-    @pytest.mark.parametrize("n_workers", [1, 2, 4])
-    def test_queue_return_matches_ring_return(self, many_flow_packets, n_workers):
-        pipeline = QoEPipeline.for_vca("teams")
-        ring_sink, ring_report, monitor = run_sharded(
-            pipeline, many_flow_packets, n_workers, transport="shm", shm_return="ring"
-        )
-        queue_sink, queue_report, _ = run_sharded(
-            pipeline, many_flow_packets, n_workers, transport="shm", shm_return="queue"
-        )
-        assert as_rows(ring_sink.items) == as_rows(queue_sink.items)
-        # Reports compare equal even though their transport telemetry differs
-        # (ring mode has a "reverse" direction, queue mode does not): the
-        # field is excluded from equality like wall_time_s.
-        assert ring_report == queue_report
-        assert "reverse" in ring_report.transport
-        assert "reverse" not in queue_report.transport
-        assert no_segment_leaked(ring_names(monitor))
-
-    def test_batched_and_unbatched_slots_match(self, many_flow_packets):
-        pipeline = QoEPipeline.for_vca("teams")
-        batched, batched_report, monitor = run_sharded(
-            pipeline, many_flow_packets, 2, transport="shm", chunk_size=16
-        )
-        unbatched, unbatched_report, _ = run_sharded(
-            pipeline, many_flow_packets, 2, transport="shm", chunk_size=16,
-            shm_batch_slots=False,
-        )
-        assert as_rows(batched.items) == as_rows(unbatched.items)
-        assert batched_report == unbatched_report
-        # Batching is what amortizes semaphore ops: with 16-packet chunks the
-        # batched run must pack strictly more segments per slot...
-        packed = batched_report.transport["forward"]
-        single = unbatched_report.transport["forward"]
-        assert packed["max_segments_per_slot"] > 1
-        assert single["max_segments_per_slot"] == 1
-        # ...and therefore burn fewer slots for the same segment stream.
-        assert packed["slots_written"] < single["slots_written"]
-        assert no_segment_leaked(ring_names(monitor))
-
     def test_tiny_return_slots_split_batches(self, many_flow_packets):
         # shm_slot_bytes applies to both directions: 1 KiB slots force the
         # return batcher to split tick batches across slots (and the forward
@@ -430,18 +391,10 @@ class TestZeroPickleReturnPath:
         QoEMonitor(trained_pipeline, IteratorSource(iter(many_flow_packets)), sinks=single).run()
         expected = as_rows(fan_in_order(single.items))
         sink, _, monitor = run_sharded(
-            trained_pipeline, many_flow_packets, 2, transport="shm", shm_return="ring"
+            trained_pipeline, many_flow_packets, 2, transport="shm"
         )
         assert as_rows(sink.items) == expected
         assert no_segment_leaked(ring_names(monitor))
-
-    def test_shm_return_validated(self, many_flow_packets):
-        with pytest.raises(ValueError, match="shm_return"):
-            ShardedQoEMonitor(
-                QoEPipeline.for_vca("teams"),
-                IteratorSource(iter(many_flow_packets)),
-                shm_return="carrier-pigeon",
-            )
 
     def test_transport_stats_surface(self, many_flow_packets):
         pipeline = QoEPipeline.for_vca("teams")
@@ -465,6 +418,11 @@ class TestZeroPickleReturnPath:
             agg = report.transport[direction]
             assert agg["slots_written"] == sum(c["slots_written"] for c in per_shard)
             assert agg["occupancy_hwm"] == max(c["occupancy_hwm"] for c in per_shard)
+        # Slot batching is what amortizes semaphore ops: 32-packet chunks ride
+        # several to a slot, so fewer slots than segments were written.
+        forward = report.transport["forward"]
+        assert forward["max_segments_per_slot"] > 1
+        assert forward["slots_written"] < forward["segments_written"]
 
     def test_no_payload_crosses_a_queue(self, many_flow_packets, monkeypatch):
         """The zero-pickle pin: with flat-encodable traffic, both queues
@@ -568,6 +526,42 @@ class TestShmCleanup:
                 QoEPipeline.for_vca("teams"),
                 IteratorSource(iter(many_flow_packets)),
                 transport="shm",
+            )
+
+    def test_ring_creation_failure_unlinks_the_rings_already_made(
+        self, many_flow_packets, monkeypatch
+    ):
+        created: list[str] = []
+        real_create = BlockRing.create
+
+        def create_then_fail(ctx, slot_count, slot_bytes):
+            if created:
+                raise OSError("no space left on /dev/shm")
+            ring = real_create(ctx, slot_count, slot_bytes)
+            created.append(ring.name)
+            return ring
+
+        monkeypatch.setattr(BlockRing, "create", staticmethod(create_then_fail))
+        monitor = ShardedQoEMonitor(
+            QoEPipeline.for_vca("teams"),
+            IteratorSource(iter(many_flow_packets)),
+            sinks=CollectorSink(),
+            n_workers=2,
+            transport="shm",
+        )
+        with pytest.raises(OSError, match="no space left"):
+            monitor.run()
+        assert len(created) == 1
+        assert no_segment_leaked(created)
+
+    def test_slot_bytes_validated_at_construction(self, many_flow_packets):
+        # Not in run(): a typo must not burn the one-shot monitor.
+        with pytest.raises(ValueError, match="shm_slot_bytes"):
+            ShardedQoEMonitor(
+                QoEPipeline.for_vca("teams"),
+                IteratorSource(iter(many_flow_packets)),
+                transport="shm",
+                shm_slot_bytes=512,  # below shm.MIN_SLOT_BYTES
             )
 
 

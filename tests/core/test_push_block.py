@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib.util
 import pickle
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ import pytest
 
 from repro import CollectorSink, IteratorSource, QoEMonitor, QoEPipeline, TraceSource
 from repro.core.streaming import StreamingQoEPipeline, window_index, window_indices
-from repro.net.block import blocks_from_packets
+from repro.net.block import PacketBlock, blocks_from_packets
 from repro.net.trace import PacketTrace
 
 # The synthetic-flow / trained-pipeline helpers live in the cluster suite's
@@ -281,7 +282,7 @@ class TestPcapBlockPath:
 
 
 class TestChunkEvictionInteraction:
-    """push_chunk ticks interleaved with evict_idle sweeps (the worker loop).
+    """push_block ticks interleaved with evict_idle sweeps (the worker loop).
 
     An eviction between ticks must neither lose a window that was deferred
     into a tick nor re-emit one that already closed: every (flow, window)
@@ -293,8 +294,8 @@ class TestChunkEvictionInteraction:
         engine = StreamingQoEPipeline(pipeline)
         emitted = []
         evicted_flows = set()
-        for start in range(0, len(packets), chunk_size):
-            emitted.extend(engine.push_chunk(packets[start : start + chunk_size]))
+        for block in blocks_from_packets(packets, chunk_size):
+            emitted.extend(engine.push_block(block))
             swept = engine.evict_idle(idle_s)
             evicted_flows.update(item.flow for item in swept)
             emitted.extend(swept)
@@ -332,3 +333,59 @@ class TestChunkEvictionInteraction:
         reference = per_packet_run(trained_pipeline, packets)
         key = lambda item: (item.estimate.window_start, str(item.flow))  # noqa: E731
         assert sorted(emitted, key=key) == sorted(reference, key=key)
+
+
+class TestMidBlockFailure:
+    """A block that fails part-way loses no closed window and wedges nothing.
+
+    The first flow of the failing block has already advanced past the
+    windows it closed, so they can never re-emit: their estimates must
+    arrive at the front of the next ``push_block`` / ``flush``.  And the
+    trained-mode tick buffer must be cleared, or every later block would be
+    refused as reentrant.
+    """
+
+    POISON = 1333  # no synthetic_flow packet has this payload size
+
+    @pytest.mark.parametrize("resume", ["push_block", "flush"])
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_closed_windows_are_held_and_the_tick_guard_resets(
+        self, trained_pipeline, trained, resume, monkeypatch
+    ):
+        pipeline = trained_pipeline if trained else QoEPipeline.for_vca("teams")
+        classifier = pipeline.ml.media_classifier if trained else pipeline.heuristic.classifier
+        packets = interleave(
+            synthetic_flow(10, "10.0.0.10", 50010), synthetic_flow(11, "10.0.0.11", 50011)
+        )
+        # Cuts sit mid-window so the second flow closes nothing before it fails.
+        head = [p for p in packets if p.timestamp < 2.5]
+        mid = [p for p in packets if 2.5 <= p.timestamp < 5.5]
+        rest = [p for p in packets if p.timestamp >= 5.5]
+        first_port = mid[0].udp.dst_port
+        victim = next(i for i, p in enumerate(mid) if p.udp.dst_port != first_port)
+        mid[victim] = replace(mid[victim], payload_size=self.POISON)
+
+        reference = StreamingQoEPipeline(pipeline)
+        reference.push_block(PacketBlock.from_packets(head))
+        expected_held = reference.push_block(
+            PacketBlock.from_packets([p for p in mid if p.udp.dst_port == first_port])
+        )
+        assert len(expected_held) >= 2, "the first flow should close windows in the failing block"
+
+        real_mask = classifier.video_mask
+
+        def flaky_mask(sizes):
+            if self.POISON in sizes:
+                raise OSError("classifier hiccup")
+            return real_mask(sizes)
+
+        monkeypatch.setattr(classifier, "video_mask", flaky_mask)
+        engine = StreamingQoEPipeline(pipeline)
+        engine.push_block(PacketBlock.from_packets(head))
+        with pytest.raises(OSError, match="classifier hiccup"):
+            engine.push_block(PacketBlock.from_packets(mid))
+        if resume == "push_block":
+            resumed = engine.push_block(PacketBlock.from_packets(rest))
+        else:
+            resumed = engine.flush()
+        assert resumed[: len(expected_held)] == expected_held

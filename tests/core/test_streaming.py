@@ -16,6 +16,7 @@ import pytest
 
 from repro.core.pipeline import QoEPipeline
 from repro.core.streaming import StreamingQoEPipeline, window_index
+from repro.net.block import PacketBlock
 from repro.net.flows import five_tuple
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.net.trace import PacketTrace
@@ -399,121 +400,6 @@ class TestLongRunningMonitor:
         assert elapsed < 3.0, f"mass-eviction sweep took {elapsed:.2f}s (quadratic regression?)"
 
 
-def _tiny_trained_pipeline(seed: int = 0) -> QoEPipeline:
-    """Deterministically-trained small forests (cheap; predictions arbitrary)."""
-    from repro.core.estimators import IPUDPMLEstimator
-
-    pipeline = QoEPipeline.for_vca("teams")
-    pipeline.ml = IPUDPMLEstimator.for_profile(pipeline.profile, n_estimators=6, max_depth=5)
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(0.0, 1500.0, size=(60, len(pipeline.ml.feature_names)))
-    pipeline.ml.fit(
-        X,
-        {
-            "frame_rate": rng.uniform(5.0, 30.0, 60),
-            "bitrate": rng.uniform(100.0, 2000.0, 60),
-            "frame_jitter": rng.uniform(0.0, 50.0, 60),
-            "resolution": rng.choice(["low", "medium", "high"], 60),
-        },
-    )
-    pipeline._trained = True
-    return pipeline
-
-
-class TestTickBatching:
-    """push_chunk: cross-flow batched inference, bit-identical to push."""
-
-    def _two_flow_feed(self):
-        flow_a = [make_packet(0.011 * i, 1100) for i in range(600)]
-        flow_b = [make_packet(0.013 * i, 900, dst_port=40000) for i in range(500)]
-        return sorted(flow_a + flow_b, key=lambda p: p.timestamp)
-
-    def test_trained_chunks_bit_identical_to_per_push(self):
-        feed = self._two_flow_feed()
-        per_push = StreamingQoEPipeline(_tiny_trained_pipeline())
-        expected = [e for p in feed for e in per_push.push(p)]
-        expected.extend(per_push.flush())
-
-        for chunk_size in (1, 7, 128, len(feed)):
-            engine = StreamingQoEPipeline(_tiny_trained_pipeline())
-            emitted = []
-            for i in range(0, len(feed), chunk_size):
-                emitted.extend(engine.push_chunk(feed[i : i + chunk_size]))
-            emitted.extend(engine.flush())
-            # Dataclass equality on floats: bit-identical, same emission order.
-            assert emitted == expected, f"chunk_size={chunk_size}"
-
-    def test_heuristic_chunks_equal_per_push(self):
-        feed = self._two_flow_feed()
-        per_push = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
-        expected = [e for p in feed for e in per_push.push(p)]
-        expected.extend(per_push.flush())
-        engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
-        emitted = []
-        for i in range(0, len(feed), 100):
-            emitted.extend(engine.push_chunk(feed[i : i + 100]))
-        emitted.extend(engine.flush())
-        assert emitted == expected
-
-    def test_chunk_not_reentrant_guard_resets_after_failure(self):
-        engine = StreamingQoEPipeline(_tiny_trained_pipeline())
-
-        def poisoned():
-            yield make_packet(0.1, 1000)
-            raise RuntimeError("capture died")
-
-        with pytest.raises(RuntimeError, match="capture died"):
-            engine.push_chunk(poisoned())
-        # The tick buffer must be cleared, or every later push would defer
-        # its inference into a tick that never resolves.
-        assert engine.push_chunk([make_packet(5.0, 1000)]) is not None
-        assert engine.flush()
-
-    def test_windows_closed_before_a_chunk_failure_are_not_lost(self):
-        """A mid-chunk source failure must not swallow already-closed windows
-        (their streams advanced past them, so they can never re-emit)."""
-        feed = self._two_flow_feed()
-        reference = StreamingQoEPipeline(_tiny_trained_pipeline())
-        expected = [e for p in feed for e in reference.push(p)]
-        expected.extend(reference.flush())
-
-        engine = StreamingQoEPipeline(_tiny_trained_pipeline())
-        cut = len(feed) // 2
-
-        def flaky():
-            yield from feed[:cut]
-            raise OSError("capture hiccup")
-
-        emitted = []
-        with pytest.raises(OSError):
-            emitted.extend(engine.push_chunk(flaky()))
-        # The failed call returned nothing; the closed windows arrive at the
-        # front of the next chunk, then the stream continues seamlessly.
-        emitted.extend(engine.push_chunk(feed[cut:]))
-        emitted.extend(engine.flush())
-        assert emitted == expected
-
-    def test_heuristic_windows_survive_a_chunk_failure_too(self):
-        """Same guarantee in untrained mode (no tick buffer involved)."""
-        feed = self._two_flow_feed()
-        reference = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
-        expected = [e for p in feed for e in reference.push(p)]
-        expected.extend(reference.flush())
-
-        engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
-        cut = len(feed) // 2
-
-        def flaky():
-            yield from feed[:cut]
-            raise OSError("capture hiccup")
-
-        with pytest.raises(OSError):
-            engine.push_chunk(flaky())
-        emitted = engine.push_chunk(feed[cut:])
-        emitted.extend(engine.flush())
-        assert emitted == expected
-
-
 class TestLowWatermark:
     def test_no_packets_means_no_watermark(self):
         engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
@@ -574,7 +460,7 @@ class TestLowWatermark:
         )
         for i in range(0, len(feed), 50):
             watermark = engine.low_watermark(new_flow_slack_s=2.0)
-            emitted = engine.push_chunk(feed[i : i + 50])
+            emitted = engine.push_block(PacketBlock.from_packets(feed[i : i + 50]))
             if watermark is not None:
                 for item in emitted:
                     assert item.estimate.window_start >= watermark

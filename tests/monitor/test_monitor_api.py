@@ -133,6 +133,12 @@ class TestMonitorEquivalence:
         with pytest.raises(ValueError, match="demux_flows"):
             QoEMonitor(pipeline, PcapSource(teams_pcap), batch_grid=True)
 
+    def test_collect_batch_requires_single_flow(self, teams_call):
+        with pytest.raises(RuntimeError, match="demux_flows"):
+            StreamingQoEPipeline(QoEPipeline.for_vca("teams")).collect(
+                teams_call.trace, batch=True
+            )
+
     def test_monitor_is_one_shot_but_sources_are_reusable(self, teams_call):
         pipeline = QoEPipeline.for_vca("teams")
         source = TraceSource(teams_call.trace)
@@ -298,17 +304,17 @@ class TestSinks:
             summary.for_flow(None)
 
     def test_metrics_snapshot_counters(self, teams_call):
-        """The legacy ``snapshot()`` surface: names pinned, now deprecated."""
+        """The scrape surface's series names are public: pinned here."""
         pipeline = QoEPipeline.for_vca("teams")
         metrics = MetricsSnapshotSink()
         collector = CollectorSink()
         QoEMonitor(pipeline, TraceSource(teams_call.trace), sinks=[metrics, collector]).run()
-        with pytest.warns(DeprecationWarning, match="metrics\\(\\)"):
-            snapshot = metrics.snapshot()
-        assert snapshot["qoe_estimates_total"] == len(collector)
-        assert snapshot["qoe_flows_seen"] == 1
-        assert snapshot["qoe_estimates_by_source_total{source=heuristic}"] == len(collector)
-        assert snapshot["qoe_last_window_start_seconds"] == max(
+        snapshot = metrics.metrics()
+        counters, gauges = snapshot["counters"], snapshot["gauges"]
+        assert counters["qoe_estimates_total"] == len(collector)
+        assert gauges["qoe_flows_seen"] == 1
+        assert counters['qoe_estimates_by_source_total{source="heuristic"}'] == len(collector)
+        assert gauges["qoe_last_window_start_seconds"] == max(
             e.window_start for e in collector.estimates
         )
 
@@ -328,10 +334,7 @@ class TestSinks:
         series = parse_prometheus(metrics.render_prometheus())
         assert series["qoe_estimates_total"] == len(collector)
         assert series['qoe_estimates_by_source_total{source="heuristic"}'] == len(collector)
-        # The deprecated flat mapping reads the same registry (both views
-        # agree), and a caller-supplied registry is adopted, not replaced.
-        with pytest.warns(DeprecationWarning):
-            assert metrics.snapshot()["qoe_estimates_total"] == len(collector)
+        # A caller-supplied registry is adopted, not replaced.
         shared = MetricsRegistry()
         assert MetricsSnapshotSink(registry=shared).registry is shared
 
@@ -523,48 +526,6 @@ class TestReportThroughputCounters:
         ).run()
         assert report.packets_consumed == len(teams_call.trace)
         assert report.wall_time_s > 0.0
-
-
-class TestDeprecatedAliases:
-    def test_estimates_for_warns_and_matches_collect(self, teams_call):
-        pipeline = QoEPipeline.for_vca("teams")
-        fresh = StreamingQoEPipeline(pipeline, demux_flows=False)
-        expected = fresh.collect(teams_call.trace)
-        legacy = StreamingQoEPipeline(pipeline, demux_flows=False)
-        with pytest.warns(DeprecationWarning, match="collect"):
-            result = legacy.estimates_for(teams_call.trace)
-        assert [item.estimate for item in result] == [item.estimate for item in expected]
-
-    def test_estimates_for_demux_mode_matches_collect_with_flow_tags(self, teams_call, lossy_teams_call):
-        """The alias contract holds in the default multi-flow mode too."""
-        pipeline = QoEPipeline.for_vca("teams")
-        flow_a = teams_call.trace.without_ground_truth().without_rtp()
-        flow_b = remap_flow(lossy_teams_call.trace.without_ground_truth().without_rtp())
-        merged = sorted(list(flow_a) + list(flow_b), key=lambda p: p.timestamp)
-        expected = StreamingQoEPipeline(pipeline).collect(merged)
-        with pytest.warns(DeprecationWarning) as record:
-            result = StreamingQoEPipeline(pipeline).estimates_for(merged)
-        assert all(w.category is DeprecationWarning for w in record)
-        assert [(item.flow, item.estimate) for item in result] == [
-            (item.flow, item.estimate) for item in expected
-        ]
-
-    def test_batch_estimates_warns_and_matches_collect(self, teams_call):
-        pipeline = QoEPipeline.for_vca("teams")
-        expected = StreamingQoEPipeline(pipeline, demux_flows=False).collect(
-            teams_call.trace, batch=True
-        )
-        with pytest.warns(DeprecationWarning, match="batch=True"):
-            result = StreamingQoEPipeline(pipeline, demux_flows=False).batch_estimates(
-                teams_call.trace
-            )
-        assert result == expected
-
-    def test_collect_batch_requires_single_flow(self, teams_call):
-        with pytest.raises(RuntimeError, match="demux_flows"):
-            StreamingQoEPipeline(QoEPipeline.for_vca("teams")).collect(
-                teams_call.trace, batch=True
-            )
 
 
 class TestObservability:
