@@ -8,12 +8,14 @@ estimation, trends across swept parameters -- is what is being reproduced.
 
 Every benchmark writes its rendered table/figure to
 ``benchmarks/results/<name>.txt`` and prints it, so ``pytest benchmarks/
---benchmark-only`` leaves a readable artefact per experiment.
+--benchmark-only`` leaves a readable artefact per experiment.  The artefacts
+are deterministic (a run rewrites them byte-identically), and nothing under
+this directory asserts on wall-clock time: throughput, CPU, lag and memory
+are measured by ``bench/`` (``python3 bench/run.py``, see ``bench/README.md``).
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
@@ -31,22 +33,6 @@ LAB_CALLS_PER_VCA = 6
 LAB_CALL_DURATION_S = 25
 REAL_WORLD_CALLS_PER_VCA = 6
 N_ESTIMATORS = 15
-
-
-def enforced_floor(env_var: str, multicore_default: float) -> float:
-    """The perf floor a benchmark will actually enforce, derived once.
-
-    Floors gate on parallel hardware: a transport or scaling win only
-    materializes when producer and consumer genuinely overlap, so on a
-    single-core runner the default collapses to ``0.0`` (numbers are
-    recorded, nothing is asserted).  The environment variable always wins --
-    CI smoke runs set it to ``0`` explicitly.  Benchmarks must record *this*
-    value in their JSON artifacts (not the multicore default and not a
-    hard-coded ``0.0``), so the perf trajectory stays interpretable: a
-    reader can tell an enforced 1.5x from a vacuous one.
-    """
-    default = multicore_default if (os.cpu_count() or 1) > 1 else 0.0
-    return float(os.environ.get(env_var, default))
 
 
 def save_artifact(name: str, text: str) -> Path:

@@ -260,14 +260,7 @@ class _FlowStream:
             # through _release's stale-packet drop, not the delay line.
             ordered = float(timestamps[0]) >= self._watermark
         if not ordered:
-            out: list[tuple[int, PipelineEstimate]] = []
-            for i in range(m):
-                pos = int(positions[i])
-                self.trigger_pos = pos
-                for estimate in self.push(_BlockRow(float(timestamps[i]), int(sizes[i]))):
-                    out.append((pos, estimate))
-            self.trigger_pos = None
-            return out
+            return self._push_each(timestamps, sizes, positions)
 
         depth = self.reorder_depth
         p0 = len(pending)
@@ -275,7 +268,7 @@ class _FlowStream:
         seq0 = self._seq
         self._seq += m
         n_release = p0 + m - depth if p0 + m > depth else 0
-        out = []
+        out: list[tuple[int, PipelineEstimate]] = []
         if n_release:
             trig_start = depth - p0
             # The released rows: sorted reorder buffer ++ run prefix.
@@ -295,24 +288,15 @@ class _FlowStream:
                 vectorized = self._push_rows_heuristic(rel_ts, rel_sz, positions, trig_start)
                 if vectorized is None:
                     # Liveness bailout: a stale sweep could evict a frame
-                    # mid-run, so replay per row -- _release interleaves
-                    # finalize_stale exactly.
-                    released = [entry[2] for entry in pending_sorted[:n_release]]
-                    for i in range(n_release - len(released)):
-                        released.append(_BlockRow(float(timestamps[i]), int(sizes[i])))
-                    for r, row in enumerate(released):
-                        trig = int(positions[trig_start + r])
-                        self.trigger_pos = trig
-                        for estimate in self._release(row):
-                            out.append((trig, estimate))
-                    self.trigger_pos = None
-                else:
-                    out = vectorized
+                    # mid-run and nothing was committed, so replay per row
+                    # -- push interleaves finalize_stale exactly.
+                    self._seq = seq0
+                    return self._push_each(timestamps, sizes, positions)
+                out = vectorized
             else:
                 rel_trig = positions[trig_start : trig_start + n_release]
-                if self._watermark is None and self.backfill_limit is not None:
-                    first_window = window_index(float(rel_ts[0]), self.start, self.window_s)
-                    self._next_window = max(self._next_window, first_window - self.backfill_limit)
+                if self._watermark is None:
+                    self._anchor(float(rel_ts[0]))
                 self._watermark = float(rel_ts[-1])
                 ks = window_indices(rel_ts, self.start, self.window_s)
                 bounds = np.flatnonzero(np.diff(ks)) + 1
@@ -338,6 +322,19 @@ class _FlowStream:
             timestamp = float(timestamps[i])
             tail.append((timestamp, seq0 + i, _BlockRow(timestamp, int(sizes[i]))))
         self._pending = tail
+        return out
+
+    def _push_each(
+        self, timestamps: np.ndarray, sizes: np.ndarray, positions: np.ndarray
+    ) -> list[tuple[int, "PipelineEstimate"]]:
+        """The scalar fallback of :meth:`push_rows`: one :meth:`push` per row."""
+        out: list[tuple[int, PipelineEstimate]] = []
+        for i in range(len(timestamps)):
+            pos = int(positions[i])
+            self.trigger_pos = pos
+            for estimate in self.push(_BlockRow(float(timestamps[i]), int(sizes[i]))):
+                out.append((pos, estimate))
+        self.trigger_pos = None
         return out
 
     def _push_rows_heuristic(
@@ -400,9 +397,8 @@ class _FlowStream:
             if any(f.end_time < stale_bound for f in assembler._open.values()):
                 return None
 
-        if self._watermark is None and self.backfill_limit is not None:
-            first_window = window_index(float(rel_ts[0]), self.start, self.window_s)
-            self._next_window = max(self._next_window, first_window - self.backfill_limit)
+        if self._watermark is None:
+            self._anchor(float(rel_ts[0]))
         self._watermark = horizon
 
         if horizon < self.start + (self._next_window + 1) * self.window_s:
@@ -551,13 +547,7 @@ class _FlowStream:
     def _release(self, packet: Packet) -> list["PipelineEstimate"]:
         """Process one packet in (reorder-corrected) timestamp order."""
         if self._watermark is None:
-            # First packet of the flow anchors the grid.  Without a back-fill
-            # cap, a flow first seen late on the grid (mid-capture join, or
-            # epoch-relative timestamps against start=0) would emit one empty
-            # estimate per elapsed window -- billions for an epoch capture.
-            if self.backfill_limit is not None:
-                first_window = window_index(packet.timestamp, self.start, self.window_s)
-                self._next_window = max(self._next_window, first_window - self.backfill_limit)
+            self._anchor(packet.timestamp)
         elif packet.timestamp < self._watermark:
             # Reordered beyond the buffer's tolerance: the stream has already
             # advanced past this timestamp, so feeding it on would corrupt
@@ -569,6 +559,15 @@ class _FlowStream:
         if self.predict is not None:
             return self._release_trained(packet)
         return self._release_heuristic(packet)
+
+    def _anchor(self, first_timestamp: float) -> None:
+        # First packet of the flow anchors the grid.  Without a back-fill
+        # cap, a flow first seen late on the grid (mid-capture join, or
+        # epoch-relative timestamps against start=0) would emit one empty
+        # estimate per elapsed window -- billions for an epoch capture.
+        if self.backfill_limit is not None:
+            first_window = window_index(first_timestamp, self.start, self.window_s)
+            self._next_window = max(self._next_window, first_window - self.backfill_limit)
 
     def _release_trained(self, packet: Packet) -> list["PipelineEstimate"]:
         k = window_index(packet.timestamp, self.start, self.window_s)

@@ -308,57 +308,23 @@ class QoEMonitor:
                 bind = getattr(sink, "bind_registry", None)
                 if bind is not None:
                     bind(registry)
-        if self.batch_grid:
-            return self._run_batch(engine, started)
-
-        idle_timeout = self.config.idle_timeout_s
-        eviction = IdleEvictionSchedule(idle_timeout)
-        n_packets = 0
-        n_estimates = 0
-        n_evicted = 0
-        flows_seen: set = set()
-        stream_started = drain_started = perf_counter()
+        stream_started = perf_counter()
         try:
-            if self.block_size is not None:
-                from repro.sources.base import iter_blocks
-
-                fanout = self._fanout if registry is None else self._fanout_timed
-                blocks = iter_blocks(self.source, self.block_size)
-                if registry is not None:
-                    blocks = registry.timed_iter(blocks, "source_read")
-                for block in blocks:
-                    n_packets += len(block)
-                    n_estimates += fanout(engine.push_block(block))
-                    if len(block) and eviction.due(float(block.timestamps.max())):
-                        evicted = engine.evict_idle(idle_timeout)
-                        n_evicted += len({item.flow for item in evicted})
-                        flows_seen.update(item.flow for item in evicted)
-                        n_estimates += fanout(evicted)
-            else:
-                for packet in self.source:
-                    n_packets += 1
-                    n_estimates += self._fanout(engine.push(packet))
-                    if eviction.due(packet.timestamp):
-                        evicted = engine.evict_idle(idle_timeout)
-                        n_evicted += len({item.flow for item in evicted})
-                        flows_seen.update(item.flow for item in evicted)
-                        n_estimates += self._fanout(evicted)
-            drain_started = perf_counter()
-            n_estimates += self._fanout(engine.flush())
+            loop = self._run_batch if self.batch_grid else self._run_stream
+            n_packets, n_estimates, n_flows, n_evicted, drain_started = loop(engine)
         finally:
             for sink in self.sinks:
                 sink.close()
-        flows_seen.update(engine._streams.keys())
         if registry is not None:
             registry.inc("qoe_monitor_packets_total", n_packets)
             registry.inc("qoe_monitor_estimates_total", n_estimates)
             registry.inc("qoe_monitor_evicted_flows_total", n_evicted)
-            registry.set_gauge("qoe_monitor_flows_seen", len(flows_seen))
+            registry.set_gauge("qoe_monitor_flows_seen", n_flows)
         finished = perf_counter()
         return MonitorReport(
             n_packets=n_packets,
             n_estimates=n_estimates,
-            n_flows=len(flows_seen),
+            n_flows=n_flows,
             n_evicted_flows=n_evicted,
             wall_time_s=finished - started,
             timing={
@@ -370,26 +336,56 @@ class QoEMonitor:
             metrics=self.metrics(),
         )
 
-    def _run_batch(self, engine: StreamingQoEPipeline, started: float) -> MonitorReport:
-        try:
-            estimates = engine.collect(self.source, batch=True)
-            for estimate in estimates:
-                item = StreamEstimate(flow=None, estimate=estimate)
-                for sink in self.sinks:
-                    sink.emit(item)
-        finally:
-            for sink in self.sinks:
-                sink.close()
+    def _run_stream(self, engine: StreamingQoEPipeline) -> tuple[int, int, int, int, float]:
+        """The live loop.  Like :meth:`_run_batch`, returns ``(n_packets,
+        n_estimates, n_flows, n_evicted, drain_started)``; :meth:`run` owns
+        the sinks' close and the report."""
+        registry = self.registry
+        idle_timeout = self.config.idle_timeout_s
+        eviction = IdleEvictionSchedule(idle_timeout)
+        n_packets = 0
+        n_estimates = 0
+        n_evicted = 0
+        flows_seen: set = set()
+        if self.block_size is not None:
+            from repro.sources.base import iter_blocks
+
+            fanout = self._fanout if registry is None else self._fanout_timed
+            blocks = iter_blocks(self.source, self.block_size)
+            if registry is not None:
+                blocks = registry.timed_iter(blocks, "source_read")
+            for block in blocks:
+                n_packets += len(block)
+                n_estimates += fanout(engine.push_block(block))
+                if len(block) and eviction.due(float(block.timestamps.max())):
+                    evicted = engine.evict_idle(idle_timeout)
+                    n_evicted += len({item.flow for item in evicted})
+                    flows_seen.update(item.flow for item in evicted)
+                    n_estimates += fanout(evicted)
+        else:
+            for packet in self.source:
+                n_packets += 1
+                n_estimates += self._fanout(engine.push(packet))
+                if eviction.due(packet.timestamp):
+                    evicted = engine.evict_idle(idle_timeout)
+                    n_evicted += len({item.flow for item in evicted})
+                    flows_seen.update(item.flow for item in evicted)
+                    n_estimates += self._fanout(evicted)
+        drain_started = perf_counter()
+        n_estimates += self._fanout(engine.flush())
+        flows_seen.update(engine._streams.keys())
+        return n_packets, n_estimates, len(flows_seen), n_evicted, drain_started
+
+    def _run_batch(self, engine: StreamingQoEPipeline) -> tuple[int, int, int, int, float]:
+        """The batch-grid loop: everything reaches the sinks at end of source."""
+        estimates = engine.collect(self.source, batch=True)
+        drain_started = perf_counter()
+        self._fanout([StreamEstimate(flow=None, estimate=e) for e in estimates])
         # In single-flow mode the engine skips 5-tuple bookkeeping; the
         # stream's push counter is the packet count.
         stream = engine._streams.get(None)
-        return MonitorReport(
-            n_packets=stream._seq if stream is not None else 0,
-            n_estimates=len(estimates),
-            n_flows=1 if estimates else 0,
-            n_evicted_flows=0,
-            wall_time_s=perf_counter() - started,
-        )
+        n_packets = stream._seq if stream is not None else 0
+        return n_packets, len(estimates), 1 if estimates else 0, 0, drain_started
 
     def _fanout(self, items: list[StreamEstimate]) -> int:
         for item in items:

@@ -85,6 +85,14 @@ class TestIPUDPHeuristic:
         assert len(estimates) == 1
         assert estimates[0].frame_rate == pytest.approx(30.0)
 
+    def test_default_end_covers_the_whole_trace(self):
+        """With no ``end`` the grid runs to the trace's last packet: one
+        estimate per window, none missing at the tail."""
+        trace = build_synthetic_trace(n_frames=90)  # three seconds at 30 fps
+        estimates = IPUDPHeuristic(delta_size=2, lookback=2).estimate_trace(trace, window_s=1.0)
+        assert [e.window_start for e in estimates] == [0.0, 1.0, 2.0]
+        assert all(e.frame_rate == pytest.approx(30.0) for e in estimates)
+
     def test_bitrate_matches_payload_bytes(self):
         trace = build_synthetic_trace(n_frames=10, packets_per_frame=2, frame_size=1000)
         heuristic = IPUDPHeuristic()

@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 
 from repro import CollectorSink, IteratorSource, QoEMonitor, QoEPipeline, TraceSource
-from repro.core.streaming import StreamingQoEPipeline, window_index, window_indices
+from repro.core.streaming import StreamingQoEPipeline, _FlowStream, window_index, window_indices
 from repro.net.block import PacketBlock, blocks_from_packets
+from repro.net.packet import Packet
 from repro.net.trace import PacketTrace
 
 # The synthetic-flow / trained-pipeline helpers live in the cluster suite's
@@ -205,6 +206,64 @@ class TestPushBlockEquivalence:
         reference = per_packet_run(pipeline, vantage_packets)
         key = lambda item: (item.estimate.window_start, str(item.flow))  # noqa: E731
         assert sorted(emitted, key=key) == sorted(reference, key=key)
+
+
+def stalling_flow(seed: int, duration_s: float = 10.0) -> list[Packet]:
+    """``synthetic_flow`` video that stalls twice for seconds, over continuous 50 Hz audio."""
+    stalls = ((2.0 + 0.4 * seed, 4.6 + 0.4 * seed), (6.1 + 0.3 * seed, 8.4 + 0.3 * seed))
+    video = [
+        p
+        for p in synthetic_flow(seed, f"10.0.1.{seed + 1}", 51000 + seed, duration_s=duration_s)
+        if not any(lo <= p.timestamp < hi for lo, hi in stalls)
+    ]
+    rng = np.random.default_rng(seed)
+    audio = [
+        replace(video[0], timestamp=t, payload_size=int(rng.integers(90, 250)))
+        for t in np.arange(0.003 * seed, duration_s, 0.02).tolist()
+    ]
+    return video + audio
+
+
+class TestLivenessBound:
+    """``push_block`` with ``max_frame_age_s`` set: while video stalls and
+    audio keeps the stream advancing, stale sweeps fire mid-run, so the
+    vectorized heuristic release bails out (committing nothing) and the run
+    replays through per-packet ``push``."""
+
+    @pytest.fixture(scope="class")
+    def stalling_packets(self):
+        return interleave(*(stalling_flow(seed) for seed in range(3)))
+
+    @pytest.mark.parametrize("max_frame_age_s", [0.3, 2.0])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 256, 100_000])
+    def test_bit_identical_through_the_bailout(
+        self, stalling_packets, max_frame_age_s, chunk_size, monkeypatch
+    ):
+        pipeline = QoEPipeline.for_vca("teams")
+        reference = StreamingQoEPipeline(pipeline, max_frame_age_s=max_frame_age_s)
+        expected = [item for packet in stalling_packets for item in reference.push(packet)]
+        n_live = len(expected)
+        expected.extend(reference.flush())
+
+        real = _FlowStream._push_rows_heuristic
+        bailouts = 0
+
+        def spy(stream, *args):
+            nonlocal bailouts
+            result = real(stream, *args)
+            bailouts += result is None
+            return result
+
+        monkeypatch.setattr(_FlowStream, "_push_rows_heuristic", spy)
+        engine = StreamingQoEPipeline(pipeline, max_frame_age_s=max_frame_age_s)
+        emitted = []
+        for block in blocks_from_packets(stalling_packets, chunk_size):
+            emitted.extend(engine.push_block(block))
+        if chunk_size == 1:
+            assert len(emitted) == n_live  # same windows already out before the flush
+        emitted.extend(engine.flush())
+        assert emitted == expected  # values AND order
+        assert bailouts >= 1, "no run hit the liveness bailout: the pin went vacuous"
 
 
 class TestMonitorBlockDriver:

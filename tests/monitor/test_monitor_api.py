@@ -516,6 +516,8 @@ class TestReportThroughputCounters:
         assert first.wall_time_s != 0.0
 
     def test_batch_grid_run_populates_counters(self, teams_call, teams_pcap):
+        from repro import ObsConfig
+
         pipeline = QoEPipeline.for_vca("teams")
         report = QoEMonitor(
             pipeline,
@@ -523,19 +525,33 @@ class TestReportThroughputCounters:
             sinks=CollectorSink(),
             config=pipeline.config.replace(demux_flows=False),
             batch_grid=True,
+            obs=ObsConfig(enabled=True),
         ).run()
         assert report.packets_consumed == len(teams_call.trace)
         assert report.wall_time_s > 0.0
+        # The batch grid reports through the same tail as the streaming loop.
+        timing = report.timing
+        assert timing["setup_s"] + timing["stream_s"] + timing["drain_s"] == pytest.approx(
+            report.wall_time_s
+        )
+        counters = report.metrics["counters"]
+        assert counters["qoe_monitor_packets_total"] == report.n_packets
+        assert counters["qoe_monitor_estimates_total"] == report.n_estimates
 
 
 class TestObservability:
     """The single-process monitor's telemetry plane (PR 8)."""
 
+    @pytest.mark.parametrize("trained", [False, True])
     @pytest.mark.parametrize("block_size", [None, 256])
-    def test_estimates_bit_identical_with_obs_on(self, teams_call, block_size):
+    def test_estimates_bit_identical_with_obs_on(
+        self, teams_call, teams_calls_small, block_size, trained
+    ):
         from repro import ObsConfig
 
         pipeline = QoEPipeline.for_vca("teams")
+        if trained:
+            pipeline.train(teams_calls_small)
         source = TraceSource(teams_call.trace)
 
         def run(obs=None):
