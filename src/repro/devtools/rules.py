@@ -16,10 +16,11 @@ the norm.
 from __future__ import annotations
 
 import ast
+from pathlib import PurePath
 
 from repro.devtools.framework import LintContext, Rule, rule
 
-__all__ = ["CODEC_MODULES"]
+__all__ = ["CODEC_MODULES", "FOREIGN_FORMAT_MODULES"]
 
 #: The wire-codec modules: the only places allowed to call
 #: ``np.frombuffer`` (CODEC002) and required to spell every byte order
@@ -28,7 +29,14 @@ CODEC_MODULES = (
     "repro/net/block.py",
     "repro/net/estwire.py",
     "repro/net/flowwire.py",
+    "repro/net/pcap.py",
 )
+
+#: Codec modules for a format this repository does not own.  A pcap file
+#: declares its record byte order in its magic and carries IP/UDP fields in
+#: network order, so there "explicit" means any spelled order ('<', '>',
+#: '!' for struct, '|' for single bytes), not '<' alone.
+FOREIGN_FORMAT_MODULES = ("repro/net/pcap.py",)
 
 #: Modules whose output must be a pure function of their input: estimator
 #: math and wire codecs.  Wall-clock reads here (DET004) could only flow
@@ -200,11 +208,13 @@ class NoWallClockInPureModules(Rule):
 @rule
 class ExplicitByteOrder(Rule):
     id = "CODEC001"
-    summary = "codec struct formats and dtype literals must spell '<'"
+    summary = "codec struct formats and dtype literals must spell '<' ('>' too in the pcap decoder)"
     rationale = (
         "The flat-buffer codecs promise one byte order on the wire (PRs 4-7); "
         "a native-order format or dtype encodes differently on a big-endian "
-        "peer and the decoder cannot tell.  '<' is part of the format."
+        "peer and the decoder cannot tell.  '<' is part of the format.  The "
+        "pcap codec reads a foreign format (file-order records, network-order "
+        "IP/UDP fields), so it may spell '>' -- but never nothing."
     )
     scope = CODEC_MODULES
     node_types = (ast.Call,)
@@ -225,13 +235,22 @@ class ExplicitByteOrder(Rule):
         "uint64", "float16", "float32", "float64", "intp", "uintp",
     }  # fmt: skip
 
+    def begin_module(self, ctx: LintContext) -> None:
+        foreign = PurePath(ctx.path).as_posix().endswith(FOREIGN_FORMAT_MODULES)
+        self._struct_orders = ("<", ">", "!") if foreign else ("<",)
+        self._dtype_orders = ("<", ">", "|") if foreign else ("<",)
+
     def visit(self, node: ast.Call, ctx: LintContext) -> None:
         resolved = _call_name(node, ctx)
         if resolved in self._STRUCT_FNS and node.args:
             fmt = node.args[0]
             if isinstance(fmt, ast.Constant) and isinstance(fmt.value, str):
-                if not fmt.value.startswith("<"):
-                    ctx.add(fmt, f"struct format {fmt.value!r} has no explicit '<' byte order")
+                if not fmt.value.startswith(self._struct_orders):
+                    ctx.add(
+                        fmt,
+                        f"struct format {fmt.value!r} does not start with an explicit "
+                        f"byte order ({' '.join(self._struct_orders)})",
+                    )
         if resolved == "numpy.dtype" and node.args:
             self._check_dtype_value(node.args[0], ctx)
         if isinstance(node.func, ast.Attribute) and node.func.attr == "astype" and node.args:
@@ -241,9 +260,18 @@ class ExplicitByteOrder(Rule):
                 self._check_dtype_value(keyword.value, ctx)
 
     def _check_dtype_value(self, value: ast.AST, ctx: LintContext) -> None:
+        if isinstance(value, ast.List):  # structured dtype: [(name, dtype, ...), ...]
+            for field in value.elts:
+                if isinstance(field, ast.Tuple) and len(field.elts) >= 2:
+                    self._check_dtype_value(field.elts[1], ctx)
+            return
         if isinstance(value, ast.Constant) and isinstance(value.value, str):
-            if not value.value.startswith("<"):
-                ctx.add(value, f"dtype literal {value.value!r} has no explicit '<' byte order")
+            if not value.value.startswith(self._dtype_orders):
+                ctx.add(
+                    value,
+                    f"dtype literal {value.value!r} does not start with an explicit "
+                    f"byte order ({' '.join(self._dtype_orders)})",
+                )
             return
         resolved = ctx.resolve(value)
         if resolved is not None and resolved.startswith("numpy."):

@@ -107,10 +107,13 @@ def decode_ethernet_ipv4_udp_fields(
 ) -> tuple[str, str, int, int, int, int, int, int, bytes]:
     """Field-level frame decode: plain scalars, no header-object construction.
 
-    The columnar pcap fast path uses this to fill arrays directly; the tuple
-    is ``(src, dst, ttl, protocol, total_length, src_port, dst_port,
-    udp_length, payload)``.  Same validation and errors as
-    :func:`decode_ethernet_ipv4_udp`.
+    The tuple is ``(src, dst, ttl, protocol, total_length, src_port,
+    dst_port, udp_length, payload)``.  Same validation and errors as
+    :func:`decode_ethernet_ipv4_udp`, and the scalar statement of the rules
+    the array pcap decoder (:meth:`PcapReader.read_blocks
+    <repro.net.pcap.PcapReader.read_blocks>`) applies as one mask.
+    ``payload`` is what was *captured*; a snap-truncated frame has less of
+    it than ``udp_length`` says.
     """
     if len(frame) < ETHERNET_HEADER_LEN + IPV4_HEADER_MIN_LEN + UDP_HEADER_LEN:
         raise ValueError(f"frame too short to contain Ethernet/IPv4/UDP: {len(frame)} bytes")

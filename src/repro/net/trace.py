@@ -178,10 +178,19 @@ class PacketTrace:
 
     @classmethod
     def from_pcap(cls, path: str | Path, vca: str | None = None, parse_rtp: bool = True) -> "PacketTrace":
-        """Load a trace from a pcap file (see :mod:`repro.net.pcap`)."""
-        from repro.net.pcap import read_pcap
+        """Load a trace from a pcap file (see :mod:`repro.net.pcap`).
 
-        return cls(read_pcap(path, parse_rtp=parse_rtp), vca=vca)
+        Decoded through the array reader straight into the trace's columnar
+        block; packet objects are materialized only if something asks.
+        """
+        from repro.net.block import PacketBlock
+        from repro.net.pcap import PcapReader
+
+        block = PacketBlock.concat(PcapReader(path, parse_rtp=parse_rtp).read_blocks(1 << 16))
+        times = block.timestamps
+        if len(times) > 1 and bool((times[1:] < times[:-1]).any()):
+            block = block.take(np.argsort(times, kind="stable"))
+        return cls.from_block(block, vca=vca)
 
     def to_pcap(self, path: str | Path) -> int:
         """Persist the trace to a pcap file; returns the number of records."""

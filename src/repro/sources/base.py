@@ -52,8 +52,8 @@ def iter_blocks(source: "PacketSource", chunk_size: int = DEFAULT_BLOCK_SIZE) ->
 
     The generic adapter over the ``PacketSource`` protocol: sources that
     implement a native ``blocks(chunk_size)`` fast path (``TraceSource``
-    slices its trace's cached columns, ``PcapSource`` decodes records
-    straight into arrays) are used as such; anything else is batched
+    slices its trace's cached columns, ``PcapSource`` decodes slabs of the
+    file straight into arrays) are used as such; anything else is batched
     packet-by-packet via :func:`~repro.net.block.blocks_from_packets`.
     """
     native = getattr(source, "blocks", None)
@@ -106,15 +106,23 @@ class TraceSource:
 class PcapSource:
     """Stream packets lazily from an on-disk pcap capture.
 
-    Unlike ``PacketTrace.from_pcap`` this never materializes the capture: the
-    file is read record by record, so a multi-gigabyte operator capture can
-    be monitored in O(window) memory end to end.  Repeatable (each iteration
-    reopens the file).
+    Unlike ``PacketTrace.from_pcap`` this never materializes the capture:
+    iteration reads one record at a time and :meth:`blocks` reads bounded
+    slabs (4 MiB, or one record if that is larger), so a multi-gigabyte
+    operator capture can be monitored in O(window) memory end to end.
+    Repeatable (each iteration reopens the file).
+
+    Packet sizes follow the snaplen rule of
+    :class:`~repro.net.pcap.PcapReader`: they come from the UDP length field
+    and the record's original length, not from the bytes captured, so a
+    header-only capture (``tcpdump -s 64``) is monitored like the full one.
 
     Parameters
     ----------
     path:
-        The capture file (classic libpcap format, Ethernet/IPv4/UDP).
+        The capture file (classic libpcap format, Ethernet/IPv4/UDP; micro-
+        or nanosecond timestamps, either byte order).  Any other link type
+        raises :class:`ValueError`, with ``strict`` or without.
     parse_rtp:
         Parse RTP headers when the payload looks like RTP.  The IP/UDP
         estimators never read them; disable for a few percent less parsing
@@ -139,9 +147,11 @@ class PcapSource:
         return iter(self._reader)
 
     def blocks(self, chunk_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[PacketBlock]:
-        """Native fast path: records decode straight into block columns.
+        """Native fast path: slabs of the file decode straight into block columns.
 
-        No :class:`~repro.net.packet.Packet` objects are constructed; see
+        Every block has exactly ``chunk_size`` UDP rows (the last may be
+        shorter).  No per-record Python runs and no
+        :class:`~repro.net.packet.Packet` objects are constructed; see
         :meth:`PcapReader.read_blocks <repro.net.pcap.PcapReader.read_blocks>`.
         """
         return self._reader.read_blocks(chunk_size)

@@ -312,6 +312,29 @@ def test_codec_rules_scoped_to_codec_modules():
     # The codecs themselves are exactly where frombuffer is allowed.
     assert not get_rule("CODEC002").applies_to("src/repro/net/estwire.py")
     assert get_rule("CODEC002").applies_to("src/repro/cluster/shm.py")
+    # The pcap decoder is a codec too: frombuffer allowed, byte order policed.
+    assert get_rule("CODEC001").applies_to("src/repro/net/pcap.py")
+    assert not get_rule("CODEC002").applies_to("src/repro/net/pcap.py")
+
+
+def test_codec001_network_order_only_in_the_foreign_format_codec():
+    """pcap fields are file-/network-order: '>' is explicit there, a bug elsewhere."""
+    source = textwrap.dedent(
+        """
+        import struct
+        import numpy as np
+
+        PORT = np.dtype(">u2")
+        HEAD = np.dtype([("caplen", "<u4"), ("ethertype", ">u2"), ("ttl", "|u1")])
+        WORD = struct.Struct("!H")
+        """
+    )
+    in_pcap = lint_source(source, path="src/repro/net/pcap.py", select=("CODEC001",))
+    assert in_pcap.findings == []
+    in_block = lint_source(source, path="src/repro/net/block.py", select=("CODEC001",))
+    assert len(in_block.findings) == 4  # '>u2' twice, '|u1', '!H'
+    unspelled = 'import numpy as np\nHEAD = np.dtype([("ethertype", "u2")])\nRAW = np.dtype("u1")\n'
+    assert len(lint_source(unspelled, path="src/repro/net/pcap.py", select=("CODEC001",)).findings) == 2
 
 
 def test_det002_scoped_to_forest():
