@@ -14,11 +14,19 @@ window at most once), so the merged stream is identical no matter how the
 shards' messages interleave.
 
 **Ordering contract.**  The output is globally sorted by ``(window_start,
-flow)`` provided every shard honours its watermarks, which holds whenever
-cross-flow disorder in the source stays within the engine's
-``new_flow_slack_s`` bound.  A violating (pathologically disordered) source
-degrades only the *order* of the late estimate -- it is still delivered
-exactly once.
+flow)`` provided every shard honours its watermarks, which holds whenever a
+new flow's first packet trails the newest packet its shard has seen by no
+more than the slack the shard's watermarks leave.  By default that slack is
+the cross-flow disorder the shard has *measured* so far (see
+:mod:`repro.cluster.worker`): zero on a timestamp-sorted source, so a window
+is released the moment every live flow of every shard has closed it; an
+operator who knows the source's skew can declare a fixed bound instead
+(``ShardedQoEMonitor(new_flow_slack_s=...)``).  The measured bound protects
+against disorder the stream has shown before, not against its first
+occurrence: a flow that joins later than anything seen so far -- like any
+flow that violates a declared bound -- degrades only the *order* of its late
+estimates, which are still delivered exactly once, and widens the slack from
+then on.
 
 With watermarks flowing (the sharded monitor's mode), memory is
 O(in-flight window span x flows), not O(run): estimates leave the buffer as
@@ -67,7 +75,7 @@ class FanInSink(EstimateSink):
     monitor's output order bit-compatible with a sharded one's.
     """
 
-    def __init__(self, sinks=(), n_shards: int = 1, obs=None) -> None:
+    def __init__(self, sinks=(), n_shards: int = 1, obs=None, window_s: float | None = None) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
         if hasattr(sinks, "emit"):  # a single sink was passed
@@ -77,6 +85,14 @@ class FanInSink(EstimateSink):
         #: Optional :class:`~repro.obs.registry.MetricsRegistry` for release
         #: spans and counters; releases are identical with or without it.
         self.obs = obs
+        #: The emit-lag histogram's inputs (read only when ``obs`` is set):
+        #: the engine's window length, and the stream clock -- the newest
+        #: packet timestamp the owner has routed to any shard, which the
+        #: owner advances.  Each released estimate of a window the clock has
+        #: passed observes ``newest_routed - window end`` (stream time) into
+        #: ``qoe_emit_lag_seconds``: how late the answer reached the sinks.
+        self.window_s = window_s
+        self.newest_routed = -math.inf
         self._buffers: list[list[StreamEstimate]] = [[] for _ in range(n_shards)]
         self._watermarks: list[float] = [-math.inf] * n_shards
         self._finished: list[bool] = [False] * n_shards
@@ -128,8 +144,11 @@ class FanInSink(EstimateSink):
         """Mark ``shard_id`` exhausted: it holds back the merge no longer."""
         self._check_shard(shard_id)
         self._finished[shard_id] = True
-        self._watermarks[shard_id] = math.inf
         self._release()
+
+    def watermark(self, shard_id: int) -> float:
+        """The newest low watermark ``shard_id`` reported (``-inf``: none yet)."""
+        return self._watermarks[shard_id]
 
     # -- live migration support ------------------------------------------------
 
@@ -182,9 +201,7 @@ class FanInSink(EstimateSink):
         # died, aborting the run before this point), so nothing a fence was
         # protecting can still arrive.
         self._fences.clear()
-        for shard_id in range(self.n_shards):
-            self._finished[shard_id] = True
-            self._watermarks[shard_id] = math.inf
+        self._finished = [True] * self.n_shards
         self._release()
         for sink in self.sinks:
             sink.close()
@@ -214,7 +231,11 @@ class FanInSink(EstimateSink):
         """
         obs = self.obs
         started = perf_counter() if obs is not None else 0.0
-        threshold = min(self._watermarks)
+        # A finished shard holds nothing back; with none left the bound is +inf.
+        threshold = min(
+            (mark for mark, done in zip(self._watermarks, self._finished) if not done),
+            default=math.inf,
+        )
         if self._fences:
             fence = min(self._fences.values())
             if fence < threshold:
@@ -250,3 +271,12 @@ class FanInSink(EstimateSink):
         if obs is not None:
             obs.time_stage("fanin_release", started)
             obs.inc("qoe_fanin_released_total", len(ready))
+            window_s = self.window_s
+            if window_s is not None:
+                now = self.newest_routed
+                for item in ready:
+                    lag = now - (item.estimate.window_start + window_s)
+                    # Negative: closed by the end-of-capture flush, not by
+                    # the stream moving past it -- such a window has no lag.
+                    if lag >= 0.0:
+                        obs.observe("qoe_emit_lag_seconds", lag)

@@ -32,6 +32,7 @@ dies without reporting raises instead of hanging the run.
 from __future__ import annotations
 
 import json
+import math
 import multiprocessing
 import queue as queue_module
 from pathlib import Path
@@ -60,17 +61,24 @@ _TRANSPORTS = ("shm", "block")
 class _ForwardLink:
     """Parent-side forward link of one shard: routed sub-blocks to its worker.
 
-    Over a ring, sub-blocks accumulate (as references, nothing is copied)
-    until the next one would overflow a slot, then the whole batch is
-    flat-encoded into **one** ring slot behind length-prefixed segment
-    headers -- two semaphore ops and a single ``("shm",)`` token no matter
-    how many routed ticks ride in it.  The worker consumes each segment as
-    its own inference tick, so batching changes wire granularity, never the
-    tick sequence.  Blocks the codec cannot flatten (RTP object columns) or
-    that outsize a slot even after row-splitting go to the pickling queue --
-    always behind a flush, so queue messages cannot overtake slots already
-    filled and everything still arrives in routed order.  With no ring
-    (``transport="block"``) the queue carries every sub-block.
+    Over a ring the link is **self-clocking**: every :meth:`add` offers
+    everything pending to the ring *without blocking*, so while the worker
+    keeps up a sub-block leaves the parent in the ``add`` that routed it,
+    one slot and one ``("shm",)`` token each.  Only while the ring is full
+    (back-pressure) do sub-blocks accumulate -- as references, nothing is
+    copied -- and the next successful offer flat-encodes the whole batch
+    into **one** slot behind length-prefixed segment headers, two semaphore
+    ops and a single token no matter how many routed ticks ride in it.
+    ``add`` blocks only when the pending batch would overflow a slot.  So a
+    saturated worker sees slots as full as they can be, and an idle one is
+    never kept waiting for a batch to fill: rows are held exactly as long
+    as the ring gives them nowhere to go.  The worker consumes each segment
+    as its own inference tick, so batching changes wire granularity, never
+    the tick sequence.  Blocks the codec cannot flatten (RTP object columns)
+    or that outsize a slot even after row-splitting go to the pickling
+    queue -- always behind a flush, so queue messages cannot overtake
+    pending sub-blocks and everything still arrives in routed order.  With
+    no ring (``transport="block"``) the queue carries every sub-block.
     """
 
     def __init__(self, monitor: "ShardedQoEMonitor", worker: ShardWorker) -> None:
@@ -82,7 +90,7 @@ class _ForwardLink:
         self._queue_fallbacks = 0
 
     def add(self, block) -> None:
-        """Queue one routed sub-block, flushing or falling back as needed."""
+        """Route one sub-block: offer it now, batch it only under back-pressure."""
         ring = self._ring
         if ring is None:
             self._monitor._send(self._worker, ("block", block))
@@ -108,22 +116,31 @@ class _ForwardLink:
             self.flush()
         self._pending.append((size, block))
         self._pending_cost += cost
+        self._offer(timeout=0)
 
     def _fall_back(self, block) -> None:
         self.flush()
         self._queue_fallbacks += 1
         self._monitor._send(self._worker, ("block", block))
 
-    def flush(self) -> None:
-        """Write every pending sub-block into one slot and announce it."""
-        if not self._pending:
-            return
+    def _offer(self, timeout: float) -> bool:
+        """Pack everything pending into the next free slot and announce it.
+
+        False -- with the batch still pending, in routed order -- when no
+        slot freed within ``timeout`` (``0``: do not wait at all).
+        """
         payloads = [(size, block.write_into) for size, block in self._pending]
-        while not self._ring.try_push_segments(payloads, timeout=0.05):
-            self._monitor._pump_blocked_on(self._worker)
+        if not self._ring.try_push_segments(payloads, timeout=timeout):
+            return False
         self._pending = []
         self._pending_cost = 0
         self._monitor._send(self._worker, ("shm",))
+        return True
+
+    def flush(self) -> None:
+        """Block until every pending sub-block has left in one slot."""
+        while self._pending and not self._offer(timeout=0.05):
+            self._monitor._pump_blocked_on(self._worker)
 
     def stats(self) -> dict:
         """Forward-ring transport counters for the shard's stats surface."""
@@ -247,7 +264,11 @@ class ShardedQoEMonitor:
         transport -- the slot count of its block rings (the pairing:
         every filled ring slot is announced by one queued token).  This is
         the back-pressure knob: a slow shard can be at most ``queue_depth``
-        slots behind the router before the router blocks.
+        slots behind the router before sub-blocks start sharing slots, and
+        ``queue_depth`` full slots behind before the router blocks.  A
+        shard that keeps up is never more than one sub-block behind: the
+        forward link holds a routed row only while the ring has no free
+        slot for it.
     shm_slot_bytes:
         Payload capacity of one ring slot (``"shm"`` transport only;
         default :data:`~repro.cluster.shm.DEFAULT_SLOT_BYTES`, minimum
@@ -259,10 +280,20 @@ class ShardedQoEMonitor:
         ``multiprocessing`` start method; the default ``"spawn"`` is the
         portable choice and what the workers are built to be safe under.
     new_flow_slack_s:
-        Assumed bound on cross-flow disorder in the source, used for fan-in
-        watermarks (default: two windows).  Larger values delay fan-in
-        release; smaller values risk out-of-order delivery on skewed
-        sources.
+        Bound on cross-flow disorder in the source -- how far a brand-new
+        flow's first packet may trail the newest packet already seen --
+        which every fan-in watermark leaves room for.  ``None`` (default):
+        **measured**.  Each worker uses the largest amount by which any
+        row it received trailed the newest timestamp that arrived before
+        it (stream time only): 0 on a timestamp-sorted source, so a window
+        is released as soon as every live flow of every shard has closed
+        it, and exactly as much as the stream has shown to be necessary
+        otherwise.  A float is a fixed, operator-declared bound used
+        verbatim; larger values delay every release by that much.  Either
+        way a flow that arrives later than the bound in force (measured:
+        later than anything its shard has seen before) degrades only the
+        *order* of its late estimates -- they are still delivered exactly
+        once.
     rebalance:
         A :class:`~repro.cluster.rebalance.RebalancePolicy` enabling
         **elastic sharding**: at every ``interval_s`` of stream time the
@@ -359,6 +390,10 @@ class ShardedQoEMonitor:
         #: Completed migrations, in execution order: ``{"epoch", "flow",
         #: "src", "dst", "latency_s"}`` per re-homing.
         self.migrations: list[dict] = []
+        #: Newest packet timestamp routed to each shard -- the stream clocks
+        #: of the lag metrics, advanced only when observability is on.
+        self._newest_routed = [-math.inf] * n_workers
+        self._fan_in: FanInSink | None = None
         self._ran = False
 
     # -- construction shortcuts ------------------------------------------------
@@ -425,7 +460,9 @@ class ShardedQoEMonitor:
                 )
                 for shard_id in range(n_workers)
             ]
-            fan_in = FanInSink(self.sinks, n_shards=n_workers, obs=self.registry)
+            fan_in = FanInSink(
+                self.sinks, n_shards=n_workers, obs=self.registry, window_s=self.config.window_s
+            )
         except BaseException:
             # The main try/finally below is not reached: reclaim the
             # segments here or a failed construction (fd exhaustion, a bad
@@ -477,6 +514,7 @@ class ShardedQoEMonitor:
                 parts = self.router.partition_block(block)
                 if registry is not None:
                     registry.time_stage("router_partition", span)
+                    self._advance_stream_clocks(parts)
                     span = perf_counter()
                 for shard_id, sub_block in parts:
                     links[shard_id].add(sub_block)
@@ -563,8 +601,10 @@ class ShardedQoEMonitor:
         Callable mid-run (the health surface a scraper reads, via
         :func:`~repro.obs.render.render_prometheus`) or after :meth:`run`,
         when the same snapshot also rides ``MonitorReport.metrics``.
-        Per-shard load gauges are synced from the latest worker telemetry at
-        snapshot time.
+        Per-shard gauges are synced at snapshot time: load from the latest
+        worker telemetry, and ``qoe_shard_watermark_lag_seconds`` -- how far
+        (in stream time) the shard's fan-in watermark trails the newest
+        packet routed to it, i.e. how far behind the stream its answers are.
         """
         if self.registry is None:
             return {}
@@ -576,6 +616,15 @@ class ShardedQoEMonitor:
                 if value is not None:
                     self.registry.set_gauge(
                         f"qoe_shard_{key}", value, (("shard", str(shard_id)),)
+                    )
+        if self._fan_in is not None:
+            for shard_id, newest in enumerate(self._newest_routed):
+                lag = newest - self._fan_in.watermark(shard_id)
+                # Not finite until the shard has been routed a packet and
+                # has reported a watermark.
+                if math.isfinite(lag):
+                    self.registry.set_gauge(
+                        "qoe_shard_watermark_lag_seconds", lag, (("shard", str(shard_id)),)
                     )
         return self.registry.snapshot()
 
@@ -685,6 +734,15 @@ class ShardedQoEMonitor:
             self._fan_in.clear_fence(epoch)
 
     # -- internals -------------------------------------------------------------
+
+    def _advance_stream_clocks(self, parts) -> None:
+        """Note one routed block's timestamps for the lag metrics (obs only)."""
+        newest_routed = self._newest_routed
+        for shard_id, sub_block in parts:
+            newest = float(sub_block.timestamps.max())
+            if newest > newest_routed[shard_id]:
+                newest_routed[shard_id] = newest
+        self._fan_in.newest_routed = max(newest_routed)
 
     def _send(self, worker: ShardWorker, message) -> None:
         """Bounded put onto ``worker``'s input queue (see ``_pump_blocked_on``)."""

@@ -69,6 +69,23 @@ per-metric forests in a single vectorized call
 cross-flow batched inference happens.  Idle eviction runs the same
 amortized sweep as :class:`~repro.monitor.QoEMonitor`, driven by the
 shard's stream time.
+
+Every tick ends with a **low watermark** -- the shard's promise that it will
+emit nothing below it (:meth:`StreamingQoEPipeline.low_watermark
+<repro.core.streaming.StreamingQoEPipeline.low_watermark>`), which is what
+lets the fan-in release a window.  Live flows bound it exactly; the only
+guess in it is how far behind the newest packet a brand-new flow may still
+start.  By default that slack is **measured, not assumed**: the largest
+amount by which any row this shard received trailed the newest timestamp
+that had arrived before it -- three vector operations per tick over the
+block's timestamps, stream time only.  On a sorted source it stays 0 and the
+watermark is the minimum ``next_window_start`` over the live flows; a source
+that shows disorder *d* gets *d* of slack from then on.  An explicit
+``new_flow_slack_s`` replaces the measurement with a fixed bound, verbatim.
+Reported watermarks never step back (a growing slack can lower the computed
+bound, and the fan-in ignores regressions anyway) except once after a
+``migrate_in``, the sanctioned regression the parent installs with
+``rebase_watermark``.
 """
 
 from __future__ import annotations
@@ -77,6 +94,8 @@ import json
 import math
 import traceback
 from time import perf_counter
+
+import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import QoEPipeline
@@ -89,9 +108,11 @@ from repro.obs.registry import MetricsRegistry, ingest_transport_stats
 
 __all__ = ["ShardWorker", "shard_worker_main"]
 
-#: Default bound on assumed cross-flow source disorder (seconds) used for the
-#: fan-in watermarks; the cross-flow analogue of the engine's per-flow
-#: ``reorder_depth``.  ``None`` in the worker means "derive from the config".
+#: The fixed two-window bound on cross-flow source disorder that every worker
+#: assumed before the slack was measured (see ``shard_worker_main``).  No
+#: longer the worker default -- ``new_flow_slack_s=None`` now means measured --
+#: but still the bound ``bench/``'s in-process replay of the data plane models,
+#: so it stays exported until that replay is re-pointed.
 DEFAULT_NEW_FLOW_SLACK_WINDOWS = 2.0
 
 
@@ -185,7 +206,10 @@ class _EstimateReturn:
     watermark is window-grid quantized, so sub-window ticks (the common case
     for small chunk sizes) ride along in the same slot instead of paying
     per-tick semaphore ops, and the fan-in still sees every watermark
-    advance the classic path would have reported.
+    advance the classic path would have reported.  Holding a batch for a
+    watermark advance costs no emit lag: the fan-in releases nothing until
+    this shard's watermark moves, so an estimate waits here exactly as long
+    as it would have waited there.
 
     Batches the codec cannot encode (non-``FlowKey`` flows, exotic label
     types) fall back to the classic pickled ``progress`` message -- counted
@@ -316,12 +340,19 @@ def shard_worker_main(
         config = (
             PipelineConfig.from_dict(config_dict) if config_dict is not None else pipeline.config
         )
-        if new_flow_slack_s is None:
-            new_flow_slack_s = DEFAULT_NEW_FLOW_SLACK_WINDOWS * config.window_s
+        # The fan-in slack (module docstring): a declared bound is used
+        # verbatim; None means measured, 0 until the source shows disorder.
+        measured = new_flow_slack_s is None
+        slack_s = 0.0 if measured else new_flow_slack_s
         engine = StreamingQoEPipeline(pipeline, config=config, obs=obs)
         idle_timeout = config.idle_timeout_s
         eviction = IdleEvictionSchedule(idle_timeout)
-        newest_ts: float | None = None
+        newest_ts = -math.inf
+        # Newest watermark reported.  A growing slack (or a flow later than
+        # the slack allowed) can lower the computed bound; the fan-in ignores
+        # regressions, so the reported sequence is clamped monotone -- except
+        # across a migrate_in, the one sanctioned regression.
+        reported = -math.inf
         n_packets = 0
         n_evicted = 0
         evicted_keys: set = set()
@@ -333,20 +364,27 @@ def shard_worker_main(
 
         def consume(block: PacketBlock) -> None:
             """One inference tick: push, sweep idle flows, emit the output."""
-            nonlocal newest_ts, n_packets, n_evicted
+            nonlocal newest_ts, slack_s, reported, n_packets, n_evicted
             n_packets += len(block)
             emitted = engine.push_block(block)
-            if idle_timeout is not None and len(block):
-                block_newest = float(block.timestamps.max())
-                if newest_ts is None or block_newest > newest_ts:
-                    newest_ts = block_newest
+            if len(block):
+                timestamps = block.timestamps
+                # Per row, the newest timestamp to have arrived up to it.
+                running = np.maximum.accumulate(timestamps)
+                np.maximum(running, newest_ts, out=running)
+                newest_ts = float(running[-1])
+                if measured:
+                    slack_s = max(slack_s, float((running - timestamps).max()))
                 if eviction.due(newest_ts):
                     evicted = engine.evict_idle(idle_timeout)
                     sweep_flows = {item.flow for item in evicted}
                     n_evicted += len(sweep_flows)
                     evicted_keys.update(sweep_flows)
                     emitted.extend(evicted)
-            returns.emit(emitted, engine.low_watermark(new_flow_slack_s), engine.load_stats())
+            watermark = engine.low_watermark(slack_s)
+            if watermark is not None:
+                reported = watermark = max(watermark, reported)
+            returns.emit(emitted, watermark, engine.load_stats())
 
         def migrate_out(key, epoch: int) -> None:
             """Drain the canonical pair of ``key`` and ship it to the parent.
@@ -381,13 +419,16 @@ def shard_worker_main(
 
         def migrate_in(epoch: int, parts, counted) -> None:
             """Restore a migrated pair and acknowledge once it is live."""
+            nonlocal reported
             # Ship pending pre-restore batches first: their watermarks are
             # stale the moment the pair is live, and the parent lifts the
             # migration's fan-in fence on the first watermark it sees after
-            # this ack -- which must therefore be a post-restore one.
+            # this ack -- which must therefore be a post-restore one, reported
+            # verbatim even where it regresses.
             returns.flush()
             for ukey, payload in parts:
                 engine.load_flow(ukey, payload)
+            reported = -math.inf
             foreign_keys.update(counted)
             channel.migrate_ack(epoch)
 

@@ -23,13 +23,15 @@ from dataclasses import asdict, dataclass, replace
 
 __all__ = ["ObsConfig", "DEFAULT_LATENCY_BUCKETS"]
 
-#: Default stage-latency histogram bounds (seconds), spanning sub-100us
-#: ring pushes up to multi-second migration cuts.  Prometheus ``le``
-#: semantics: bucket *i* counts observations ``<= bounds[i]``; anything
-#: larger lands in the implicit ``+Inf`` bucket.
+#: Default histogram bounds (seconds), one vector for every histogram of
+#: the fleet: sub-100us ring pushes and multi-second migration cuts
+#: (wall-clock stage spans) at the low end, and the 0.05-10 s range an
+#: operator alarms on for ``qoe_emit_lag_seconds`` (stream time) at the
+#: high end.  Prometheus ``le`` semantics: bucket *i* counts observations
+#: ``<= bounds[i]``; anything larger lands in the implicit ``+Inf`` bucket.
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = (
     0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0,
+    0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0,
 )
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -413,9 +414,12 @@ class TestReportSurfaces:
             timing["wall_time_s"]
         )
         assert all(value >= 0.0 for value in timing.values())
-        # The satellite fix: worker spawn (setup) dominates small sharded
-        # runs, so the stream-phase reading must exceed the diluted one.
-        assert report.stream_packets_per_s == report.n_packets / timing["stream_s"]
+        # First source read to sinks closed: the drain phase -- where a
+        # sharded run does most of its work -- counts, worker spawn (setup)
+        # does not, so the reading still exceeds the diluted one.
+        assert report.stream_packets_per_s == report.n_packets / (
+            timing["stream_s"] + timing["drain_s"]
+        )
         assert report.stream_packets_per_s > report.packets_per_s
 
     def test_stream_packets_per_s_falls_back_without_timing(self):
@@ -463,6 +467,35 @@ class TestReportSurfaces:
         series = parse_prometheus(render_prometheus(report.metrics))
         assert series["qoe_router_packets_total"] == report.n_packets
         assert series["qoe_fanin_released_total"] == report.n_estimates
+
+    def test_emit_lag_histogram_and_watermark_lag_gauges(self, many_flow_packets):
+        """Lag from the system's own output, in stream time: one histogram
+        sample per estimate of a window the stream moved past (the windows
+        the end-of-capture flush closed have no lag), and per shard how far
+        its fan-in watermark trails the newest packet routed to it."""
+        sink, report, monitor = run_sharded(
+            QoEPipeline.for_vca("teams"), many_flow_packets, 2, obs=OBS
+        )
+        window_s = monitor.config.window_s
+        last_ts = many_flow_packets[-1].timestamp
+        complete = [
+            item for item in sink.items if item.estimate.window_start + window_s <= last_ts
+        ]
+        assert 0 < len(complete) < len(sink.items)
+        histogram = report.metrics["histograms"]["qoe_emit_lag_seconds"]
+        assert histogram["count"] == len(complete)
+        assert 0.0 <= histogram["sum"] <= len(complete) * (last_ts - window_s)
+        gauges = report.metrics["gauges"]
+        lags = [gauges[f'qoe_shard_watermark_lag_seconds{{shard="{s}"}}'] for s in range(2)]
+        assert all(math.isfinite(lag) and lag >= 0.0 for lag in lags)
+        series = parse_prometheus(render_prometheus(report.metrics))
+        assert series["qoe_emit_lag_seconds_count"] == len(complete)
+        assert series['qoe_emit_lag_seconds_bucket{le="+Inf"}'] == len(complete)
+        assert series['qoe_emit_lag_seconds_bucket{le="10"}'] == len(complete)
+        assert [series[f'qoe_shard_watermark_lag_seconds{{shard="{s}"}}'] for s in range(2)] == lags
+        # Obs-off computes none of it.
+        _, plain_report, plain = run_sharded(QoEPipeline.for_vca("teams"), many_flow_packets, 2)
+        assert plain_report.metrics == {} and plain._newest_routed == [-math.inf] * 2
 
     def test_metrics_log_sink_rides_a_sharded_run(self, many_flow_packets, tmp_path):
         path = tmp_path / "fleet_metrics.jsonl"

@@ -8,27 +8,150 @@ the end-to-end multiprocess behaviour is pinned by
 from __future__ import annotations
 
 import json
+import math
 import queue
 
 import pytest
 
+from repro import IteratorSource, QoEMonitor
 from repro.cluster import FanInSink, FlowShardRouter
 from repro.cluster.fanin import flow_sort_key
 from repro.cluster.worker import shard_worker_main
 from repro.core.pipeline import PipelineEstimate, QoEPipeline
-from repro.core.streaming import StreamEstimate
+from repro.core.streaming import StreamEstimate, StreamingQoEPipeline
 from repro.net.block import PacketBlock
 from repro.net.flows import FlowKey, five_tuple
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.sinks.base import CollectorSink
 
 
-def make_packet(timestamp=0.0, src="10.1.0.1", src_port=4000, dst="10.2.0.2", dst_port=5000):
+def make_packet(
+    timestamp=0.0, src="10.1.0.1", src_port=4000, dst="10.2.0.2", dst_port=5000, size=1000
+):
     return Packet(
         timestamp=timestamp,
         ip=IPv4Header(src=src, dst=dst),
         udp=UDPHeader(src_port=src_port, dst_port=dst_port),
-        payload_size=1000,
+        payload_size=size,
+    )
+
+
+def video_flow(dst_port: int, start_s: float, end_s: float) -> list[Packet]:
+    """A 25-fps flow, three packets a frame, frame sizes that mark the boundaries."""
+    packets = []
+    for frame in range(round((end_s - start_s) / 0.04)):
+        t = start_s + frame * 0.04
+        for i in range(3):
+            packets.append(
+                make_packet(timestamp=t + i * 0.0008, dst_port=dst_port, size=700 + 37 * (frame % 11))
+            )
+    return packets
+
+
+def delivered(flows, online_at=()) -> list[Packet]:
+    """Merge ``flows`` into the order a vantage point hands them over.
+
+    ``online_at[i]`` models flow *i*'s capture tap coming up late: everything
+    the flow sent before that instant is handed over in one burst at it, so
+    the flow trails the newest packet by up to ``online_at[i] - first
+    timestamp`` while staying in order itself.
+    """
+    keyed = []
+    for i, flow in enumerate(flows):
+        online = online_at[i] if i < len(online_at) else -math.inf
+        keyed.extend((max(packet.timestamp, online), packet.timestamp, i, packet) for packet in flow)
+    keyed.sort(key=lambda entry: entry[:3])
+    return [entry[3] for entry in keyed]
+
+
+def chunked(packets, chunk_size: int) -> list[PacketBlock]:
+    return [
+        PacketBlock.from_packets(packets[i : i + chunk_size])
+        for i in range(0, len(packets), chunk_size)
+    ]
+
+
+HEURISTIC_PAYLOAD = json.dumps(QoEPipeline.for_vca("teams").to_payload())
+
+
+def worker_messages(payload: str, blocks, new_flow_slack_s=None, shard_id: int = 7) -> list:
+    """Everything ``shard_worker_main`` sends when run in-process over ``blocks``."""
+    in_queue: queue.Queue = queue.Queue()
+    out_queue: queue.Queue = queue.Queue()
+    for block in blocks:
+        in_queue.put(("block", block))
+    in_queue.put(("stop",))
+    shard_worker_main(shard_id, payload, None, new_flow_slack_s, in_queue, out_queue)
+    messages = []
+    while not out_queue.empty():
+        messages.append(out_queue.get_nowait())
+    return messages
+
+
+class _StampingSink(CollectorSink):
+    """Stamps every estimate with the stream clock at the moment it arrives."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.now = -math.inf
+        self.stamps: list[float] = []
+
+    def emit(self, item) -> None:
+        super().emit(item)
+        self.stamps.append(self.now)
+
+
+def run_sharded_in_process(packets, n_shards: int, chunk_size: int, new_flow_slack_s=None):
+    """Router -> one ``shard_worker_main`` per shard -> ``FanInSink``, single-threaded.
+
+    On the queue path a worker answers every sub-block with exactly one
+    ``progress`` message, so a shard's *i*-th message is its state after its
+    *i*-th sub-block: replaying the messages in routed order reproduces the
+    run in which every worker keeps up with the router, with no process and
+    no clock.  Returns the sink; its ``stamps`` hold the newest timestamp
+    routed when each estimate arrived.
+    """
+    router = FlowShardRouter(n_shards)
+    routed: list[tuple[float, list[int]]] = []
+    shard_blocks: list[list[PacketBlock]] = [[] for _ in range(n_shards)]
+    newest = -math.inf
+    for block in chunked(packets, chunk_size):
+        newest = max(newest, float(block.timestamps.max()))
+        parts = router.partition_block(block)
+        for shard, sub_block in parts:
+            shard_blocks[shard].append(sub_block)
+        routed.append((newest, [shard for shard, _ in parts]))
+    messages = [
+        iter(worker_messages(HEURISTIC_PAYLOAD, blocks, new_flow_slack_s, shard_id=shard))
+        for shard, blocks in enumerate(shard_blocks)
+    ]
+    sink = _StampingSink()
+    fan_in = FanInSink(sink, n_shards=n_shards)
+    for newest, shards in routed:
+        sink.now = newest
+        for shard in shards:
+            kind, _, items, low_watermark, _ = next(messages[shard])
+            assert kind == "progress"
+            fan_in.accept(shard, items, low_watermark)
+    for shard, remaining in enumerate(messages):
+        kind, _, tail, _ = next(remaining)
+        assert kind == "done"
+        fan_in.accept(shard, tail)
+        fan_in.finish(shard)
+    fan_in.close()
+    return sink
+
+
+def as_rows(items):
+    return [(item.flow, item.estimate) for item in items]
+
+
+def single_process_rows(packets) -> list:
+    """Per-packet ``QoEMonitor`` over the same packets, in fan-in contract order."""
+    sink = CollectorSink()
+    QoEMonitor(QoEPipeline.for_vca("teams"), IteratorSource(iter(packets)), sinks=sink).run()
+    return as_rows(
+        sorted(sink.items, key=lambda item: (item.estimate.window_start, flow_sort_key(item.flow)))
     )
 
 
@@ -310,23 +433,9 @@ class TestFanInMigrationFences:
 class TestShardWorkerLoop:
     """The worker entry point run in-process with plain queues."""
 
-    def _run_worker(self, payload: str, chunks, config_dict=None):
-        in_queue: queue.Queue = queue.Queue()
-        out_queue: queue.Queue = queue.Queue()
-        for chunk in chunks:
-            in_queue.put(("block", PacketBlock.from_packets(chunk)))
-        in_queue.put(("stop",))
-        shard_worker_main(7, payload, config_dict, None, in_queue, out_queue)
-        messages = []
-        while not out_queue.empty():
-            messages.append(out_queue.get_nowait())
-        return messages
-
     def test_worker_emits_progress_then_done_with_stats(self, single_flow_packets):
         packets = single_flow_packets
-        payload = json.dumps(QoEPipeline.for_vca("teams").to_payload())
-        chunks = [packets[i : i + 100] for i in range(0, len(packets), 100)]
-        messages = self._run_worker(payload, chunks)
+        messages = worker_messages(HEURISTIC_PAYLOAD, chunked(packets, 100))
         kinds = [message[0] for message in messages]
         assert kinds.count("done") == 1 and kinds[-1] == "done"
         assert all(kind == "progress" for kind in kinds[:-1])
@@ -344,11 +453,130 @@ class TestShardWorkerLoop:
                 watermark = message[3]
 
     def test_worker_reports_errors_instead_of_dying_silently(self):
-        messages = self._run_worker("{\"format\": \"bogus\"}", [])
+        messages = worker_messages("{\"format\": \"bogus\"}", [])
         assert len(messages) == 1
         kind, shard_id, trace = messages[0]
         assert kind == "error" and shard_id == 7
         assert "not a saved QoE pipeline" in trace
+
+    # -- the fan-in slack: measured by default, verbatim when declared ---------
+
+    @staticmethod
+    def _reference_watermarks(blocks, new_flow_slack_s=None) -> list:
+        """``low_watermark`` of an in-process engine after each of ``blocks``."""
+        engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
+        watermarks = []
+        for block in blocks:
+            engine.push_block(block)
+            watermarks.append(engine.low_watermark(new_flow_slack_s))
+        return watermarks
+
+    def test_sorted_source_watermark_is_the_live_flow_bound(self):
+        """Nothing has arrived out of order, so nothing is held back for it:
+        every watermark is the minimum ``next_window_start`` over the live
+        flows -- not two windows behind the newest packet."""
+        blocks = chunked(delivered([video_flow(5000 + i, 0.0, 6.0) for i in range(4)]), 64)
+        messages = worker_messages(HEURISTIC_PAYLOAD, blocks)
+        reported = [message[3] for message in messages[:-1]]
+        assert reported == self._reference_watermarks(blocks)
+        assert reported[-1] == 5.0  # the window every flow is still in
+
+    def test_declared_slack_is_the_fixed_bound_verbatim(self):
+        blocks = chunked(delivered([video_flow(5000 + i, 0.0, 6.0) for i in range(4)]), 64)
+        messages = worker_messages(HEURISTIC_PAYLOAD, blocks, new_flow_slack_s=1.5)
+        reported = [message[3] for message in messages[:-1]]
+        assert reported == self._reference_watermarks(blocks, new_flow_slack_s=1.5)
+        # window_index(newest - 1.5): never closer than a window and a half.
+        assert reported[-1] == 4.0
+
+    def test_regressing_chunk_widens_the_slack_and_reports_stay_monotone(self):
+        """A new flow joins 0.7 s behind the newest packet.  Its own windows
+        sit below what was already reported -- the first occurrence is not
+        protected -- but the reported sequence never steps back, and from
+        then on no watermark advances without leaving those 0.7 s."""
+        first = video_flow(5000, 0.0, 6.0)
+        late = video_flow(5001, 1.8, 6.0)
+        packets = delivered([first, late], online_at=[-math.inf, 2.5])
+        blocks = chunked(packets, 32)
+        messages = worker_messages(HEURISTIC_PAYLOAD, blocks)
+        reported = [message[3] for message in messages[:-1]]
+        assert all(b >= a for a, b in zip(reported, reported[1:]))
+        first_late = next(i for i, p in enumerate(packets) if p.udp.dst_port == 5001)
+        disorder = max(p.timestamp for p in packets[:first_late]) - packets[first_late].timestamp
+        assert disorder == pytest.approx(0.7, abs=0.04)
+        joined = first_late // 32
+        # The clamp is exercised: the late flow's first window is below the
+        # watermark reported before it appeared.
+        assert reported[joined - 1] == 2.0
+        assert self._reference_watermarks(blocks[: joined + 1])[-1] == 1.0
+        assert reported[joined] == 2.0
+        newest = -math.inf
+        for i, block in enumerate(blocks):
+            newest = max(newest, float(block.timestamps.max()))
+            if i > joined and reported[i] > reported[joined]:
+                assert reported[i] <= math.floor(newest - disorder)
+        assert reported[-1] == 5.0  # still advancing: floor(6.0 - 0.7)
+
+
+def two_tap_trace(n_shards: int):
+    """Flows of an on-time tap and of one that came up 0.8 s late, on every
+    shard, plus a flow that joins mid-run 0.75 s behind the newest packet --
+    its first packet in window 3 while the stream is already in window 4."""
+    router = FlowShardRouter(n_shards)
+    ports: dict[int, list[int]] = {shard: [] for shard in range(n_shards)}
+    for port in range(5000, 5064):
+        shard = router.shard_of_key(FlowKey("10.1.0.1", 4000, "10.2.0.2", port))
+        if len(ports[shard]) < 3:
+            ports[shard].append(port)
+    assert all(len(found) == 3 for found in ports.values())
+    flows, online_at = [], []
+    for _, on_time, late_tap in ports.values():
+        flows += [video_flow(on_time, 0.0, 6.0), video_flow(late_tap, 0.0, 6.0)]
+        online_at += [-math.inf, 0.8]
+    # The joiner's key sorts ahead of its shard's other flows, so releasing
+    # their window 3 before its own is visible in the output order.
+    flows.append(video_flow(ports[0][0], 3.5, 6.0))
+    online_at.append(4.25)
+    return delivered(flows, online_at)
+
+
+class TestMeasuredSlackThroughTheFanIn:
+    """Router -> worker loops -> a real ``FanInSink`` over a disordered source."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_disorder_seen_before_keeps_a_late_joiner_in_order(self, n_shards):
+        packets = two_tap_trace(n_shards)
+        expected = single_process_rows(packets)
+        sink = run_sharded_in_process(packets, n_shards, chunk_size=64)
+        assert as_rows(sink.items) == expected
+        # The same trace under a declared bound it violates: every estimate
+        # still arrives exactly once, only the late joiner's order degrades.
+        violated = as_rows(
+            run_sharded_in_process(packets, n_shards, chunk_size=64, new_flow_slack_s=0.0).items
+        )
+        assert violated != expected
+        assert sorted(violated, key=repr) == sorted(expected, key=repr)
+
+
+class TestStreamTimeLagBound:
+    """ROADMAP item 6's tier-1 clause: estimates arrive within a window of
+    their window's end -- in stream time, so the verdict never depends on how
+    fast the host ran."""
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_complete_windows_reach_the_sink_within_one_window(self, many_flow_packets, n_shards):
+        window_s = QoEPipeline.for_vca("teams").config.window_s
+        sink = run_sharded_in_process(many_flow_packets, n_shards, chunk_size=64)
+        assert as_rows(sink.items) == single_process_rows(many_flow_packets)
+        last_ts = many_flow_packets[-1].timestamp
+        lags = [
+            now - (item.estimate.window_start + window_s)
+            for item, now in zip(sink.items, sink.stamps)
+            if item.estimate.window_start + window_s <= last_ts
+        ]
+        assert len(lags) >= 4 * 6  # four flows, at least six complete windows each
+        assert min(lags) >= 0.0
+        assert max(lags) <= window_s
 
 
 class TestRouterMemoizationAndBlocks:
