@@ -139,7 +139,8 @@ def main() -> None:
     for shard_id, stats in enumerate(monitor.shard_stats):
         print(
             f"  shard {shard_id}: {stats.get('n_flows', 0):3d} flows  "
-            f"{stats.get('n_packets', 0):6d} packets"
+            f"{stats.get('n_packets', 0):6d} packets  "
+            f"{stats.get('n_packets', 0) / max(stats.get('ticks', 0), 1):5.0f} rows/tick"
         )
 
     print("\nMerged per-flow summary (deterministic fan-in order):")

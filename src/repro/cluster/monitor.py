@@ -12,7 +12,8 @@ but executes as an N-worker deployment:
 * each :class:`~repro.cluster.worker.ShardWorker` process runs its own
   :class:`~repro.core.streaming.StreamingQoEPipeline`, rebuilt from the
   ``QoEPipeline.save`` payload, with cross-flow **tick-batched inference**
-  (one vectorized forest call per sub-block);
+  (one ``push_block`` and one vectorized forest call per forward message:
+  a routed sub-block, or every sub-block that shared a ring slot);
 * a :class:`~repro.cluster.fanin.FanInSink` merges the per-shard estimate
   streams back into one watermark-ordered stream feeding the caller's
   ordinary sinks.
@@ -72,9 +73,14 @@ class _ForwardLink:
     ``add`` blocks only when the pending batch would overflow a slot.  So a
     saturated worker sees slots as full as they can be, and an idle one is
     never kept waiting for a batch to fill: rows are held exactly as long
-    as the ring gives them nowhere to go.  The worker consumes each segment
-    as its own inference tick, so batching changes wire granularity, never
-    the tick sequence.  Blocks the codec cannot flatten (RTP object columns)
+    as the ring gives them nowhere to go.  The worker runs everything a slot
+    carries as **one** inference tick, so this rule is also what sizes the
+    tick: one sub-block while the worker keeps up (nothing is delayed for a
+    bigger batch), up to a slot's worth once it is the bottleneck -- which
+    is when amortizing the engine's per-flow cost over more rows pays.  The
+    estimates do not depend on the grouping (``push_block`` is bit-identical
+    at every split; the worker cuts a tick wherever an idle-eviction sweep
+    falls due).  Blocks the codec cannot flatten (RTP object columns)
     or that outsize a slot even after row-splitting go to the pickling
     queue -- always behind a flush, so queue messages cannot overtake
     pending sub-blocks and everything still arrives in routed order.  With
@@ -237,9 +243,13 @@ class ShardedQoEMonitor:
         Shard count.  ``1`` is a valid (and useful) degenerate case: same
         output, one worker process.
     chunk_size:
-        Packets per source block.  A routed sub-block is both the wire unit
-        (amortizing IPC overhead) and the inference tick (windows closing in
-        the same sub-block share one vectorized forest call).
+        Packets per source block.  A routed sub-block is the wire unit and,
+        while its worker keeps up, the inference tick (windows closing in
+        the same tick share one vectorized forest call).  A worker that
+        falls behind runs every sub-block that had to share a ring slot as
+        one tick (``transport="shm"``), so under load the tick grows on its
+        own and ``chunk_size`` only sets how early an unloaded monitor
+        answers.
     transport:
         What carries a routed sub-block to its worker.  Routing is the same
         either way: the source is consumed as columnar
@@ -274,8 +284,9 @@ class ShardedQoEMonitor:
         default :data:`~repro.cluster.shm.DEFAULT_SLOT_BYTES`, minimum
         :data:`~repro.cluster.shm.MIN_SLOT_BYTES`).  The router splits
         blocks that encode larger than this, so it bounds shared memory
-        (``2 * n_workers * queue_depth * shm_slot_bytes``), not what can be
-        shipped.
+        (``2 * n_workers * queue_depth * shm_slot_bytes``) and the largest
+        inference tick a worker runs (one slot's worth of rows), not what
+        can be shipped.
     start_method:
         ``multiprocessing`` start method; the default ``"spawn"`` is the
         portable choice and what the workers are built to be safe under.
@@ -377,11 +388,13 @@ class ShardedQoEMonitor:
         self.registry: MetricsRegistry | None = (
             MetricsRegistry(obs) if obs is not None and obs.enabled else None
         )
-        #: Per-shard ``{"n_packets", "n_flows", "n_evicted_flows", "load"}``
-        #: of the completed run (index = shard id); on the ``"shm"``
-        #: transport a ``"transport"`` entry adds per-direction ring
-        #: telemetry (occupancy high-water mark, slots written/reused,
-        #: segments per slot, queue fallbacks).
+        #: Per-shard ``{"n_packets", "n_flows", "n_evicted_flows", "ticks",
+        #: "sub_blocks", "load"}`` of the completed run (index = shard id).
+        #: ``n_packets / ticks`` is the rows an inference tick carried: more
+        #: than ``n_packets / sub_blocks`` only where slot grouping engaged.
+        #: On the ``"shm"`` transport a ``"transport"`` entry adds
+        #: per-direction ring telemetry (occupancy high-water mark, slots
+        #: written/reused, segments per slot, queue fallbacks).
         self.shard_stats: list[dict] = []
         #: Latest per-shard load telemetry (index = shard id; ``None`` until
         #: a shard's first watermark-bearing message arrives).  Live during
@@ -474,7 +487,8 @@ class ShardedQoEMonitor:
         self._out_queue = out_queue
         self._fan_in = fan_in
         self._workers = workers
-        self._rings = rings
+        #: Names, not rings: what a leak check probes once the run is over.
+        self._segment_names = [ring.name for ring in rings]
         self._links = links = [_ForwardLink(self, worker) for worker in workers]
         self._done = [False] * n_workers
         self._stats: list[dict | None] = [None] * n_workers
@@ -558,6 +572,13 @@ class ShardedQoEMonitor:
                     ring.unlink()
                 out_queue.cancel_join_thread()
                 out_queue.close()
+                # A finished monitor keeps no queue, ring or process handle:
+                # they pin named semaphores (38 at one worker and default
+                # depth) and _ForwardLink._monitor closes a cycle, so left
+                # set they would wait for the cycle collector -- or for
+                # interpreter exit, after the resource tracker has already
+                # reclaimed the names.
+                del self._links, self._workers, self._out_queue
         self.shard_stats = [stats if stats is not None else {} for stats in self._stats]
         for shard_id, (stats, link) in enumerate(zip(self.shard_stats, links)):
             forward = link.stats()

@@ -2,13 +2,16 @@
 
 The ``"block"`` transport moves a :class:`~repro.net.block.PacketBlock` by
 pickling its arrays into a pipe and unpickling them on the other side --
-two copies plus per-message interpreter work, which is exactly what
-dominates the sharded monitor's 1-worker overhead (``BENCH_columnar``:
-~64k pps over the queue vs ~287k pps for the same blocks pushed
-in-process).  Blocks are already contiguous struct-of-arrays batches, so
-the fix is the standard one: put the bytes in a
+two copies plus per-message interpreter work.  Blocks are already
+contiguous struct-of-arrays batches, so the alternative is the standard
+one: put the bytes in a
 :class:`multiprocessing.shared_memory.SharedMemory` segment both sides map,
-and move only *slot tokens* through the queue.
+and move only *slot tokens* through the queue.  What the ring buys the
+sharded monitor is less the copies than the *slot*: sub-blocks the parent
+routes while a worker is behind share one, and the worker runs a slot as
+one inference tick, so a saturated worker's tick grows to as many rows as a
+slot holds (``bench/``'s ``sharded64-shm``: ~25 k packets/s with one tick
+per 256-row sub-block, ~120-150 k with one per slot).
 
 :class:`BlockRing` is a fixed-slot single-producer/single-consumer ring of
 **segmented slots**:
@@ -31,7 +34,8 @@ and move only *slot tokens* through the queue.
 * the consumer must finish with a popped slot's segments **before**
   calling :meth:`release` -- the slot is recycled immediately after.  The
   engine's ``push_block`` (and the parent's estimate materialization) copy
-  everything they keep, so "consume then release" is safe without an extra
+  everything they keep, and concatenating a slot's segments into one tick
+  copies them out, so "consume then release" is safe without an extra
   memcpy;
 * a 16-byte counter header (produced/consumed, each side the sole writer
   of its own u64) makes slot occupancy observable for the transport stats
@@ -61,9 +65,11 @@ except ImportError:  # pragma: no cover
 
 __all__ = ["BlockRing", "RingHandle", "shm_available", "DEFAULT_SLOT_BYTES", "MIN_SLOT_BYTES"]
 
-#: Default slot payload capacity.  Sized for the monitor's default
-#: ``chunk_size`` with generous headroom (a 1024-row block with every
-#: optional column is ~58 KiB); the router splits anything larger.
+#: Default slot payload capacity.  A slot is the most a worker runs as one
+#: inference tick -- every sub-block routed while its ring was full -- so
+#: this is the tick ceiling, not a per-chunk size: ~17 k rows, or 66 of the
+#: monitor's default 256-row sub-blocks at 64 flows (one such sub-block
+#: encodes to ~15 KiB).  The router splits any single block that is larger.
 DEFAULT_SLOT_BYTES = 1 << 20
 
 #: Smallest slot payload capacity a ring accepts (and the monitor's

@@ -17,8 +17,8 @@ queues; with the shared-memory transport the *payloads* in both directions
 ride :class:`~repro.cluster.shm.BlockRing` segments and the queues carry
 only slot tokens)::
 
-    parent -> worker:  ("block", PacketBlock)          one routed tick, pickled
-                       ("shm",)                        one ring slot (>= 1 routed ticks)
+    parent -> worker:  ("block", PacketBlock)          one routed sub-block, pickled
+                       ("shm",)                        one ring slot (>= 1 routed sub-blocks)
                        ("migrate_out", key, epoch)     drain + snapshot one flow pair
                        ("migrate_in", key, epoch, parts, counted)   restore it
                        ("stop",)                       end of source
@@ -47,8 +47,8 @@ array buffers plus small side tables: all of ``transport="block"``, and
 ``transport="shm"``'s fallback for a block the flat codec cannot carry.
 A ``("shm",)`` token instead announces a ring slot the parent flat-encoded
 routed blocks into (several per slot behind length-prefixed segment
-headers): the worker decodes zero-copy array views over it, consumes each
-segment as its own inference tick, and only then releases the slot.  The
+headers): the worker decodes zero-copy array views over it, consumes all of
+them as one inference tick, and only then releases the slot.  The
 return direction mirrors it: with a return ring, per-tick estimate batches
 are flat-encoded (:class:`~repro.net.estwire.EstimateBatch`) into it and
 announced with ``("est", shard_id)`` tokens; without one they ride pickled
@@ -61,24 +61,41 @@ it -- a worker that tried to emit ``progress`` after ``done`` would pin the
 fan-in's watermark assumptions (a finished shard's watermark is ``+inf``),
 so the channel raises instead of letting the message out.
 
-Inside the worker each block is one inference tick: windows that close in
-it -- across all of the shard's flows -- are buffered and pushed through the
-per-metric forests in a single vectorized call
-(:meth:`StreamingQoEPipeline.push_block
-<repro.core.streaming.StreamingQoEPipeline.push_block>`), which is where
-cross-flow batched inference happens.  Idle eviction runs the same
-amortized sweep as :class:`~repro.monitor.QoEMonitor`, driven by the
-shard's stream time.
+Inside the worker **one forward message is one inference tick**: everything
+the message carries -- the single block of a ``("block", ...)`` message, or
+every segment of a popped slot -- is concatenated and run as one
+:meth:`StreamingQoEPipeline.push_block
+<repro.core.streaming.StreamingQoEPipeline.push_block>`, followed by one
+watermark and one return emission.  Windows that close in the tick -- across
+all of the shard's flows -- go through the per-metric forests in a single
+vectorized call, which is where cross-flow batched inference happens.  The
+parent decides what shares a slot, and its forward link is self-clocking
+(alone while the worker keeps up, together only while the ring is full): a
+worker that keeps up ticks once per routed sub-block and answers as early as
+it can, one that has fallen behind gets ticks as large as a slot -- dozens
+of rows per flow instead of a handful, against a per-flow cost that barely
+depends on the row count -- exactly when it is the bottleneck.
 
-Every tick ends with a **low watermark** -- the shard's promise that it will
-emit nothing below it (:meth:`StreamingQoEPipeline.low_watermark
+Output is a function of the routed sub-block *sequence*, never of how it was
+cut into messages.  ``push_block`` is bit-identical to per-packet ``push``
+at every split; the stream clock and the measured slack (below) are read
+sub-block by sub-block; and the one thing whose *position* in the sequence
+is output, the idle-eviction sweep (the amortized schedule
+:class:`~repro.monitor.QoEMonitor` runs, driven by the shard's stream time),
+cuts the tick where it falls due: push what is batched, sweep, carry on.
+The ``done`` stats count ``sub_blocks`` received and ``ticks`` run, so
+``n_packets / ticks`` is the rows a tick carried.
+
+Every forward message is answered with a **low watermark** -- the shard's
+promise that it will emit nothing below it
+(:meth:`StreamingQoEPipeline.low_watermark
 <repro.core.streaming.StreamingQoEPipeline.low_watermark>`), which is what
 lets the fan-in release a window.  Live flows bound it exactly; the only
 guess in it is how far behind the newest packet a brand-new flow may still
 start.  By default that slack is **measured, not assumed**: the largest
 amount by which any row this shard received trailed the newest timestamp
-that had arrived before it -- three vector operations per tick over the
-block's timestamps, stream time only.  On a sorted source it stays 0 and the
+that had arrived before it -- three vector operations per sub-block over
+its timestamps, stream time only.  On a sorted source it stays 0 and the
 watermark is the minimum ``next_window_start`` over the live flows; a source
 that shows disorder *d* gets *d* of slack from then on.  An explicit
 ``new_flow_slack_s`` replaces the measurement with a fixed bound, verbatim.
@@ -355,6 +372,10 @@ def shard_worker_main(
         reported = -math.inf
         n_packets = 0
         n_evicted = 0
+        # Forward messages run (plus idle-sweep cuts) and routed sub-blocks
+        # received: n_packets / ticks is the rows an inference tick carried.
+        n_ticks = 0
+        n_sub_blocks = 0
         evicted_keys: set = set()
         # Flow-count ownership ledger (see the module docstring): flows that
         # left but are still counted here, and flows that live here but are
@@ -362,20 +383,39 @@ def shard_worker_main(
         migrated_out_keys: set = set()
         foreign_keys: set = set()
 
-        def consume(block: PacketBlock) -> None:
-            """One inference tick: push, sweep idle flows, emit the output."""
-            nonlocal newest_ts, slack_s, reported, n_packets, n_evicted
-            n_packets += len(block)
-            emitted = engine.push_block(block)
-            if len(block):
-                timestamps = block.timestamps
-                # Per row, the newest timestamp to have arrived up to it.
-                running = np.maximum.accumulate(timestamps)
-                np.maximum(running, newest_ts, out=running)
-                newest_ts = float(running[-1])
-                if measured:
-                    slack_s = max(slack_s, float((running - timestamps).max()))
-                if eviction.due(newest_ts):
+        def consume(blocks: list[PacketBlock]) -> None:
+            """One forward message: everything it carries, as one inference tick.
+
+            The sub-blocks are pushed concatenated -- ``push_block`` is
+            bit-identical to ``push`` at every split, so where the routed
+            sequence was cut into messages changes no estimate and no order.
+            What does depend on *when* it runs is the idle sweep, so the
+            stream clock is still read sub-block by sub-block and the tick is
+            cut wherever a sweep falls due: it lands after the same sub-block
+            however many shared the message.
+            """
+            nonlocal newest_ts, slack_s, reported, n_packets, n_evicted, n_ticks, n_sub_blocks
+            emitted: list = []
+            batch: list[PacketBlock] = []
+            n_sub_blocks += len(blocks)
+            for i, block in enumerate(blocks):
+                batch.append(block)
+                sweep = False
+                if len(block):
+                    n_packets += len(block)
+                    timestamps = block.timestamps
+                    # Per row, the newest timestamp to have arrived up to it.
+                    running = np.maximum.accumulate(timestamps)
+                    np.maximum(running, newest_ts, out=running)
+                    newest_ts = float(running[-1])
+                    if measured:
+                        slack_s = max(slack_s, float((running - timestamps).max()))
+                    sweep = eviction.due(newest_ts)
+                if sweep or i == len(blocks) - 1:
+                    emitted.extend(engine.push_block(PacketBlock.concat(batch)))
+                    batch = []
+                    n_ticks += 1
+                if sweep:
                     evicted = engine.evict_idle(idle_timeout)
                     sweep_flows = {item.flow for item in evicted}
                     n_evicted += len(sweep_flows)
@@ -440,19 +480,19 @@ def shard_worker_main(
             if kind == "shm":
                 # The paired slot is guaranteed pending: the parent releases
                 # the slot's ready semaphore before enqueueing the token, and
-                # both sides walk ring slots in token order.  Each segment is
-                # one routed tick, consumed exactly as if it had arrived in
-                # its own message -- slot batching changes wire granularity,
-                # never the tick sequence.
+                # both sides walk ring slots in token order.  Everything the
+                # slot carries runs as one tick: the parent packs sub-blocks
+                # together only while this worker is behind (the ring was
+                # full), which is exactly when a larger tick pays.
                 segments = ring.pop_segments()
                 try:
-                    for segment in segments:
-                        consume(PacketBlock.read_from(segment))
+                    consume([PacketBlock.read_from(segment) for segment in segments])
                 finally:
                     # Consumed: push_block copied everything it keeps, the
-                    # eviction timestamp is a scalar, and the decoded blocks
-                    # died with consume's frame.  Drop the views, then
-                    # recycle the slot for the parent.
+                    # stream clock is a scalar, and the decoded blocks (a
+                    # one-segment slot is pushed as the view itself) died
+                    # with consume's frame.  Drop the views, then recycle the
+                    # slot for the parent.
                     segments = None
                     ring.release()
             elif kind == "migrate_out":
@@ -460,7 +500,7 @@ def shard_worker_main(
             elif kind == "migrate_in":
                 migrate_in(message[2], message[3], message[4])
             elif kind == "block":
-                consume(message[1])
+                consume([message[1]])
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown parent message {kind!r}")
         final_load = engine.load_stats()
@@ -475,6 +515,8 @@ def shard_worker_main(
                 migrated_out_keys | ((evicted_keys | set(engine.flows)) - foreign_keys)
             ),
             "n_evicted_flows": n_evicted,
+            "ticks": n_ticks,
+            "sub_blocks": n_sub_blocks,
             "load": final_load,
         }
         if returns.ring_mode:

@@ -27,7 +27,7 @@ from repro.webrtc.profiles import VCAProfile
 __all__ = ["HeuristicEstimate", "IPUDPHeuristic"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HeuristicEstimate:
     """Per-window estimates produced by a heuristic method."""
 

@@ -51,9 +51,14 @@ PIPELINE_FORMAT = "repro-qoe-pipeline"
 PIPELINE_FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PipelineEstimate:
-    """Per-window QoE estimate emitted by the pipeline."""
+    """Per-window QoE estimate emitted by the pipeline.
+
+    Slotted: every collecting sink retains one per (flow, window) and the
+    sharded monitor's return wire rebuilds each one, so an instance
+    ``__dict__`` would double what an estimate costs to keep.
+    """
 
     window_start: float
     frame_rate: float
@@ -74,21 +79,19 @@ class PipelineEstimate:
     ) -> "PipelineEstimate":
         """Trusted fast constructor for decoded wire rows.
 
-        ``frozen=True`` makes ``__init__`` pay one ``object.__setattr__``
-        per field; the return-path decoder materializes millions of these,
-        so it writes the instance dict directly -- the same shortcut
-        ``pickle`` takes -- which is safe exactly because every field is a
-        plain value the codec just produced.
+        The return-path decoder materializes millions of these, so it skips
+        ``__init__``'s keyword binding and fills the slots directly -- the
+        same ``object.__setattr__`` a frozen ``__init__`` uses, which is safe
+        exactly because every field is a plain value the codec just produced.
         """
         estimate = object.__new__(cls)
-        estimate.__dict__.update(
-            window_start=window_start,
-            frame_rate=frame_rate,
-            bitrate_kbps=bitrate_kbps,
-            frame_jitter_ms=frame_jitter_ms,
-            resolution=resolution,
-            source=source,
-        )
+        fill = object.__setattr__
+        fill(estimate, "window_start", window_start)
+        fill(estimate, "frame_rate", frame_rate)
+        fill(estimate, "bitrate_kbps", bitrate_kbps)
+        fill(estimate, "frame_jitter_ms", frame_jitter_ms)
+        fill(estimate, "resolution", resolution)
+        fill(estimate, "source", source)
         return estimate
 
 

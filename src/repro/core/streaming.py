@@ -108,7 +108,7 @@ def window_indices(timestamps: np.ndarray, start: float, window_s: float) -> np.
     return k
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StreamEstimate:
     """A per-window estimate emitted by the streaming engine for one flow.
 
@@ -131,7 +131,8 @@ class StreamEstimate:
         :meth:`PipelineEstimate._from_wire
         <repro.core.pipeline.PipelineEstimate._from_wire>`)."""
         item = object.__new__(cls)
-        item.__dict__.update(flow=flow, estimate=estimate)
+        object.__setattr__(item, "flow", flow)
+        object.__setattr__(item, "estimate", estimate)
         return item
 
 

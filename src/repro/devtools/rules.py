@@ -520,6 +520,27 @@ class ExceptionHygiene(Rule):
 # -- API surface ---------------------------------------------------------------
 
 
+def _dataclass_flags(node: ast.ClassDef, ctx: LintContext) -> set[str] | None:
+    """Keywords a class's ``@dataclass`` decorator sets to a literal ``True``.
+
+    ``None`` when the class is not a dataclass at all.
+    """
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if ctx.resolve(target) not in ("dataclass", "dataclasses.dataclass"):
+            continue
+        if not isinstance(decorator, ast.Call):
+            return set()
+        return {
+            keyword.arg
+            for keyword in decorator.keywords
+            if keyword.arg is not None
+            and isinstance(keyword.value, ast.Constant)
+            and keyword.value.value is True
+        }
+    return None
+
+
 @rule
 class FrozenConfigs(Rule):
     id = "API001"
@@ -536,20 +557,39 @@ class FrozenConfigs(Rule):
     def visit(self, node: ast.ClassDef, ctx: LintContext) -> None:
         if not node.name.endswith("Config") or node.name.startswith("_"):
             return
-        for decorator in node.decorator_list:
-            target = decorator.func if isinstance(decorator, ast.Call) else decorator
-            if ctx.resolve(target) not in ("dataclass", "dataclasses.dataclass"):
-                continue
-            frozen = isinstance(decorator, ast.Call) and any(
-                keyword.arg == "frozen"
-                and isinstance(keyword.value, ast.Constant)
-                and keyword.value.value is True
-                for keyword in decorator.keywords
+        flags = _dataclass_flags(node, ctx)
+        if flags is not None and "frozen" not in flags:
+            ctx.add(
+                node,
+                f"public config dataclass {node.name} is not frozen=True "
+                "(configs are shared and cross process boundaries)",
             )
-            if not frozen:
-                ctx.add(
-                    node,
-                    f"public config dataclass {node.name} is not frozen=True "
-                    "(configs are shared and cross process boundaries)",
-                )
+
+
+@rule
+class SlottedEstimates(Rule):
+    id = "API002"
+    summary = "public *Estimate dataclasses must be frozen=True, slots=True"
+    rationale = (
+        "One estimate is retained per (flow, window) by every collecting "
+        "sink and rebuilt per row on the sharded monitor's return wire; an "
+        "instance __dict__ doubles what each one costs to keep, and a "
+        "mutable one could change after a sink or the fan-in ordered it."
+    )
+    scope = ("repro/",)
+    node_types = (ast.ClassDef,)
+
+    def visit(self, node: ast.ClassDef, ctx: LintContext) -> None:
+        if not node.name.endswith("Estimate") or node.name.startswith("_"):
             return
+        flags = _dataclass_flags(node, ctx)
+        if flags is None:
+            return
+        missing = [flag for flag in ("frozen", "slots") if flag not in flags]
+        if missing:
+            ctx.add(
+                node,
+                f"public estimate dataclass {node.name} is not "
+                f"{', '.join(f'{flag}=True' for flag in missing)} "
+                "(one is retained per flow-window and crosses the return wire)",
+            )

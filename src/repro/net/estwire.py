@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import struct
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -67,9 +68,25 @@ _RESOLUTION_DTYPE = np.dtype("<i2")
 _SOURCE_DTYPE = np.dtype("<i1")
 
 
+#: Distinct decoded flow keys kept interned (the router memo's bound: far
+#: above any realistic live-flow count, finite on an endless run).
+_FLOW_MEMO_SIZE = 1 << 16
+
+
 def _pad8(n: int) -> int:
     """Round ``n`` up to the next multiple of 8 (section alignment)."""
     return (n + 7) & ~7
+
+
+@lru_cache(maxsize=_FLOW_MEMO_SIZE)
+def _interned_flow(src: str, src_port: int, dst: str, dst_port: int, protocol: int) -> FlowKey:
+    """The one ``FlowKey`` object every decoded batch shares for a 5-tuple.
+
+    A flow reappears in batch after batch; decoding a fresh key (and two
+    fresh address strings) each time would make every estimate a collecting
+    sink retains pin its own copy.
+    """
+    return FlowKey(src=src, src_port=src_port, dst=dst, dst_port=dst_port, protocol=protocol)
 
 
 class EstimateBatch:
@@ -328,7 +345,7 @@ class EstimateBatch:
             resolution_codes,
             source_codes,
             flows=tuple(
-                FlowKey(src=src, src_port=src_port, dst=dst, dst_port=dst_port, protocol=protocol)
+                _interned_flow(src, src_port, dst, dst_port, protocol)
                 for src, src_port, dst, dst_port, protocol in meta["flows"]
             ),
             resolutions=tuple(meta["resolutions"]),

@@ -10,16 +10,21 @@ slots without loss, and reject truncated or corrupt buffers loudly.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 import multiprocessing
+import pickle
 import random
 import struct
 
 import pytest
 
+from repro.cluster.fanin import flow_sort_key
 from repro.cluster.shm import BlockRing, shm_available
 from repro.core.pipeline import PipelineEstimate
 from repro.core.streaming import StreamEstimate
+from repro.net import estwire
 from repro.net.estwire import EstimateBatch
 from repro.net.flows import FlowKey
 
@@ -204,6 +209,92 @@ class TestEstimateCodecFuzz:
             EstimateBatch.from_estimates(
                 [StreamEstimate(flow=None, estimate=estimate(frame_rate="fast"))], None
             )
+
+
+class TestEstimateShape:
+    """What one retained estimate costs: slots, no instance dict, shared keys.
+
+    Every collecting sink keeps one ``StreamEstimate`` + ``PipelineEstimate``
+    per (flow, window).  Built by ``__init__`` or rebuilt from the return wire
+    they must be the same slotted objects, and a decoded flow key must be one
+    object per 5-tuple, not one per batch.
+    """
+
+    FIELDS = dict(
+        window_start=3.0,
+        frame_rate=24.5,
+        bitrate_kbps=812.25,
+        frame_jitter_ms=4.125,
+        resolution="720p",
+        source="ml",
+    )
+
+    def pairs(self):
+        """``(built by __init__, built by _from_wire)`` for both types."""
+        flow = flow_pool(1)[0]
+        built = PipelineEstimate(**self.FIELDS)
+        wired = PipelineEstimate._from_wire(*self.FIELDS.values())
+        return [
+            (built, wired),
+            (StreamEstimate(flow=flow, estimate=built), StreamEstimate._from_wire(flow, built)),
+        ]
+
+    def test_no_instance_dict_however_built(self):
+        for pair in self.pairs():
+            for item in pair:
+                assert not hasattr(item, "__dict__")
+                assert type(item).__slots__ == tuple(
+                    field.name for field in dataclasses.fields(item)
+                )
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(item, type(item).__slots__[0], None)
+                with pytest.raises(AttributeError):
+                    object.__setattr__(item, "extra", 1)
+
+    def test_value_semantics_are_unchanged(self):
+        for built, wired in self.pairs():
+            assert wired == built and hash(wired) == hash(built)
+            assert repr(wired) == repr(built)
+            assert dataclasses.asdict(wired) == dataclasses.asdict(built)
+            for item in (built, wired):
+                # The queue carrier pickles them; sinks and tests copy them.
+                for clone in (pickle.loads(pickle.dumps(item)), copy.deepcopy(item), copy.copy(item)):
+                    assert clone == item and clone is not item
+                    assert not hasattr(clone, "__dict__")
+        (built, wired), (item, _) = self.pairs()
+        assert dataclasses.asdict(wired) == self.FIELDS
+        assert dataclasses.replace(wired, source="heuristic") == PipelineEstimate(
+            **dict(self.FIELDS, source="heuristic")
+        )
+        assert dataclasses.replace(item, flow=None) == StreamEstimate(flow=None, estimate=built)
+        assert dataclasses.asdict(item) == {
+            "flow": dataclasses.asdict(item.flow),
+            "estimate": self.FIELDS,
+        }
+
+    def test_decoded_batches_share_one_key_per_flow(self):
+        rng = random.Random(5)
+        pool = flow_pool(6)
+        first = EstimateBatch.read_from(
+            memoryview(encoded(EstimateBatch.from_estimates(random_items(rng, 60, pool), 1.0)))
+        )
+        second = EstimateBatch.read_from(
+            memoryview(encoded(EstimateBatch.from_estimates(random_items(rng, 60, pool), 2.0)))
+        )
+        by_value = {flow: flow for flow in first.flows}
+        assert set(second.flows) == set(by_value) == set(pool)
+        for flow in second.flows:
+            assert flow is by_value[flow]
+        items = first.to_estimates() + second.to_estimates()
+        assert len({id(item.flow) for item in items if item.flow is not None}) == len(pool)
+        # The interned keys are ordinary keys: equal to (not the same object
+        # as) the ones that were encoded, and sorted by the fan-in alike.
+        assert all(by_value[flow] is not flow for flow in pool)
+        assert sorted(by_value.values(), key=flow_sort_key) == sorted(pool, key=flow_sort_key)
+
+    def test_flow_memo_is_bounded(self):
+        info = estwire._interned_flow.cache_info()
+        assert info.maxsize == estwire._FLOW_MEMO_SIZE == 1 << 16
 
 
 class _FakeChannel:

@@ -74,18 +74,34 @@ def chunked(packets, chunk_size: int) -> list[PacketBlock]:
 HEURISTIC_PAYLOAD = json.dumps(QoEPipeline.for_vca("teams").to_payload())
 
 
-def worker_messages(payload: str, blocks, new_flow_slack_s=None, shard_id: int = 7) -> list:
-    """Everything ``shard_worker_main`` sends when run in-process over ``blocks``."""
+def run_worker(
+    payload: str, inbound, new_flow_slack_s=None, shard_id: int = 7, config=None, ring_handle=None
+) -> list:
+    """Everything ``shard_worker_main`` sends when run in-process over ``inbound``."""
     in_queue: queue.Queue = queue.Queue()
     out_queue: queue.Queue = queue.Queue()
-    for block in blocks:
-        in_queue.put(("block", block))
+    for message in inbound:
+        in_queue.put(message)
     in_queue.put(("stop",))
-    shard_worker_main(shard_id, payload, None, new_flow_slack_s, in_queue, out_queue)
+    shard_worker_main(
+        shard_id,
+        payload,
+        config.to_dict() if config is not None else None,
+        new_flow_slack_s,
+        in_queue,
+        out_queue,
+        ring_handle=ring_handle,
+    )
     messages = []
     while not out_queue.empty():
         messages.append(out_queue.get_nowait())
     return messages
+
+
+def worker_messages(payload: str, blocks, new_flow_slack_s=None, shard_id: int = 7, config=None) -> list:
+    """The queue carrier: one ``("block", ...)`` message per routed sub-block."""
+    inbound = [("block", block) for block in blocks]
+    return run_worker(payload, inbound, new_flow_slack_s, shard_id, config)
 
 
 class _StampingSink(CollectorSink):
@@ -556,6 +572,163 @@ class TestMeasuredSlackThroughTheFanIn:
         )
         assert violated != expected
         assert sorted(violated, key=repr) == sorted(expected, key=repr)
+
+
+class _FakeSlotRing:
+    """The worker's side of a forward ring, over plain bytearrays.
+
+    ``slots`` is what the parent packed: per slot, the flat-encoded routed
+    sub-blocks that shared it.  ``release`` recycles the slot the hard way:
+    it empties the buffers, which a ``bytearray`` refuses (``BufferError``)
+    while anything decoded from it -- a block, a column, a slice of one -- is
+    still alive, so a view that outlives its slot fails the run even if
+    nobody reads it, and a late read would find nothing.
+    """
+
+    def __init__(self, slots: list[list[PacketBlock]]) -> None:
+        self._slots = [[self._encoded(block) for block in slot] for slot in slots]
+        self._popped: list[memoryview] = []
+        self.released = 0
+
+    @staticmethod
+    def _encoded(block: PacketBlock) -> bytearray:
+        buffer = bytearray(block.byte_size())
+        block.write_into(buffer)
+        return buffer
+
+    def attach(self) -> "_FakeSlotRing":
+        return self
+
+    def pop_segments(self, timeout=None) -> list[memoryview]:
+        assert not self._popped, "previous slot not released"
+        self._popped = [memoryview(buffer) for buffer in self._slots[self.released]]
+        return list(self._popped)
+
+    def release(self) -> None:
+        for view in self._popped:
+            view.release()
+        self._popped = []
+        for buffer in self._slots[self.released]:
+            buffer.clear()
+        self.released += 1
+
+    def close(self) -> None:
+        pass
+
+
+def slot_worker_messages(payload: str, blocks, per_slot: int | None, config=None) -> list:
+    """The shm carrier over a fake forward ring.
+
+    The routed sequence ``blocks`` is delivered ``per_slot`` sub-blocks to a
+    slot (``None``: all of it in one); estimates come back over the queue, one
+    ``progress`` message per slot.
+    """
+    per_slot = per_slot or max(len(blocks), 1)
+    slots = [blocks[i : i + per_slot] for i in range(0, len(blocks), per_slot)]
+    ring = _FakeSlotRing(slots)
+    messages = run_worker(payload, [("shm",)] * len(slots), config=config, ring_handle=ring)
+    assert ring.released == len(slots)
+    return messages
+
+
+class TestSlotGroupingInvariance:
+    """A popped slot is one tick, and nothing but the tick count shows it:
+    output is a function of the routed sub-block sequence, never of how the
+    forward link happened to cut that sequence into slots."""
+
+    GROUPINGS = (1, 3, None)
+
+    @staticmethod
+    def _outcome(messages) -> dict:
+        kinds = [message[0] for message in messages]
+        assert kinds[-1] == "done" and set(kinds[:-1]) <= {"progress"}, messages[-1]
+        _, _, tail, stats = messages[-1]
+        watermarks = [message[3] for message in messages[:-1] if message[3] is not None]
+        assert all(b >= a for a, b in zip(watermarks, watermarks[1:]))
+        stats = dict(stats)
+        return {
+            "rows": as_rows([item for message in messages[:-1] for item in message[2]] + tail),
+            "final_watermark": watermarks[-1],
+            "ticks": stats.pop("ticks"),
+            "stats": stats,
+        }
+
+    def _assert_invariant(self, payload: str, blocks, config=None) -> dict:
+        outcomes = [
+            self._outcome(slot_worker_messages(payload, blocks, per_slot, config))
+            for per_slot in self.GROUPINGS
+        ]
+        alone, together = outcomes[0], outcomes[-1]
+        for outcome in outcomes[1:]:
+            assert outcome["rows"] == alone["rows"]
+            assert outcome["final_watermark"] == alone["final_watermark"]
+            assert outcome["stats"] == alone["stats"]
+        assert alone["stats"]["sub_blocks"] == alone["ticks"] == len(blocks)
+        assert 1 <= together["ticks"] <= len(blocks)
+        assert len(alone["rows"]) > 0
+        # The queue carrier is the one-sub-block-per-message grouping.
+        queued = self._outcome(worker_messages(payload, blocks, config=config))
+        assert queued == alone
+        return together
+
+    def test_sorted_trace_heuristic(self):
+        blocks = chunked(delivered([video_flow(5000 + i, 0.0, 6.0) for i in range(4)]), 64)
+        together = self._assert_invariant(HEURISTIC_PAYLOAD, blocks)
+        assert together["ticks"] == 1
+        assert together["final_watermark"] == 5.0
+
+    def test_sorted_trace_trained(self, trained_pipeline):
+        payload = json.dumps(trained_pipeline.to_payload())
+        blocks = chunked(delivered([video_flow(5000 + i, 0.0, 6.0) for i in range(4)]), 64)
+        together = self._assert_invariant(payload, blocks)
+        assert together["ticks"] == 1
+        assert all(estimate.source == "ml" for _, estimate in together["rows"])
+
+    def test_cross_flow_disorder_measures_the_same_slack(self):
+        """A tap that comes up late hands over its backlog at the head of a
+        sub-block, so nothing *inside* any sub-block is out of order: the
+        disorder shows only against the newest timestamp carried across
+        sub-blocks -- across messages when each rides alone, across the
+        segments of one slot when they ride together."""
+        flows = [video_flow(5000, 0.0, 6.0), video_flow(5001, 0.0, 6.0)]
+        packets = delivered(flows, online_at=[-math.inf, 0.8])
+        backlog = next(i for i, p in enumerate(packets) if p.udp.dst_port == 5001)
+        # Stop mid-window, where the slack decides the watermark: both flows
+        # are in window 5, a flow 0.76 s behind could still open window 4.
+        end = next(i for i, p in enumerate(packets) if p.timestamp >= 5.4)
+        blocks = chunked(packets[:backlog], 64) + chunked(packets[backlog:end], 64)
+        for block in blocks:
+            assert (block.timestamps[1:] >= block.timestamps[:-1]).all()
+        together = self._assert_invariant(HEURISTIC_PAYLOAD, blocks)
+        slack = max(p.timestamp for p in packets[:backlog]) - packets[backlog].timestamp
+        assert slack == pytest.approx(0.76, abs=0.01)
+        engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
+        for block in blocks:
+            engine.push_block(block)
+        assert together["final_watermark"] == engine.low_watermark(slack) == 4.0
+        assert engine.low_watermark(0.0) == 5.0
+
+    def test_idle_sweeps_cut_the_tick_where_they_fall_due(self):
+        """With ``idle_timeout_s`` set the sweep's position in the sequence is
+        output: a flow that pauses is evicted and re-enters as a fresh flow
+        only if the sweep ran during the pause.  A slot-sized tick is cut at
+        every sweep, so the same flows are evicted after the same sub-blocks."""
+        flows = [
+            video_flow(5000, 0.0, 8.0),
+            video_flow(5001, 0.0, 1.5) + video_flow(5001, 5.0, 8.0),  # pauses, resumes
+            video_flow(5002, 0.3, 2.2),  # goes idle for good
+        ]
+        blocks = chunked(delivered(flows), 64)
+        config = QoEPipeline.for_vca("teams").config.replace(idle_timeout_s=1.0)
+        together = self._assert_invariant(HEURISTIC_PAYLOAD, blocks, config)
+        assert together["stats"]["n_evicted_flows"] == 2
+        assert together["stats"]["n_flows"] == 3
+        # One slot, but several ticks: one cut per sweep that fell due.
+        assert 1 < together["ticks"] < len(blocks)
+        # The sweeps are visible in the output of this trace: a run without
+        # them keeps the paused flow alive across its gap.
+        unswept = self._outcome(slot_worker_messages(HEURISTIC_PAYLOAD, blocks, None))
+        assert unswept["rows"] != together["rows"]
 
 
 class TestStreamTimeLagBound:

@@ -14,6 +14,9 @@ The pinned acceptance criteria of the cluster subsystem:
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
@@ -24,7 +27,9 @@ from repro import (
     ShardedQoEMonitor,
     SummarySink,
 )
+from repro.cluster import FlowShardRouter
 from repro.cluster.fanin import flow_sort_key
+from repro.sources.base import iter_blocks
 
 
 def fan_in_order(items):
@@ -105,6 +110,50 @@ class TestShardedMonitorSurface:
         assert len(monitor.shard_stats) == 2
         assert sum(stats["n_packets"] for stats in monitor.shard_stats) == len(many_flow_packets)
         assert sum(stats["n_flows"] for stats in monitor.shard_stats) == report.n_flows
+
+    @pytest.mark.parametrize("transport", ["block", "shm"])
+    def test_tick_size_is_readable_from_the_shard_stats(self, many_flow_packets, transport):
+        """``n_packets / ticks`` is the rows an inference tick carried: one
+        routed sub-block on the queue carrier, up to a slot's worth over shm
+        (only while the worker is behind, so possibly still one)."""
+        chunk_size, n_workers = 64, 2
+        router = FlowShardRouter(n_workers)
+        routed = [0] * n_workers
+        for block in iter_blocks(IteratorSource(iter(many_flow_packets)), chunk_size):
+            for shard, _ in router.partition_block(block):
+                routed[shard] += 1
+        _, _, monitor = run_sharded(
+            QoEPipeline.for_vca("teams"),
+            many_flow_packets,
+            n_workers,
+            chunk_size=chunk_size,
+            transport=transport,
+        )
+        for shard, stats in enumerate(monitor.shard_stats):
+            assert stats["sub_blocks"] == routed[shard] > 0
+            assert 1 <= stats["ticks"] <= stats["sub_blocks"]
+            if transport == "block":
+                assert stats["ticks"] == stats["sub_blocks"]
+
+    @pytest.mark.parametrize("transport", ["block", "shm"])
+    def test_finished_monitor_is_freed_by_reference_count(self, many_flow_packets, transport):
+        """A completed run leaves no queue, ring or process handle behind and
+        no reference cycle, so dropping the monitor frees it (and the named
+        semaphores under it) at once -- not whenever the cycle collector
+        next runs, or at interpreter exit."""
+        gc.collect()
+        gc.disable()
+        try:
+            _, _, monitor = run_sharded(
+                QoEPipeline.for_vca("teams"), many_flow_packets, 1, transport=transport
+            )
+            for name in ("_links", "_workers", "_out_queue", "_rings"):
+                assert not hasattr(monitor, name)
+            alive = weakref.ref(monitor)
+            del monitor
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_sharded_monitor_is_one_shot(self, many_flow_packets):
         _, _, monitor = run_sharded(QoEPipeline.for_vca("teams"), many_flow_packets, 1)

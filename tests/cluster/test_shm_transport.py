@@ -274,7 +274,7 @@ def run_sharded(pipeline, packets, n_workers, **kwargs):
 
 
 def ring_names(monitor) -> list[str]:
-    return [ring.name for ring in monitor._rings]
+    return list(monitor._segment_names)
 
 
 class TestShmTransportEquivalence:

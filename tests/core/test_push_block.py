@@ -99,6 +99,33 @@ class TestPushBlockEquivalence:
                 pipeline, vantage_packets
             )
 
+    def test_concatenated_blocks_with_different_side_tables(self, vantage_packets, trained_pipeline):
+        """A shard worker's slot-sized tick: sub-blocks that each intern their
+        own address and flow tables (same code, different flow; one table a
+        flow longer than the next) pushed as one ``PacketBlock.concat``."""
+        packets = interleave(
+            vantage_packets, synthetic_flow(7, "10.0.0.8", 50007, duration_s=3.0, start_s=3.0)
+        )
+        blocks = [
+            pickle.loads(pickle.dumps(PacketBlock.from_packets(packets[i : i + 48])))
+            for i in range(0, len(packets), 48)
+        ]
+        assert len({block.flows for block in blocks}) > 4
+        assert len({block.addresses for block in blocks}) > 4
+        assert len({len(block.flows) for block in blocks}) > 1
+        for pipeline in (QoEPipeline.for_vca("teams"), trained_pipeline):
+            one_by_one = StreamingQoEPipeline(pipeline)
+            together = StreamingQoEPipeline(pipeline)
+            expected = [item for block in blocks for item in one_by_one.push_block(block)]
+            emitted = [
+                item
+                for i in range(0, len(blocks), 5)
+                for item in together.push_block(PacketBlock.concat(blocks[i : i + 5]))
+            ]
+            assert emitted == expected
+            assert together.flush() == one_by_one.flush()
+            assert len(expected) > 20
+
     def test_locally_disordered_input_falls_back_identically(self, trained_pipeline):
         packets = synthetic_flow(9, "10.0.0.9", 50009, duration_s=6.0)
         disordered = list(packets)

@@ -123,7 +123,7 @@ def test_json_report_clean_run():
 def test_rule_table_lists_every_rule_with_rationale():
     table = render_rule_table()
     for rule_id in ("DET001", "DET002", "DET003", "DET004", "CODEC001",
-                    "CODEC002", "SPAWN001", "OBS001", "EXC001", "API001"):  # fmt: skip
+                    "CODEC002", "SPAWN001", "OBS001", "EXC001", "API001", "API002"):  # fmt: skip
         assert rule_id in table
 
 

@@ -263,6 +263,44 @@ CORPUS = [
                 attempts = 3
         """,
     ),
+    Case(
+        rule="API002",
+        bad="""
+            import dataclasses
+            from dataclasses import dataclass
+
+            @dataclass(frozen=True)
+            class DelayEstimate:
+                delay_ms: float
+
+            @dataclasses.dataclass(slots=True)
+            class LossEstimate:
+                loss: float
+
+            @dataclass
+            class JitterEstimate:
+                jitter_ms: float
+        """,
+        good="""
+            from dataclasses import dataclass
+
+            @dataclass(frozen=True, slots=True)
+            class DelayEstimate:
+                delay_ms: float
+
+            @dataclass
+            class _ScratchEstimate:
+                delay_ms: float
+
+            @dataclass(frozen=True)
+            class DelayEstimateRow:
+                delay_ms: float
+
+            class PlainEstimate:
+                delay_ms = 0.0
+        """,
+        n_bad=3,
+    ),
 ]
 
 
