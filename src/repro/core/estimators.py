@@ -26,7 +26,7 @@ from repro.core.features import (
 from repro.core.media import MediaClassifier
 from repro.core.resolution import ResolutionBin, ResolutionBinner
 from repro.core.windows import WindowedTrace
-from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.forest import ForestStack, RandomForestClassifier, RandomForestRegressor
 from repro.net.media import MediaType
 from repro.rtp.payload_types import PayloadTypeMap
 from repro.webrtc.profiles import VCAProfile
@@ -107,6 +107,7 @@ class BaseMLEstimator:
         )
         self.regressors_: dict[str, RandomForestRegressor] = {}
         self.classifier_: RandomForestClassifier | None = None
+        self._stack: ForestStack | None = None
 
     # -- feature extraction (subclass hook) ------------------------------------
 
@@ -192,23 +193,43 @@ class BaseMLEstimator:
         regression metrics become NaN, resolution ``None`` without a
         classifier.
         """
-        columns: dict[str, np.ndarray] = {}
-        for metric in self.regressors_:
-            columns[metric] = self.predict_metric(X, metric)
-        if self.classifier_ is not None:
-            columns["resolution"] = self.predict_metric(X, "resolution")
-        rows = []
-        for i, window_start in enumerate(window_starts):
-            rows.append(
-                MLEstimateRow(
-                    window_start=window_start,
-                    frame_rate=float(columns["frame_rate"][i]) if "frame_rate" in columns else float("nan"),
-                    bitrate_kbps=float(columns["bitrate"][i]) if "bitrate" in columns else float("nan"),
-                    frame_jitter_ms=float(columns["frame_jitter"][i]) if "frame_jitter" in columns else float("nan"),
-                    resolution=str(columns["resolution"][i]) if "resolution" in columns else None,
-                )
+        X = np.asarray(X, dtype=float)
+        columns = self._predict_columns(X)
+        missing = [float("nan")] * len(X)
+
+        def values(metric: str) -> list:
+            return columns[metric].tolist() if metric in columns else missing
+
+        resolution = (
+            [str(label) for label in columns["resolution"].tolist()]
+            if "resolution" in columns
+            else [None] * len(X)
+        )
+        return [
+            MLEstimateRow(window_start, frame_rate, bitrate, jitter, label)
+            for window_start, frame_rate, bitrate, jitter, label in zip(
+                window_starts, values("frame_rate"), values("bitrate"), values("frame_jitter"), resolution
             )
-        return rows
+        ]
+
+    def _predict_columns(self, X: np.ndarray) -> dict[str, np.ndarray]:
+        """:meth:`predict_metric` for every fitted metric, from one walk of
+        all the forests' trees stacked together (a :class:`ForestStack`,
+        rebuilt whenever a forest is refitted or replaced)."""
+        forests = list(self.regressors_.values())
+        if self.classifier_ is not None:
+            forests.append(self.classifier_)
+        if not forests:
+            return {}
+        if self._stack is None or not self._stack.matches(forests):
+            self._stack = ForestStack(forests)
+        outputs = self._stack.predict(X)
+        # QoE metrics are non-negative by definition.
+        columns = {metric: np.maximum(out, 0.0) for metric, out in zip(self.regressors_, outputs)}
+        if self.classifier_ is not None:
+            assert self.classifier_.classes_ is not None
+            columns["resolution"] = self.classifier_.classes_[np.argmax(outputs[-1], axis=1)]
+        return columns
 
     def predict_windows(self, windows: list[WindowedTrace]) -> list[MLEstimateRow]:
         """Full per-window estimates for every fitted metric."""
@@ -224,10 +245,13 @@ class BaseMLEstimator:
         independence in the trees makes the result bit-identical to calling
         :meth:`predict_rows` per row -- pinned by the cluster tests -- so
         callers may batch freely for throughput without changing estimates.
+        A 2-D array is taken as the stacked matrix itself.
         """
         if len(feature_rows) == 0:
             return []
-        return self.predict_rows(np.vstack(feature_rows), list(window_starts))
+        stacked = isinstance(feature_rows, np.ndarray) and feature_rows.ndim == 2
+        X = feature_rows if stacked else np.vstack(feature_rows)
+        return self.predict_rows(X, list(window_starts))
 
     # -- persistence --------------------------------------------------------------
 

@@ -33,6 +33,7 @@ __all__ = [
     "extract_rtp_features",
     "IPUDPFeatureAccumulator",
     "MICROBURST_IAT_THRESHOLD",
+    "accumulated_features",
 ]
 
 #: Inter-arrival threshold used to delimit microbursts (seconds).  Packets of
@@ -169,7 +170,9 @@ class IPUDPFeatureAccumulator:
         "microbursts",
         "_last_timestamp",
         "_sizes",
+        "_n_sizes",
         "_iats",
+        "_n_iats",
     )
 
     def __init__(
@@ -192,8 +195,11 @@ class IPUDPFeatureAccumulator:
         self.unique_sizes: set[int] = set()
         self.microbursts = 0
         self._last_timestamp: float | None = None
-        self._sizes: list[float] = []
-        self._iats: list[float] = []
+        # Growing float64 buffers; the first _n_sizes / _n_iats entries count.
+        self._sizes = _EMPTY
+        self._n_sizes = 0
+        self._iats = _EMPTY
+        self._n_iats = 0
 
     def push(self, packet: Packet) -> bool:
         """Account one packet; returns whether it counted as (predicted) video.
@@ -212,14 +218,18 @@ class IPUDPFeatureAccumulator:
         if size > self.size_max:
             self.size_max = size
         self.unique_sizes.add(packet.payload_size)
-        self._sizes.append(size)
+        self._sizes = _reserved(self._sizes, self._n_sizes, 1)
+        self._sizes[self._n_sizes] = size
+        self._n_sizes += 1
         if self._last_timestamp is None:
             self.microbursts = 1
         else:
             gap = packet.timestamp - self._last_timestamp
             if gap >= self.microburst_threshold:
                 self.microbursts += 1
-            self._iats.append(gap)
+            self._iats = _reserved(self._iats, self._n_iats, 1)
+            self._iats[self._n_iats] = gap
+            self._n_iats += 1
         self._last_timestamp = packet.timestamp
         return True
 
@@ -238,32 +248,63 @@ class IPUDPFeatureAccumulator:
         rows that counted as video.
         """
         mask = self.classifier.video_mask(sizes)
-        if not mask.all():
-            timestamps = timestamps[mask]
-            sizes = sizes[mask]
-        n = len(sizes)
+        n = int(np.count_nonzero(mask))
         if n == 0:
             return 0
-        float_sizes = sizes.astype(float)
+        if n < len(sizes):
+            timestamps = timestamps[mask]
+            sizes = sizes[mask]
+        used = self._n_sizes
+        self._sizes = _reserved(self._sizes, used, n)
+        float_sizes = self._sizes[used : used + n]
+        float_sizes[:] = sizes
+        self._n_sizes = used + n
         self.n += n
-        self.byte_sum += float(float_sizes.sum())  # integer-valued: order-exact
-        low = float(float_sizes.min())
-        high = float(float_sizes.max())
+        # Integer payload sizes: the byte sum is exact in any order, and one
+        # list serves the sum, the extremes and the unique set.
+        values = sizes.tolist()
+        self.byte_sum += float(sum(values))
+        low = float(min(values))
+        high = float(max(values))
         if low < self.size_min:
             self.size_min = low
         if high > self.size_max:
             self.size_max = high
-        self.unique_sizes.update(int(size) for size in sizes.tolist())
-        self._sizes.extend(float_sizes.tolist())
-        if self._last_timestamp is None:
+        self.unique_sizes.update(values)
+        # The gaps go straight into the buffer: the same float subtraction
+        # as np.diff over [last timestamp] ++ run.
+        previous = self._last_timestamp
+        used = self._n_iats
+        n_gaps = n if previous is not None else n - 1
+        self._iats = _reserved(self._iats, used, n_gaps)
+        gaps = self._iats[used : used + n_gaps]
+        if previous is None:
             self.microbursts += 1  # the run's first video packet opens a burst
-            gaps = np.diff(timestamps)
+            np.subtract(timestamps[1:], timestamps[:-1], out=gaps)
         else:
-            gaps = np.diff(np.concatenate(([self._last_timestamp], timestamps)))
+            gaps[0] = timestamps[0] - previous
+            np.subtract(timestamps[1:], timestamps[:-1], out=gaps[1:])
+        self._n_iats = used + n_gaps
         self.microbursts += int(np.count_nonzero(gaps >= self.microburst_threshold))
-        self._iats.extend(gaps.tolist())
         self._last_timestamp = float(timestamps[-1])
         return n
+
+    @property
+    def sizes(self) -> np.ndarray:
+        """The window's video payload sizes so far (float64, arrival order)."""
+        return self._sizes[: self._n_sizes]
+
+    @property
+    def iats(self) -> np.ndarray:
+        """The window's video inter-arrival gaps so far (float64)."""
+        return self._iats[: self._n_iats]
+
+    def load_buffers(self, sizes: np.ndarray, iats: np.ndarray) -> None:
+        """Replace the size / gap buffers (restoring a migrated window)."""
+        self._sizes = np.array(sizes, dtype=np.float64)
+        self._n_sizes = len(self._sizes)
+        self._iats = np.array(iats, dtype=np.float64)
+        self._n_iats = len(self._iats)
 
     def features(self) -> np.ndarray:
         """The 14-feature vector for the window accumulated so far.
@@ -271,19 +312,175 @@ class IPUDPFeatureAccumulator:
         The five-number summaries are computed from the buffers with the same
         numpy calls as the batch extractor (pairwise summation and all), so
         the result is bit-identical, not merely close; the running counters
-        drive the exact integer features and the incremental state.
+        drive the exact integer features.  This is the per-window reference
+        that :func:`accumulated_features` -- the many-window pass the engine
+        runs per tick -- is pinned against.
         """
-        sizes = np.asarray(self._sizes, dtype=float)
-        iats = np.asarray(self._iats, dtype=float)
+        sizes = self.sizes
         features = [
             float(sizes.sum()) / self.window_s,  # bytes per second
             self.n / self.window_s,              # packets per second
         ]
         features.extend(_five_stats(sizes))
-        features.extend(_five_stats(iats))
+        features.extend(_five_stats(self.iats))
         features.append(float(len(self.unique_sizes)))
         features.append(float(self.microbursts))
         return np.array(features, dtype=float)
+
+
+def accumulated_features(accumulators) -> np.ndarray:
+    """The 14-feature vectors of many windows in one array pass.
+
+    Row *i* is ``accumulators[i].features()``, bit for bit: the five-number
+    summaries reproduce ``np.mean`` / ``np.std`` / ``np.median`` / ``np.min``
+    / ``np.max`` (pairwise summation and all, see :class:`_PairwiseSums`) and
+    hence :func:`extract_ipudp_features`, but the numpy calls are made once
+    per call over every window's buffers together instead of once per
+    window.  The streaming engine calls it once per tick with every window
+    that closed in the tick, across all flows.  A lone window takes
+    :meth:`IPUDPFeatureAccumulator.features`, which needs fewer calls.
+    """
+    n_windows = len(accumulators)
+    if n_windows == 1:
+        return accumulators[0].features()[None, :]
+    out = np.empty((n_windows, len(IPUDP_FEATURE_NAMES)))
+    if n_windows == 0:
+        return out
+    buffers = [acc.sizes for acc in accumulators] + [acc.iats for acc in accumulators]
+    lengths = np.fromiter((len(b) for b in buffers), dtype=np.intp, count=2 * n_windows)
+    values = np.concatenate(buffers)
+    stats = _segment_five_stats(values, lengths)
+    window_s = np.fromiter((acc.window_s for acc in accumulators), dtype=np.float64, count=n_windows)
+    out[:, 0] = stats[:n_windows, 5] / window_s  # bytes per second
+    out[:, 1] = np.fromiter((acc.n for acc in accumulators), dtype=np.float64, count=n_windows) / window_s
+    out[:, 2:7] = stats[:n_windows, :5]
+    out[:, 7:12] = stats[n_windows:, :5]
+    out[:, 12] = [len(acc.unique_sizes) for acc in accumulators]
+    out[:, 13] = [acc.microbursts for acc in accumulators]
+    return out
+
+
+#: Longest run NumPy sums in one unrolled block (``PW_BLOCKSIZE``).
+_PAIRWISE_BLOCK = 128
+
+
+class _PairwiseSums:
+    """``np.add.reduce(values[s:s + n])`` for every segment, bit for bit.
+
+    NumPy sums a contiguous float64 run pairwise: under 8 elements in order;
+    up to 128 in eight interleaved running sums combined as
+    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and followed by the remainder
+    in order; longer runs as the sum of two halves.  ``np.add.reduceat``
+    associates differently and moves last ulps, which would make a window's
+    features depend on what else closed in its tick (detlint ``DET005``).
+    Runs up to 128 are replayed here with sequential scans (``np.cumsum``
+    never reassociates), all segments at once; longer ones take one
+    ``np.add.reduce`` each.  Built once per segment layout, then applied to
+    any values laid out that way (the values, then their squared
+    deviations).  ``tests/core/test_feature_accumulator.py`` fuzzes it
+    against ``np.sum``.
+    """
+
+    def __init__(self, starts: np.ndarray, lengths: np.ndarray, n_values: int) -> None:
+        self.n_segments = len(lengths)
+        self.long = [
+            (i, int(starts[i]), int(starts[i] + lengths[i]))
+            for i in np.flatnonzero(lengths > _PAIRWISE_BLOCK).tolist()
+        ]
+        self.short = None
+        if self.long:
+            self.short = lengths <= _PAIRWISE_BLOCK
+            starts, lengths = starts[self.short], lengths[self.short]
+        n = len(lengths)
+        last = max(n_values - 1, 0)
+        blocks = lengths // 8
+        unrolled = blocks * 8
+        self.n_blocks = int(blocks.max(initial=0))
+        if self.n_blocks:
+            # Gather each run's first n_blocks * 8 values (clipped reads past
+            # a run's end only feed scan positions that are never picked).
+            self.block_index = np.minimum(starts[:, None] + np.arange(self.n_blocks * 8), last)
+            self.block_pick = np.arange(n) * self.n_blocks + np.maximum(blocks - 1, 0)
+            self.has_blocks = blocks > 0
+        self.tail_index = np.minimum((starts + unrolled)[:, None] + np.arange(7), last)
+        self.tail_pick = np.arange(n) * 8 + (lengths - unrolled)
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        if len(values) == 0:
+            return np.zeros(self.n_segments)
+        tail = np.empty((len(self.tail_pick), 8))
+        tail[:, 0] = -0.0  # NumPy's short-run accumulator starts at -0.0
+        if self.n_blocks:
+            lanes = values[self.block_index].reshape(-1, self.n_blocks, 8)
+            lanes = np.cumsum(lanes, axis=1).reshape(-1, 8)[self.block_pick]
+            pairs = lanes[:, 0::2] + lanes[:, 1::2]
+            quads = pairs[:, 0::2] + pairs[:, 1::2]
+            np.copyto(tail[:, 0], quads[:, 0] + quads[:, 1], where=self.has_blocks)
+        tail[:, 1:] = values[self.tail_index]
+        sums = np.cumsum(tail, axis=1).ravel()[self.tail_pick]
+        if self.long:
+            out = np.empty(self.n_segments)
+            out[self.short] = sums
+            for i, lo, hi in self.long:
+                out[i] = np.add.reduce(values[lo:hi])
+            sums = out
+        return 0.0 + sums  # the reduction's identity, as np.add.reduce starts from it
+
+
+def _segment_five_stats(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """:func:`_five_stats` of every segment of ``values``, plus its sum.
+
+    Returns ``(n_segments, 6)``: mean, stdev, median, min, max, sum -- zeros
+    for an empty segment -- each bit-identical to the numpy call on the
+    segment alone.
+    """
+    n_segments = len(lengths)
+    out = np.zeros((n_segments, 6))
+    if len(values) == 0:
+        return out
+    starts = np.zeros(n_segments, dtype=np.intp)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    pairwise = _PairwiseSums(starts, lengths, len(values))
+    counts = np.maximum(lengths, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = pairwise(values)
+        means = sums / counts
+        deviations = values - np.repeat(means, lengths)
+        out[:, 1] = np.sqrt(pairwise(deviations * deviations) / counts)
+    out[:, 0] = means
+    out[:, 5] = sums
+    nonempty = lengths > 0
+    first = starts[nonempty]
+    sizes = lengths[nonempty]
+    # The median: np.median partitions, then takes the mean of the middle
+    # value (odd) or two (even) -- 0.0 + (a + b), over 2 -- and answers NaN
+    # if any value is NaN (sorted last).  Sort by value, then stably by
+    # segment (a radix sort on 16-bit segment ids; np.lexsort is ~8x slower).
+    ids = np.arange(n_segments, dtype=np.uint16 if n_segments <= 1 << 16 else np.intp)
+    by_value = np.argsort(values)
+    segment = np.repeat(ids, lengths)[by_value]
+    ordered = values[by_value[np.argsort(segment, kind="stable")]]
+    low = ordered[first + (sizes - 1) // 2]
+    with np.errstate(invalid="ignore", over="ignore"):
+        median = np.where(sizes % 2 == 0, (0.0 + (low + ordered[first + sizes // 2])) / 2.0, 0.0 + low)
+    median[np.isnan(ordered[first + sizes - 1])] = np.nan
+    out[nonempty, 2] = median
+    out[nonempty, 3] = np.minimum.reduceat(values, first)
+    out[nonempty, 4] = np.maximum.reduceat(values, first)
+    return out
+
+
+_EMPTY = np.empty(0)
+
+
+def _reserved(buffer: np.ndarray, used: int, extra: int) -> np.ndarray:
+    """``buffer`` (its first ``used`` values) with room for ``extra`` more."""
+    needed = used + extra
+    if needed <= len(buffer):
+        return buffer
+    grown = np.empty(max(needed, 2 * len(buffer), 16))
+    grown[:used] = buffer[:used]
+    return grown
 
 
 def _rtp_lag_stats(video_packets: list[Packet]) -> list[float]:

@@ -39,7 +39,7 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from repro.core.config import PipelineConfig
-from repro.core.features import IPUDPFeatureAccumulator
+from repro.core.features import IPUDPFeatureAccumulator, accumulated_features
 from repro.core.frame_assembly import AssembledFrame, FrameAssembler
 from repro.core.heuristic import estimates_from_frames
 from repro.core.media import MediaClassifier
@@ -150,7 +150,7 @@ class _FlowStream:
         config: PipelineConfig,
         classifier: MediaClassifier,
         assembler: FrameAssembler | None,
-        predict: Callable[[np.ndarray, float], "PipelineEstimate | None"] | None,
+        predict: Callable[[IPUDPFeatureAccumulator, float], "PipelineEstimate | None"] | None,
         obs: "MetricsRegistry | None" = None,
     ) -> None:
         assert config.reorder_depth is not None, "engine must resolve reorder_depth"
@@ -165,7 +165,8 @@ class _FlowStream:
         self.classifier = classifier
         #: Online frame assembler (heuristic mode) -- one per flow.
         self.assembler = assembler
-        #: ML predictor callback (trained mode); ``None`` -> heuristic mode.
+        #: ML predictor callback (trained mode), handed each closed window's
+        #: accumulator; ``None`` -> heuristic mode.
         self.predict = predict
         self._pending: list[tuple[float, int, Packet]] = []
         self._seq = 0
@@ -637,7 +638,7 @@ class _FlowStream:
                 acc = IPUDPFeatureAccumulator(self.window_s, classifier=self.classifier)
             if self._acc is not None and self._acc_index <= k:
                 self._acc = None  # consumed, or stale from excessive reordering
-            return self.predict(acc.features(), window_start)
+            return self.predict(acc, window_start)
         frames = self._frame_buckets.pop(k, [])
         # The upper bound is the next window's start so the membership filter
         # agrees exactly with the window_index bucketing on fractional grids.
@@ -761,16 +762,17 @@ class StreamingQoEPipeline:
         self._streams: dict[FlowKey | None, _FlowStream] = {}
         self._flow_order: list[FlowKey | None] = []
         # Batch-adapter mode: when set, trained-mode windows append
-        # ``(features, window_start)`` here instead of predicting per window,
-        # so ``collect(batch=True)`` can run the forests once, vectorized.
-        self._feature_rows: list[tuple[np.ndarray, float]] | None = None
+        # ``(accumulator, window_start)`` here instead of predicting per
+        # window, so ``collect(batch=True)`` can compute every window's
+        # features in one pass and run the forests once, vectorized.
+        self._feature_rows: list[tuple[IPUDPFeatureAccumulator, float]] | None = None
         # Tick-batch mode: when set (inside push_block), trained-mode
-        # windows append ``(flow, features, window_start, trigger_pos)`` here
+        # windows append ``(flow, accumulator, window_start, trigger_pos)`` here
         # and inference runs once per tick over all flows whose windows
         # closed in it.  ``trigger_pos`` is the triggering packet's block
         # row; the tick resolves in trigger order, i.e. per-packet emission
         # order.
-        self._tick_rows: list[tuple[FlowKey | None, np.ndarray, float, int]] | None = None
+        self._tick_rows: list[tuple[FlowKey | None, IPUDPFeatureAccumulator, float, int]] | None = None
         # Estimates of a block that raised mid-tick: the windows are already
         # closed, so they are delivered by the next push_block or flush.
         self._held_estimates: list[StreamEstimate] = []
@@ -837,13 +839,13 @@ class StreamingQoEPipeline:
         in-flow runs in either mode.
 
         In trained mode, windows that close anywhere in the block -- across
-        all flows -- defer their per-window inference; at the end of the
-        block the deferred feature vectors are stacked and pushed through
-        each per-metric forest in a single vectorized call
-        (:meth:`~repro.core.estimators.BaseMLEstimator.predict_many`).  Tree
-        traversal is row-independent, so the estimates are bit-identical to
-        per-window :meth:`push` inference; only the inference overhead is
-        amortized.
+        all flows -- defer their feature vector and their inference; at the
+        end of the block one array pass computes every deferred window's
+        features (:func:`~repro.core.features.accumulated_features`) and one
+        walk of the stacked forests predicts them all
+        (:meth:`~repro.core.estimators.BaseMLEstimator.predict_many`).  Both
+        are row-independent and bit-identical per row, so the estimates equal
+        per-window :meth:`push` inference; only the overhead is amortized.
 
         **Equivalence contract (pinned by tests):** feeding a capture through
         ``push_block`` emits the same estimates as per-packet :meth:`push`,
@@ -1010,10 +1012,11 @@ class StreamingQoEPipeline:
           ``[0, end_time)`` -- the stream also closes the window *starting*
           exactly at the last timestamp, which the batch contract excludes.
           Requires ``demux_flows=False`` and a fresh engine.  In trained
-          mode the per-window feature vectors are collected during the pass
-          and the per-metric forests run once over all windows (vectorized),
-          which is row-for-row identical to predicting at each window close
-          but avoids per-window inference overhead.
+          mode the closed windows' accumulators are collected during the
+          pass; their features are computed in one array pass and the
+          per-metric forests run once over all windows (vectorized), which
+          is row-for-row identical to predicting at each window close but
+          avoids per-window overhead.
         """
         if not batch:
             emitted = list(self.process(packets))
@@ -1187,27 +1190,33 @@ class StreamingQoEPipeline:
             obs=self.obs,
         )
 
-    def _window_closed(self, key: FlowKey | None, features: np.ndarray, window_start: float):
+    def _window_closed(
+        self, key: FlowKey | None, acc: IPUDPFeatureAccumulator, window_start: float
+    ):
         """Trained-mode predict dispatch for one closed window.
 
         Three behaviours behind one callback: defer to the batch adapter
-        (``collect(batch=True)`` runs the forests once at the end), defer to
-        the current tick (``push_block`` batches across flows), or predict
-        immediately (plain ``push``).  Deferred windows return ``None`` so the
-        owning stream emits nothing until the batch is resolved.
+        (``collect(batch=True)`` computes features and runs the forests once
+        at the end), defer to the current tick (``push_block`` computes
+        features and runs the forests once over every flow's closed
+        windows), or predict immediately (plain ``push``).  Deferred windows return ``None`` so the
+        owning stream emits nothing until the batch is resolved.  A closed
+        window's accumulator is never extended again, so deferring it is
+        safe.
         """
         if self._feature_rows is not None:
-            self._feature_rows.append((features, window_start))
+            self._feature_rows.append((acc, window_start))
             return None
         if self._tick_rows is not None:
             trigger_pos = self._streams[key].trigger_pos
             assert trigger_pos is not None  # tick windows close only inside push_rows
-            self._tick_rows.append((key, features, window_start, trigger_pos))
+            self._tick_rows.append((key, acc, window_start, trigger_pos))
             return None
-        return self._predict_rows([features], [window_start])[0]
+        return self._predict_rows(self._features([acc]), [window_start])[0]
 
     def _flush_tick(self) -> list[StreamEstimate]:
-        """Resolve the current tick: one vectorized pass over all deferred windows."""
+        """Resolve the current tick: one feature pass and one inference pass
+        over every deferred window."""
         rows = self._tick_rows
         if not rows:
             return []
@@ -1216,7 +1225,7 @@ class StreamingQoEPipeline:
         # trigger order (stable on ties) before emitting.
         rows.sort(key=lambda row: row[3])
         estimates = self._predict_rows(
-            [features for _, features, _, _ in rows],
+            self._features([acc for _, acc, _, _ in rows]),
             [window_start for _, _, window_start, _ in rows],
         )
         return [
@@ -1224,16 +1233,29 @@ class StreamingQoEPipeline:
             for (key, _, _, _), estimate in zip(rows, estimates)
         ]
 
-    def _predict_batch(self, rows: list[tuple[np.ndarray, float]]) -> list["PipelineEstimate"]:
-        """Vectorized per-metric inference over all collected windows."""
+    def _features(self, accumulators: list[IPUDPFeatureAccumulator]) -> np.ndarray:
+        """Feature matrix of closed windows (one array pass, see
+        :func:`~repro.core.features.accumulated_features`)."""
+        obs = self.obs
+        if obs is None:
+            return accumulated_features(accumulators)
+        started = perf_counter()
+        features = accumulated_features(accumulators)
+        obs.time_stage("features", started)
+        return features
+
+    def _predict_batch(
+        self, rows: list[tuple[IPUDPFeatureAccumulator, float]]
+    ) -> list["PipelineEstimate"]:
+        """One feature pass and one inference pass over all collected windows."""
         if not rows:
             return []
         return self._predict_rows(
-            [features for features, _ in rows],
+            self._features([acc for acc, _ in rows]),
             [window_start for _, window_start in rows],
         )
 
-    def _predict_rows(self, feature_rows: list[np.ndarray], window_starts: list[float]) -> list["PipelineEstimate"]:
+    def _predict_rows(self, feature_rows, window_starts: list[float]) -> list["PipelineEstimate"]:
         """Run the trained per-metric forests once over ``feature_rows``."""
         from repro.core.pipeline import PipelineEstimate
 

@@ -6,15 +6,22 @@ the highest accuracy", Section 4.3) and relies on impurity-based feature
 importances for the analysis in Section 5.  Both regressors and classifiers
 are provided; the classifier additionally exposes class probabilities which
 the resolution-confusion analysis uses.
+
+Prediction runs on one node table per forest: every tree's
+:class:`~repro.ml.tree.NodeTable` stacked into a
+:class:`~repro.ml.tree.StackedTrees`, walked once for all (row, tree) pairs,
+with the leaves' values accumulated across trees in tree order.  A
+:class:`ForestStack` does the same for several forests at once -- an
+estimator's four per-metric forests take one walk per batch of windows.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, StackedTrees
 
-__all__ = ["RandomForestRegressor", "RandomForestClassifier"]
+__all__ = ["RandomForestRegressor", "RandomForestClassifier", "ForestStack"]
 
 
 class _BaseForest:
@@ -42,6 +49,7 @@ class _BaseForest:
         self.estimators_: list = []
         self.feature_importances_: np.ndarray | None = None
         self.n_features_: int = 0
+        self._stack: ForestStack | None = None
 
     def _make_tree(self, seed: int):
         return self.tree_class(
@@ -89,6 +97,18 @@ class _BaseForest:
 
     def _prepare_targets(self, y: np.ndarray) -> None:
         """Hook used by the classifier to record the label set."""
+
+    def _predict_stacked(self, X: np.ndarray) -> np.ndarray:
+        """One walk of the forest's stacked node table (built on first use,
+        rebuilt after a refit) in place of one traversal per row and tree."""
+        self._check_fitted()
+        if self._stack is None or not self._stack.matches([self]):
+            self._stack = ForestStack([self])
+        return self._stack.predict(X)[0]
+
+    def _stacked_values(self) -> np.ndarray:
+        """Every tree's per-node values, concatenated in tree order."""
+        return np.concatenate([tree.nodes_.value for tree in self.estimators_])
 
     def predict_many(self, rows) -> np.ndarray:
         """Vectorized prediction over a sequence of single-sample vectors.
@@ -165,20 +185,14 @@ class RandomForestRegressor(_BaseForest):
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict the per-sample mean of the individual tree predictions.
 
-        The mean is accumulated sequentially in tree order (element-wise)
-        rather than via ``np.mean``, whose pairwise-summation blocking
-        depends on the batch shape: with it, a window predicted alone and
+        The mean is accumulated sequentially in tree order (a running sum
+        across the trees axis, see :class:`ForestStack`) rather than via
+        ``np.mean``, whose pairwise-summation blocking depends on the batch
+        shape: with it, a window predicted alone and
         the same window predicted inside a batch could differ in the last
         ulp, breaking the batched-inference bit-identity contract.
         """
-        self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        total = self.estimators_[0].predict(X).astype(float, copy=True)
-        for tree in self.estimators_[1:]:
-            total += tree.predict(X)
-        return total / len(self.estimators_)
+        return self._predict_stacked(X)
 
 
 class RandomForestClassifier(_BaseForest):
@@ -208,22 +222,61 @@ class RandomForestClassifier(_BaseForest):
         per-tree probabilities are re-aligned onto the forest-level class set
         before averaging.
         """
-        self._check_fitted()
+        return self._predict_stacked(X)
+
+    def _stacked_values(self) -> np.ndarray:
+        # Leaf rows re-aligned onto the forest's class set: a class a tree
+        # never saw contributes an exact 0.0 to the running sum.
         assert self.classes_ is not None
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
         class_pos = {c: i for i, c in enumerate(self.classes_)}
-        proba = np.zeros((len(X), len(self.classes_)))
+        blocks = []
         for tree in self.estimators_:
-            tree_proba = tree.predict_proba(X)
-            for j, cls in enumerate(tree.classes_):
-                proba[:, class_pos[cls]] += tree_proba[:, j]
-        proba /= len(self.estimators_)
-        return proba
+            block = np.zeros((len(tree.nodes_), len(self.classes_)))
+            block[:, [class_pos[c] for c in tree.classes_]] = tree.nodes_.value
+            blocks.append(block)
+        return np.concatenate(blocks)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict the class with the highest averaged probability."""
         proba = self.predict_proba(X)
         assert self.classes_ is not None
         return self.classes_[np.argmax(proba, axis=1)]
+
+
+class ForestStack:
+    """Fitted forests' trees stacked into one node table, walked once.
+
+    :meth:`predict` returns, per forest and in order, what that forest's
+    ``predict`` (regressor) or ``predict_proba`` (classifier) returns: each
+    forest gathers its own trees' leaves from the shared walk and sums them
+    with ``np.cumsum``, a strictly sequential scan ((v0 + v1) + v2) + ...,
+    so the mean / soft vote is accumulated in tree order whatever the batch
+    and stacking changes no value.  A stack describes the forests as fitted
+    when it was built; :meth:`matches` tells whether it still does.
+    """
+
+    def __init__(self, forests: list[_BaseForest]) -> None:
+        self._trees = tuple(forest.estimators_ for forest in forests)
+        self.stack = StackedTrees.of([tree.nodes_ for trees in self._trees for tree in trees])
+        self._parts = []
+        column = 0
+        for forest, trees in zip(forests, self._trees):
+            base = int(self.stack.roots[column])
+            self._parts.append((column, column + len(trees), base, forest._stacked_values()))
+            column += len(trees)
+
+    def matches(self, forests: list[_BaseForest]) -> bool:
+        """Whether ``forests`` hold exactly the fitted trees stacked here."""
+        return len(forests) == len(self._trees) and all(
+            forest.estimators_ is trees for forest, trees in zip(forests, self._trees)
+        )
+
+    def predict(self, X: np.ndarray) -> list[np.ndarray]:
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        leaves = self.stack.apply(X)
+        return [
+            np.cumsum(values[leaves[:, lo:hi] - base], axis=1)[:, -1] / (hi - lo)
+            for lo, hi, base, values in self._parts
+        ]

@@ -6,6 +6,12 @@ trees minimise Gini impurity.  Both expose impurity-decrease feature
 importances, which is what the paper reports in its feature-importance plots
 (Figures 5, 7, 9 and A.4-A.9).
 
+A fitted tree has exactly one representation, a :class:`NodeTable`: parallel
+node columns in preorder.  Growing writes straight into it, persistence is
+its column lists (``to_dict()["nodes"]``), and prediction walks it with NumPy
+gathers -- one level of every (row, tree) pair at a time, for one tree or for
+a whole forest stacked by :class:`StackedTrees`.
+
 The implementation favours clarity over raw speed but is vectorised enough
 (numpy argsort + cumulative statistics per feature) to train on tens of
 thousands of one-second windows in a few seconds, which is the scale of the
@@ -14,53 +20,134 @@ paper's datasets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "DecisionTreeRegressor",
     "DecisionTreeClassifier",
-    "TreeNode",
+    "NodeTable",
+    "StackedTrees",
 ]
 
 
-@dataclass
-class TreeNode:
-    """A single node of a fitted CART tree.
+@dataclass(frozen=True, eq=False)
+class NodeTable:
+    """A fitted CART tree as parallel node columns, in preorder (root = 0).
 
-    Leaf nodes have ``feature`` set to ``None`` and carry a prediction value
-    (the mean target for regression, class-probability vector for
-    classification).  Internal nodes route samples with
-    ``x[feature] <= threshold`` to the left child.
+    Internal nodes route samples with ``x[feature] <= threshold`` to
+    ``left``, everything else -- NaN included -- to ``right``.  Leaves have
+    ``feature``, ``left`` and ``right`` set to ``-1``.  ``value`` holds every
+    node's prediction: the mean target (shape ``(n_nodes,)``) for regression,
+    a class-probability row over the tree's own classes (shape
+    ``(n_nodes, n_classes)``) for classification.
     """
 
-    feature: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: np.ndarray | float = 0.0
-    n_samples: int = 0
-    impurity: float = 0.0
-    depth: int = 0
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    n_samples: np.ndarray
+    impurity: np.ndarray
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+    def __len__(self) -> int:
+        return len(self.feature)
 
-    def node_count(self) -> int:
-        """Number of nodes in the subtree rooted at this node."""
-        if self.is_leaf:
-            return 1
-        assert self.left is not None and self.right is not None
-        return 1 + self.left.node_count() + self.right.node_count()
+    @classmethod
+    def from_columns(cls, columns: dict[str, list]) -> "NodeTable":
+        """Adopt the persisted column lists (``to_dict()["nodes"]``) as arrays."""
+        return cls(
+            feature=np.asarray(columns["feature"], dtype=np.int64),
+            threshold=np.asarray(columns["threshold"], dtype=np.float64),
+            left=np.asarray(columns["left"], dtype=np.int64),
+            right=np.asarray(columns["right"], dtype=np.int64),
+            value=np.asarray(columns["value"], dtype=np.float64),
+            n_samples=np.asarray(columns["n_samples"], dtype=np.int64),
+            impurity=np.asarray(columns["impurity"], dtype=np.float64),
+        )
 
-    def max_depth(self) -> int:
-        """Depth of the deepest leaf below (and including) this node."""
-        if self.is_leaf:
-            return 0
-        assert self.left is not None and self.right is not None
-        return 1 + max(self.left.max_depth(), self.right.max_depth())
+    def to_columns(self) -> dict[str, list]:
+        """The JSON-ready column lists (floats survive ``repr`` round trips)."""
+        return {
+            "feature": self.feature.tolist(),
+            "threshold": self.threshold.tolist(),
+            "left": self.left.tolist(),
+            "right": self.right.tolist(),
+            "value": self.value.tolist(),
+            "n_samples": self.n_samples.tolist(),
+            "impurity": self.impurity.tolist(),
+        }
+
+    def depths(self) -> np.ndarray:
+        """Depth of every node (root 0); preorder puts parents before children."""
+        depth = np.zeros(len(self), dtype=np.int64)
+        for node in np.flatnonzero(self.feature >= 0).tolist():
+            depth[self.left[node]] = depth[self.right[node]] = depth[node] + 1
+        return depth
+
+
+@dataclass(frozen=True, eq=False)
+class StackedTrees:
+    """Several trees' node tables concatenated into one, walked together.
+
+    Node indices are global (tree *t*'s nodes start at ``roots[t]``), leaves
+    loop to themselves and read feature 0, so every (row, tree) pair can take
+    exactly ``depth`` steps in lockstep: a pair that reached its leaf early
+    stays there.  :meth:`apply` returns the global leaf index per pair, the
+    caller gathers whatever each leaf carries.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    roots: np.ndarray
+    depth: int
+    #: Columns a row needs: one past the highest feature any split reads.
+    n_features: int
+
+    @classmethod
+    def of(cls, tables: list[NodeTable]) -> "StackedTrees":
+        sizes = [len(table) for table in tables]
+        roots = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.intp)
+        feature = np.concatenate([table.feature for table in tables]).astype(np.intp)
+        leaf = feature < 0
+        own = np.arange(len(feature), dtype=np.intp)
+        offsets = np.repeat(roots, sizes)
+        left = np.concatenate([table.left for table in tables]).astype(np.intp) + offsets
+        right = np.concatenate([table.right for table in tables]).astype(np.intp) + offsets
+        return cls(
+            feature=np.where(leaf, 0, feature),
+            threshold=np.concatenate([table.threshold for table in tables]),
+            left=np.where(leaf, own, left),
+            right=np.where(leaf, own, right),
+            roots=roots,
+            depth=max(int(table.depths().max()) for table in tables),
+            n_features=int(feature.max()) + 1,
+        )
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Global leaf index reached by every row of ``X`` in every tree.
+
+        Shape ``(n_rows, n_trees)``.  Each step compares ``x[feature] <=
+        threshold`` exactly as a per-row traversal does, so the leaf -- and
+        hence every prediction -- is the same, whatever the batch.
+        """
+        n_rows, n_features = X.shape
+        if n_features < self.n_features:
+            # A short row would silently read its neighbour's columns.
+            raise ValueError(f"X has {n_features} features, the trees split on {self.n_features}")
+        flat = np.ascontiguousarray(X, dtype=np.float64).ravel()
+        n_trees = len(self.roots)
+        node = np.tile(self.roots, n_rows)
+        base = np.repeat(np.arange(n_rows, dtype=np.intp) * n_features, n_trees)
+        feature, threshold, left, right = self.feature, self.threshold, self.left, self.right
+        for _ in range(self.depth):
+            go_left = flat[base + feature[node]] <= threshold[node]
+            node = np.where(go_left, left[node], right[node])
+        return node.reshape(n_rows, n_trees)
 
 
 @dataclass
@@ -70,7 +157,6 @@ class _Split:
     feature: int
     threshold: float
     gain: float
-    left_mask: np.ndarray = field(repr=False, default=None)
 
 
 class _BaseDecisionTree:
@@ -89,9 +175,10 @@ class _BaseDecisionTree:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.random_state = random_state
-        self.root_: TreeNode | None = None
+        self.nodes_: NodeTable | None = None
         self.n_features_: int = 0
         self.feature_importances_: np.ndarray | None = None
+        self._stack: StackedTrees | None = None
 
     # -- subclass hooks ----------------------------------------------------
 
@@ -122,9 +209,12 @@ class _BaseDecisionTree:
             raise ValueError("cannot fit a decision tree on an empty dataset")
         self.n_features_ = X.shape[1]
         self._rng = np.random.default_rng(self.random_state)
-        self._prepare_targets(y)
+        y = self._prepare_targets(y)
         importances = np.zeros(self.n_features_)
-        self.root_ = self._grow(X, y, depth=0, importances=importances)
+        columns: dict[str, list] = {name: [] for name in _COLUMNS}
+        self._grow(X, y, 0, importances, columns)
+        self.nodes_ = NodeTable.from_columns(columns)
+        self._stack = None
         total = importances.sum()
         self.feature_importances_ = (
             importances / total if total > 0 else np.zeros(self.n_features_)
@@ -134,23 +224,29 @@ class _BaseDecisionTree:
     def predict(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Index (into :attr:`nodes_`) of the leaf each row of ``X`` reaches."""
+        self._check_fitted()
+        X = np.asarray(X, dtype=float)
+        if X.ndim == 1:
+            X = X.reshape(1, -1)
+        if self._stack is None:
+            assert self.nodes_ is not None
+            self._stack = StackedTrees.of([self.nodes_])
+        return self._stack.apply(X)[:, 0]
+
     # -- persistence -------------------------------------------------------
 
     def to_dict(self) -> dict:
         """JSON-serializable snapshot of the fitted tree.
 
-        Nodes are flattened preorder into parallel columns (``-1`` marks "no
-        child" / "leaf").  Floats survive the JSON round trip bit-identically
+        The node table's columns in preorder (``-1`` marks "no child" /
+        "leaf").  Floats survive the JSON round trip bit-identically
         (``repr`` shortest-round-trip), so a reloaded tree predicts exactly
         what the original did.
         """
         self._check_fitted()
-        assert self.root_ is not None
-        columns: dict[str, list] = {
-            "feature": [], "threshold": [], "left": [], "right": [],
-            "value": [], "n_samples": [], "impurity": [],
-        }
-        self._flatten(self.root_, columns)
+        assert self.nodes_ is not None
         return {
             "params": {
                 "max_depth": self.max_depth,
@@ -161,7 +257,7 @@ class _BaseDecisionTree:
             },
             "n_features": self.n_features_,
             "feature_importances": [float(v) for v in self.feature_importances_],
-            "nodes": columns,
+            "nodes": self.nodes_.to_columns(),
             **self._extra_to_dict(),
         }
 
@@ -172,45 +268,8 @@ class _BaseDecisionTree:
         tree._extra_from_dict(data)
         tree.n_features_ = int(data["n_features"])
         tree.feature_importances_ = np.asarray(data["feature_importances"], dtype=float)
-        tree.root_ = tree._unflatten(data["nodes"], 0, depth=0)
+        tree.nodes_ = NodeTable.from_columns(data["nodes"])
         return tree
-
-    def _flatten(self, node: TreeNode, columns: dict[str, list]) -> int:
-        index = len(columns["feature"])
-        columns["feature"].append(-1 if node.feature is None else int(node.feature))
-        columns["threshold"].append(float(node.threshold))
-        columns["value"].append(self._encode_value(node.value))
-        columns["n_samples"].append(int(node.n_samples))
-        columns["impurity"].append(float(node.impurity))
-        columns["left"].append(-1)
-        columns["right"].append(-1)
-        if node.feature is not None:
-            assert node.left is not None and node.right is not None
-            columns["left"][index] = self._flatten(node.left, columns)
-            columns["right"][index] = self._flatten(node.right, columns)
-        return index
-
-    def _unflatten(self, columns: dict[str, list], index: int, depth: int) -> TreeNode:
-        feature = columns["feature"][index]
-        node = TreeNode(
-            feature=None if feature < 0 else int(feature),
-            threshold=float(columns["threshold"][index]),
-            value=self._decode_value(columns["value"][index]),
-            n_samples=int(columns["n_samples"][index]),
-            impurity=float(columns["impurity"][index]),
-            depth=depth,
-        )
-        if feature >= 0:
-            node.left = self._unflatten(columns, columns["left"][index], depth + 1)
-            node.right = self._unflatten(columns, columns["right"][index], depth + 1)
-        return node
-
-    def _encode_value(self, value):
-        """JSON form of a node's prediction value (subclass hook)."""
-        return float(value)
-
-    def _decode_value(self, value):
-        return float(value)
 
     def _extra_to_dict(self) -> dict:
         """Additional serialized state (subclass hook)."""
@@ -221,21 +280,22 @@ class _BaseDecisionTree:
 
     def get_depth(self) -> int:
         self._check_fitted()
-        assert self.root_ is not None
-        return self.root_.max_depth()
+        assert self.nodes_ is not None
+        return int(self.nodes_.depths().max())
 
     def get_n_nodes(self) -> int:
         self._check_fitted()
-        assert self.root_ is not None
-        return self.root_.node_count()
+        assert self.nodes_ is not None
+        return len(self.nodes_)
 
     # -- internals ---------------------------------------------------------
 
-    def _prepare_targets(self, y: np.ndarray) -> None:
-        """Hook for subclasses that need to inspect targets before fitting."""
+    def _prepare_targets(self, y: np.ndarray) -> np.ndarray:
+        """Hook: inspect the targets before fitting; returns what to grow on."""
+        return y
 
     def _check_fitted(self) -> None:
-        if self.root_ is None:
+        if self.nodes_ is None:
             raise RuntimeError(
                 f"{type(self).__name__} instance is not fitted; call fit() first"
             )
@@ -261,32 +321,41 @@ class _BaseDecisionTree:
         return self._rng.choice(self.n_features_, size=n_candidates, replace=False)
 
     def _grow(
-        self, X: np.ndarray, y: np.ndarray, depth: int, importances: np.ndarray
-    ) -> TreeNode:
-        node = TreeNode(
-            value=self._leaf_value(y),
-            n_samples=len(y),
-            impurity=self._node_impurity(y),
-            depth=depth,
-        )
-        if self._should_stop(y, depth, node.impurity):
-            return node
+        self,
+        X: np.ndarray,
+        y: np.ndarray,
+        depth: int,
+        importances: np.ndarray,
+        columns: dict[str, list],
+    ) -> int:
+        """Append the subtree for ``(X, y)`` to ``columns`` in preorder; returns its root."""
+        index = len(columns["feature"])
+        impurity = self._node_impurity(y)
+        columns["feature"].append(-1)
+        columns["threshold"].append(0.0)
+        columns["left"].append(-1)
+        columns["right"].append(-1)
+        columns["value"].append(self._leaf_value(y))
+        columns["n_samples"].append(len(y))
+        columns["impurity"].append(impurity)
+        if self._should_stop(y, depth, impurity):
+            return index
 
-        split = self._find_best_split(X, y, node.impurity)
+        split = self._find_best_split(X, y, impurity)
         if split is None:
-            return node
+            return index
 
         left_mask = X[:, split.feature] <= split.threshold
         right_mask = ~left_mask
         if left_mask.sum() < self.min_samples_leaf or right_mask.sum() < self.min_samples_leaf:
-            return node
+            return index
 
         importances[split.feature] += split.gain * len(y)
-        node.feature = split.feature
-        node.threshold = split.threshold
-        node.left = self._grow(X[left_mask], y[left_mask], depth + 1, importances)
-        node.right = self._grow(X[right_mask], y[right_mask], depth + 1, importances)
-        return node
+        columns["feature"][index] = split.feature
+        columns["threshold"][index] = split.threshold
+        columns["left"][index] = self._grow(X[left_mask], y[left_mask], depth + 1, importances, columns)
+        columns["right"][index] = self._grow(X[right_mask], y[right_mask], depth + 1, importances, columns)
+        return index
 
     def _should_stop(self, y: np.ndarray, depth: int, impurity: float) -> bool:
         if len(y) < self.min_samples_split:
@@ -312,17 +381,15 @@ class _BaseDecisionTree:
             return None
         return best
 
-    def _traverse(self, node: TreeNode, x: np.ndarray) -> TreeNode:
-        while not node.is_leaf:
-            assert node.left is not None and node.right is not None
-            node = node.left if x[node.feature] <= node.threshold else node.right
-        return node
-
     @staticmethod
     def _split_points(values: np.ndarray) -> np.ndarray:
         """Indices ``i`` such that splitting between ``values[i-1]`` and ``values[i]``
         is meaningful (the sorted feature value actually changes)."""
         return np.nonzero(np.diff(values) > 0)[0] + 1
+
+
+#: The node columns, in their persisted order.
+_COLUMNS = ("feature", "threshold", "left", "right", "value", "n_samples", "impurity")
 
 
 class DecisionTreeRegressor(_BaseDecisionTree):
@@ -381,12 +448,9 @@ class DecisionTreeRegressor(_BaseDecisionTree):
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict continuous targets for each row of ``X``."""
-        self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        assert self.root_ is not None
-        return np.array([self._traverse(self.root_, row).value for row in X])
+        leaves = self.apply(X)
+        assert self.nodes_ is not None
+        return self.nodes_.value[leaves]
 
 
 class DecisionTreeClassifier(_BaseDecisionTree):
@@ -396,15 +460,11 @@ class DecisionTreeClassifier(_BaseDecisionTree):
         super().__init__(*args, **kwargs)
         self.classes_: np.ndarray | None = None
 
-    def _prepare_targets(self, y: np.ndarray) -> None:
-        self.classes_ = np.unique(y)
-        self._class_index = {c: i for i, c in enumerate(self.classes_)}
-
-    def _encode_value(self, value):
-        return [float(v) for v in np.asarray(value, dtype=float)]
-
-    def _decode_value(self, value):
-        return np.asarray(value, dtype=float)
+    def _prepare_targets(self, y: np.ndarray) -> np.ndarray:
+        # Grow on class indices (into the sorted classes_), encoded once
+        # here rather than at every node and candidate feature.
+        self.classes_, codes = np.unique(y, return_inverse=True)
+        return codes
 
     def _extra_to_dict(self) -> dict:
         assert self.classes_ is not None
@@ -412,20 +472,16 @@ class DecisionTreeClassifier(_BaseDecisionTree):
 
     def _extra_from_dict(self, data: dict) -> None:
         self.classes_ = np.array(data["classes"])
-        self._class_index = {c: i for i, c in enumerate(self.classes_)}
-
-    def _encode(self, y: np.ndarray) -> np.ndarray:
-        return np.array([self._class_index[v] for v in y], dtype=int)
 
     def _node_impurity(self, y: np.ndarray) -> float:
         if len(y) == 0:
             return 0.0
-        counts = np.bincount(self._encode(y), minlength=len(self.classes_))
+        counts = np.bincount(y, minlength=len(self.classes_))
         p = counts / counts.sum()
         return float(1.0 - np.sum(p**2))
 
     def _leaf_value(self, y: np.ndarray) -> np.ndarray:
-        counts = np.bincount(self._encode(y), minlength=len(self.classes_))
+        counts = np.bincount(y, minlength=len(self.classes_))
         return counts / counts.sum()
 
     def _best_split_for_feature(
@@ -433,7 +489,7 @@ class DecisionTreeClassifier(_BaseDecisionTree):
     ) -> tuple[float, float] | None:
         order = np.argsort(x, kind="mergesort")
         x_sorted = x[order]
-        y_sorted = self._encode(y[order])
+        y_sorted = y[order]
         n = len(y_sorted)
         n_classes = len(self.classes_)
         split_idx = self._split_points(x_sorted)
@@ -470,12 +526,9 @@ class DecisionTreeClassifier(_BaseDecisionTree):
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         """Class-probability estimates, one row per sample."""
-        self._check_fitted()
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X.reshape(1, -1)
-        assert self.root_ is not None
-        return np.vstack([self._traverse(self.root_, row).value for row in X])
+        leaves = self.apply(X)
+        assert self.nodes_ is not None
+        return self.nodes_.value[leaves]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Predict the most probable class label for each row of ``X``."""

@@ -248,8 +248,8 @@ class FlowSnapshot:
                 acc_size_max=acc.size_max,
                 acc_microbursts=acc.microbursts,
                 acc_last_timestamp=acc._last_timestamp,
-                acc_sizes=np.array(acc._sizes, dtype=_F8),
-                acc_iats=np.array(acc._iats, dtype=_F8),
+                acc_sizes=np.array(acc.sizes, dtype=_F8),
+                acc_iats=np.array(acc.iats, dtype=_F8),
                 acc_unique=np.array(sorted(acc.unique_sizes), dtype=_I8),
             )
         else:
@@ -375,8 +375,7 @@ class FlowSnapshot:
                 acc.unique_sizes = set(int(s) for s in self.acc_unique)
                 acc.microbursts = self.acc_microbursts
                 acc._last_timestamp = self.acc_last_timestamp
-                acc._sizes = self.acc_sizes.tolist()
-                acc._iats = self.acc_iats.tolist()
+                acc.load_buffers(self.acc_sizes, self.acc_iats)
                 stream._acc = acc
                 stream._acc_index = self.acc_index
             return

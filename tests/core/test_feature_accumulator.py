@@ -13,6 +13,9 @@ import pytest
 from repro.core.features import (
     IPUDP_FEATURE_NAMES,
     IPUDPFeatureAccumulator,
+    _five_stats,
+    _segment_five_stats,
+    accumulated_features,
     extract_ipudp_features,
 )
 from repro.core.media import MediaClassifier
@@ -117,3 +120,110 @@ class TestLiveCounters:
                 assert accumulator.size_min == min(video_sizes)
                 assert accumulator.size_max == max(video_sizes)
                 assert accumulator.microbursts >= 1
+
+
+def _segments(rng, n_segments):
+    """Ragged float64 runs: payload sizes, tiny gaps, wide magnitudes, runs on
+    both sides of NumPy's 8- and 128-element summation blocks, empty runs,
+    and the odd NaN / +-inf."""
+    runs = []
+    for _ in range(n_segments):
+        n = int(rng.choice([rng.integers(0, 17), rng.integers(0, 300), rng.integers(120, 140)]))
+        kind = rng.integers(0, 4)
+        if kind == 0:
+            values = rng.integers(50, 1500, n).astype(float)
+        elif kind == 1:
+            values = rng.exponential(0.004, n)
+        elif kind == 2:
+            values = rng.random(n) * 10.0 ** rng.integers(-6, 7)
+        else:
+            values = rng.random(n)
+            if n:
+                values[rng.integers(0, n)] = rng.choice([np.nan, np.inf, -np.inf, 0.0])
+        runs.append(values)
+    return runs
+
+
+class TestOnePassKernel:
+    """The tick-wide feature pass against NumPy's own per-window calls."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_segment_stats_match_numpy(self, seed):
+        rng = np.random.default_rng(seed)
+        runs = _segments(rng, 40)
+        lengths = np.array([len(run) for run in runs], dtype=np.intp)
+        stats = _segment_five_stats(np.concatenate(runs), lengths)
+        for row, run in zip(stats, runs):
+            with np.errstate(all="ignore"):
+                expected = np.array(_five_stats(run) + [np.add.reduce(run) if len(run) else 0.0])
+            np.testing.assert_array_equal(row, expected)
+            assert np.array_equal(np.signbit(row), np.signbit(expected))
+
+    def test_sums_match_every_short_length(self):
+        rng = np.random.default_rng(7)
+        runs = [rng.random(n) * 1e3 for n in range(0, 260)]
+        lengths = np.array([len(run) for run in runs], dtype=np.intp)
+        sums = _segment_five_stats(np.concatenate(runs), lengths)[:, 5]
+        assert sums.tolist() == [float(np.add.reduce(run)) for run in runs]
+
+    def test_reduceat_is_not_numpy_sum(self):
+        """Why the kernel replays NumPy's order (and why detlint DET005 bans
+        np.add.reduceat here): a segmented reduction rounds differently."""
+        rng = np.random.default_rng(11)
+        values = rng.random(4000) * 1e3
+        starts = np.arange(0, 4000, 100)
+        segmented = np.add.reduceat(values, starts)
+        alone = np.array([np.add.reduce(values[s : s + 100]) for s in starts])
+        assert not np.array_equal(segmented, alone)
+
+    def test_rows_match_batch_extractor(self):
+        rng = np.random.default_rng(5)
+        trace = random_trace(rng, n_packets=600, duration=6.0)
+        classifier = MediaClassifier()
+        windows = window_trace(trace, window_s=1.0, start=0.0)
+        accumulators = []
+        for window in windows:
+            accumulator = IPUDPFeatureAccumulator(window.duration, classifier=classifier)
+            for packet in window.packets:
+                accumulator.push(packet)
+            accumulators.append(accumulator)
+        expected = np.vstack([extract_ipudp_features(w, classifier=classifier) for w in windows])
+        np.testing.assert_array_equal(accumulated_features(accumulators), expected)
+
+    def test_a_window_does_not_depend_on_its_neighbours(self):
+        rng = np.random.default_rng(9)
+        accumulators = []
+        for _ in range(30):
+            accumulator = IPUDPFeatureAccumulator(1.0)
+            n = int(rng.integers(0, 200))
+            timestamps = np.sort(rng.uniform(0.0, 1.0, n))
+            sizes = rng.integers(80, 1300, n)
+            for cut in np.split(np.arange(n), np.sort(rng.integers(0, n + 1, 3))):
+                accumulator.extend(timestamps[cut], sizes[cut])
+            accumulators.append(accumulator)
+        together = accumulated_features(accumulators)
+        for i, accumulator in enumerate(accumulators):
+            np.testing.assert_array_equal(accumulator.features(), together[i])
+        order = rng.permutation(len(accumulators))
+        np.testing.assert_array_equal(
+            accumulated_features([accumulators[i] for i in order]), together[order]
+        )
+        assert accumulated_features([]).shape == (0, len(IPUDP_FEATURE_NAMES))
+
+    def test_push_and_extend_fill_the_same_buffers(self):
+        rng = np.random.default_rng(2)
+        timestamps = np.sort(rng.uniform(0.0, 1.0, 500))
+        sizes = rng.integers(80, 1300, 500)
+        pushed = IPUDPFeatureAccumulator(1.0)
+        for t, s in zip(timestamps, sizes):
+            pushed.push(make_packet(float(t), int(s)))
+        extended = IPUDPFeatureAccumulator(1.0)
+        for lo in range(0, 500, 37):
+            extended.extend(timestamps[lo : lo + 37], sizes[lo : lo + 37])
+        np.testing.assert_array_equal(pushed.sizes, extended.sizes)
+        np.testing.assert_array_equal(pushed.iats, extended.iats)
+        np.testing.assert_array_equal(pushed.features(), extended.features())
+        assert (pushed.n, pushed.byte_sum, pushed.size_min, pushed.size_max, pushed.microbursts) == (
+            extended.n, extended.byte_sum, extended.size_min, extended.size_max, extended.microbursts
+        )
+        assert pushed.unique_sizes == extended.unique_sizes

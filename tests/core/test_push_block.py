@@ -67,6 +67,44 @@ def block_run(pipeline, packets, chunk_size, wire=False, **engine_kwargs):
     return emitted
 
 
+class TestOneFeaturePassPerTick:
+    """Trained ``push_block`` computes the features of every window that closed
+    in a tick -- across all flows -- in one array pass, then predicts them in
+    one walk of the stacked forests."""
+
+    def test_each_tick_is_one_feature_pass(self, vantage_packets, trained_pipeline, monkeypatch):
+        import repro.core.streaming as streaming
+
+        passes: list[int] = []
+        real = streaming.accumulated_features
+
+        def spy(accumulators):
+            passes.append(len(accumulators))
+            return real(accumulators)
+
+        monkeypatch.setattr(streaming, "accumulated_features", spy)
+        engine = StreamingQoEPipeline(trained_pipeline)
+        emitted = []
+        for block in blocks_from_packets(vantage_packets, 512):
+            before = len(passes)
+            out = engine.push_block(block)
+            assert len(passes) - before == (1 if out else 0)
+            assert sum(passes[before:]) == len(out)
+            emitted.extend(out)
+        assert max(passes) > 1 and len({item.flow for item in emitted}) == 4
+        monkeypatch.setattr(streaming, "accumulated_features", real)
+        assert emitted + engine.flush() == per_packet_run(trained_pipeline, vantage_packets)
+
+    def test_feature_pass_has_its_own_stage_span(self, vantage_packets, trained_pipeline):
+        from repro.obs import MetricsRegistry
+
+        registry = MetricsRegistry()
+        engine = StreamingQoEPipeline(trained_pipeline, obs=registry)
+        for block in blocks_from_packets(vantage_packets, 512):
+            engine.push_block(block)
+        assert registry.stage_count("features") == registry.stage_count("predict") >= 1
+
+
 class TestWindowIndices:
     def test_vectorized_matches_scalar(self):
         rng = np.random.default_rng(0)

@@ -264,6 +264,27 @@ CORPUS = [
         """,
     ),
     Case(
+        rule="DET005",
+        bad="""
+            import numpy as np
+            from numpy import add
+
+            def window_sums(values, starts):
+                return np.add.reduceat(values, starts), add.reduceat(values, starts)
+        """,
+        good="""
+            import numpy as np
+
+            def window_extremes(values, starts):
+                return np.minimum.reduceat(values, starts), np.maximum.reduceat(values, starts)
+
+            def window_sum(values):
+                return np.add.reduce(values)
+        """,
+        path="src/repro/core/features.py",
+        n_bad=2,
+    ),
+    Case(
         rule="API002",
         bad="""
             import dataclasses
@@ -378,6 +399,14 @@ def test_codec001_network_order_only_in_the_foreign_format_codec():
 def test_det002_scoped_to_forest():
     assert get_rule("DET002").applies_to("src/repro/ml/forest.py")
     assert not get_rule("DET002").applies_to("src/repro/ml/tree.py")
+
+
+def test_det005_scoped_to_feature_and_model_math():
+    rule = get_rule("DET005")
+    assert rule.applies_to("src/repro/core/features.py")
+    assert rule.applies_to("src/repro/ml/tree.py")
+    # Frame assembly sums integer sizes with reduceat: exact in any order.
+    assert not rule.applies_to("src/repro/core/frame_assembly.py")
 
 
 def test_det004_scoped_to_pure_modules():

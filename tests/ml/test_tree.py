@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, TreeNode
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, NodeTable
 
 
 class TestDecisionTreeRegressor:
@@ -44,13 +44,9 @@ class TestDecisionTreeRegressor:
         X = np.arange(50, dtype=float).reshape(-1, 1)
         y = X[:, 0] ** 2
         tree = DecisionTreeRegressor(min_samples_leaf=10).fit(X, y)
-
-        def leaves(node):
-            if node.is_leaf:
-                return [node]
-            return leaves(node.left) + leaves(node.right)
-
-        assert all(leaf.n_samples >= 10 for leaf in leaves(tree.root_))
+        leaves = tree.nodes_.feature < 0
+        assert leaves.sum() > 1
+        assert np.all(tree.nodes_.n_samples[leaves] >= 10)
 
     def test_feature_importances_sum_to_one(self, regression_data):
         X, y = regression_data
@@ -131,15 +127,38 @@ class TestDecisionTreeClassifier:
             DecisionTreeClassifier().predict(np.zeros((1, 2)))
 
 
-class TestTreeNode:
-    def test_leaf_properties(self):
-        node = TreeNode(value=1.0, n_samples=5)
-        assert node.is_leaf
-        assert node.node_count() == 1
-        assert node.max_depth() == 0
+def _table(feature, threshold, left, right, value):
+    n = len(feature)
+    return NodeTable.from_columns({
+        "feature": feature, "threshold": threshold, "left": left, "right": right,
+        "value": value, "n_samples": [1] * n, "impurity": [0.0] * n,
+    })
 
-    def test_internal_node_counts(self):
-        root = TreeNode(feature=0, threshold=0.5, left=TreeNode(value=1.0), right=TreeNode(value=2.0))
-        assert not root.is_leaf
-        assert root.node_count() == 3
-        assert root.max_depth() == 1
+
+class TestNodeTable:
+    def test_single_leaf(self):
+        table = _table([-1], [0.0], [-1], [-1], [1.0])
+        assert len(table) == 1
+        assert table.depths().tolist() == [0]
+
+    def test_internal_node_depths(self):
+        table = _table([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 1.0, 2.0])
+        assert len(table) == 3
+        assert table.depths().tolist() == [0, 1, 1]
+
+    def test_columns_round_trip(self, regression_data):
+        X, y = regression_data
+        tree = DecisionTreeRegressor(max_depth=5).fit(X, y)
+        columns = tree.nodes_.to_columns()
+        again = NodeTable.from_columns(columns)
+        assert again.to_columns() == columns
+        assert all(type(v) is int for v in columns["feature"] + columns["left"])
+
+    def test_preorder_children_follow_parents(self, regression_data):
+        X, y = regression_data
+        nodes = DecisionTreeRegressor(max_depth=6).fit(X, y).nodes_
+        internal = np.flatnonzero(nodes.feature >= 0)
+        assert np.all(nodes.left[internal] == internal + 1)
+        assert np.all(nodes.right[internal] > nodes.left[internal])
+        leaves = nodes.feature < 0
+        assert np.all(nodes.left[leaves] == -1) and np.all(nodes.right[leaves] == -1)
