@@ -80,9 +80,10 @@ class _ForwardLink:
     is when amortizing the engine's per-flow cost over more rows pays.  The
     estimates do not depend on the grouping (``push_block`` is bit-identical
     at every split; the worker cuts a tick wherever an idle-eviction sweep
-    falls due).  Blocks the codec cannot flatten (RTP object columns)
-    or that outsize a slot even after row-splitting go to the pickling
-    queue -- always behind a flush, so queue messages cannot overtake
+    falls due).  Every routed sub-block is header-only, so it always
+    flat-encodes; the one kind that goes to the pickling queue instead is a
+    single row that outsizes a slot on its own (side tables larger than the
+    slot) -- always behind a flush, so a queue message cannot overtake
     pending sub-blocks and everything still arrives in routed order.  With
     no ring (``transport="block"``) the queue carries every sub-block.
     """
@@ -101,17 +102,14 @@ class _ForwardLink:
         if ring is None:
             self._monitor._send(self._worker, ("block", block))
             return
-        try:
-            size = block.byte_size()
-        except ValueError:
-            # Not flat-encodable (object columns): the queue still is.
-            self._fall_back(block)
-            return
+        size = block.byte_size()
         if size > ring.max_segment_bytes:
             if len(block) <= 1:
                 # A single row that out-sizes a slot (pathological side
                 # tables): the queue handles it, correctness over zero-copy.
-                self._fall_back(block)
+                self.flush()
+                self._queue_fallbacks += 1
+                self._monitor._send(self._worker, ("block", block))
                 return
             mid = len(block) // 2
             self.add(block[:mid].compact())
@@ -123,11 +121,6 @@ class _ForwardLink:
         self._pending.append((size, block))
         self._pending_cost += cost
         self._offer(timeout=0)
-
-    def _fall_back(self, block) -> None:
-        self.flush()
-        self._queue_fallbacks += 1
-        self._monitor._send(self._worker, ("block", block))
 
     def _offer(self, timeout: float) -> bool:
         """Pack everything pending into the next free slot and announce it.

@@ -120,13 +120,16 @@ class FlowShardRouter:
         The shard is computed once per unique flow of the block (memoized
         across blocks) and broadcast over the pre-computed ``flow_codes``
         column; each returned sub-block keeps its rows in the original
-        order.  Sub-blocks are built without the packet-object cache -- they
-        are headed for a process boundary where only the arrays matter.
-        Shards with no packets in the block are omitted.
+        order.  Sub-blocks are :meth:`~repro.net.block.PacketBlock.headers_only`
+        -- they are headed for a process boundary, and the monitor reads the
+        IP/UDP header columns alone, so no packet cache, RTP or ground-truth
+        column ever crosses it.  Shards with no packets in the block are
+        omitted.
         """
         n = len(block)
         if n == 0:
             return []
+        block = block.headers_only()
         # Hash only the flows *present* in this block: a chunk sliced from a
         # whole-capture block shares the capture-wide flow table, and
         # iterating all of it per chunk would be O(total flows ever seen).
@@ -137,12 +140,9 @@ class FlowShardRouter:
             count=len(present),
         )
         if self.n_shards == 1 or len(np.unique(present_shards)) == 1:
-            return [(int(present_shards[0]), block.without_packet_cache().compact())]
+            return [(int(present_shards[0]), block.compact())]
         per_packet = present_shards[np.searchsorted(present, block.flow_codes)]
         return [
-            (
-                int(shard),
-                block.take(np.flatnonzero(per_packet == shard), keep_packets=False).compact(),
-            )
+            (int(shard), block.take(np.flatnonzero(per_packet == shard)).compact())
             for shard in np.unique(per_packet).tolist()
         ]

@@ -73,7 +73,10 @@ __all__ = ["BlockRing", "RingHandle", "shm_available", "DEFAULT_SLOT_BYTES", "MI
 DEFAULT_SLOT_BYTES = 1 << 20
 
 #: Smallest slot payload capacity a ring accepts (and the monitor's
-#: ``shm_slot_bytes`` floor): room for a one-row block plus its side tables.
+#: ``shm_slot_bytes`` floor).  A one-row header-only block encodes to ~200
+#: bytes with ordinary dotted-quad addresses; a row whose side tables alone
+#: outsize the slot (a multi-kilobyte address string) is the one block the
+#: forward link sends through the queue instead.
 MIN_SLOT_BYTES = 1024
 
 #: Ring-level counter header: u64 slots produced, u64 slots consumed.
@@ -291,8 +294,8 @@ class BlockRing:
         The single-segment convenience used by unbatched callers and tests.
         Raises :class:`ValueError` -- without consuming a slot -- when the
         block cannot fit (``byte_size() > max_segment_bytes``, split it
-        first) or cannot be flat-encoded at all (RTP columns); callers fall
-        back to the queue transport for those.
+        first) or still carries annotation columns (strip them with
+        ``headers_only()``).
         """
         size = block.byte_size()
         if size > self.max_segment_bytes:

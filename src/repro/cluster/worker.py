@@ -44,7 +44,9 @@ ever saw a flow keeps counting it, every later home lists it as foreign.
 The :class:`~repro.net.block.PacketBlock` is the only data unit a worker
 receives.  A ``("block", ...)`` message pickles it as a handful of NumPy
 array buffers plus small side tables: all of ``transport="block"``, and
-``transport="shm"``'s fallback for a block the flat codec cannot carry.
+``transport="shm"``'s fallback for a single row that outsizes a slot.
+Either way the block is header-only (the router strips every other column),
+so the worker receives IP/UDP header fields and nothing else.
 A ``("shm",)`` token instead announces a ring slot the parent flat-encoded
 routed blocks into (several per slot behind length-prefixed segment
 headers): the worker decodes zero-copy array views over it, consumes all of

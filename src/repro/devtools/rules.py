@@ -20,7 +20,7 @@ from pathlib import PurePath
 
 from repro.devtools.framework import LintContext, Rule, rule
 
-__all__ = ["CODEC_MODULES", "FOREIGN_FORMAT_MODULES"]
+__all__ = ["CODEC_MODULES", "DATA_PLANE_MODULES", "FOREIGN_FORMAT_MODULES"]
 
 #: The wire-codec modules: the only places allowed to call
 #: ``np.frombuffer`` (CODEC002) and required to spell every byte order
@@ -37,6 +37,16 @@ CODEC_MODULES = (
 #: network order, so there "explicit" means any spelled order ('<', '>',
 #: '!' for struct, '|' for single bytes), not '<' alone.
 FOREIGN_FORMAT_MODULES = ("repro/net/pcap.py",)
+
+#: The monitor data plane: every module between a source and a sink.  The
+#: paper estimates QoE from IP/UDP headers alone, and these modules must not
+#: read anything else (HDR001).
+DATA_PLANE_MODULES = (
+    "repro/sources/",
+    "repro/cluster/",
+    "repro/monitor.py",
+    "repro/core/streaming.py",
+)
 
 #: Modules whose output must be a pure function of their input: estimator
 #: math and wire codecs.  Wall-clock reads here (DET004) could only flow
@@ -323,6 +333,43 @@ class FrombufferOnlyInCodecs(Rule):
     def visit(self, node: ast.Call, ctx: LintContext) -> None:
         if _call_name(node, ctx) == "numpy.frombuffer":
             ctx.add(node, "np.frombuffer outside the wire codecs; decode via the codec entry points")
+
+
+# -- the paper's premise -------------------------------------------------------
+
+
+@rule
+class HeaderFreeDataPlane(Rule):
+    id = "HDR001"
+    summary = "the monitor data plane reads IP/UDP headers only"
+    rationale = (
+        "The paper estimates QoE without application headers, and the data "
+        "plane is built on that: PcapSource decodes no RTP header, the router "
+        "ships header-only sub-blocks, and the flat-buffer codec refuses RTP "
+        "and ground-truth columns.  An import of repro.rtp or a read of one of "
+        "those fields in a source, the engine, a monitor or the cluster would "
+        "make estimates depend on what an operator's capture need not carry."
+    )
+    scope = DATA_PLANE_MODULES
+    node_types = (ast.Import, ast.ImportFrom, ast.Attribute)
+
+    #: Packet / block attributes that hold an application header or the
+    #: simulator's ground truth.
+    _FIELDS = {"rtp", "media_codes", "frame_ids", "media_type", "frame_id"}
+
+    def visit(self, node: ast.AST, ctx: LintContext) -> None:
+        if isinstance(node, ast.Attribute):
+            if node.attr in self._FIELDS:
+                ctx.add(node, f".{node.attr} is an application-header or ground-truth field")
+            return
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif node.module is not None and not node.level:
+            modules = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            return
+        if any(module == "repro.rtp" or module.startswith("repro.rtp.") for module in modules):
+            ctx.add(node, "import from repro.rtp: the data plane parses no RTP header")
 
 
 # -- process model -------------------------------------------------------------

@@ -17,14 +17,17 @@ side tables interning the variable-width values:
   engine groups a block by flow with one stable argsort instead of one
   dict lookup per packet.
 
-Optional columns carry what the RTP baselines and the evaluation code need
-(parsed RTP headers, ground-truth media types and frame ids); blocks built
-from IP/UDP-only captures simply omit them.  Per-packet ``metadata`` dicts
-are simulator-side bookkeeping and are **not** columnar: a block built via
+Optional *annotation* columns carry what the RTP baselines and the
+evaluation code need (parsed RTP headers, ground-truth media types and frame
+ids); blocks built from IP/UDP-only captures simply omit them.  They are
+in-process only: the monitor data plane reads none of them, and
+:meth:`PacketBlock.headers_only` strips them -- with the packet cache --
+before a block crosses a process boundary, so the flat-buffer codec carries
+the IP/UDP columns and nothing else.  Per-packet ``metadata`` dicts are
+simulator-side bookkeeping and are **not** columnar: a block built via
 :meth:`PacketBlock.from_packets` keeps the original ``Packet`` objects as a
 zero-copy cache (so in-process consumers that need real packets get the
-originals back, metadata included), but the cache is dropped on pickling --
-what crosses a process boundary is arrays only, which is the point.
+originals back, metadata included), but the cache is dropped on pickling.
 
 Slicing is O(1) per column (NumPy views); :meth:`take` and
 :meth:`concat` cover routing fan-out and chunk re-assembly.  Blocks are
@@ -55,22 +58,21 @@ _MEDIA_CODE = {media: code for code, media in enumerate(_MEDIA_ORDER)}
 #
 # A block encodes into one contiguous little-endian buffer:
 #
-#   header | meta JSON | column 0 | column 1 | ... | [media_codes] | [frame_ids]
+#   header | meta JSON | column 0 | column 1 | ... | column 10
 #
-# where the header is ``_CODEC_HEADER`` (magic, version, flags, row count,
-# meta length), the meta blob is the interned side tables (addresses + flow
-# keys) as compact JSON, and every section is padded to an 8-byte boundary so
-# each column lands aligned for its dtype and ``read_from`` can hand out
-# zero-copy ``np.frombuffer`` views.  RTP columns are object arrays and have
-# no flat encoding; the shm transport falls back to the pickling queue for
-# blocks that carry them (rare outside the simulator).
+# where the header is ``_CODEC_HEADER`` (magic, version, row count, meta
+# length), the meta blob is the interned side tables (addresses + flow keys)
+# as compact JSON, and every section is padded to an 8-byte boundary so each
+# column lands aligned for its dtype and ``read_from`` can hand out zero-copy
+# ``np.frombuffer`` views.  The columns are the IP/UDP header fields only:
+# annotated blocks are refused (strip them with ``headers_only()``), so a
+# round trip can never silently lose a column.  In-host only -- nothing
+# persisted uses this layout, so a version bump is the whole migration.
 
 _CODEC_MAGIC = b"PBK1"
-_CODEC_VERSION = 1
-#: magic, version, flags, n_rows, meta_len (24 bytes, itself 8-aligned).
-_CODEC_HEADER = struct.Struct("<4sHHqq")
-_CODEC_FLAG_MEDIA = 1 << 0
-_CODEC_FLAG_FRAMES = 1 << 1
+_CODEC_VERSION = 2
+#: magic, version, 2 pad bytes, n_rows, meta_len (24 bytes, itself 8-aligned).
+_CODEC_HEADER = struct.Struct("<4sHxxqq")
 
 #: Explicit little-endian dtypes, shared by the wire sections below and the
 #: in-memory column constructions (``from_packets``/``concat``/``compact``):
@@ -98,8 +100,6 @@ _CODEC_COLUMNS: tuple[tuple[str, np.dtype], ...] = (
     ("udp_lengths", _I4),
     ("flow_codes", _I4),
 )
-_CODEC_MEDIA_DTYPE = _I1
-_CODEC_FRAME_DTYPE = _I8
 
 
 def _pad8(n: int) -> int:
@@ -154,9 +154,11 @@ class PacketBlock:
         Per-packet indices into the unique unidirectional
         :class:`~repro.net.flows.FlowKey` table (first-seen order).
     rtp / media_codes / frame_ids:
-        Optional columns (``None`` when absent block-wide): parsed RTP
-        headers (object array), ground-truth media-type codes (``int8``,
-        -1 = none) and frame ids (``int64``, -1 = none).
+        Optional annotation columns (``None`` when absent block-wide):
+        parsed RTP headers (object array), ground-truth media-type codes
+        (``int8``, -1 = none) and frame ids (``int64``, -1 = none).
+        In-process only: :meth:`headers_only` drops them, and the
+        flat-buffer codec refuses a block that still carries one.
     """
 
     __slots__ = (
@@ -452,15 +454,10 @@ class PacketBlock:
             _packets=self._packets[index] if self._packets is not None else None,
         )
 
-    def take(self, indices: np.ndarray, keep_packets: bool = True) -> "PacketBlock":
-        """The sub-block of rows at ``indices`` (in that order).
-
-        ``keep_packets=False`` drops the packet-object cache even when
-        present -- the router uses it for sub-blocks headed for a process
-        boundary, where materializing the sub-tuple would be pure waste.
-        """
+    def take(self, indices: np.ndarray) -> "PacketBlock":
+        """The sub-block of rows at ``indices`` (in that order)."""
         packets = None
-        if keep_packets and self._packets is not None:
+        if self._packets is not None:
             source = self._packets
             packets = tuple(source[i] for i in indices)
         return PacketBlock(
@@ -526,9 +523,15 @@ class PacketBlock:
             _packets=self._packets,
         )
 
-    def without_packet_cache(self) -> "PacketBlock":
-        """This block minus the in-process packet-object cache (shared columns)."""
-        if self._packets is None:
+    def headers_only(self) -> "PacketBlock":
+        """This block as the IP/UDP header columns alone (shared, not copied).
+
+        Drops the in-process packet-object cache and the annotation columns
+        (``rtp``, ``media_codes``, ``frame_ids``) -- everything the monitor
+        data plane does not read.  What is left is exactly what the
+        flat-buffer codec encodes; the block itself when nothing is dropped.
+        """
+        if self._packets is None and not self._annotated:
             return self
         return PacketBlock(
             timestamps=self.timestamps,
@@ -544,11 +547,12 @@ class PacketBlock:
             flow_codes=self.flow_codes,
             addresses=self.addresses,
             flows=self.flows,
-            rtp=self.rtp,
-            media_codes=self.media_codes,
-            frame_ids=self.frame_ids,
-            _packets=None,
         )
+
+    @property
+    def _annotated(self) -> bool:
+        """Whether any annotation column (RTP, ground truth) is present."""
+        return self.rtp is not None or self.media_codes is not None or self.frame_ids is not None
 
     # -- grouping --------------------------------------------------------------
 
@@ -662,28 +666,23 @@ class PacketBlock:
         return self._meta_cache
 
     def _codec_check(self) -> None:
-        if self.rtp is not None:
+        if self._annotated:
             raise ValueError(
-                "blocks with RTP columns (object arrays) are not flat-encodable; "
-                "send them over the pickling transport instead"
+                "the flat-buffer codec carries IP/UDP header columns only; "
+                "strip RTP / ground-truth columns with headers_only() first"
             )
 
     def byte_size(self) -> int:
         """Encoded size of this block in the flat-buffer layout, in bytes.
 
-        Raises :class:`ValueError` for blocks carrying an RTP column (object
-        arrays have no flat encoding); everything else -- including the
-        optional ground-truth columns -- encodes.
+        Raises :class:`ValueError` for a block that still carries an
+        annotation column (see :meth:`headers_only`).
         """
         self._codec_check()
         n = len(self.timestamps)
         size = _CODEC_HEADER.size + _pad8(len(self._codec_meta()))
         for _, dtype in _CODEC_COLUMNS:
             size += _pad8(n * dtype.itemsize)
-        if self.media_codes is not None:
-            size += _pad8(n * _CODEC_MEDIA_DTYPE.itemsize)
-        if self.frame_ids is not None:
-            size += _pad8(n * _CODEC_FRAME_DTYPE.itemsize)
         return size
 
     def write_into(self, buf: memoryview) -> int:
@@ -693,35 +692,20 @@ class PacketBlock:
         side tables as JSON, then each numeric column 8-aligned.  ``buf``
         must be writable and at least :meth:`byte_size` bytes long.
         """
-        self._codec_check()
+        total = self.byte_size()
         n = len(self.timestamps)
         meta = self._codec_meta()
-        total = self.byte_size()
         mv = memoryview(buf)
         if len(mv) < total:
             raise ValueError(f"buffer too small: need {total} bytes, have {len(mv)}")
-        flags = 0
-        if self.media_codes is not None:
-            flags |= _CODEC_FLAG_MEDIA
-        if self.frame_ids is not None:
-            flags |= _CODEC_FLAG_FRAMES
-        _CODEC_HEADER.pack_into(mv, 0, _CODEC_MAGIC, _CODEC_VERSION, flags, n, len(meta))
+        _CODEC_HEADER.pack_into(mv, 0, _CODEC_MAGIC, _CODEC_VERSION, n, len(meta))
         offset = _CODEC_HEADER.size
         mv[offset : offset + len(meta)] = meta
         offset += _pad8(len(meta))
-
-        def put(values: np.ndarray, dtype: np.dtype) -> None:
-            nonlocal offset
-            dest = np.frombuffer(mv, dtype=dtype, count=n, offset=offset)
-            dest[:] = values
-            offset += _pad8(n * dtype.itemsize)
-
         for name, dtype in _CODEC_COLUMNS:
-            put(getattr(self, name), dtype)
-        if self.media_codes is not None:
-            put(self.media_codes, _CODEC_MEDIA_DTYPE)
-        if self.frame_ids is not None:
-            put(self.frame_ids, _CODEC_FRAME_DTYPE)
+            dest = np.frombuffer(mv, dtype=dtype, count=n, offset=offset)
+            dest[:] = getattr(self, name)
+            offset += _pad8(n * dtype.itemsize)
         return offset
 
     @classmethod
@@ -736,7 +720,7 @@ class PacketBlock:
         block first (the engine's ``push_block`` copies what it keeps).
         """
         mv = memoryview(buf)
-        magic, version, flags, n, meta_len = _CODEC_HEADER.unpack_from(mv, 0)
+        magic, version, n, meta_len = _CODEC_HEADER.unpack_from(mv, 0)
         if magic != _CODEC_MAGIC:
             raise ValueError(f"not a flat-encoded PacketBlock (magic {magic!r})")
         if version != _CODEC_VERSION:
@@ -744,26 +728,16 @@ class PacketBlock:
         offset = _CODEC_HEADER.size
         meta = json.loads(bytes(mv[offset : offset + meta_len]))
         offset += _pad8(meta_len)
-
-        def get(dtype: np.dtype) -> np.ndarray:
-            nonlocal offset
-            column = np.frombuffer(mv, dtype=dtype, count=n, offset=offset)
+        columns: dict[str, np.ndarray] = {}
+        for name, dtype in _CODEC_COLUMNS:
+            columns[name] = np.frombuffer(mv, dtype=dtype, count=n, offset=offset)
             offset += _pad8(n * dtype.itemsize)
-            return column
-
-        columns = {name: get(dtype) for name, dtype in _CODEC_COLUMNS}
-        media_codes = get(_CODEC_MEDIA_DTYPE) if flags & _CODEC_FLAG_MEDIA else None
-        frame_ids = get(_CODEC_FRAME_DTYPE) if flags & _CODEC_FLAG_FRAMES else None
         return cls(
             addresses=tuple(meta["addresses"]),
             flows=tuple(
                 FlowKey(src=src, src_port=src_port, dst=dst, dst_port=dst_port, protocol=protocol)
                 for src, src_port, dst, dst_port, protocol in meta["flows"]
             ),
-            rtp=None,
-            media_codes=media_codes,
-            frame_ids=frame_ids,
-            _packets=None,
             **columns,
         )
 

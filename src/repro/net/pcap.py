@@ -151,7 +151,9 @@ class PcapReader:
     byte order).
 
     Non-UDP records are skipped.  If ``parse_rtp`` is true, an RTP header is
-    parsed from the first 12 payload bytes when it looks like RTP (version 2).
+    parsed from the first 12 payload bytes when it looks like RTP (version 2)
+    -- the evaluation path, for the RTP baselines; the monitor's
+    ``PcapSource`` always reads with ``parse_rtp=False``.
 
     ``payload_size`` comes from the header fields and the record's original
     length, ``max(0, min(udp_length, orig_len - udp_offset) - 8)``, never from
@@ -454,6 +456,6 @@ def write_pcap(path: str | Path, packets: Iterable[Packet]) -> int:
         return writer.write_all(packets)
 
 
-def read_pcap(path: str | Path, parse_rtp: bool = True) -> list[Packet]:
-    """Read every UDP packet from ``path`` into a list."""
-    return list(PcapReader(path, parse_rtp=parse_rtp))
+def read_pcap(path: str | Path) -> list[Packet]:
+    """Read every UDP packet from ``path`` into a list, RTP headers parsed."""
+    return list(PcapReader(path))

@@ -177,16 +177,17 @@ class PacketTrace:
             self.append(packet)
 
     @classmethod
-    def from_pcap(cls, path: str | Path, vca: str | None = None, parse_rtp: bool = True) -> "PacketTrace":
+    def from_pcap(cls, path: str | Path, vca: str | None = None) -> "PacketTrace":
         """Load a trace from a pcap file (see :mod:`repro.net.pcap`).
 
         Decoded through the array reader straight into the trace's columnar
-        block; packet objects are materialized only if something asks.
+        block; packet objects are materialized only if something asks.  RTP
+        headers are parsed, so the RTP baselines can run on the trace.
         """
         from repro.net.block import PacketBlock
         from repro.net.pcap import PcapReader
 
-        block = PacketBlock.concat(PcapReader(path, parse_rtp=parse_rtp).read_blocks(1 << 16))
+        block = PacketBlock.concat(PcapReader(path).read_blocks(1 << 16))
         times = block.timestamps
         if len(times) > 1 and bool((times[1:] < times[:-1]).any()):
             block = block.take(np.argsort(times, kind="stable"))

@@ -117,16 +117,20 @@ class PcapSource:
     and the record's original length, not from the bytes captured, so a
     header-only capture (``tcpdump -s 64``) is monitored like the full one.
 
+    The source reads IP/UDP headers only, like the estimators it feeds: an
+    RTP header in the payload (every WebRTC capture carries one in clear) is
+    never decoded.  Decoding it would make ``blocks()`` about 3x slower and
+    give every block a column the sharded monitor does not ship, for
+    estimates that do not change.  The RTP baselines read RTP through the
+    evaluation path instead (:meth:`PacketTrace.from_pcap
+    <repro.net.trace.PacketTrace.from_pcap>`).
+
     Parameters
     ----------
     path:
         The capture file (classic libpcap format, Ethernet/IPv4/UDP; micro-
         or nanosecond timestamps, either byte order).  Any other link type
         raises :class:`ValueError`, with ``strict`` or without.
-    parse_rtp:
-        Parse RTP headers when the payload looks like RTP.  The IP/UDP
-        estimators never read them; disable for a few percent less parsing
-        work on captures known to be header-stripped.
     strict:
         True (the default, matching every other pcap entry point) raises on
         a capture whose final record is cut short.  Opt into ``strict=False``
@@ -137,11 +141,11 @@ class PcapSource:
         degradation with zero signal.
     """
 
-    def __init__(self, path: str | Path, parse_rtp: bool = True, strict: bool = True) -> None:
+    def __init__(self, path: str | Path, strict: bool = True) -> None:
         from repro.net.pcap import PcapReader
 
         self.path = Path(path)
-        self._reader = PcapReader(self.path, parse_rtp=parse_rtp, strict=strict)
+        self._reader = PcapReader(self.path, parse_rtp=False, strict=strict)
 
     def __iter__(self) -> Iterator[Packet]:
         return iter(self._reader)

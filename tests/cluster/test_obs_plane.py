@@ -12,7 +12,7 @@ PR 8 acceptance criteria pinned here:
   chains and across a worker death mid-run;
 * **transport counters mirror the report**: the registry's
   ``qoe_transport_*`` series match ``MonitorReport.transport`` exactly,
-  including the queue-fallback paths (RTP blocks, tiny slots);
+  including the queue-fallback paths (oversized single rows, tiny slots);
 * the report's ``timing``/``metrics``/``shard_loads``/``migration``
   surfaces are populated and excluded from report equality.
 """
@@ -43,7 +43,6 @@ from repro.cluster.router import FlowShardRouter
 from repro.net.flows import FlowKey
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.obs.registry import render_key
-from repro.rtp.header import RTPHeader
 
 #: The flows of the conftest ``many_flow_packets`` fixture.
 KEYS = [FlowKey("192.0.2.10", 3478, f"10.0.0.{i + 1}", 50000 + i) for i in range(4)]
@@ -378,27 +377,29 @@ class TestTransportCounters:
         self.assert_mirrors_report(report, monitor)
 
     def test_queue_fallbacks_counted(self):
-        """RTP object columns cannot flat-encode: every block falls back to
-        the pickling queue, and the registry counts each fallback."""
-        rtp_packets = [
+        """A row whose side tables alone outsize a slot (a multi-kilobyte
+        address: IPv4Header does not validate dotted quads) is the one block
+        the forward link pickles onto the queue; the registry counts each."""
+        oversized = "10." + "9" * 2048
+        packets = [
             Packet(
                 timestamp=0.01 * i,
-                ip=IPv4Header(src="192.0.2.10", dst="10.0.0.1"),
+                ip=IPv4Header(src="192.0.2.10", dst=oversized if i % 50 == 0 else "10.0.0.1"),
                 udp=UDPHeader(src_port=3478, dst_port=50000 + i % 3),
                 payload_size=1000,
-                rtp=RTPHeader(payload_type=96, sequence_number=i, timestamp=i * 90, ssrc=7),
             )
             for i in range(400)
         ]
-        _, report, monitor = run_sharded(
-            QoEPipeline.for_vca("teams"),
-            rtp_packets,
-            2,
-            transport="shm",
-            chunk_size=64,
-            obs=OBS,
+        kwargs = {"chunk_size": 64, "shm_slot_bytes": 1024, "obs": OBS}
+        sink, report, monitor = run_sharded(
+            QoEPipeline.for_vca("teams"), packets, 2, transport="shm", **kwargs
         )
-        assert report.transport["forward"]["queue_fallbacks"] >= 1
+        block_sink, _, _ = run_sharded(
+            QoEPipeline.for_vca("teams"), packets, 2, transport="block", **kwargs
+        )
+        assert as_rows(sink.items) == as_rows(block_sink.items)
+        # Every row of the oversized flow leaves alone, through the queue.
+        assert report.transport["forward"]["queue_fallbacks"] == 8
         self.assert_mirrors_report(report, monitor)
 
 

@@ -810,6 +810,36 @@ class TestRouterMemoizationAndBlocks:
 
         assert FlowShardRouter(4).partition_block(PacketBlock.from_packets([])) == []
 
+    def test_simulator_trace_sub_blocks_are_header_only(self, teams_call, meet_call):
+        """A ``TraceSource`` over simulated calls carries RTP headers, ground
+        truth and the packet objects; no routed sub-block carries any of it,
+        on the single-shard path or the split one."""
+        from dataclasses import replace
+
+        from repro import TraceSource
+        from repro.net.trace import PacketTrace
+        from repro.sources.base import iter_blocks
+
+        second = [replace(p, udp=replace(p.udp, dst_port=50001)) for p in meet_call.trace]
+        trace = PacketTrace(sorted([*teams_call.trace, *second], key=lambda p: p.timestamp))
+        blocks = list(iter_blocks(TraceSource(trace), 256))
+        assert any(
+            block.rtp is not None and block.media_codes is not None
+            and block.frame_ids is not None and block.has_packet_cache
+            for block in blocks
+        )
+        split = False
+        for n_shards in (1, 2, 4, 8):
+            router = FlowShardRouter(n_shards)
+            for block in blocks:
+                parts = router.partition_block(block)
+                split |= len(parts) > 1
+                assert sum(len(sub) for _, sub in parts) == len(block)
+                for _, sub in parts:
+                    assert sub.rtp is None and sub.media_codes is None and sub.frame_ids is None
+                    assert not sub.has_packet_cache
+        assert split
+
     def test_partitioned_chunks_do_not_ship_capture_wide_tables(self):
         """A chunk sliced from a whole-capture block must compact its side
         tables before crossing the wire: one message must not carry every

@@ -102,23 +102,6 @@ class TestFlatBufferCodec:
         assert decoded.media_codes is None and decoded.frame_ids is None
         assert decoded.rtp is None and not decoded.has_packet_cache
 
-    def test_round_trip_optional_columns(self):
-        block = PacketBlock.from_packets(
-            [
-                make_packet(timestamp=0.01 * i, media_type=MediaType.VIDEO if i % 2 else None,
-                            frame_id=i if i % 3 else None)
-                for i in range(1, 20)
-            ]
-        )
-        decoded = PacketBlock.read_from(memoryview(encoded(block)))
-        assert_blocks_equal(block, decoded)
-        assert np.array_equal(decoded.media_codes, block.media_codes)
-        assert np.array_equal(decoded.frame_ids, block.frame_ids)
-        # Full fidelity through packet materialization too.
-        assert [p.media_type for p in decoded.to_packets()] == [
-            p.media_type for p in block.to_packets()
-        ]
-
     def test_decode_is_zero_copy_views(self):
         buf = encoded(make_block())
         first = PacketBlock.read_from(memoryview(buf))
@@ -135,13 +118,25 @@ class TestFlatBufferCodec:
         decoded = PacketBlock.read_from(memoryview(encoded(block)))
         assert len(decoded) == 0 and decoded.flows == () and decoded.addresses == ()
 
-    def test_rtp_blocks_are_not_flat_encodable(self):
-        rtp = RTPHeader(payload_type=96, sequence_number=7, timestamp=90000, ssrc=1)
-        block = PacketBlock.from_packets([make_packet(rtp=rtp)])
-        with pytest.raises(ValueError, match="RTP"):
+    @pytest.mark.parametrize(
+        "annotation",
+        [
+            {"rtp": RTPHeader(payload_type=96, sequence_number=7, timestamp=90000, ssrc=1)},
+            {"media_type": MediaType.VIDEO},
+            {"frame_id": 3},
+        ],
+        ids=["rtp", "media_codes", "frame_ids"],
+    )
+    def test_annotated_blocks_are_not_flat_encodable(self, annotation):
+        """The codec carries IP/UDP columns only, so it refuses every
+        annotation column rather than drop one silently in a round trip."""
+        block = make_block(n=4, **annotation)
+        with pytest.raises(ValueError, match="headers_only"):
             block.byte_size()
-        with pytest.raises(ValueError, match="RTP"):
+        with pytest.raises(ValueError, match="headers_only"):
             block.write_into(memoryview(bytearray(1 << 16)))
+        stripped = block.headers_only()
+        assert_blocks_equal(block, PacketBlock.read_from(memoryview(encoded(stripped))))
 
     def test_write_into_checks_capacity_and_read_checks_magic(self):
         block = make_block()
@@ -319,22 +314,33 @@ class TestShmTransportEquivalence:
         assert as_rows(small.items) == as_rows(large.items)
         assert no_segment_leaked(ring_names(monitor))
 
-    def test_rtp_blocks_fall_back_to_queue(self, many_flow_packets):
-        """Blocks the codec refuses (RTP object columns) ride the queue."""
-        rtp_packets = [
-            make_packet(
-                timestamp=0.01 * i,
-                dst_port=50000 + i % 3,
+    def test_rtp_bearing_packets_ride_the_ring(self, many_flow_packets):
+        """RTP headers and ground truth on the input never reach the wire:
+        the router ships header-only sub-blocks, so every one flat-encodes."""
+        annotated = [
+            Packet(
+                timestamp=packet.timestamp,
+                ip=packet.ip,
+                udp=packet.udp,
+                payload_size=packet.payload_size,
                 rtp=RTPHeader(payload_type=96, sequence_number=i % 65536,
                               timestamp=i * 3000, ssrc=42),
+                media_type=MediaType.VIDEO,
+                frame_id=i // 3,
             )
-            for i in range(400)
+            for i, packet in enumerate(many_flow_packets)
         ]
         pipeline = QoEPipeline.for_vca("teams")
-        shm_sink, _, monitor = run_sharded(pipeline, rtp_packets, 2, transport="shm")
-        block_sink, _, _ = run_sharded(pipeline, rtp_packets, 2, transport="block")
-        assert as_rows(shm_sink.items) == as_rows(block_sink.items)
+        single = CollectorSink()
+        QoEMonitor(pipeline, IteratorSource(iter(annotated)), sinks=single).run()
+        shm_sink, shm_report, monitor = run_sharded(pipeline, annotated, 2, transport="shm")
+        block_sink, _, _ = run_sharded(pipeline, annotated, 2, transport="block")
+        assert as_rows(shm_sink.items) == as_rows(block_sink.items) == as_rows(
+            fan_in_order(single.items)
+        )
         assert len(shm_sink.items) > 0
+        assert shm_report.transport["forward"]["slots_written"] >= 1
+        assert shm_report.transport["forward"]["queue_fallbacks"] == 0
         assert no_segment_leaked(ring_names(monitor))
 
     def test_queue_depth_validated_and_exposed(self, many_flow_packets):
@@ -478,13 +484,15 @@ class TestSelfClockingForwardLink:
 
     def test_fall_back_flushes_ahead_of_its_queue_message(self):
         monitor = _FakeMonitor(free=0)
-        link = monitor._links[0]
+        link, ring = monitor._links[0], monitor._workers[0].ring
         link.add(make_block(n=8))
         link.add(make_block(n=9))
-        rtp = RTPHeader(payload_type=96, sequence_number=7, timestamp=90000, ssrc=1)
-        unencodable = PacketBlock.from_packets([make_packet(rtp=rtp)])
-        link.add(unencodable)
-        assert monitor.events == [("slot", 2), ("shm",), ("block", unencodable)]
+        # One row whose side tables alone outsize a slot: IPv4Header does not
+        # validate dotted quads, so a capture can really carry such a key.
+        oversized = make_block(n=1, dst="10." + "9" * ring.slot_bytes)
+        assert oversized.byte_size() > ring.max_segment_bytes
+        link.add(oversized)
+        assert monitor.events == [("slot", 2), ("shm",), ("block", oversized)]
         assert link._pending == [] and monitor.pumps == 1
         assert link._queue_fallbacks == 1
 

@@ -146,6 +146,25 @@ CORPUS = [
         path="src/repro/cluster/somefile.py",
     ),
     Case(
+        rule="HDR001",
+        bad="""
+            import repro.rtp
+            from repro import rtp
+            from repro.rtp.header import RTPHeader
+
+            def video_rows(block):
+                return block.rtp, [p.media_type for p in block.to_packets()]
+        """,
+        good="""
+            from repro.net.packet import RTP_FIXED_HEADER_LEN
+
+            def media_sizes(block):
+                return block.sizes - RTP_FIXED_HEADER_LEN, block.headers_only().flows
+        """,
+        path="src/repro/cluster/somefile.py",
+        n_bad=5,
+    ),
+    Case(
         rule="SPAWN001",
         bad="""
             import multiprocessing
@@ -394,6 +413,26 @@ def test_codec001_network_order_only_in_the_foreign_format_codec():
     assert len(in_block.findings) == 4  # '>u2' twice, '|u1', '!H'
     unspelled = 'import numpy as np\nHEAD = np.dtype([("ethertype", "u2")])\nRAW = np.dtype("u1")\n'
     assert len(lint_source(unspelled, path="src/repro/net/pcap.py", select=("CODEC001",)).findings) == 2
+
+
+def test_hdr001_scoped_to_the_monitor_data_plane():
+    rule = get_rule("HDR001")
+    for path in (
+        "src/repro/sources/base.py",
+        "src/repro/cluster/router.py",
+        "src/repro/monitor.py",
+        "src/repro/core/streaming.py",
+    ):
+        assert rule.applies_to(path), path
+    # The evaluation path reads RTP and ground truth by design.
+    for path in (
+        "src/repro/net/pcap.py",
+        "src/repro/net/block.py",
+        "src/repro/core/features.py",
+        "src/repro/core/evaluation.py",
+        "src/repro/rtp/stream.py",
+    ):
+        assert not rule.applies_to(path), path
 
 
 def test_det002_scoped_to_forest():

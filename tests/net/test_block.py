@@ -116,7 +116,7 @@ class TestSliceTakeConcat:
         idx = np.array([5, 1, 30])
         sub = block.take(idx)
         assert sub.to_packets() == [packets[5], packets[1], packets[30]]
-        assert not block.take(idx, keep_packets=False).has_packet_cache
+        assert not block.headers_only().take(idx).has_packet_cache
 
     def test_concat_reinterns_flows(self):
         a = PacketBlock.from_packets([make_packet(0.0, dst="10.0.0.1"), make_packet(0.1, dst="10.0.0.2")])
@@ -159,6 +159,29 @@ class TestCompact:
         packets = interleaved_packets(30)
         dense = pickle.loads(pickle.dumps(PacketBlock.from_packets(packets)[10:20].compact()))
         assert dense.to_packets() == packets[10:20]
+
+
+class TestHeadersOnly:
+    def test_drops_cache_and_annotation_columns_and_shares_the_rest(self):
+        packets = interleaved_packets()
+        packets[3] = make_packet(
+            timestamp=0.03,
+            rtp=RTPHeader(payload_type=96, sequence_number=7, timestamp=90000, ssrc=1),
+        )
+        block = PacketBlock.from_packets(packets)
+        assert block.rtp is not None and block.media_codes is not None
+        assert block.frame_ids is not None and block.has_packet_cache
+        stripped = block.headers_only()
+        assert stripped.rtp is None and stripped.media_codes is None and stripped.frame_ids is None
+        assert not stripped.has_packet_cache
+        assert stripped.timestamps is block.timestamps and stripped.flows is block.flows
+        assert stripped.to_packets() == [
+            packet.without_rtp().without_ground_truth() for packet in packets
+        ]
+
+    def test_a_header_only_block_is_returned_as_is(self):
+        block = pickle.loads(pickle.dumps(PacketBlock.from_packets([make_packet(0.0)])))
+        assert block.headers_only() is block
 
 
 class TestFlowGroups:

@@ -93,7 +93,7 @@ class TestPcapRoundTrip:
         packets = self._make_packets(9)
         path = tmp_path / "rtp.pcap"
         write_pcap(path, packets)
-        restored = read_pcap(path, parse_rtp=True)
+        restored = read_pcap(path)
         for original, loaded in zip(packets, restored):
             assert loaded.rtp is not None
             assert loaded.rtp.payload_type == original.rtp.payload_type
@@ -105,7 +105,7 @@ class TestPcapRoundTrip:
         packets = self._make_packets(5)
         path = tmp_path / "nortp.pcap"
         write_pcap(path, packets)
-        restored = read_pcap(path, parse_rtp=False)
+        restored = list(PcapReader(path, parse_rtp=False))
         assert all(p.rtp is None for p in restored)
 
     def test_trace_round_trip(self, tmp_path, teams_call):
