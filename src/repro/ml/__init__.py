@@ -1,28 +1,43 @@
 """Learning substrate: a small, self-contained replacement for the parts of
 scikit-learn the paper relies on.
 
-The paper trains random forests with 5-fold cross validation and inspects
-impurity-based feature importances.  This package provides those pieces with
-a familiar fit/predict API:
+The paper trains classical supervised models (random forests, decision trees,
+SVMs) with 5-fold cross validation and inspects impurity-based feature
+importances.  This package provides those pieces with a familiar
+fit/predict API:
 
 * :mod:`repro.ml.tree` -- CART decision trees for regression and classification.
 * :mod:`repro.ml.forest` -- random forests built on the CART trees.
-* :mod:`repro.ml.model_selection` -- K-fold splitting.
+* :mod:`repro.ml.linear` -- ordinary least squares and ridge regression.
+* :mod:`repro.ml.neighbors` -- k-nearest-neighbour baselines.
+* :mod:`repro.ml.model_selection` -- K-fold splitting, train/test split and
+  cross-validated prediction.
 * :mod:`repro.ml.metrics` -- the error metrics used throughout the paper
   (MAE, MRAE, accuracy, confusion matrices).
+* :mod:`repro.ml.preprocessing` -- feature scaling and label encoding.
 
 All estimators accept and return :class:`numpy.ndarray` objects and follow
 the convention that ``X`` has shape ``(n_samples, n_features)``.
 """
 
 from repro.ml.forest import RandomForestClassifier, RandomForestRegressor
+from repro.ml.linear import LinearRegression, RidgeRegression
 from repro.ml.metrics import (
     accuracy_score,
     confusion_matrix,
     mean_absolute_error,
     mean_relative_absolute_error,
+    r2_score,
+    root_mean_squared_error,
 )
-from repro.ml.model_selection import KFold
+from repro.ml.model_selection import (
+    KFold,
+    StratifiedKFold,
+    cross_val_predict,
+    train_test_split,
+)
+from repro.ml.neighbors import KNeighborsClassifier, KNeighborsRegressor
+from repro.ml.preprocessing import LabelEncoder, StandardScaler
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 
 __all__ = [
@@ -30,9 +45,20 @@ __all__ = [
     "DecisionTreeClassifier",
     "RandomForestRegressor",
     "RandomForestClassifier",
+    "LinearRegression",
+    "RidgeRegression",
+    "KNeighborsRegressor",
+    "KNeighborsClassifier",
     "KFold",
+    "StratifiedKFold",
+    "train_test_split",
+    "cross_val_predict",
+    "StandardScaler",
+    "LabelEncoder",
     "mean_absolute_error",
     "mean_relative_absolute_error",
+    "root_mean_squared_error",
+    "r2_score",
     "accuracy_score",
     "confusion_matrix",
 ]

@@ -15,6 +15,8 @@ import numpy as np
 __all__ = [
     "mean_absolute_error",
     "mean_relative_absolute_error",
+    "root_mean_squared_error",
+    "r2_score",
     "accuracy_score",
     "confusion_matrix",
     "normalized_confusion_matrix",
@@ -51,6 +53,22 @@ def mean_relative_absolute_error(y_true, y_pred, eps: float = 1e-9) -> float:
     """
     y_true, y_pred = _as_arrays(y_true, y_pred)
     return float(np.mean(np.abs(y_pred - y_true) / np.maximum(np.abs(y_true), eps)))
+
+
+def root_mean_squared_error(y_true, y_pred) -> float:
+    """Square root of the mean squared error."""
+    y_true, y_pred = _as_arrays(y_true, y_pred)
+    return float(np.sqrt(np.mean((y_pred - y_true) ** 2)))
+
+
+def r2_score(y_true, y_pred) -> float:
+    """Coefficient of determination."""
+    y_true, y_pred = _as_arrays(y_true, y_pred)
+    ss_res = float(np.sum((y_true - y_pred) ** 2))
+    ss_tot = float(np.sum((y_true - np.mean(y_true)) ** 2))
+    if ss_tot == 0.0:
+        return 1.0 if ss_res == 0.0 else 0.0
+    return 1.0 - ss_res / ss_tot
 
 
 def accuracy_score(y_true, y_pred) -> float:

@@ -10,6 +10,8 @@ from repro.ml.metrics import (
     mean_absolute_error,
     mean_relative_absolute_error,
     normalized_confusion_matrix,
+    r2_score,
+    root_mean_squared_error,
     summarize_errors,
     within_tolerance_fraction,
 )
@@ -29,6 +31,16 @@ class TestRegressionMetrics:
     def test_mrae_guards_zero_ground_truth(self):
         value = mean_relative_absolute_error([0.0], [1.0])
         assert np.isfinite(value)
+
+    def test_rmse_at_least_mae(self):
+        y_true = np.array([0.0, 0.0, 0.0, 0.0])
+        y_pred = np.array([0.0, 0.0, 0.0, 4.0])
+        assert root_mean_squared_error(y_true, y_pred) >= mean_absolute_error(y_true, y_pred)
+
+    def test_r2_perfect_and_mean_predictor(self):
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        assert r2_score(y, y) == pytest.approx(1.0)
+        assert r2_score(y, np.full(4, y.mean())) == pytest.approx(0.0)
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
