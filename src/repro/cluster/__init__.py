@@ -3,7 +3,8 @@
 The scale-out layer on top of the Source -> Engine -> Sink architecture:
 
 * :class:`~repro.cluster.router.FlowShardRouter` -- deterministic
-  hash-partitioning of packets onto N shards by canonical 5-tuple;
+  hash-partitioning of packets onto N shards by canonical 5-tuple; a flow
+  keeps the shard the static CRC-32 map gives it for its whole life;
 * :class:`~repro.cluster.worker.ShardWorker` -- spawn-safe worker processes,
   each running a :class:`~repro.core.streaming.StreamingQoEPipeline` rebuilt
   from the ``QoEPipeline.save`` payload, with cross-flow tick-batched
@@ -13,27 +14,15 @@ The scale-out layer on top of the Source -> Engine -> Sink architecture:
 * :class:`~repro.cluster.shm.BlockRing` -- the zero-copy shared-memory
   block transport between router and workers (``transport="shm"``);
 * :class:`~repro.cluster.monitor.ShardedQoEMonitor` -- the facade, same
-  ``run() -> MonitorReport`` surface as :class:`~repro.monitor.QoEMonitor`;
-* :mod:`~repro.cluster.rebalance` -- elastic sharding policies: live flow
-  migration between workers (snapshot / restore via
-  :mod:`~repro.net.flowwire`) driven by per-shard load, enabled with
-  ``ShardedQoEMonitor(rebalance=...)``.
+  ``run() -> MonitorReport`` surface as :class:`~repro.monitor.QoEMonitor`.
 
 Output is estimate-for-estimate identical to the single-process monitor,
 in the deterministic fan-in order ``(window_start, flow)``, for any worker
-count -- with or without live migrations.
+count.
 """
 
 from repro.cluster.fanin import FanInSink, flow_sort_key
 from repro.cluster.monitor import ShardedQoEMonitor
-from repro.cluster.rebalance import (
-    GreedyRebalancer,
-    Migration,
-    RebalancePolicy,
-    ScheduledRebalancer,
-    ShardLoad,
-    summarize_migrations,
-)
 from repro.cluster.router import FlowShardRouter
 from repro.cluster.shm import BlockRing, shm_available
 from repro.cluster.worker import ShardWorker
@@ -46,10 +35,4 @@ __all__ = [
     "ShardedQoEMonitor",
     "flow_sort_key",
     "shm_available",
-    "RebalancePolicy",
-    "GreedyRebalancer",
-    "ScheduledRebalancer",
-    "Migration",
-    "ShardLoad",
-    "summarize_migrations",
 ]

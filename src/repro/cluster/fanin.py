@@ -96,12 +96,6 @@ class FanInSink(EstimateSink):
         self._buffers: list[list[StreamEstimate]] = [[] for _ in range(n_shards)]
         self._watermarks: list[float] = [-math.inf] * n_shards
         self._finished: list[bool] = [False] * n_shards
-        #: Migration fences: token -> release cap.  While a flow is in
-        #: flight between shards its pending windows are represented by
-        #: nobody's watermark, so each in-flight migration caps the release
-        #: threshold at the flow's ``next_window_start`` until the new home
-        #: has restored it and reported a watermark that covers it.
-        self._fences: dict[object, float] = {}
         self._scanned_threshold = -math.inf
         self.records_released = 0
         self._closed = False
@@ -150,44 +144,6 @@ class FanInSink(EstimateSink):
         """The newest low watermark ``shard_id`` reported (``-inf``: none yet)."""
         return self._watermarks[shard_id]
 
-    # -- live migration support ------------------------------------------------
-
-    def add_fence(self, token, bound: float) -> None:
-        """Cap the release threshold at ``bound`` until ``token`` is cleared.
-
-        Installed when a migrating flow's snapshot leaves its old shard:
-        ``bound`` is the flow's ``next_window_start``, below which nothing of
-        the flow is still pending, at or above which everything is.  The old
-        shard's watermark covered the flow until this moment, so ``bound``
-        is never below the current threshold -- a fence only prevents future
-        advances, it cannot un-release.
-        """
-        if self._closed:
-            raise RuntimeError("FanInSink is closed")
-        self._fences[token] = bound
-
-    def clear_fence(self, token) -> None:
-        """Lift a migration fence (no-op for unknown tokens)."""
-        if self._fences.pop(token, None) is not None and not self._closed:
-            self._release()
-
-    def rebase_watermark(self, shard_id: int, low_watermark: float) -> None:
-        """Set a shard's watermark exactly, allowing it to move *backwards*.
-
-        A migration is the one sanctioned watermark regression: the new home
-        shard may now emit windows below the bound it reported before the
-        flow arrived.  Its first watermark computed after the restore is a
-        genuine bound again, and the caller installs it here verbatim
-        (regressions included) before lifting the migration's fence.  The
-        fence kept the threshold at or below the migrated flow's pending
-        windows in the interim, so no release has passed anything the rebase
-        re-admits.
-        """
-        self._check_shard(shard_id)
-        if self._finished[shard_id]:
-            return
-        self._watermarks[shard_id] = low_watermark
-
     def emit(self, item: StreamEstimate) -> None:
         """Single-stream sink compatibility: everything arrives on shard 0."""
         self.accept(0, [item])
@@ -197,10 +153,6 @@ class FanInSink(EstimateSink):
         if self._closed:
             return
         self._closed = True
-        # Any fence still standing is moot: every worker has emitted (or
-        # died, aborting the run before this point), so nothing a fence was
-        # protecting can still arrive.
-        self._fences.clear()
         self._finished = [True] * self.n_shards
         self._release()
         for sink in self.sinks:
@@ -236,10 +188,6 @@ class FanInSink(EstimateSink):
             (mark for mark, done in zip(self._watermarks, self._finished) if not done),
             default=math.inf,
         )
-        if self._fences:
-            fence = min(self._fences.values())
-            if fence < threshold:
-                threshold = fence
         if threshold == -math.inf:
             return
         if threshold == self._scanned_threshold and new_min >= threshold:

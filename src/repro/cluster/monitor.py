@@ -39,12 +39,9 @@ import queue as queue_module
 from pathlib import Path
 from time import perf_counter
 
-import numpy as np
-
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import QoEPipeline
 from repro.cluster.fanin import FanInSink
-from repro.cluster.rebalance import RebalancePolicy, ShardLoad, summarize_migrations
 from repro.cluster.router import FlowShardRouter
 from repro.cluster.shm import DEFAULT_SLOT_BYTES, MIN_SLOT_BYTES, BlockRing, shm_available
 from repro.cluster.worker import ShardWorker
@@ -150,70 +147,6 @@ class _ForwardLink:
         return stats
 
 
-class _RebalanceDriver:
-    """Parent-side rebalancing loop: observe load, tick the policy, migrate.
-
-    Keeps per-shard, per-canonical-flow packet counts from the routing path
-    (so a load signal exists even before the first worker telemetry
-    arrives) and a stream-time clock from packet timestamps, so policy
-    ticks -- and therefore migrations -- are a deterministic function of
-    the trace and the policy, not of scheduler timing.
-    """
-
-    def __init__(self, monitor: "ShardedQoEMonitor", policy: RebalancePolicy) -> None:
-        self._monitor = monitor
-        self._policy = policy
-        self._now: float | None = None
-        self._interval_start: float | None = None
-        self._flow_packets: list[dict] = [{} for _ in range(monitor.n_workers)]
-        self._interval_packets = [0] * monitor.n_workers
-
-    def observe_block(self, block) -> None:
-        """Account one source block (called before it is partitioned)."""
-        if not len(block):
-            return
-        router = self._monitor.router
-        codes, counts = np.unique(block.flow_codes, return_counts=True)
-        for code, count in zip(codes.tolist(), counts.tolist()):
-            key = block.flows[code]
-            shard_id = router.shard_of_key(key)
-            canonical = key.bidirectional()[0]
-            flow_packets = self._flow_packets[shard_id]
-            flow_packets[canonical] = flow_packets.get(canonical, 0) + count
-            self._interval_packets[shard_id] += count
-        newest = float(block.timestamps.max())
-        if self._now is None or newest > self._now:
-            self._now = newest
-        if self._interval_start is None:
-            self._interval_start = newest
-
-    def tick(self) -> None:
-        """Run the policy once per elapsed ``interval_s`` of stream time."""
-        if self._now is None or self._interval_start is None:
-            return
-        if self._now - self._interval_start < self._policy.interval_s:
-            return
-        monitor = self._monitor
-        loads = []
-        for shard_id in range(monitor.n_workers):
-            telemetry = monitor.shard_loads[shard_id] or {}
-            loads.append(
-                ShardLoad(
-                    shard_id=shard_id,
-                    live_flows=telemetry.get("live_flows", 0),
-                    buffered_packets=telemetry.get("buffered_packets", 0),
-                    open_windows=telemetry.get("open_windows", 0),
-                    interval_packets=self._interval_packets[shard_id],
-                    flow_packets=self._flow_packets[shard_id],
-                )
-            )
-        for migration in self._policy.plan(self._now, loads)[: self._policy.max_migrations]:
-            monitor._migrate(migration.flow, migration.dst)
-        self._interval_start = self._now
-        self._flow_packets = [{} for _ in range(monitor.n_workers)]
-        self._interval_packets = [0] * monitor.n_workers
-
-
 class ShardedQoEMonitor:
     """Run a trained-or-heuristic pipeline as an N-worker sharded deployment.
 
@@ -298,18 +231,6 @@ class ShardedQoEMonitor:
         later than anything its shard has seen before) degrades only the
         *order* of its late estimates -- they are still delivered exactly
         once.
-    rebalance:
-        A :class:`~repro.cluster.rebalance.RebalancePolicy` enabling
-        **elastic sharding**: at every ``interval_s`` of stream time the
-        policy sees per-shard load (worker telemetry + the parent's routing
-        counts) and plans up to ``max_migrations`` flow re-homings, each
-        executed as a synchronous stop-and-copy cut -- the old shard drains
-        the flow into a :class:`~repro.net.flowwire.FlowSnapshot`, the new
-        shard restores it push-identically, and the fan-in fences releases
-        across the cut so the merged output stays bit-identical to (and in
-        the same order as) a run that never migrated.  ``None`` (default)
-        preserves the static CRC-32 map with zero overhead beyond one falsy
-        branch per routed flow lookup.
     obs:
         An :class:`~repro.obs.config.ObsConfig` enabling the unified
         telemetry plane (PR 8): the parent owns a fleet
@@ -337,7 +258,6 @@ class ShardedQoEMonitor:
         new_flow_slack_s: float | None = None,
         queue_depth: int = 8,
         shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
-        rebalance: RebalancePolicy | None = None,
         obs: ObsConfig | None = None,
     ) -> None:
         if chunk_size < 1:
@@ -374,7 +294,6 @@ class ShardedQoEMonitor:
         self.new_flow_slack_s = new_flow_slack_s
         self.queue_depth = queue_depth
         self.shm_slot_bytes = shm_slot_bytes
-        self.rebalance = rebalance
         self.obs = obs
         #: The fleet registry (``None`` when observability is off): the
         #: parent's own spans plus every worker delta, merged.
@@ -391,11 +310,8 @@ class ShardedQoEMonitor:
         self.shard_stats: list[dict] = []
         #: Latest per-shard load telemetry (index = shard id; ``None`` until
         #: a shard's first watermark-bearing message arrives).  Live during
-        #: the run -- this is the mid-run load signal the rebalancer reads.
+        #: the run.
         self.shard_loads: list[dict | None] = [None] * n_workers
-        #: Completed migrations, in execution order: ``{"epoch", "flow",
-        #: "src", "dst", "latency_s"}`` per re-homing.
-        self.migrations: list[dict] = []
         #: Newest packet timestamp routed to each shard -- the stream clocks
         #: of the lag metrics, advanced only when observability is on.
         self._newest_routed = [-math.inf] * n_workers
@@ -485,15 +401,6 @@ class ShardedQoEMonitor:
         self._links = links = [_ForwardLink(self, worker) for worker in workers]
         self._done = [False] * n_workers
         self._stats: list[dict | None] = [None] * n_workers
-        #: In-flight migration plumbing: ``migrated`` replies awaiting
-        #: pickup, fences installed, and per-dst fences acked but not yet
-        #: lifted (waiting for the dst's first post-restore watermark).
-        self._migrated: dict[int, tuple] = {}
-        self._live_fences: set[int] = set()
-        self._acked_fences: dict[int, list[int]] = {}
-        driver = (
-            _RebalanceDriver(self, self.rebalance) if self.rebalance is not None else None
-        )
         registry = self.registry
         if registry is not None:
             for sink in self.sinks:
@@ -515,8 +422,6 @@ class ShardedQoEMonitor:
                 blocks = registry.timed_iter(blocks, "source_read")
             for block in blocks:
                 n_packets += len(block)
-                if driver is not None:
-                    driver.observe_block(block)
                 span = perf_counter() if registry is not None else 0.0
                 parts = self.router.partition_block(block)
                 if registry is not None:
@@ -534,11 +439,6 @@ class ShardedQoEMonitor:
                 # work) and parent memory stays O(in-flight), not O(all
                 # estimates of the capture).
                 self._pump()
-                if driver is not None:
-                    # Migrations cut between blocks: every packet of the
-                    # block is routed (or slot-buffered) before any flow of
-                    # it can move.
-                    driver.tick()
             for link in links:
                 link.flush()
             drain_started = perf_counter()
@@ -585,8 +485,6 @@ class ShardedQoEMonitor:
                 # MonitorReport.transport exactly.
                 ingest_transport_stats(registry, forward, "forward", shard_id)
         transport = self._aggregate_transport()
-        if self.rebalance is not None:
-            transport["rebalance"] = {"migrations": len(self.migrations)}
         finished = perf_counter()
         timing = {
             "wall_time_s": finished - started,
@@ -604,7 +502,6 @@ class ShardedQoEMonitor:
             timing=timing,
             metrics=self.metrics(),
             shard_loads=tuple(load if load is not None else {} for load in self.shard_loads),
-            migration=summarize_migrations(self.migrations),
         )
 
     # -- observability ---------------------------------------------------------
@@ -641,111 +538,6 @@ class ShardedQoEMonitor:
                         "qoe_shard_watermark_lag_seconds", lag, (("shard", str(shard_id)),)
                     )
         return self.registry.snapshot()
-
-    # -- live migration --------------------------------------------------------
-
-    def _migrate(self, flow, dst: int) -> None:
-        """Synchronously re-home one canonical flow pair (stop-and-copy).
-
-        The cut happens between routed blocks: the source shard first
-        receives everything already routed to it (its forward link is flushed
-        ahead of the control message on the same FIFO queue), drains
-        the pair into snapshots, and replies.  A fan-in fence then covers
-        the in-flight windows until the destination has restored the pair
-        and reported a fresh watermark -- see ``_lift_fences``.  The router
-        overlay is updated last, so every packet routed before the cut went
-        to the old home and every one after goes to the new.
-        """
-        if not 0 <= dst < self.n_workers:
-            raise ValueError(f"migration dst {dst!r} out of range for {self.n_workers} shards")
-        canonical = flow.bidirectional()[0]
-        src = self.router.shard_of_key(canonical)
-        if src == dst or self._done[src] or self._done[dst]:
-            return
-        epoch = self.router.next_epoch()
-        started = perf_counter()
-        self._links[src].flush()
-        self._send(self._workers[src], ("migrate_out", canonical, epoch))
-        parts, bound, counted = self._await_migration(src, epoch)
-        if parts and bound is not None:
-            self._fan_in.add_fence(epoch, bound)
-            self._live_fences.add(epoch)
-        self._send(self._workers[dst], ("migrate_in", canonical, epoch, parts, counted))
-        self.router.set_override(canonical, dst)
-        latency_s = perf_counter() - started
-        self.migrations.append(
-            {
-                "epoch": epoch,
-                "flow": canonical,
-                "src": src,
-                "dst": dst,
-                "latency_s": latency_s,
-            }
-        )
-        if self.registry is not None:
-            self.registry.inc("qoe_migrations_total")
-            self.registry.observe_stage("migration_cut", latency_s)
-
-    def _await_migration(self, src: int, epoch: int) -> tuple:
-        """Pump worker output until shard ``src``'s ``migrated`` reply lands.
-
-        Keeps handling interleaved messages (est tokens free return-ring
-        slots, so the drain cannot deadlock) and surfaces a worker death
-        instead of hanging.
-        """
-        while epoch not in self._migrated:
-            try:
-                message = self._out_queue.get(timeout=0.1)
-            except queue_module.Empty:
-                worker = self._workers[src]
-                if not worker.alive and not self._done[src]:
-                    self._pump()
-                    if epoch in self._migrated:
-                        break
-                    # The queue timeout is incidental; worker death is the
-                    # real cause, so don't chain the Empty.
-                    raise RuntimeError(
-                        f"shard worker {src} died (exit code "
-                        f"{worker.process.exitcode}) during migration epoch {epoch}"
-                    ) from None
-                continue
-            self._handle(message)
-        return self._migrated.pop(epoch)
-
-    def _lift_fences(self, shard_id: int, low_watermark: float | None) -> None:
-        """Lift fences whose destination shard reported a post-restore bound.
-
-        A migration's fence outlives its ``migrate_ack``: the destination's
-        *recorded* fan-in watermark predates the restore and may exceed the
-        migrated flow's pending windows, so the fence holds until the
-        shard's first watermark computed with the flow live again.  That
-        watermark is the one sanctioned regression -- it is installed
-        verbatim (``rebase_watermark``) and only then are the fences
-        dropped.
-
-        Called *after* the batch carrying ``low_watermark`` has been
-        accepted: the batch itself may contain windows below its trailing
-        watermark (legal -- the watermark bounds *future* emissions), and
-        lifting the fence first would let the release threshold pass items
-        that are still in the message being handled.  Accepting first is
-        safe because the fence keeps capping the threshold throughout the
-        accept, stale recorded watermark or not.
-        """
-        if low_watermark is None:
-            return
-        epochs = self._acked_fences.pop(shard_id, None)
-        if not epochs:
-            return
-        self._fan_in.rebase_watermark(shard_id, low_watermark)
-        for epoch in epochs:
-            self._live_fences.discard(epoch)
-            self._fan_in.clear_fence(epoch)
-
-    def _clear_fences(self, shard_id: int) -> None:
-        """Drop a finishing shard's pending fences: its flush has arrived."""
-        for epoch in self._acked_fences.pop(shard_id, ()):
-            self._live_fences.discard(epoch)
-            self._fan_in.clear_fence(epoch)
 
     # -- internals -------------------------------------------------------------
 
@@ -831,8 +623,8 @@ class ShardedQoEMonitor:
 
         The ``metrics`` entry is the worker registry's delta since its last
         shipped message (see ``_WorkerChannel._with_delta``); it is popped
-        before the load dict is stored so ``shard_loads`` stays the plain
-        rebalancer telemetry it always was.
+        before the load dict is stored so ``shard_loads`` stays plain load
+        telemetry.
         """
         if load is None:
             return
@@ -848,7 +640,6 @@ class ShardedQoEMonitor:
             _, shard_id, items, low_watermark, load = message
             self._absorb_load(shard_id, load)
             self._fan_in.accept(shard_id, items, low_watermark)
-            self._lift_fences(shard_id, low_watermark)
         elif kind == "est":
             # One filled return-ring slot: decode every tick batch in it
             # (zero-copy views over the slot), feed the fan-in, then recycle
@@ -867,7 +658,6 @@ class ShardedQoEMonitor:
                 for segment in segments:
                     batch = EstimateBatch.read_from(segment)
                     self._fan_in.accept(shard_id, batch.to_estimates(), batch.low_watermark)
-                    self._lift_fences(shard_id, batch.low_watermark)
                     batch = None
             finally:
                 segments = None
@@ -886,20 +676,9 @@ class ShardedQoEMonitor:
             if stats.get("load") is not None:
                 self.shard_loads[shard_id] = stats["load"]
             self._fan_in.accept(shard_id, items)
-            self._clear_fences(shard_id)
             self._fan_in.finish(shard_id)
             self._done[shard_id] = True
             self._stats[shard_id] = stats
-        elif kind == "migrated":
-            _, shard_id, epoch, parts, bound, counted = message
-            self._migrated[epoch] = (parts, bound, counted)
-        elif kind == "migrate_ack":
-            # The pair is live on its new home; its fences now wait for that
-            # shard's next watermark (every message after this ack on the
-            # same FIFO queue was computed with the restored flows present).
-            _, shard_id, epoch = message
-            if epoch in self._live_fences:
-                self._acked_fences.setdefault(shard_id, []).append(epoch)
         elif kind == "error":
             _, shard_id, trace = message
             raise RuntimeError(f"shard worker {shard_id} failed:\n{trace}")

@@ -22,13 +22,6 @@ Assignments are memoized per unidirectional key (an LRU keeps a perpetual
 monitor's cache bounded), so steady-state routing is a dict hit; on the
 columnar path (:meth:`FlowShardRouter.partition_block`) the hash runs once
 per *unique flow* of a block, never once per packet.
-
-Elastic sharding (PR 7) adds a third layer on top: an explicit **overlay
-map** of migrated flows, consulted before the memoized base assignment, and
-an **epoch counter** stamped onto migration control messages so every
-re-homing has a unique generation the fan-in can fence on.  With no
-migrations the overlay is empty and routing is byte-for-byte the static
-CRC-32 map.
 """
 
 from __future__ import annotations
@@ -61,54 +54,17 @@ class FlowShardRouter:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards!r}")
         self.n_shards = n_shards
-        #: Migrated flows: unidirectional key -> current home shard.  Both
-        #: directions of a migrated call are stored explicitly so the hot
-        #: path stays a single dict probe with no canonicalization.
-        self._overrides: dict[FlowKey, int] = {}
-        #: Monotonic migration generation; stamped onto MIGRATE control
-        #: messages so parent and workers agree which re-homing is which.
-        self.epoch = 0
-        self.base_shard_of_key = lru_cache(maxsize=SHARD_CACHE_SIZE)(self._shard_of_key)
+        #: Shard index of a (unidirectional or canonical) flow key, memoized.
+        self.shard_of_key = lru_cache(maxsize=SHARD_CACHE_SIZE)(self._shard_of_key)
 
     def _shard_of_key(self, key: FlowKey) -> int:
-        """Static shard index of a (unidirectional or canonical) flow key."""
+        """Shard index of a (unidirectional or canonical) flow key."""
         canonical = key.bidirectional()[0]
         encoded = (
             f"{canonical.src}|{canonical.src_port}|"
             f"{canonical.dst}|{canonical.dst_port}|{canonical.protocol}"
         ).encode()
         return zlib.crc32(encoded) % self.n_shards
-
-    def shard_of_key(self, key: FlowKey) -> int:
-        """Shard index of a flow key: migration overlay, then the static map.
-
-        The overlay test is a truthiness check on the dict, so a run that
-        never migrates (``rebalance=None``) pays one falsy branch over the
-        pre-overlay router.
-        """
-        if self._overrides:
-            shard = self._overrides.get(key)
-            if shard is not None:
-                return shard
-        return self.base_shard_of_key(key)
-
-    def set_override(self, key: FlowKey, shard: int) -> None:
-        """Re-home a bidirectional flow: both directions of ``key``'s call.
-
-        Idempotent; the override persists for the life of the router (a
-        migrated flow stays migrated), so overlay memory is bounded by the
-        number of migrations, not the flow count.
-        """
-        if not 0 <= shard < self.n_shards:
-            raise ValueError(f"shard {shard!r} out of range for {self.n_shards} shards")
-        first, second = key.bidirectional()
-        self._overrides[first] = shard
-        self._overrides[second] = shard
-
-    def next_epoch(self) -> int:
-        """Allocate the next migration epoch (1-based, strictly increasing)."""
-        self.epoch += 1
-        return self.epoch
 
     def shard_of(self, packet: Packet) -> int:
         """Shard index ``packet`` belongs to."""

@@ -19,27 +19,16 @@ only slot tokens)::
 
     parent -> worker:  ("block", PacketBlock)          one routed sub-block, pickled
                        ("shm",)                        one ring slot (>= 1 routed sub-blocks)
-                       ("migrate_out", key, epoch)     drain + snapshot one flow pair
-                       ("migrate_in", key, epoch, parts, counted)   restore it
                        ("stop",)                       end of source
     worker -> parent:  ("progress", shard_id, [StreamEstimate], low_watermark, load)
                        ("est", shard_id, load)         one return-ring slot (>= 1 tick batches)
-                       ("migrated", shard_id, epoch, parts, bound, counted)
-                       ("migrate_ack", shard_id, epoch)
                        ("done", shard_id, [StreamEstimate], stats dict)
                        ("error", shard_id, traceback string)
 
 ``load`` is the shard's live telemetry (live flows, buffered packets, open
 windows -- :meth:`StreamingQoEPipeline.load_stats`), attached to every
-watermark-bearing message so the parent has a mid-run load signal (the
-rebalancer's input; terminal ``done`` stats carry the final reading).  The
-``migrate_*`` messages are the elastic-sharding cut (PR 7): the parent asks
-the old home to drain a canonical flow pair, receives the encoded
-:class:`~repro.net.flowwire.FlowSnapshot` payloads (``parts``) plus the
-flows' release fence bound and flow-count ownership, re-sends them to the
-new home, and the new home acknowledges once the flows are live again.
-``counted`` keeps ``n_flows`` exact across re-homings: the first shard that
-ever saw a flow keeps counting it, every later home lists it as foreign.
+watermark-bearing message so the parent has a mid-run load signal
+(terminal ``done`` stats carry the final reading).
 
 The :class:`~repro.net.block.PacketBlock` is the only data unit a worker
 receives.  A ``("block", ...)`` message pickles it as a handful of NumPy
@@ -102,9 +91,7 @@ watermark is the minimum ``next_window_start`` over the live flows; a source
 that shows disorder *d* gets *d* of slack from then on.  An explicit
 ``new_flow_slack_s`` replaces the measurement with a fixed bound, verbatim.
 Reported watermarks never step back (a growing slack can lower the computed
-bound, and the fan-in ignores regressions anyway) except once after a
-``migrate_in``, the sanctioned regression the parent installs with
-``rebase_watermark``.
+bound, and the fan-in ignores regressions anyway).
 """
 
 from __future__ import annotations
@@ -181,22 +168,6 @@ class _WorkerChannel:
                 f"shard {self.shard_id} attempted to emit progress after done"
             )
         self._out_queue.put(("est", self.shard_id, self._with_delta(load)))
-
-    def migrated(self, epoch: int, parts, bound, counted) -> None:
-        """Reply to ``migrate_out``: the drained flow pair, ready to re-home."""
-        if self.done_sent:
-            raise RuntimeError(
-                f"shard {self.shard_id} attempted to emit a migration after done"
-            )
-        self._out_queue.put(("migrated", self.shard_id, epoch, parts, bound, counted))
-
-    def migrate_ack(self, epoch: int) -> None:
-        """Reply to ``migrate_in``: the flow pair is live on this shard."""
-        if self.done_sent:
-            raise RuntimeError(
-                f"shard {self.shard_id} attempted to emit a migration after done"
-            )
-        self._out_queue.put(("migrate_ack", self.shard_id, epoch))
 
     def done(self, items, stats) -> None:
         if self.done_sent:
@@ -369,8 +340,7 @@ def shard_worker_main(
         newest_ts = -math.inf
         # Newest watermark reported.  A growing slack (or a flow later than
         # the slack allowed) can lower the computed bound; the fan-in ignores
-        # regressions, so the reported sequence is clamped monotone -- except
-        # across a migrate_in, the one sanctioned regression.
+        # regressions, so the reported sequence is clamped monotone.
         reported = -math.inf
         n_packets = 0
         n_evicted = 0
@@ -379,11 +349,6 @@ def shard_worker_main(
         n_ticks = 0
         n_sub_blocks = 0
         evicted_keys: set = set()
-        # Flow-count ownership ledger (see the module docstring): flows that
-        # left but are still counted here, and flows that live here but are
-        # counted by an earlier home.
-        migrated_out_keys: set = set()
-        foreign_keys: set = set()
 
         def consume(blocks: list[PacketBlock]) -> None:
             """One forward message: everything it carries, as one inference tick.
@@ -428,52 +393,6 @@ def shard_worker_main(
                 reported = watermark = max(watermark, reported)
             returns.emit(emitted, watermark, engine.load_stats())
 
-        def migrate_out(key, epoch: int) -> None:
-            """Drain the canonical pair of ``key`` and ship it to the parent.
-
-            Residual estimates flush first (under this shard's current
-            watermark, which still covers the flow), then both unidirectional
-            streams are snapshotted and removed.  ``counted`` lists every
-            direction whose flow count stays owned elsewhere -- by this shard
-            (it saw the flow first) or by an even earlier home.
-            """
-            returns.flush()
-            parts: list[tuple] = []
-            bounds: list[float] = []
-            counted: list = []
-            pair = (key,) if key.reversed() == key else (key, key.reversed())
-            for ukey in pair:
-                dumped = engine.dump_flow(ukey)
-                if dumped is not None:
-                    payload, bound = dumped
-                    parts.append((ukey, payload))
-                    bounds.append(bound)
-                if ukey in foreign_keys:
-                    counted.append(ukey)
-                elif (
-                    dumped is not None
-                    or ukey in evicted_keys
-                    or ukey in migrated_out_keys
-                ):
-                    migrated_out_keys.add(ukey)
-                    counted.append(ukey)
-            channel.migrated(epoch, parts, min(bounds) if bounds else None, counted)
-
-        def migrate_in(epoch: int, parts, counted) -> None:
-            """Restore a migrated pair and acknowledge once it is live."""
-            nonlocal reported
-            # Ship pending pre-restore batches first: their watermarks are
-            # stale the moment the pair is live, and the parent lifts the
-            # migration's fan-in fence on the first watermark it sees after
-            # this ack -- which must therefore be a post-restore one, reported
-            # verbatim even where it regresses.
-            returns.flush()
-            for ukey, payload in parts:
-                engine.load_flow(ukey, payload)
-            reported = -math.inf
-            foreign_keys.update(counted)
-            channel.migrate_ack(epoch)
-
         while True:
             message = in_queue.get()
             kind = message[0]
@@ -497,10 +416,6 @@ def shard_worker_main(
                     # slot for the parent.
                     segments = None
                     ring.release()
-            elif kind == "migrate_out":
-                migrate_out(message[1], message[2])
-            elif kind == "migrate_in":
-                migrate_in(message[2], message[3], message[4])
             elif kind == "block":
                 consume([message[1]])
             else:  # pragma: no cover - protocol guard
@@ -513,9 +428,7 @@ def shard_worker_main(
             tail = []
         stats = {
             "n_packets": n_packets,
-            "n_flows": len(
-                migrated_out_keys | ((evicted_keys | set(engine.flows)) - foreign_keys)
-            ),
+            "n_flows": len(evicted_keys | set(engine.flows)),
             "n_evicted_flows": n_evicted,
             "ticks": n_ticks,
             "sub_blocks": n_sub_blocks,

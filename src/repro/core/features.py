@@ -299,13 +299,6 @@ class IPUDPFeatureAccumulator:
         """The window's video inter-arrival gaps so far (float64)."""
         return self._iats[: self._n_iats]
 
-    def load_buffers(self, sizes: np.ndarray, iats: np.ndarray) -> None:
-        """Replace the size / gap buffers (restoring a migrated window)."""
-        self._sizes = np.array(sizes, dtype=np.float64)
-        self._n_sizes = len(self._sizes)
-        self._iats = np.array(iats, dtype=np.float64)
-        self._n_iats = len(self._iats)
-
     def features(self) -> np.ndarray:
         """The 14-feature vector for the window accumulated so far.
 

@@ -144,7 +144,7 @@ class AssembledFrame:
 
         Eager for scalar-assembled frames, materialized on first access for
         batch-assembled ones; unavailable for frames that only ever existed
-        as aggregate columns (streaming block path, migration snapshots).
+        as aggregate columns (streaming block path).
         """
         if self._packets is None:
             if self._packet_src is None:
@@ -256,8 +256,7 @@ class FrameAssembler:
         """Discard all streaming state (recent assignments and open frames)."""
         # The frame each recent packet was assigned to, most recent last:
         # (timestamp, payload_size, frame) triples -- one representation
-        # shared by the scalar path, the vectorized path, finalize_stale and
-        # the FlowSnapshot codec.
+        # shared by the scalar path, the vectorized path and finalize_stale.
         self._recent: deque[tuple[float, int, AssembledFrame]] = deque()
         # frame_index -> number of its packets still inside the lookback.
         self._live: dict[int, int] = {}

@@ -1086,10 +1086,10 @@ class StreamingQoEPipeline:
                 bounds.append(self.start + first * self.window_s)
         return min(bounds)
 
-    # -- elastic sharding: per-flow snapshot / restore -------------------------
+    # -- telemetry -------------------------------------------------------------
 
     def load_stats(self) -> dict:
-        """One-pass mid-run load signal (telemetry / rebalancing input).
+        """One-pass mid-run load signal (per-shard load telemetry).
 
         ``live_flows`` / ``buffered_packets`` / ``open_windows`` in a single
         sweep over the streams, so per-tick telemetry costs one pass instead
@@ -1105,64 +1105,6 @@ class StreamingQoEPipeline:
             "buffered_packets": buffered,
             "open_windows": open_windows,
         }
-
-    def dump_flow(self, key: FlowKey | None) -> tuple[bytes, float] | None:
-        """Drain one live flow into a migration snapshot and forget it.
-
-        Returns ``(payload, bound)`` where ``payload`` is the encoded
-        :class:`~repro.net.flowwire.FlowSnapshot` and ``bound`` the flow's
-        ``next_window_start`` (the earliest window it could still emit — the
-        fan-in fence for the migration), or ``None`` when the flow is not
-        live here.  After a dump the engine treats the flow as never seen:
-        a later packet for the same 5-tuple would start a *fresh* flow, so
-        the caller must stop routing the flow here first.
-        """
-        if self._closed:
-            raise RuntimeError("cannot dump a flow from a flushed engine")
-        stream = self._streams.get(key)
-        if stream is None:
-            return None
-        from repro.net.flowwire import FlowSnapshot
-
-        stats = None
-        if key is not None:
-            try:
-                stats = self.flow_table.stats(key)
-            except KeyError:
-                stats = None
-        snapshot = FlowSnapshot.from_stream(key, stream, stats)
-        payload = snapshot.to_bytes()
-        bound = stream.next_window_start
-        del self._streams[key]
-        self._flow_order.remove(key)
-        if key is not None:
-            self.flow_table.remove(key)
-        return payload, bound
-
-    def load_flow(self, key: FlowKey | None, payload: bytes) -> None:
-        """Restore a migrated flow from :meth:`dump_flow`'s payload.
-
-        The restored stream resumes push-identically: subsequent packets
-        produce exactly the estimates the origin engine would have produced.
-        Refuses if the flow is already live here (a migration protocol bug)
-        or if the snapshot's mode / window grid does not match this engine.
-        """
-        if self._closed:
-            raise RuntimeError("cannot load a flow into a flushed engine")
-        if key in self._streams:
-            raise RuntimeError(f"flow already live on this engine: {key}")
-        from repro.net.flowwire import FlowSnapshot
-
-        snapshot = FlowSnapshot.read_from(payload)
-        stream = self._make_stream(key)
-        snapshot.apply_to(stream)
-        self._streams[key] = stream
-        self._flow_order.append(key)
-        if key is not None and snapshot.stats is not None:
-            packets, n_bytes, first_seen, last_seen = snapshot.stats
-            self.flow_table.update_bulk(
-                key, n=packets, n_bytes=n_bytes, first_ts=first_seen, last_ts=last_seen
-            )
 
     # -- internals -------------------------------------------------------------
 

@@ -7,7 +7,7 @@ per-window predictions stay bit-identical (PR 3), every wire codec is
 explicitly little-endian (PRs 4-7), the telemetry plane must cost one falsy
 branch when disabled (PR 8).  ``repro.devtools`` turns those contracts into
 named, CI-gated AST rules that fail in seconds instead of flaking in a
-four-worker migration test.
+four-worker equivalence test.
 
 Usage::
 

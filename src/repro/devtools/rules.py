@@ -28,7 +28,6 @@ __all__ = ["CODEC_MODULES", "DATA_PLANE_MODULES", "FOREIGN_FORMAT_MODULES"]
 CODEC_MODULES = (
     "repro/net/block.py",
     "repro/net/estwire.py",
-    "repro/net/flowwire.py",
     "repro/net/pcap.py",
 )
 
@@ -324,7 +323,7 @@ class FrombufferOnlyInCodecs(Rule):
         "frombuffer reinterprets raw bytes with whatever dtype the caller "
         "guessed; outside the codecs' alignment helpers there is no layout "
         "contract to guess against.  Decode through the codec entry points "
-        "(PacketBlock/EstimateBatch/FlowSnapshot.read_from) instead."
+        "(PacketBlock/EstimateBatch.read_from) instead."
     )
     scope = ("repro/",)
     exclude = CODEC_MODULES

@@ -92,8 +92,6 @@ class MonitorReport:
     * ``shard_loads`` -- the final per-shard load telemetry of a sharded
       run (one ``{"live_flows", "buffered_packets", "open_windows"}`` dict
       per shard, ``{}`` for shards that never reported).
-    * ``migration`` -- the cut-latency summary of a rebalanced run
-      (:func:`~repro.cluster.rebalance.summarize_migrations`).
     """
 
     n_packets: int
@@ -105,7 +103,6 @@ class MonitorReport:
     timing: dict = field(default_factory=dict, compare=False)
     metrics: dict = field(default_factory=dict, compare=False)
     shard_loads: tuple = field(default=(), compare=False)
-    migration: dict = field(default_factory=dict, compare=False)
 
     @property
     def packets_consumed(self) -> int:

@@ -67,7 +67,7 @@ _MEDIA_CODE = {media: code for code, media in enumerate(_MEDIA_ORDER)}
 # ``np.frombuffer`` views.  The columns are the IP/UDP header fields only:
 # annotated blocks are refused (strip them with ``headers_only()``), so a
 # round trip can never silently lose a column.  In-host only -- nothing
-# persisted uses this layout, so a version bump is the whole migration.
+# persisted uses this layout, so a format change is a version bump and nothing more.
 
 _CODEC_MAGIC = b"PBK1"
 _CODEC_VERSION = 2

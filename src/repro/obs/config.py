@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, replace
 __all__ = ["ObsConfig", "DEFAULT_LATENCY_BUCKETS"]
 
 #: Default histogram bounds (seconds), one vector for every histogram of
-#: the fleet: sub-100us ring pushes and multi-second migration cuts
+#: the fleet: sub-100us ring pushes and multi-second engine ticks
 #: (wall-clock stage spans) at the low end, and the 0.05-10 s range an
 #: operator alarms on for ``qoe_emit_lag_seconds`` (stream time) at the
 #: high end.  Prometheus ``le`` semantics: bucket *i* counts observations

@@ -14,7 +14,7 @@ value) and the parent folds each delta into its fleet registry with
 :meth:`merge`.  Deltas are exact by construction -- :meth:`delta` advances
 the shipped baseline in the same step that produces the payload, so the sum
 of every delta that reached the parent equals the worker-side totals that
-were shipped, no matter how ticks, migrations or a mid-run death interleave
+were shipped, no matter how ticks, shards or a mid-run death interleave
 (pinned by ``tests/cluster/test_obs_plane.py``).
 
 Histograms share one bucket vector, fixed by :class:`~repro.obs.config.ObsConfig`

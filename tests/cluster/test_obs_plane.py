@@ -5,24 +5,21 @@ PR 8 acceptance criteria pinned here:
 * **observability is free of side effects**: with ``ObsConfig(enabled=True)``
   the sharded monitor emits estimates bit-identical to (and in the same
   fan-in order as) the obs-off run and the single-process monitor -- over
-  both transports, N = 1, 2, 4 workers, heuristic and trained pipelines,
-  and across forced live migrations;
+  both transports, N = 1, 2, 4 workers, heuristic and trained pipelines;
 * **fleet merge is exact**: the sum of every per-worker counter delta the
-  parent received equals the parent registry's totals -- across migration
-  chains and across a worker death mid-run;
+  parent received equals the parent registry's totals -- including across
+  a worker death mid-run;
 * **transport counters mirror the report**: the registry's
   ``qoe_transport_*`` series match ``MonitorReport.transport`` exactly,
   including the queue-fallback paths (oversized single rows, tiny slots);
-* the report's ``timing``/``metrics``/``shard_loads``/``migration``
-  surfaces are populated and excluded from report equality.
+* the report's ``timing``/``metrics``/``shard_loads`` surfaces are
+  populated and excluded from report equality.
 """
 
 from __future__ import annotations
 
-import importlib.util
 import json
 import math
-from pathlib import Path
 
 import pytest
 
@@ -37,15 +34,10 @@ from repro import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.cluster import ScheduledRebalancer, shm_available
+from repro.cluster import shm_available
 from repro.cluster.fanin import flow_sort_key
-from repro.cluster.router import FlowShardRouter
-from repro.net.flows import FlowKey
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.obs.registry import render_key
-
-#: The flows of the conftest ``many_flow_packets`` fixture.
-KEYS = [FlowKey("192.0.2.10", 3478, f"10.0.0.{i + 1}", 50000 + i) for i in range(4)]
 
 OBS = ObsConfig(enabled=True)
 
@@ -60,12 +52,6 @@ TRANSPORTS = [
     ),
 ]
 
-_spec = importlib.util.spec_from_file_location(
-    "_cluster_conftest_obs", Path(__file__).resolve().parent / "conftest.py"
-)
-_cluster_conftest = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(_cluster_conftest)
-
 
 def fan_in_order(items):
     return sorted(items, key=lambda item: (item.estimate.window_start, flow_sort_key(item.flow)))
@@ -73,14 +59,6 @@ def fan_in_order(items):
 
 def as_rows(items):
     return [(item.flow, item.estimate) for item in items]
-
-
-def forced_schedule(n_workers):
-    """Two real cuts: KEYS[0] leaves home, then comes back."""
-    router = FlowShardRouter(n_workers)
-    home = router.shard_of_key(KEYS[0])
-    away = (home + 1) % n_workers
-    return [(1.5, KEYS[0], away), (5.0, KEYS[0], home)]
 
 
 def run_sharded(pipeline, packets, n_workers, monitor_cls=ShardedQoEMonitor, **kwargs):
@@ -160,33 +138,6 @@ class TestObsDeterminism:
         assert counter(report.metrics, "qoe_engine_predict_windows_total") == report.n_estimates
         assert report.metrics["histograms"]['qoe_stage_seconds{stage="predict"}']["count"] >= 1
 
-    @pytest.mark.parametrize("transport", TRANSPORTS)
-    def test_forced_migration_bit_identical(
-        self, many_flow_packets, single_expected, heuristic_pipeline, transport
-    ):
-        expected = single_expected(heuristic_pipeline)
-        observed, report, monitor = run_sharded(
-            heuristic_pipeline,
-            many_flow_packets,
-            2,
-            transport=transport,
-            rebalance=ScheduledRebalancer(forced_schedule(2)),
-            obs=OBS,
-        )
-        assert as_rows(observed.items) == expected
-        assert len(monitor.migrations) == 2
-        assert counter(report.metrics, "qoe_migrations_total") == 2
-        assert report.metrics["histograms"]['qoe_stage_seconds{stage="migration_cut"}']["count"] == 2
-        # The satellite surface: the migration-cut latency summary.
-        assert report.migration["count"] == 2
-        assert report.migration["total_latency_s"] == pytest.approx(
-            sum(m["latency_s"] for m in monitor.migrations)
-        )
-        assert report.migration["max_latency_s"] == max(m["latency_s"] for m in monitor.migrations)
-        assert report.migration["mean_latency_s"] == pytest.approx(
-            report.migration["total_latency_s"] / 2
-        )
-
 
 class _DeltaRecordingMonitor(ShardedQoEMonitor):
     """Records every worker metrics delta exactly as the parent receives it."""
@@ -265,22 +216,6 @@ class TestFleetMerge:
         assert registry.counter_value("qoe_engine_estimates_total") == report.n_estimates
         assert registry.counter_value("qoe_fanin_released_total") == report.n_estimates
 
-    def test_merge_exact_across_migration_chains(self, many_flow_packets):
-        """KEYS[0] re-homes three times; delta bookkeeping must not skew."""
-        schedule = [(1.0, KEYS[0], 1), (2.5, KEYS[0], 0), (4.0, KEYS[0], 1)]
-        _, report, monitor = run_sharded(
-            QoEPipeline.for_vca("teams"),
-            many_flow_packets,
-            2,
-            monitor_cls=_DeltaRecordingMonitor,
-            rebalance=ScheduledRebalancer(schedule),
-            obs=OBS,
-        )
-        assert len(monitor.migrations) == 3
-        assert_merge_exact(monitor)
-        assert monitor.registry.counter_value("qoe_engine_packets_total") == report.n_packets
-        assert report.migration["count"] == 3
-
     def test_merge_exact_when_a_worker_dies_mid_run(self, many_flow_packets):
         """Deltas merged before a death stay exact; none are double-counted.
 
@@ -336,8 +271,6 @@ class TestTransportCounters:
     def assert_mirrors_report(self, report, monitor) -> None:
         """Registry transport series == ``MonitorReport.transport``, exactly."""
         for direction, agg in report.transport.items():
-            if direction == "rebalance":
-                continue
             for key in self.COUNTS:
                 series = f'qoe_transport_{key}_total{{direction="{direction}"}}'
                 assert counter(report.metrics, series) == agg[key], series
@@ -437,7 +370,6 @@ class TestReportSurfaces:
         for load in report.shard_loads:
             assert set(load) == {"live_flows", "buffered_packets", "open_windows"}
         assert sum(load["live_flows"] for load in report.shard_loads) == 4
-        assert report.migration == {}  # no rebalancer, no summary
 
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_stage_spans_cover_the_hot_path(self, many_flow_packets, transport):

@@ -315,137 +315,6 @@ class TestFanInSink:
         assert ordered[0] is None
 
 
-class TestRouterMigrationOverlay:
-    """The epoch-aware overlay layered over the static CRC-32 map (PR 7)."""
-
-    KEYS = [FlowKey("192.0.2.10", 3478, f"10.0.0.{i}", 50000 + i) for i in range(1, 5)]
-
-    def test_unmigrated_flows_keep_their_pinned_assignments(self):
-        """The PR 4 literal pins survive the overlay: a router with overrides
-        still routes every *other* flow exactly as the static map does."""
-        expected = {2: [0, 0, 1, 0], 4: [0, 2, 3, 2], 8: [4, 6, 7, 2]}
-        for n_shards, assignment in expected.items():
-            router = FlowShardRouter(n_shards)
-            moved = self.KEYS[0]
-            router.set_override(moved, (assignment[0] + 1) % n_shards)
-            for key, static_shard in zip(self.KEYS[1:], assignment[1:]):
-                assert router.shard_of_key(key) == static_shard
-                assert router.shard_of_key(key.reversed()) == static_shard
-
-    def test_override_moves_both_directions(self):
-        router = FlowShardRouter(4)
-        key = self.KEYS[0]
-        base = router.shard_of_key(key)
-        dst = (base + 1) % 4
-        router.set_override(key, dst)
-        assert router.shard_of_key(key) == dst
-        assert router.shard_of_key(key.reversed()) == dst
-        # The memoized base map is untouched -- only the overlay changed.
-        assert router.base_shard_of_key(key) == base
-
-    def test_override_applies_from_either_direction(self):
-        router = FlowShardRouter(4)
-        key = self.KEYS[1]
-        dst = (router.shard_of_key(key) + 2) % 4
-        router.set_override(key.reversed(), dst)
-        assert router.shard_of_key(key) == dst
-
-    def test_override_validates_shard_range(self):
-        router = FlowShardRouter(2)
-        with pytest.raises(ValueError, match="out of range"):
-            router.set_override(self.KEYS[0], 2)
-        with pytest.raises(ValueError, match="out of range"):
-            router.set_override(self.KEYS[0], -1)
-
-    def test_epochs_are_one_based_and_strictly_increasing(self):
-        router = FlowShardRouter(2)
-        assert router.epoch == 0
-        assert [router.next_epoch() for _ in range(3)] == [1, 2, 3]
-
-    def test_partition_block_honours_overrides(self):
-        from repro.net.block import PacketBlock
-
-        packets = [
-            make_packet(timestamp=0.01 * i, dst="10.2.0.%d" % (i % 3 + 1), dst_port=5000 + i % 3)
-            for i in range(30)
-        ]
-        block = PacketBlock.from_packets(packets)
-        router = FlowShardRouter(2)
-        moved = FlowKey("10.1.0.1", 4000, "10.2.0.1", 5000)
-        dst = (router.shard_of_key(moved) + 1) % 2
-        router.set_override(moved, dst)
-        for shard, sub in router.partition_block(block):
-            for packet in sub.to_packets():
-                assert router.shard_of(packet) == shard
-
-
-class TestFanInMigrationFences:
-    """The release-threshold fences that bracket a live flow migration."""
-
-    def test_fence_caps_the_release_threshold(self):
-        downstream = CollectorSink()
-        fan_in = FanInSink(downstream, n_shards=2)
-        fan_in.add_fence("epoch-1", 1.0)
-        # Both shards' watermarks pass 3.0, but the fence holds at 1.0.
-        fan_in.accept(0, [make_item(0.0), make_item(2.0)], low_watermark=3.0)
-        fan_in.accept(1, [make_item(1.0, dst_port=50001)], low_watermark=3.0)
-        assert [i.estimate.window_start for i in downstream.items] == [0.0]
-        fan_in.clear_fence("epoch-1")
-        assert [i.estimate.window_start for i in downstream.items] == [0.0, 1.0, 2.0]
-
-    def test_lowest_of_several_fences_wins(self):
-        downstream = CollectorSink()
-        fan_in = FanInSink(downstream, n_shards=1)
-        fan_in.add_fence("a", 2.0)
-        fan_in.add_fence("b", 4.0)
-        fan_in.accept(0, [make_item(1.0), make_item(3.0), make_item(5.0)], low_watermark=9.0)
-        assert [i.estimate.window_start for i in downstream.items] == [1.0]
-        fan_in.clear_fence("a")
-        assert [i.estimate.window_start for i in downstream.items] == [1.0, 3.0]
-        fan_in.clear_fence("b")
-        assert [i.estimate.window_start for i in downstream.items] == [1.0, 3.0, 5.0]
-
-    def test_clear_unknown_fence_is_a_noop(self):
-        fan_in = FanInSink(n_shards=1)
-        fan_in.clear_fence("never-installed")  # must not raise or release
-
-    def test_rebase_is_the_sanctioned_regression(self):
-        downstream = CollectorSink()
-        fan_in = FanInSink(downstream, n_shards=2)
-        fan_in.add_fence("epoch-1", 1.0)
-        fan_in.accept(0, [], low_watermark=6.0)  # stale-high destination bound
-        fan_in.accept(1, [], low_watermark=6.0)
-        # Post-restore the destination's genuine bound is lower; install it
-        # verbatim, then lift the fence -- the standard migration sequence.
-        fan_in.rebase_watermark(0, 2.0)
-        fan_in.clear_fence("epoch-1")
-        fan_in.accept(0, [make_item(1.5)], low_watermark=2.0)
-        # 1.5 < 2.0 == min watermark: released; nothing above it was.
-        assert [i.estimate.window_start for i in downstream.items] == [1.5]
-
-    def test_rebase_skips_finished_shards(self):
-        fan_in = FanInSink(CollectorSink(), n_shards=2)
-        fan_in.finish(0)
-        fan_in.rebase_watermark(0, 1.0)  # must not reopen a finished shard
-        fan_in.accept(1, [make_item(5.0, dst_port=50001)], low_watermark=9.0)
-        assert fan_in.records_released == 1
-
-    def test_close_drops_standing_fences(self):
-        downstream = CollectorSink()
-        fan_in = FanInSink(downstream, n_shards=1)
-        fan_in.add_fence("epoch-1", 0.0)
-        fan_in.accept(0, [make_item(3.0)], low_watermark=9.0)
-        assert len(downstream) == 0
-        fan_in.close()
-        assert [i.estimate.window_start for i in downstream.items] == [3.0]
-
-    def test_add_fence_after_close_raises(self):
-        fan_in = FanInSink(n_shards=1)
-        fan_in.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            fan_in.add_fence("late", 1.0)
-
-
 class TestShardWorkerLoop:
     """The worker entry point run in-process with plain queues."""
 
@@ -779,7 +648,7 @@ class TestRouterMemoizationAndBlocks:
         packets = [make_packet(timestamp=0.01 * i, dst_port=5000 + i % 3) for i in range(30)]
         for packet in packets:
             router.shard_of(packet)
-        info = router.base_shard_of_key.cache_info()
+        info = router.shard_of_key.cache_info()
         assert info.misses == 3  # one CRC per unique flow
         assert info.hits == 27  # every other packet is a dict hit
 

@@ -257,6 +257,7 @@ class TestColumnarTransport:
             ({"transport": "packets"}, ValueError),
             ({"shm_return": "queue"}, TypeError),
             ({"shm_batch_slots": False}, TypeError),
+            ({"rebalance": None}, TypeError),
         ],
     )
     def test_removed_options_are_rejected_at_construction(self, many_flow_packets, removed, error):
@@ -266,3 +267,30 @@ class TestColumnarTransport:
             ShardedQoEMonitor(
                 QoEPipeline.for_vca("teams"), IteratorSource(iter(many_flow_packets)), **removed
             )
+
+
+class TestShardTelemetry:
+    def test_shard_loads_populated(self, many_flow_packets):
+        """Load telemetry rides every progress/est message unconditionally."""
+        _, _, monitor = run_sharded(QoEPipeline.for_vca("teams"), many_flow_packets, 2)
+        assert len(monitor.shard_loads) == 2
+        for load in monitor.shard_loads:
+            assert set(load) == {"live_flows", "buffered_packets", "open_windows"}
+        # The final reading (taken before the flush) still sees live state.
+        assert sum(load["live_flows"] for load in monitor.shard_loads) == 4
+
+    def test_done_stats_carry_final_load(self, many_flow_packets):
+        _, _, monitor = run_sharded(QoEPipeline.for_vca("teams"), many_flow_packets, 2)
+        for stats in monitor.shard_stats:
+            assert set(stats["load"]) == {"live_flows", "buffered_packets", "open_windows"}
+
+    def test_idle_shard_reports_load_at_done(self, many_flow_packets):
+        # With the pinned 4-shard map ([2, 0, 1, 1]), shard 3 receives no
+        # flows at all -- its only load report is the one in its done stats.
+        _, _, monitor = run_sharded(QoEPipeline.for_vca("teams"), many_flow_packets, 4)
+        assert all(load is not None for load in monitor.shard_loads)
+        assert monitor.shard_loads[3] == {
+            "live_flows": 0,
+            "buffered_packets": 0,
+            "open_windows": 0,
+        }

@@ -28,7 +28,6 @@ from repro.cluster.monitor import _ForwardLink
 from repro.cluster.router import FlowShardRouter
 from repro.cluster.shm import BlockRing, shm_available
 from repro.cluster.worker import _WorkerChannel
-from repro.net.flows import FlowKey
 from repro.sources.base import iter_blocks
 from repro.net.block import PacketBlock
 from repro.net.media import MediaType
@@ -402,18 +401,13 @@ class _FakeMonitor(ShardedQoEMonitor):
     one, which is the only way a blocked link gets to make progress.
     """
 
-    def __init__(self, n_workers: int = 1, free: int = 0) -> None:
-        super().__init__(
-            QoEPipeline.for_vca("teams"), IteratorSource(iter(())), n_workers=n_workers
-        )
+    def __init__(self, free: int = 0) -> None:
+        super().__init__(QoEPipeline.for_vca("teams"), IteratorSource(iter(())), n_workers=1)
         self.events: list = []
         self.pumps = 0
-        self._workers = [
-            SimpleNamespace(shard_id=shard, ring=_FakeRing(self.events, free))
-            for shard in range(n_workers)
-        ]
-        self._links = [_ForwardLink(self, worker) for worker in self._workers]
-        self._done = [False] * n_workers
+        self._workers = [SimpleNamespace(shard_id=0, ring=_FakeRing(self.events, free))]
+        self._links = [_ForwardLink(self, self._workers[0])]
+        self._done = [False]
 
     def _send(self, worker, message) -> None:
         self.events.append(message)
@@ -421,9 +415,6 @@ class _FakeMonitor(ShardedQoEMonitor):
     def _pump_blocked_on(self, worker) -> None:
         self.pumps += 1
         worker.ring.free += 1
-
-    def _await_migration(self, src, epoch):
-        return [], None, []
 
 
 class TestSelfClockingForwardLink:
@@ -495,16 +486,6 @@ class TestSelfClockingForwardLink:
         assert monitor.events == [("slot", 2), ("shm",), ("block", oversized)]
         assert link._pending == [] and monitor.pumps == 1
         assert link._queue_fallbacks == 1
-
-    def test_migrate_flushes_the_old_home_ahead_of_the_cut(self):
-        monitor = _FakeMonitor(n_workers=2, free=0)
-        flow = FlowKey("192.0.2.10", 3478, "10.0.0.1", 50000)
-        src = monitor.router.shard_of_key(flow)
-        monitor._links[src].add(make_block(n=8))
-        monitor._migrate(flow, 1 - src)
-        kinds = [event[0] for event in monitor.events]
-        assert kinds == ["slot", "shm", "migrate_out", "migrate_in"]
-        assert monitor._links[src]._pending == []
 
 
 class _RecordingQueue:
@@ -740,23 +721,17 @@ class TestWorkerChannelProtocol:
         channel = _WorkerChannel(3, out)
         channel.progress([], 1.0)
         channel.estimates_ready()
-        channel.migrated(1, [], None, [])
-        channel.migrate_ack(1)
         channel.done([], {})
         with pytest.raises(RuntimeError, match="progress after done"):
             channel.progress([], 2.0)
         with pytest.raises(RuntimeError, match="progress after done"):
             channel.estimates_ready()
-        with pytest.raises(RuntimeError, match="migration after done"):
-            channel.migrated(2, [], None, [])
-        with pytest.raises(RuntimeError, match="migration after done"):
-            channel.migrate_ack(2)
         with pytest.raises(RuntimeError, match="done twice"):
             channel.done([], {})
         kinds = []
         while not out.empty():
             kinds.append(out.get_nowait()[0])
-        assert kinds == ["progress", "est", "migrated", "migrate_ack", "done"]
+        assert kinds == ["progress", "est", "done"]
 
     def test_progress_and_est_carry_optional_load(self):
         out: queue.Queue = queue.Queue()

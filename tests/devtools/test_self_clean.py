@@ -4,7 +4,7 @@ This is the test that turns nine PRs of contracts into a commit gate: any
 change that calls builtin ``hash()`` on repro code, drops an obs guard in a
 hot-path module, writes a byte-order-implicit dtype into a codec, or
 unfreezes a public config fails here, in seconds, with the rule's name and
-rationale -- instead of flaking later in a 4-worker migration test.
+rationale -- instead of flaking later in a 4-worker equivalence test.
 """
 
 from __future__ import annotations
