@@ -41,6 +41,7 @@ from time import perf_counter
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import QoEPipeline
+from repro.core.streaming import add_counters, engine_counters
 from repro.cluster.fanin import FanInSink
 from repro.cluster.router import FlowShardRouter
 from repro.cluster.shm import DEFAULT_SLOT_BYTES, MIN_SLOT_BYTES, BlockRing, shm_available
@@ -485,6 +486,9 @@ class ShardedQoEMonitor:
                 # MonitorReport.transport exactly.
                 ingest_transport_stats(registry, forward, "forward", shard_id)
         transport = self._aggregate_transport()
+        counters = engine_counters()
+        for stats in self.shard_stats:
+            add_counters(counters, stats.get("counters", {}))
         finished = perf_counter()
         timing = {
             "wall_time_s": finished - started,
@@ -502,6 +506,7 @@ class ShardedQoEMonitor:
             timing=timing,
             metrics=self.metrics(),
             shard_loads=tuple(load if load is not None else {} for load in self.shard_loads),
+            counters=counters,
         )
 
     # -- observability ---------------------------------------------------------

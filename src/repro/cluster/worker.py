@@ -433,6 +433,7 @@ def shard_worker_main(
             "ticks": n_ticks,
             "sub_blocks": n_sub_blocks,
             "load": final_load,
+            "counters": engine.counters,
         }
         if returns.ring_mode:
             reverse = returns.stats()

@@ -10,13 +10,16 @@ Two implementations share the operator's bounded state:
 
 * :meth:`FrameAssembler.push` -- the scalar reference: one packet at a time,
   a literal transcription of Algorithm 1 (Appendix B).
-* :meth:`FrameAssembler.push_rows` -- the vectorized run path: a whole
-  timestamp-sorted run of one flow's ``(size, timestamp)`` columns is
-  assigned to frames with array operations (stacked lookback comparison,
-  pointer-doubling boundary resolution, segment-reduced aggregates) and the
-  lookback tail + open frames carry across run boundaries, so interleaving
-  scalar pushes and vectorized runs is frame-for-frame identical to pushing
-  every packet through :meth:`push`.
+* :func:`assemble_segments` -- the vectorized kernel: timestamp-sorted runs
+  of many flows' ``(size, timestamp)`` columns, each continuing its own
+  assembler's carried lookback tail, are assigned to frames in one pass of
+  array operations (stacked lookback comparison under a same-segment mask,
+  pointer-doubling boundary resolution, segment-reduced aggregates).  The
+  streaming engine calls it once per block over every flow;
+  :meth:`FrameAssembler.push_rows` is its one-segment call.  Lookback tails
+  and open frames carry across runs, so interleaving scalar pushes and
+  vectorized runs is frame-for-frame identical to pushing every packet
+  through :meth:`~FrameAssembler.push`.
 
 Frames assembled by the vectorized path carry aggregate columns only
 (``n_packets``/``size_bytes``/``raw_size_bytes``/``start_time``/``end_time``);
@@ -28,14 +31,20 @@ evaluation and ground-truth code needs it (scalar pushes and the batch
 from __future__ import annotations
 
 import math
-from collections import deque
 
 import numpy as np
 
 from repro.net.packet import RTP_FIXED_HEADER_LEN, Packet
 from repro.net.trace import PacketTrace
 
-__all__ = ["AssembledFrame", "FrameAssembler", "FrameRun", "assemble_frames"]
+__all__ = [
+    "AssembledFrame",
+    "FrameAssembler",
+    "FrameRun",
+    "SegmentedRun",
+    "assemble_frames",
+    "assemble_segments",
+]
 
 
 class AssembledFrame:
@@ -186,19 +195,13 @@ class FrameRun:
     finalized the frame, exactly when scalar :meth:`FrameAssembler.push`
     would have returned it.
 
-    The remaining attributes are per-frame placement for the streaming
-    engine's window replay, as parallel sequences indexed by group ``g``
-    (one group per frame the run touched, ascending ``frame_index``):
-    ``frames[g]`` is the frame itself, ``occ_all[lo[g]:hi[g]]`` its run-row
-    occurrences gained this run (ascending; empty for a carried frame that
-    gained nothing), ``fin_rows[g]`` the run row whose push finalized it
-    (``None`` if it survives the run), and ``prior_ends[g]`` its
-    ``end_time`` before the run (``None`` unless carried in from earlier
-    pushes).  ``occ_all`` is one shared array grouped by frame, so consumers
-    can translate every occurrence with a single fancy-index.
+    ``frames`` lists every frame the run touched (carried-in frames first,
+    then new frames in creation order); the pushed rows that joined frame
+    ``g`` are ``occ_all[lo[g]:hi[g]]`` (ascending).  The batch adapter
+    attaches its lazy packet views from these spans.
     """
 
-    __slots__ = ("finalized", "frames", "lo", "hi", "fin_rows", "prior_ends", "occ_all")
+    __slots__ = ("finalized", "frames", "lo", "hi", "occ_all")
 
     def __init__(
         self,
@@ -206,17 +209,271 @@ class FrameRun:
         frames: list[AssembledFrame],
         lo: np.ndarray,
         hi: np.ndarray,
-        fin_rows: list[int | None],
-        prior_ends: list[float | None],
         occ_all: np.ndarray,
     ) -> None:
         self.finalized = finalized
         self.frames = frames
         self.lo = lo
         self.hi = hi
-        self.fin_rows = fin_rows
-        self.prior_ends = prior_ends
         self.occ_all = occ_all
+
+
+class SegmentedRun:
+    """What one :func:`assemble_segments` call did, per segment and per frame.
+
+    Segment ``s`` is assembler ``s``'s carried lookback tail followed by its
+    new rows.  Every frame a segment touches is one *group*; groups are
+    segment-major and, within a segment, carried frames come first and new
+    frames follow in creation order.  Per group ``g``:
+
+    * ``g_seg[g]`` -- its segment; ``frames[g]`` -- the frame (``None`` in a
+      bailed segment); ``prior_ends[g]`` -- a carried frame's ``end_time``
+      before the run (``None`` for a new frame); ``end_ts[g]`` -- its
+      ``end_time`` after the run;
+    * ``occ[lo[g]:hi[g]]`` -- the flat new-row indices that joined it this
+      run, ascending (empty for a carried frame that gained nothing).
+
+    ``fin_groups`` are the groups finalized by a row of this run, in
+    finalization order, and ``fin_rows`` the flat new-row index whose push
+    finalized each.  ``bail`` is the per-segment liveness verdict (``None``
+    when no ``max_gap_s`` was given).
+    """
+
+    __slots__ = (
+        "bail", "g_seg", "frames", "prior_ends", "end_ts", "lo", "hi", "occ", "fin_groups", "fin_rows",
+    )
+
+
+def assemble_segments(
+    assemblers: list["FrameAssembler"],
+    sizes: np.ndarray,
+    media_sizes: np.ndarray,
+    timestamps: np.ndarray,
+    bounds: np.ndarray,
+    max_gap_s: float | None = None,
+    horizons: np.ndarray | None = None,
+) -> SegmentedRun:
+    """Vectorized Algorithm 1 over one timestamp-sorted run per assembler.
+
+    Segment ``s``'s new rows are ``sizes[bounds[s]:bounds[s + 1]]`` (and the
+    same slices of ``media_sizes`` / ``timestamps``); they continue
+    ``assemblers[s]``'s stream, whose carried lookback tail a light loop
+    gathers and prepends.  All assemblers must share ``delta_size`` and
+    ``lookback``.  Then, once for all segments:
+
+    * boundary detection is the stacked comparison against the previous
+      ``lookback`` sizes under a same-segment mask (most recent match wins,
+      mirroring :meth:`FrameAssembler.push`'s ``reversed(self._recent)``
+      scan);
+    * frame membership resolves lookback joins into older frames by pointer
+      doubling to each row's root (carried entries of one frame are linked
+      to its first carried entry, so the frame has one root);
+    * per-frame aggregates come from one stable sort by root and one
+      segment reduction; a frame finalizes when the row ``lookback``
+      positions past its last entry is pushed, if that row is in the run.
+
+    Every segment's frames and post-run state (lookback tail, open frames,
+    next frame index) are then written back: carried frames in place, new
+    frames aggregate-only -- the state scalar :meth:`FrameAssembler.push`
+    would have left.
+
+    ``max_gap_s`` is the streaming engine's liveness guard: segment ``s``
+    bails (``bail[s]``) when any of its frames could go ``max_gap_s``
+    without gaining a packet or being finalized before ``horizons[s]``.  A
+    concurrent ``finalize_stale`` sweep could then evict that frame mid-run,
+    which shifts every later lookback pop, so nothing is written for that
+    segment and the caller replays it through :meth:`FrameAssembler.push`.
+    The test compares ``end < wait_until - max_gap_s`` -- the sweep's own
+    ``end_time < watermark - max_frame_age_s`` at the latest watermark the
+    frame could see -- so it never misses a sweep that would evict.
+    """
+    lookback = assemblers[0].lookback
+    n_segments = len(assemblers)
+    carried_ts: list[float] = []
+    carried_sizes: list[int] = []
+    carried_frames: list[AssembledFrame] = []
+    n_carried: list[int] = []
+    next_index: list[int] = []
+    for assembler in assemblers:
+        recent = assembler._recent
+        n_carried.append(len(recent))
+        next_index.append(assembler._next_index)
+        for entry_ts, entry_size, entry_frame in recent:
+            carried_ts.append(entry_ts)
+            carried_sizes.append(entry_size)
+            carried_frames.append(entry_frame)
+
+    # The combined position space: each segment's carried entries, then its
+    # new rows.
+    seg_len = np.array(n_carried, dtype=np.int64) + np.diff(bounds)
+    cstart = np.zeros(n_segments + 1, dtype=np.int64)
+    np.cumsum(seg_len, out=cstart[1:])
+    total = int(cstart[-1])
+    seg_of = np.repeat(np.arange(n_segments), seg_len)
+    local = np.arange(total) - cstart[seg_of]
+    new = local >= np.repeat(n_carried, seg_len)
+    all_sizes = np.empty(total, dtype=np.int64)
+    all_ts = np.empty(total, dtype=np.float64)
+    all_sizes[new] = sizes
+    all_ts[new] = timestamps
+    all_sizes[~new] = carried_sizes
+    all_ts[~new] = carried_ts
+
+    # Most-recent match within the lookback: smallest k in [1, lookback]
+    # with |size[i] - size[i-k]| <= delta_size, i-k in the same segment.
+    parent = np.arange(total)
+    matched = np.zeros(total, dtype=bool)
+    for k in range(1, min(lookback, total - 1) + 1):
+        hit = new[k:] & (local[k:] >= k) & ~matched[k:]
+        hit &= np.abs(all_sizes[k:] - all_sizes[:-k]) <= assemblers[0].delta_size
+        rows = np.flatnonzero(hit) + k
+        parent[rows] = rows - k
+        matched[rows] = True
+    carried_pos = np.flatnonzero(~new)
+    carried_fid = np.array([frame.frame_index for frame in carried_frames], dtype=np.int64)
+    for k in range(1, min(lookback, len(carried_pos))):
+        same = (local[carried_pos[k:]] >= k) & (carried_fid[k:] == carried_fid[:-k])
+        parent[carried_pos[k:][same]] = carried_pos[:-k][same]
+    # Resolve every row to its root (pointer doubling): a row that joins via
+    # a row that itself joined an older frame must land in that older frame,
+    # which a plain cumulative sum over boundary flags would miss.
+    while True:
+        grandparent = parent[parent]
+        if (grandparent == parent).all():
+            break
+        parent = grandparent
+
+    # Group combined positions by root (the stable sort keeps positions
+    # ascending within each group; roots ascend segment by segment).
+    order = np.argsort(parent, kind="stable")
+    root_sorted = parent[order]
+    head = np.ones(total, dtype=bool)
+    np.not_equal(root_sorted[1:], root_sorted[:-1], out=head[1:])
+    group_starts = np.flatnonzero(head)
+    group_ends = np.append(group_starts[1:], total) if total else group_starts
+    g_root = root_sorted[group_starts]
+    g_seg = seg_of[g_root]
+    last_pos = order[group_ends - 1]
+    new_rank = np.cumsum(new) - 1
+    new_sorted = new[order]
+    occ = np.where(new_sorted, new_rank[order], -1)
+    joined = occ[new_sorted]
+    vals = np.zeros((3, total), dtype=np.int64)
+    vals[0] = new_sorted
+    vals[1, new_sorted] = media_sizes[joined]
+    vals[2, new_sorted] = sizes[joined]
+    counts, media_sums, raw_sums = (
+        np.add.reduceat(vals, group_starts, axis=1) if total else vals
+    )
+    first_new = group_ends - counts
+    ts_sorted = all_ts[order]
+    end_ts = all_ts[last_pos]
+    fin_pos = last_pos + lookback
+    finalizes = fin_pos < cstart[1:][g_seg]
+
+    run = SegmentedRun()
+    run.bail = None
+    kept_seg = np.ones(n_segments, dtype=bool)
+    if max_gap_s is not None:
+        assert horizons is not None
+        # The latest watermark each frame can see while open: its
+        # finalizing row, or the segment horizon if it outlives the run ...
+        wait_until = np.where(finalizes, all_ts[np.minimum(fin_pos, total - 1)], horizons[g_seg])
+        kept_seg[g_seg[end_ts < wait_until - max_gap_s]] = False
+        # ... and between a frame's consecutive entries.
+        stalls = np.flatnonzero(~head[1:] & (ts_sorted[:-1] < ts_sorted[1:] - max_gap_s))
+        kept_seg[seg_of[order[stalls + 1]]] = False
+        run.bail = ~kept_seg
+
+    # Commit.  Per-group Python work is the kernel's constant factor: every
+    # value is pre-extracted into one zip of plain scalars and new frames
+    # are built with direct slot stores.  A new frame's index is its
+    # segment's next index plus its rank among the segment's boundary rows.
+    minted = np.cumsum(new & ~matched)
+    minted_before = np.concatenate(([0], minted))[cstart]
+    g_fid = np.array(next_index, dtype=np.int64)[g_seg] + minted[g_root] - 1 - minted_before[g_seg]
+    carried_at = np.where(new[g_root], -1, (np.cumsum(~new) - 1)[g_root])
+    groups = np.flatnonzero(kept_seg[g_seg])
+    n_groups = len(g_seg)
+    frames: list[AssembledFrame | None] = [None] * n_groups
+    prior_ends: list[float | None] = [None] * n_groups
+    new_frame = AssembledFrame.__new__
+    for g, carried_at, frame_id, count, media_sum, raw_sum, first_ts, last_ts in zip(
+        groups.tolist(),
+        carried_at[groups].tolist(),
+        g_fid[groups].tolist(),
+        counts[groups].tolist(),
+        media_sums[groups].tolist(),
+        raw_sums[groups].tolist(),
+        ts_sorted[np.minimum(first_new, total - 1)][groups].tolist(),
+        end_ts[groups].tolist(),
+    ):
+        if carried_at >= 0:
+            frame = carried_frames[carried_at]
+            prior_ends[g] = frame._end_time
+            if count:
+                frame._add_run(count, media_sum, raw_sum, first_ts, last_ts)
+        else:
+            frame = new_frame(AssembledFrame)
+            frame.frame_index = frame_id
+            frame.n_packets = count
+            frame.size_bytes = media_sum
+            frame.raw_size_bytes = raw_sum
+            frame._start_time = first_ts
+            frame._end_time = last_ts
+            frame._packets = None
+            frame._packet_src = None
+            frame._packet_idx = None
+        frames[g] = frame
+
+    # Post-run bounded state of every kept segment that gained rows: its
+    # lookback tail is the last ``lookback`` combined positions, and its
+    # open frames are exactly the frames with an entry there.
+    segments = np.flatnonzero(kept_seg & (np.diff(bounds) > 0))
+    tail_len = np.minimum(seg_len[segments], lookback)
+    tail_pos = np.repeat(cstart[segments + 1] - tail_len, tail_len) + (
+        np.arange(int(tail_len.sum())) - np.repeat(np.cumsum(tail_len) - tail_len, tail_len)
+    )
+    group_of_pos = np.empty(total, dtype=np.int64)
+    group_of_pos[order] = np.cumsum(head) - 1
+    tail_groups = group_of_pos[tail_pos].tolist()
+    tail_ts = all_ts[tail_pos].tolist()
+    tail_sizes = all_sizes[tail_pos].tolist()
+    q = 0
+    for s, n_tail, n_minted in zip(
+        segments.tolist(), tail_len.tolist(), np.diff(minted_before)[segments].tolist()
+    ):
+        recent: list[tuple[float, int, AssembledFrame]] = []
+        live: dict[int, int] = {}
+        open_frames: dict[int, AssembledFrame] = {}
+        for j in range(q, q + n_tail):
+            frame = frames[tail_groups[j]]
+            recent.append((tail_ts[j], tail_sizes[j], frame))
+            index = frame.frame_index
+            live[index] = live.get(index, 0) + 1
+            open_frames[index] = frame
+        q += n_tail
+        assembler = assemblers[s]
+        assembler._recent = recent
+        assembler._live = live
+        assembler._open = open_frames
+        assembler._next_index += n_minted
+
+    # At most one frame finalizes per pushed row, so ordering the finalizing
+    # groups by their finalizing position is a total order (segment-major,
+    # row order within a segment).
+    fin_groups = np.flatnonzero(finalizes & kept_seg[g_seg])
+    by_pos = np.argsort(fin_pos[fin_groups])
+    run.fin_groups = fin_groups[by_pos]
+    run.fin_rows = new_rank[fin_pos[run.fin_groups]]
+    run.g_seg = g_seg
+    run.frames = frames
+    run.prior_ends = prior_ends
+    run.end_ts = end_ts
+    run.lo = first_new
+    run.hi = group_ends
+    run.occ = occ
+    return run
 
 
 class FrameAssembler:
@@ -257,7 +514,9 @@ class FrameAssembler:
         # The frame each recent packet was assigned to, most recent last:
         # (timestamp, payload_size, frame) triples -- one representation
         # shared by the scalar path, the vectorized path and finalize_stale.
-        self._recent: deque[tuple[float, int, AssembledFrame]] = deque()
+        # (A short list, not a deque: at most lookback + 1 entries, and one
+        # per flow at a vantage point, where a deque's block costs ~10x.)
+        self._recent: list[tuple[float, int, AssembledFrame]] = []
         # frame_index -> number of its packets still inside the lookback.
         self._live: dict[int, int] = {}
         self._open: dict[int, AssembledFrame] = {}
@@ -293,7 +552,7 @@ class FrameAssembler:
 
         finalized: list[AssembledFrame] = []
         if len(self._recent) > self.lookback:
-            _, _, old_frame = self._recent.popleft()
+            _, _, old_frame = self._recent.pop(0)
             index = old_frame.frame_index
             self._live[index] -= 1
             if self._live[index] == 0:
@@ -312,12 +571,8 @@ class FrameAssembler:
     ) -> FrameRun | None:
         """Feed a timestamp-sorted run of one flow's packet columns at once.
 
-        Vectorized Algorithm 1: boundary detection is a stacked sliding
-        comparison against the previous ``lookback`` sizes (most recent match
-        wins, mirroring :meth:`push`'s ``reversed(self._recent)`` scan),
-        frame membership resolves lookback joins into older frames by
-        pointer doubling to each row's boundary root, and per-frame
-        aggregates come from one stable sort + segment reduction.  The
+        The one-segment call of :func:`assemble_segments` (the streaming
+        engine runs the same kernel over every flow of a block at once): the
         lookback tail carried in ``self._recent`` is prepended, so rows of
         this run join frames opened by earlier pushes exactly as scalar
         pushes would, and the post-run state (lookback tail, open frames,
@@ -327,199 +582,33 @@ class FrameAssembler:
         ``max_gap_s`` is the streaming engine's liveness guard: when given,
         the call first proves that no frame ever goes ``max_gap_s`` without
         gaining a packet, being finalized, or the run ending (``horizon``
-        bounds the wait of frames still open at the end of the run).  If any
-        frame could cross that bound, a concurrent ``finalize_stale`` sweep
-        might evict it mid-run -- which shifts every later lookback pop -- so
-        the call commits *nothing* and returns ``None``; the caller falls
-        back to the scalar path, which interleaves eviction exactly.
+        bounds the wait of frames still open at the end of the run; default:
+        the last timestamp).  If any frame could cross that bound, a
+        concurrent ``finalize_stale`` sweep might evict it mid-run -- which
+        shifts every later lookback pop -- so the call commits *nothing* and
+        returns ``None``; the caller falls back to the scalar path, which
+        interleaves eviction exactly.
 
         Returns a :class:`FrameRun` (finalized frames in finalization order
-        plus per-frame placement spans), or ``None`` on the liveness bailout.
+        plus per-frame row spans), or ``None`` on the liveness bailout.
         """
         m = len(sizes)
         if m == 0:
             empty = np.empty(0, dtype=np.int64)
-            return FrameRun([], [], empty, empty, [], [], empty)
-        lookback = self.lookback
-        recent = self._recent
-        n_prev = len(recent)
-        n = n_prev + m
-
-        cols = np.empty((2, n), dtype=np.float64)
-        all_sizes = cols[0]
-        all_ts = cols[1]
-        for i, (entry_ts, entry_size, _) in enumerate(recent):
-            all_sizes[i] = entry_size
-            all_ts[i] = entry_ts
-        all_sizes[n_prev:] = sizes
-        all_ts[n_prev:] = timestamps
-
-        # Most-recent match within the lookback: smallest k in [1, lookback]
-        # with |size[g] - size[g-k]| <= delta_size, exactly the reversed scan.
-        matched = np.zeros(m, dtype=bool)
-        offsets = np.zeros(m, dtype=np.int64)
-        tail = all_sizes[n_prev:]
-        for k in range(1, lookback + 1):
-            lo = k - n_prev if k > n_prev else 0
-            if lo >= m:
-                break
-            candidates = all_sizes[n_prev + lo - k : n - k]
-            hit = ~matched[lo:] & (np.abs(tail[lo:] - candidates) <= self.delta_size)
-            offsets[lo:][hit] = k
-            matched[lo:] |= hit
-
-        # Resolve every row to its boundary root (pointer doubling): a row
-        # that joins via a row that itself joined an older frame must land in
-        # that older frame, which a plain cumulative sum over boundary flags
-        # would miss.
-        parent = np.arange(n, dtype=np.int64)
-        join_rows = np.flatnonzero(matched) + n_prev
-        parent[join_rows] = join_rows - offsets[matched]
-        while True:
-            grandparent = parent[parent]
-            if (grandparent == parent).all():
-                break
-            parent = grandparent
-
-        # Frame id per combined position: carried entries keep their frame's
-        # index; new boundary rows mint indices in creation (row) order.
-        root_fid = np.empty(n, dtype=np.int64)
-        for i, (_, _, entry_frame) in enumerate(recent):
-            root_fid[i] = entry_frame.frame_index
-        boundary_rows = np.flatnonzero(~matched)
-        n_new = len(boundary_rows)
-        root_fid[n_prev + boundary_rows] = self._next_index + np.arange(n_new)
-        fid = root_fid[parent]
-
-        # Group combined positions by frame (stable sort keeps positions
-        # ascending within each group).
-        order = np.argsort(fid, kind="stable")
-        fid_sorted = fid[order]
-        group_starts = np.flatnonzero(
-            np.concatenate(([True], fid_sorted[1:] != fid_sorted[:-1]))
+            return FrameRun([], [], empty, empty, empty)
+        if horizon is None:
+            horizon = float(timestamps[-1])
+        run = assemble_segments(
+            [self], sizes, media_sizes, timestamps, np.array([0, m]),
+            max_gap_s=max_gap_s, horizons=np.array([horizon]),
         )
-        group_ends = np.concatenate((group_starts[1:], [n]))
-        group_fids = fid_sorted[group_starts]
-        group_last = group_ends - 1
-        last_pos = order[group_last]
-
-        # Per-group aggregates over the *new* rows only (carried entries are
-        # already inside their frame's running aggregates).  New positions
-        # sort after carried ones within a group, so they are each group's
-        # tail.
-        vals = np.zeros((3, n), dtype=np.int64)
-        vals[0, n_prev:] = 1
-        vals[1, n_prev:] = media_sizes
-        vals[2, n_prev:] = sizes
-        counts, media_sums, raw_sums = np.add.reduceat(vals[:, order], group_starts, axis=1)
-        first_new = group_ends - counts  # index into `order` of each group's first new row
-        ts_sorted = all_ts[order]
-
-        # Finalization schedule: entry q pops when row q + lookback is pushed
-        # (the deque never exceeds lookback entries mid-run -- max_gap_s
-        # guarantees no stale eviction), so a frame finalizes at its last
-        # occurrence + lookback if that row is inside the run.
-        fin_pos = last_pos + lookback
-
-        if max_gap_s is not None:
-            # Liveness precheck (see docstring).  Every wait below is a
-            # difference of timestamps inside [oldest carried entry, horizon],
-            # so if that whole interval fits in max_gap_s (the overwhelmingly
-            # common case) no frame can violate the bound -- skip the
-            # per-frame arithmetic entirely.
-            run_horizon = float(timestamps[-1]) if horizon is None else horizon
-            first_ts = recent[0][0] if n_prev else float(timestamps[0])
-            if run_horizon - first_ts > max_gap_s:
-                # Gaps between a frame's consecutive occurrences,
-                # carried-tail ts included:
-                gaps = np.diff(ts_sorted)
-                same_group = fid_sorted[1:] == fid_sorted[:-1]
-                if bool(np.any(same_group & (gaps > max_gap_s))):
-                    return None
-                # ... and from each frame's final occurrence to its
-                # finalization row (or the run horizon if it stays open).
-                wait_until = np.where(
-                    fin_pos < n, all_ts[np.minimum(fin_pos, n - 1)], run_horizon
-                )
-                if bool(np.any(wait_until - ts_sorted[group_last] > max_gap_s)):
-                    return None
-
-        # Commit: build/update frame objects and their placement.  Per-frame
-        # Python work is the path's constant factor, so every per-group value
-        # is pre-extracted into one zip of plain scalars and the frame
-        # objects are built with direct slot stores.
-        next_index = self._next_index
-        open_table = self._open
-        frames: list[AssembledFrame] = []
-        prior_ends: list[float | None] = []
-        append_frame = frames.append
-        append_prior = prior_ends.append
-        occ_all = order - n_prev
-        new_frame = AssembledFrame.__new__
-        for frame_id, count, media_sum, raw_sum, first_ts, end_ts in zip(
-            group_fids.tolist(),
-            counts.tolist(),
-            media_sums.tolist(),
-            raw_sums.tolist(),
-            ts_sorted[np.minimum(first_new, n - 1)].tolist(),
-            ts_sorted[group_last].tolist(),
-        ):
-            if frame_id < next_index:
-                frame = open_table[frame_id]
-                append_prior(frame._end_time)
-                if count:
-                    frame._add_run(count, media_sum, raw_sum, first_ts, end_ts)
-            else:
-                append_prior(None)
-                frame = new_frame(AssembledFrame)
-                frame.frame_index = frame_id
-                frame.n_packets = count
-                frame.size_bytes = media_sum
-                frame.raw_size_bytes = raw_sum
-                frame._start_time = first_ts
-                frame._end_time = end_ts
-                frame._packets = None
-                frame._packet_src = None
-                frame._packet_idx = None
-            append_frame(frame)
-        # Finalization order == row order: at most one frame finalizes per
-        # pushed row, so sorting the finalizing groups by their fin row is a
-        # stable total order.
-        fin_rows_out: list[int | None] = [None] * len(frames)
-        fin_groups = np.flatnonzero(fin_pos < n)
-        fin_groups = fin_groups[np.argsort(fin_pos[fin_groups])]
-        finalized = []
-        for g, fin_row in zip(fin_groups.tolist(), (fin_pos[fin_groups] - n_prev).tolist()):
-            fin_rows_out[g] = fin_row
-            finalized.append((fin_row, frames[g]))
-
-        # Post-run bounded state: the deque holds the last lookback combined
-        # positions; open frames are exactly those with an entry in it.
-        # Frames are recovered from their group (group_fids is sorted, so a
-        # searchsorted per tail entry beats a full fid -> frame table).
-        self._next_index = next_index + n_new
-        tail_start = n - lookback if n > lookback else 0
-        new_recent: deque[tuple[float, int, AssembledFrame]] = deque()
-        live: dict[int, int] = {}
-        open_frames: dict[int, AssembledFrame] = {}
-        for q in range(tail_start, n):
-            if q < n_prev:
-                entry = recent[q]
-                frame = entry[2]
-            else:
-                j = q - n_prev
-                frame = frames[int(np.searchsorted(group_fids, fid[q]))]
-                entry = (float(timestamps[j]), int(sizes[j]), frame)
-            new_recent.append(entry)
-            index = frame.frame_index
-            live[index] = live.get(index, 0) + 1
-            open_frames[index] = frame
-        self._recent = new_recent
-        self._live = live
-        self._open = open_frames
-        # Carried frames whose last entry popped mid-run left _open above via
-        # reconstruction; frames still open keep their identity.
-        return FrameRun(finalized, frames, first_new, group_ends, fin_rows_out, prior_ends, occ_all)
+        if run.bail is not None and run.bail[0]:
+            return None
+        frames = run.frames
+        finalized = [
+            (row, frames[g]) for g, row in zip(run.fin_groups.tolist(), run.fin_rows.tolist())
+        ]
+        return FrameRun(finalized, frames, run.lo, run.hi, run.occ)
 
     def flush(self) -> list[AssembledFrame]:
         """Finalize and return the remaining open frames; resets the stream."""
@@ -540,9 +629,7 @@ class FrameAssembler:
         if not stale:
             return []
         stale_ids = {frame.frame_index for frame in stale}
-        self._recent = deque(
-            entry for entry in self._recent if entry[2].frame_index not in stale_ids
-        )
+        self._recent = [entry for entry in self._recent if entry[2].frame_index not in stale_ids]
         for frame in stale:
             del self._open[frame.frame_index]
             del self._live[frame.frame_index]

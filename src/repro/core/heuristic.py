@@ -61,13 +61,8 @@ def estimates_from_frames(
     boundary is attributed to exactly one window -- ``window_start +
     window_s`` and the next start differ in the last ulp.
     """
-    if window_s <= 0:
-        raise ValueError("window_s must be positive")
     if window_end is None:
         window_end = window_start + window_s
-    # Only the sorted end-time sequence and the size total feed the metrics,
-    # so one pass + one scalar sort replaces materializing and sorting the
-    # member frames (this sits on the streaming engine's per-window hot path).
     end_times: list[float] = []
     size_total = 0
     for f in frames:
@@ -75,6 +70,21 @@ def estimates_from_frames(
         if window_start <= end_time < window_end:
             end_times.append(end_time)
             size_total += f.size_bytes
+    return window_estimate(end_times, size_total, window_start, window_s)
+
+
+def window_estimate(
+    end_times: list[float], size_total: int, window_start: float, window_s: float
+) -> HeuristicEstimate:
+    """The three heuristic metrics of one window from its member frames.
+
+    Only the frames' end times and their total media bytes feed the
+    metrics, so this is all a window needs to keep -- the streaming engine
+    files each finalized frame as exactly that.  Sorts ``end_times`` in
+    place.
+    """
+    if window_s <= 0:
+        raise ValueError("window_s must be positive")
     end_times.sort()
     n_frames = len(end_times)
 

@@ -17,7 +17,7 @@ call is happening*.  :class:`StreamingQoEPipeline` is that engine:
   longer change;
 * retained state is **O(window)** per flow: a reorder buffer bounded by the
   assembler lookback, the assembler's lookback state, and the accumulators /
-  frame buckets of the currently-open windows.  Nothing scales with trace
+  frame end times of the currently-open windows.  Nothing scales with trace
   length.
 
 :meth:`QoEPipeline.estimate <repro.core.pipeline.QoEPipeline.estimate>` is a
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -40,8 +40,8 @@ import numpy as np
 
 from repro.core.config import PipelineConfig
 from repro.core.features import IPUDPFeatureAccumulator, accumulated_features
-from repro.core.frame_assembly import AssembledFrame, FrameAssembler
-from repro.core.heuristic import estimates_from_frames
+from repro.core.frame_assembly import AssembledFrame, FrameAssembler, assemble_segments
+from repro.core.heuristic import window_estimate
 from repro.core.media import MediaClassifier
 from repro.net.block import PacketBlock, _BlockRow
 from repro.net.flows import FlowKey, FlowTable
@@ -51,7 +51,14 @@ if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.core.pipeline import PipelineEstimate, QoEPipeline
     from repro.obs.registry import MetricsRegistry
 
-__all__ = ["StreamEstimate", "StreamingQoEPipeline", "window_index", "window_indices"]
+__all__ = [
+    "StreamEstimate",
+    "StreamingQoEPipeline",
+    "add_counters",
+    "engine_counters",
+    "window_index",
+    "window_indices",
+]
 
 #: Sentinel distinguishing "not passed" from an explicit ``None`` override.
 _UNSET = object()
@@ -69,6 +76,29 @@ def _pipeline_estimate_cls():
 
         _PIPELINE_ESTIMATE_CLS = PipelineEstimate
     return _PIPELINE_ESTIMATE_CLS
+
+
+def engine_counters() -> dict:
+    """A zeroed set of the engine's always-on slow-path and drop counters.
+
+    ``scalar_fallback_rows`` counts block rows that took the per-packet
+    fallback, by reason: ``disordered`` (the flow's run is out of order or
+    backdates its reorder buffer or watermark) and ``liveness`` (a
+    ``max_frame_age_s`` sweep could fire inside it).
+    ``late_reorder_dropped`` counts packets dropped for arriving later than
+    ``reorder_depth`` can absorb.
+    """
+    return {"scalar_fallback_rows": {"disordered": 0, "liveness": 0}, "late_reorder_dropped": 0}
+
+
+def add_counters(total: dict, part: dict) -> dict:
+    """Add the (nested) counters ``part`` into ``total``; returns ``total``."""
+    for name, value in part.items():
+        if isinstance(value, dict):
+            add_counters(total.setdefault(name, {}), value)
+        else:
+            total[name] = total.get(name, 0) + value
+    return total
 
 
 def window_index(timestamp: float, start: float, window_s: float) -> int:
@@ -141,7 +171,7 @@ class _FlowStream:
 
     All retained state is bounded: the reorder buffer holds at most
     ``reorder_depth`` packets, the assembler keeps ``lookback`` assignments,
-    and only windows that are still open hold accumulators / frame buckets
+    and only windows that are still open hold accumulators / frame end times
     (dropped the moment the window closes).
     """
 
@@ -151,12 +181,11 @@ class _FlowStream:
         classifier: MediaClassifier,
         assembler: FrameAssembler | None,
         predict: Callable[[IPUDPFeatureAccumulator, float], "PipelineEstimate | None"] | None,
-        obs: "MetricsRegistry | None" = None,
+        counters: dict,
     ) -> None:
         assert config.reorder_depth is not None, "engine must resolve reorder_depth"
-        #: Optional metrics registry (engine-owned); records the
-        #: ``frame_assembly`` stage span on the heuristic block path.
-        self.obs = obs
+        #: The engine's slow-path / drop counters (shared by every stream).
+        self.counters = counters
         self.window_s = config.window_s
         self.start = config.start
         self.reorder_depth = config.reorder_depth
@@ -168,7 +197,9 @@ class _FlowStream:
         #: ML predictor callback (trained mode), handed each closed window's
         #: accumulator; ``None`` -> heuristic mode.
         self.predict = predict
-        self._pending: list[tuple[float, int, Packet]] = []
+        # Reorder buffer: ``(timestamp, seq, payload_size, packet)`` heap
+        # entries; the block path buffers rows with ``packet=None``.
+        self._pending: list[tuple[float, int, int, Packet | None]] = []
         self._seq = 0
         self._watermark: float | None = None
         #: Block-path bookkeeping: the in-block row index of the packet whose
@@ -180,9 +211,12 @@ class _FlowStream:
         #: buffer) -- the idle-eviction signal.
         self.last_seen: float | None = None
         self._next_window = 0
-        # Heuristic mode: finalized frames keyed by the window their end time
-        # falls in; dropped when the window is emitted.
-        self._frame_buckets: dict[int, list[AssembledFrame]] = {}
+        # Heuristic mode: the finalized frames of each open window, as the
+        # only two things its estimate reads -- their end times and their
+        # total media bytes -- keyed by the window their end time falls in;
+        # dropped when the window is emitted.
+        self._window_ends: dict[int, list[float]] = {}
+        self._window_bytes: dict[int, int] = {}
         # Trained mode: the accumulator of the (single) window currently being
         # filled -- released packets arrive in timestamp order, so at most one
         # feature window is ever open.
@@ -197,7 +231,7 @@ class _FlowStream:
 
     @property
     def open_windows(self) -> int:
-        return len(self._frame_buckets) + (1 if self._acc is not None else 0)
+        return len(self._window_ends) + (1 if self._acc is not None else 0)
 
     @property
     def next_window_start(self) -> float:
@@ -210,12 +244,17 @@ class _FlowStream:
         """Feed one packet; returns estimates for any windows that closed."""
         if self.last_seen is None or packet.timestamp > self.last_seen:
             self.last_seen = packet.timestamp
-        heapq.heappush(self._pending, (packet.timestamp, self._seq, packet))
+        heapq.heappush(self._pending, (packet.timestamp, self._seq, packet.payload_size, packet))
         self._seq += 1
         if len(self._pending) <= self.reorder_depth:
             return []
-        _, _, released = heapq.heappop(self._pending)
-        return self._release(released)
+        return self._release(self._pop_pending())
+
+    def _pop_pending(self) -> Packet:
+        """Pop the oldest buffered packet; rows the block path buffered as
+        bare ``(timestamp, size)`` become a :class:`_BlockRow` only here."""
+        timestamp, _, size, packet = heapq.heappop(self._pending)
+        return packet if packet is not None else _BlockRow(timestamp, size)
 
     def push_rows(
         self,
@@ -223,7 +262,7 @@ class _FlowStream:
         sizes: np.ndarray,
         positions: np.ndarray,
     ) -> list[tuple[int, "PipelineEstimate"]]:
-        """Feed a run of block rows: the columnar hot path.
+        """Feed a run of block rows in trained mode: the columnar hot path.
 
         ``timestamps`` / ``sizes`` are one flow's columns in arrival order;
         ``positions`` carries each row's index in the enclosing block, and
@@ -234,21 +273,18 @@ class _FlowStream:
         When the run is timestamp-sorted and nothing in it backdates the
         reorder buffer -- the overwhelmingly common case -- the reorder
         buffer reduces to a sliding delay line: the released rows are the
-        sorted buffer followed by the run's prefix.  Trained mode then
-        processes the releases with one vectorized window assignment and one
-        array accumulator update per window; heuristic mode runs the
-        vectorized frame assembler (:meth:`FrameAssembler.push_rows`) over
-        the released video rows and replays the window-close schedule from
-        the resulting frame spans, constructing zero packet objects.  Both
-        replay exactly what per-packet :meth:`push` does (same releases,
-        same order, same float arithmetic); disordered runs -- and runs
-        where the liveness bound (``max_frame_age_s``) could evict a frame
-        mid-run -- fall back to the per-row path, which *is* :meth:`push`.
+        sorted buffer followed by the run's prefix, processed with one
+        vectorized window assignment and one array accumulator update per
+        window -- exactly what per-packet :meth:`push` does (same releases,
+        same order, same float arithmetic).  Disordered runs fall back to the
+        per-row path, which *is* :meth:`push`.  (Heuristic mode runs every
+        flow of a block through one segmented pass instead, see
+        :meth:`StreamingQoEPipeline.push_block`.)
         """
+        assert self.predict is not None, "heuristic block rows take the segmented tick"
         m = len(timestamps)
         if m == 0:
             return []
-        trained = self.predict is not None
         pending = self._pending
         ordered = m == 1 or bool(np.all(timestamps[1:] >= timestamps[:-1]))
         newest = float(timestamps[-1]) if ordered else float(timestamps.max())
@@ -262,6 +298,7 @@ class _FlowStream:
             # through _release's stale-packet drop, not the delay line.
             ordered = float(timestamps[0]) >= self._watermark
         if not ordered:
+            self.counters["scalar_fallback_rows"]["disordered"] += m
             return self._push_each(timestamps, sizes, positions)
 
         depth = self.reorder_depth
@@ -279,57 +316,46 @@ class _FlowStream:
                     (entry[0] for entry in pending_sorted), dtype=np.float64, count=p0
                 )
                 pend_sz = np.fromiter(
-                    (entry[2].payload_size for entry in pending_sorted), dtype=np.int64, count=p0
+                    (entry[2] for entry in pending_sorted), dtype=np.int64, count=p0
                 )
                 rel_ts = np.concatenate((pend_ts, timestamps))[:n_release]
                 rel_sz = np.concatenate((pend_sz, sizes))[:n_release]
             else:
                 rel_ts = timestamps[:n_release]
                 rel_sz = sizes[:n_release]
-            if not trained:
-                vectorized = self._push_rows_heuristic(rel_ts, rel_sz, positions, trig_start)
-                if vectorized is None:
-                    # Liveness bailout: a stale sweep could evict a frame
-                    # mid-run and nothing was committed, so replay per row
-                    # -- push interleaves finalize_stale exactly.
-                    self._seq = seq0
-                    return self._push_each(timestamps, sizes, positions)
-                out = vectorized
-            else:
-                rel_trig = positions[trig_start : trig_start + n_release]
-                if self._watermark is None:
-                    self._anchor(float(rel_ts[0]))
-                self._watermark = float(rel_ts[-1])
-                ks = window_indices(rel_ts, self.start, self.window_s)
-                bounds = np.flatnonzero(np.diff(ks)) + 1
-                starts = np.concatenate(([0], bounds))
-                ends = np.concatenate((bounds, [n_release]))
-                for a, b in zip(starts.tolist(), ends.tolist()):
-                    k = int(ks[a])
-                    trig = int(rel_trig[a])
-                    self.trigger_pos = trig
-                    for estimate in self._close_through(k - 1):
-                        out.append((trig, estimate))
-                    if self._acc is None or k != self._acc_index:
-                        self._acc = IPUDPFeatureAccumulator(
-                            self.window_s, classifier=self.classifier
-                        )
-                        self._acc_index = k
-                    self._acc.extend(rel_ts[a:b], rel_sz[a:b])
-                self.trigger_pos = None
+            rel_trig = positions[trig_start : trig_start + n_release]
+            if self._watermark is None:
+                self._anchor(float(rel_ts[0]))
+            self._watermark = float(rel_ts[-1])
+            ks = window_indices(rel_ts, self.start, self.window_s)
+            bounds = np.flatnonzero(np.diff(ks)) + 1
+            starts = np.concatenate(([0], bounds))
+            ends = np.concatenate((bounds, [n_release]))
+            for a, b in zip(starts.tolist(), ends.tolist()):
+                k = int(ks[a])
+                trig = int(rel_trig[a])
+                self.trigger_pos = trig
+                for estimate in self._close_through(k - 1):
+                    out.append((trig, estimate))
+                if self._acc is None or k != self._acc_index:
+                    self._acc = IPUDPFeatureAccumulator(
+                        self.window_s, classifier=self.classifier
+                    )
+                    self._acc_index = k
+                self._acc.extend(rel_ts[a:b], rel_sz[a:b])
+            self.trigger_pos = None
         # Rebuild the reorder buffer: the unreleased tail of (sorted pending
         # ++ incoming) is sorted, hence a valid heap as-is.
         tail = list(pending_sorted[n_release:]) if n_release < p0 else []
         for i in range(max(0, n_release - p0), m):
-            timestamp = float(timestamps[i])
-            tail.append((timestamp, seq0 + i, _BlockRow(timestamp, int(sizes[i]))))
+            tail.append((float(timestamps[i]), seq0 + i, int(sizes[i]), None))
         self._pending = tail
         return out
 
     def _push_each(
         self, timestamps: np.ndarray, sizes: np.ndarray, positions: np.ndarray
     ) -> list[tuple[int, "PipelineEstimate"]]:
-        """The scalar fallback of :meth:`push_rows`: one :meth:`push` per row."""
+        """The scalar fallback of the block path: one :meth:`push` per row."""
         out: list[tuple[int, PipelineEstimate]] = []
         for i in range(len(timestamps)):
             pos = int(positions[i])
@@ -339,155 +365,56 @@ class _FlowStream:
         self.trigger_pos = None
         return out
 
-    def _push_rows_heuristic(
+    def _replay_closes(
         self,
-        rel_ts: np.ndarray,
-        rel_sz: np.ndarray,
-        positions: np.ndarray,
-        trig_start: int,
-    ) -> "list[tuple[int, PipelineEstimate]] | None":
-        """Vectorized heuristic release path over one sorted run.
+        rel_ts: list[float],
+        rel_lo: int,
+        rel_hi: int,
+        triggers: list[int],
+        spans: list[tuple[int, int, "int | None", "float | None", int]],
+        occ_rel: list[int],
+        occ_ts: list[float],
+        fins: list[tuple[int, int, AssembledFrame]],
+    ) -> list[tuple[int, "PipelineEstimate"]]:
+        """Replay :meth:`_close_ready` over one committed heuristic run.
 
-        The released rows (sorted reorder buffer ++ run prefix) are
-        classified with one ``video_mask`` call, assembled with one
-        :meth:`FrameAssembler.push_rows` call, and the window-close loop of
-        :meth:`_close_ready` is replayed from the run's frame spans: window
-        ``k`` closes at the first released row ``r`` past its end where no
-        open frame could still finalize into it, and the emission is tagged
-        with ``positions[trig_start + r]`` -- the same trigger the
-        per-packet path would have used.  Finalized frames bucket in
-        finalization order, interleaved with emissions exactly as scalar
-        pushes interleave them, so estimates and their order are
-        bit-identical.
+        ``rel_ts[rel_lo:rel_hi]`` are the run's released timestamps; released
+        row ``r`` was released by the push of block row
+        ``triggers[rel_lo + r]``.  ``spans`` places every frame the run
+        touched, as ``(lo, hi, fin_rel, prior_end, first_rel)``: its
+        released-row occurrences this run are ``occ_rel[lo:hi]`` (timestamps
+        ``occ_ts[lo:hi]``), ``fin_rel`` is the released row whose push
+        finalized it (``None`` if it outlives the run), ``prior_end`` its
+        ``end_time`` before the run (``None`` for a new frame) and
+        ``first_rel`` its first occurrence (``-1`` for a carried frame).
+        ``fins`` are the finalized frames as ``(fin_rel, window, frame)`` in
+        finalization order.
 
-        Returns ``None`` -- committing nothing -- when the assembler's
-        liveness precheck says a ``finalize_stale`` sweep could fire inside
-        this run (the caller then releases per row).
+        Window ``k`` closes at the first released row ``r`` past its end
+        where no open frame could still finalize into it, tagged with that
+        row's trigger -- the same trigger the per-packet path would have
+        used.  Finalized frames bucket in finalization order, interleaved
+        with emissions exactly as scalar pushes interleave them, so
+        estimates and their order are bit-identical.
         """
-        assembler = self.assembler
-        assert assembler is not None
-        n_release = len(rel_ts)
-        horizon = float(rel_ts[-1])
-        mask = self.classifier.video_mask(rel_sz)
-        n_video = int(np.count_nonzero(mask))
-        run = None
-        vrows: np.ndarray | None = None
-        vts: np.ndarray | None = None
-        if n_video:
-            if n_video == n_release:
-                # Every released row is video (the common case on a video
-                # flow): the video -> released row mapping is the identity,
-                # so skip the flatnonzero/fancy-index indirection.
-                vts = rel_ts
-                vsz = rel_sz
-            else:
-                vrows = np.flatnonzero(mask)
-                vts = rel_ts[vrows]
-                vsz = rel_sz[vrows]
-            media = np.maximum(vsz - RTP_FIXED_HEADER_LEN, 0)
-            obs = self.obs
-            started = perf_counter() if obs is not None else 0.0
-            run = assembler.push_rows(
-                vsz, media, vts, max_gap_s=self.max_frame_age_s, horizon=horizon
-            )
-            if obs is not None:
-                obs.time_stage("frame_assembly", started)
-            if run is None:
-                return None
-        elif self.max_frame_age_s is not None:
-            stale_bound = horizon - self.max_frame_age_s
-            if any(f.end_time < stale_bound for f in assembler._open.values()):
-                return None
-
-        if self._watermark is None:
-            self._anchor(float(rel_ts[0]))
-        self._watermark = horizon
-
-        if horizon < self.start + (self._next_window + 1) * self.window_s:
-            # No window can close inside this run: skip the replay machinery
-            # and just bucket the finalized frames in order.
-            if run is not None:
-                for _, frame in run.finalized:
-                    self._bucket_frame(frame)
-            return []
-
-        # Per-frame placement in released-row coordinates.  Two fancy-indexes
-        # over the shared occurrence array plus ``tolist`` convert everything
-        # the replay loop touches into plain Python scalars up front; each
-        # span is just ``(lo, hi)`` bounds into those shared lists (the loop
-        # bisects within the bounds, no per-span copies).  Frames that
-        # finalize before the first unclosed window's boundary row can never
-        # block a close (``cross`` only grows), so they are dropped here.
-        occ_rel_all: list[int] = []
-        occ_ts_all: list[float] = []
-        span_data: list[tuple[int, int, int | None, float | None, int]] = []
-        fins: list[AssembledFrame] = []
-        fin_rows: list[int] = []
-        if run is not None:
-            assert vts is not None
-            occ_idx = np.maximum(run.occ_all, 0)  # carried prefix slots (< 0) are never read
-            if vrows is None:
-                occ_rel_all = occ_idx.tolist()
-                occ_ts_all = rel_ts[occ_idx].tolist()
-                vrows_list: "range | list[int]" = range(n_release)
-            else:
-                occ_rel_all = vrows[occ_idx].tolist()
-                occ_ts_all = vts[occ_idx].tolist()
-                vrows_list = vrows.tolist()
-            lo_list = run.lo.tolist()
-            hi_list = run.hi.tolist()
-            fin_rows_run = run.fin_rows
-            cross0 = int(
-                np.searchsorted(
-                    rel_ts, self.start + (self._next_window + 1) * self.window_s, side="left"
-                )
-            )
-            for g, prior_end in enumerate(run.prior_ends):
-                fin = fin_rows_run[g]
-                if fin is not None:
-                    fin_rel = vrows_list[fin]
-                    if fin_rel <= cross0:
-                        continue  # finalized before any closable boundary
-                else:
-                    fin_rel = None
-                lo = lo_list[g]
-                first_rel = -1 if prior_end is not None else occ_rel_all[lo]
-                span_data.append((lo, hi_list[g], fin_rel, prior_end, first_rel))
-            fin_ends: list[float] = []
-            for row, frame in run.finalized:
-                fins.append(frame)
-                fin_rows.append(vrows_list[row])
-                fin_ends.append(frame._end_time)
-        elif assembler._open:
-            # Pure non-video run: carried open frames still gate window
-            # closes (they can neither finalize nor gain packets here).
-            for frame in assembler._open.values():
-                span_data.append((0, 0, None, frame.end_time, -1))
-
         out: list[tuple[int, PipelineEstimate]] = []
+        horizon = rel_ts[rel_hi - 1]
         ev = 0
         n_fins = len(fins)
-        # One vectorized window_index over every finalized frame (identical
-        # arithmetic), then inline bucketing -- _bucket_frame per frame is
-        # measurable at this call rate.
-        fin_ks: list[int] = []
-        if n_fins:
-            fin_ks = window_indices(np.array(fin_ends), self.start, self.window_s).tolist()
-        buckets = self._frame_buckets
         while True:
             window_end = self.start + (self._next_window + 1) * self.window_s
             if horizon < window_end:
                 break
-            cross = int(np.searchsorted(rel_ts, window_end, side="left"))
+            cross = bisect_left(rel_ts, window_end, rel_lo, rel_hi) - rel_lo
             r = cross
             blocked = False
-            for lo, hi, fin_rel, prior_end, first_rel in span_data:
+            for lo, hi, fin_rel, prior_end, first_rel in spans:
                 if fin_rel is not None and fin_rel <= cross:
                     continue  # already finalized by the time the window ends
                 if first_rel > cross:
                     continue  # opens past the boundary: its end is >= window_end
-                i = bisect_right(occ_rel_all, cross, lo, hi) - 1
-                end = occ_ts_all[i] if i >= lo else prior_end
+                i = bisect_right(occ_rel, cross, lo, hi) - 1
+                end = occ_ts[i] if i >= lo else prior_end
                 assert end is not None
                 if end >= window_end:
                     continue
@@ -496,7 +423,7 @@ class _FlowStream:
                 # necessarily >= window_end).
                 unblock = fin_rel
                 if i + 1 < hi:
-                    gain = occ_rel_all[i + 1]
+                    gain = occ_rel[i + 1]
                     unblock = gain if unblock is None else min(unblock, gain)
                 if unblock is None:
                     blocked = True  # stays open past the run: window can't close yet
@@ -505,27 +432,14 @@ class _FlowStream:
                     r = unblock
             if blocked:
                 break
-            while ev < n_fins and fin_rows[ev] <= r:
-                k_fin = fin_ks[ev]
-                if k_fin >= self._next_window:
-                    bucket = buckets.get(k_fin)
-                    if bucket is None:
-                        buckets[k_fin] = [fins[ev]]
-                    else:
-                        bucket.append(fins[ev])
+            while ev < n_fins and fins[ev][0] <= r:
+                self._bucket(fins[ev][1], fins[ev][2])
                 ev += 1
-            trig = int(positions[trig_start + r])
             estimate = self._emit(self._next_window)
             if estimate is not None:
-                out.append((trig, estimate))
+                out.append((triggers[rel_lo + r], estimate))
         while ev < n_fins:
-            k_fin = fin_ks[ev]
-            if k_fin >= self._next_window:
-                bucket = buckets.get(k_fin)
-                if bucket is None:
-                    buckets[k_fin] = [fins[ev]]
-                else:
-                    bucket.append(fins[ev])
+            self._bucket(fins[ev][1], fins[ev][2])
             ev += 1
         return out
 
@@ -533,8 +447,7 @@ class _FlowStream:
         """Drain the reorder buffer, finalize open frames, close all windows."""
         estimates: list[PipelineEstimate] = []
         while self._pending:
-            _, _, released = heapq.heappop(self._pending)
-            estimates.extend(self._release(released))
+            estimates.extend(self._release(self._pop_pending()))
         if self._watermark is None:
             return estimates
         if self.predict is None:
@@ -556,6 +469,7 @@ class _FlowStream:
             # the (order-sensitive) accumulator and assembler state -- and
             # its window may even have been emitted.  Drop it instead; the
             # batch path never hits this because traces arrive sorted.
+            self.counters["late_reorder_dropped"] += 1
             return []
         self._watermark = packet.timestamp
         if self.predict is not None:
@@ -590,9 +504,19 @@ class _FlowStream:
         return self._close_ready()
 
     def _bucket_frame(self, frame: AssembledFrame) -> None:
-        k = window_index(frame.end_time, self.start, self.window_s)
-        if k >= self._next_window:  # frames for already-emitted windows cannot occur
-            self._frame_buckets.setdefault(k, []).append(frame)
+        self._bucket(window_index(frame.end_time, self.start, self.window_s), frame)
+
+    def _bucket(self, k: int, frame: AssembledFrame) -> None:
+        """File a finalized frame under window ``k`` (its end time's window)."""
+        if k < self._next_window:  # frames for already-emitted windows cannot occur
+            return
+        ends = self._window_ends.get(k)
+        if ends is None:
+            self._window_ends[k] = [frame._end_time]
+            self._window_bytes[k] = frame.size_bytes
+        else:
+            ends.append(frame._end_time)
+            self._window_bytes[k] += frame.size_bytes
 
     def _close_ready(self) -> list["PipelineEstimate"]:
         """Emit every heuristic window that can no longer gain frames.
@@ -639,12 +563,10 @@ class _FlowStream:
             if self._acc is not None and self._acc_index <= k:
                 self._acc = None  # consumed, or stale from excessive reordering
             return self.predict(acc, window_start)
-        frames = self._frame_buckets.pop(k, [])
-        # The upper bound is the next window's start so the membership filter
-        # agrees exactly with the window_index bucketing on fractional grids.
-        heuristic = estimates_from_frames(
-            frames, window_start, self.window_s,
-            window_end=self.start + (k + 1) * self.window_s,
+        # window_index files a frame under k exactly when start + k*window_s
+        # <= end < start + (k+1)*window_s, so every filed frame is a member.
+        heuristic = window_estimate(
+            self._window_ends.pop(k, []), self._window_bytes.pop(k, 0), window_start, self.window_s
         )
         return PipelineEstimate(
             window_start=heuristic.window_start,
@@ -776,6 +698,9 @@ class StreamingQoEPipeline:
         # Estimates of a block that raised mid-tick: the windows are already
         # closed, so they are delivered by the next push_block or flush.
         self._held_estimates: list[StreamEstimate] = []
+        #: Always-on slow-path and drop counters (see :func:`engine_counters`);
+        #: plain integer adds, no ``ObsConfig`` needed.
+        self.counters = engine_counters()
 
     @classmethod
     def for_vca(cls, vca: str, window_s: int = 1, **kwargs) -> "StreamingQoEPipeline":
@@ -831,12 +756,29 @@ class StreamingQoEPipeline:
 
         The struct-of-arrays hot path: the block is demultiplexed by its
         pre-computed flow codes (one stable argsort, no per-packet dict
-        work), per-flow statistics update in bulk, and each flow's rows run
-        through the stream's columnar path (:meth:`_FlowStream.push_rows`)
-        -- vectorized window assignment and array accumulator updates in
-        trained mode, vectorized frame assembly and window-close replay in
-        heuristic mode.  No packet objects are constructed for sorted
-        in-flow runs in either mode.
+        work) and per-flow statistics update from segment sums.
+
+        In heuristic mode the tick is **one segmented pass over the whole
+        block**, not one pass per (flow, block): a light loop gathers each
+        flow's carried state (its reorder tail and its assembler's lookback
+        tail) into flat arrays with segment offsets; then, once per block,
+        the reorder delay line releases, ``video_mask`` classifies,
+        :func:`~repro.core.frame_assembly.assemble_segments` runs Algorithm
+        1 over every flow at once (stacked lookback comparison under a
+        same-segment mask, pointer doubling, segment-reduced per-frame
+        aggregates) and every finalized frame gets its window index.  The
+        state is scattered back into the same per-flow objects, so ``push``
+        and ``push_block`` interleave freely.  Only flows whose horizon
+        crosses their next window end replay their window closes in Python;
+        the rest just bucket their finalized frames.  A flow whose run is
+        disordered, or whose frames a ``max_frame_age_s`` sweep could evict
+        mid-run, commits nothing from the pass and replays through
+        per-packet :meth:`push` instead (counted in :attr:`counters`).
+
+        In trained mode each flow's rows run through the stream's columnar
+        path (:meth:`_FlowStream.push_rows`): vectorized window assignment
+        and array accumulator updates.  No packet objects are constructed
+        for sorted in-flow runs in either mode.
 
         In trained mode, windows that close anywhere in the block -- across
         all flows -- defer their feature vector and their inference; at the
@@ -875,34 +817,11 @@ class StreamingQoEPipeline:
                 raise RuntimeError("push_block is not reentrant")
             self._tick_rows = []
         tagged: list[tuple[int, int, StreamEstimate]] = []
-        seq = 0
         try:
-            if self.demux_flows:
-                groups: list[tuple[int | None, np.ndarray]] = block.flow_groups()
+            if self.trained:
+                self._push_flows(block, tagged)
             else:
-                groups = [(None, np.arange(len(block)))]
-            for code, idx in groups:
-                if code is None:
-                    key: FlowKey | None = None
-                else:
-                    key = block.flows[code]
-                    self.flow_table.update_bulk(
-                        key,
-                        n=len(idx),
-                        n_bytes=int(block.sizes[idx].sum()),
-                        first_ts=float(block.timestamps[idx[0]]),
-                        last_ts=float(block.timestamps[idx[-1]]),
-                    )
-                stream = self._streams.get(key)
-                if stream is None:
-                    stream = self._make_stream(key)
-                    self._streams[key] = stream
-                    self._flow_order.append(key)
-                for pos, estimate in stream.push_rows(
-                    block.timestamps[idx], block.sizes[idx], idx
-                ):
-                    tagged.append((pos, seq, StreamEstimate(flow=key, estimate=estimate)))
-                    seq += 1
+                self._segmented_tick(block, tagged)
             tagged.sort(key=lambda item: (item[0], item[1]))
             emitted = held + [item[2] for item in tagged]
             if tick:
@@ -924,6 +843,347 @@ class StreamingQoEPipeline:
             if emitted:
                 obs.inc("qoe_engine_estimates_total", len(emitted))
         return emitted
+
+    def _push_flows(self, block: PacketBlock, tagged: list[tuple[int, int, StreamEstimate]]) -> None:
+        """Trained tick body: each flow's rows through its stream's columnar
+        path (:meth:`_FlowStream.push_rows`)."""
+        if self.demux_flows:
+            groups: list[tuple[int | None, np.ndarray]] = block.flow_groups()
+        else:
+            groups = [(None, np.arange(len(block)))]
+        for code, idx in groups:
+            if code is None:
+                key: FlowKey | None = None
+            else:
+                key = block.flows[code]
+                self.flow_table.update_bulk(
+                    key,
+                    n=len(idx),
+                    n_bytes=int(block.sizes[idx].sum()),
+                    first_ts=float(block.timestamps[idx[0]]),
+                    last_ts=float(block.timestamps[idx[-1]]),
+                )
+            stream = self._streams.get(key)
+            if stream is None:
+                stream = self._make_stream(key)
+                self._streams[key] = stream
+                self._flow_order.append(key)
+            for pos, estimate in stream.push_rows(block.timestamps[idx], block.sizes[idx], idx):
+                tagged.append((pos, len(tagged), StreamEstimate(flow=key, estimate=estimate)))
+
+    def _segmented_tick(
+        self, block: PacketBlock, tagged: list[tuple[int, int, StreamEstimate]]
+    ) -> None:
+        """Heuristic tick body: every flow of the block in one segmented pass.
+
+        Demultiplexes by flow code, updates the flow table from per-flow
+        segment sums, and sorts out the flows whose run is disordered or
+        backdates its reorder buffer or watermark: those replay through
+        per-packet :meth:`_FlowStream.push` (counted as
+        ``scalar_fallback_rows["disordered"]``).  Every other flow goes
+        through :meth:`_release_segments` together.
+        """
+        if self.demux_flows:
+            order, codes, bounds = block.flow_segments()
+        else:
+            order = np.arange(len(block))
+            codes, bounds = np.zeros(1, dtype=np.int64), np.array([0, len(block)])
+        ts = block.timestamps[order]
+        sizes = block.sizes[order]
+        heads = bounds[:-1]
+        counts = np.diff(bounds)
+        n_flows = len(counts)
+        first_ts = ts[heads]
+        last_ts = ts[bounds[1:] - 1]
+        falls = ts[1:] < ts[:-1]
+        falls[bounds[1:-1] - 1] = False  # one flow's last row -> the next flow's first
+        disordered = np.zeros(n_flows, dtype=bool)
+        newest = last_ts
+        if falls.any():
+            flow_of_row = np.repeat(np.arange(n_flows), counts)
+            disordered[flow_of_row[np.flatnonzero(falls) + 1]] = True
+            newest = np.where(disordered, np.maximum.reduceat(ts, heads), last_ts)
+        n_bytes = np.add.reduceat(sizes, heads)
+
+        # Gather: one light pass over the flows, reading each stream's
+        # reorder buffer and watermark (nothing is written but last_seen).
+        streams = self._streams
+        flows = block.flows
+        demux = self.demux_flows
+        update_bulk = self.flow_table.update_bulk
+        selected: list[tuple[int, _FlowStream, FlowKey | None]] = []
+        buffered: list[tuple[float, int, int, Packet | None]] = []
+        n_buffered: list[int] = []
+        fallback: list[tuple[int, _FlowStream, FlowKey | None, str]] = []
+        for f, code, n, nbytes, first, last, new_ts, backwards in zip(
+            range(n_flows),
+            codes.tolist(),
+            counts.tolist(),
+            n_bytes.tolist(),
+            first_ts.tolist(),
+            last_ts.tolist(),
+            newest.tolist(),
+            disordered.tolist(),
+        ):
+            if demux:
+                key: FlowKey | None = flows[code]
+                update_bulk(key, n, nbytes, first, last)
+            else:
+                key = None
+            stream = streams.get(key)
+            if stream is None:
+                stream = self._make_stream(key)
+                streams[key] = stream
+                self._flow_order.append(key)
+            if stream.last_seen is None or new_ts > stream.last_seen:
+                stream.last_seen = new_ts
+            pending = stream._pending
+            if len(pending) > 1:
+                pending = sorted(pending)
+            if not backwards:
+                # A run that backdates the buffer or the stream (possible
+                # whenever the buffer is shallower than the disorder, e.g.
+                # reorder_depth=0) must go through _release's stale-packet
+                # drop, not the delay line.
+                backwards = bool(pending) and first < pending[-1][0]
+                if not backwards and stream._watermark is not None:
+                    backwards = first < stream._watermark
+            if backwards:
+                fallback.append((f, stream, key, "disordered"))
+                continue
+            selected.append((f, stream, key))
+            n_buffered.append(len(pending))
+            buffered.extend(pending)
+        if selected:
+            fallback.extend(
+                self._release_segments(ts, sizes, order, bounds, selected, buffered, n_buffered, tagged)
+            )
+        fallback_rows = self.counters["scalar_fallback_rows"]
+        for f, stream, key, reason in fallback:
+            a, b = int(bounds[f]), int(bounds[f + 1])
+            fallback_rows[reason] += b - a
+            for pos, estimate in stream._push_each(ts[a:b], sizes[a:b], order[a:b]):
+                tagged.append((pos, len(tagged), StreamEstimate(flow=key, estimate=estimate)))
+
+    def _release_segments(
+        self,
+        ts: np.ndarray,
+        sizes: np.ndarray,
+        order: np.ndarray,
+        bounds: np.ndarray,
+        selected: list[tuple[int, _FlowStream, FlowKey | None]],
+        buffered: list[tuple[float, int, int, Packet | None]],
+        n_buffered: list[int],
+        tagged: list[tuple[int, int, StreamEstimate]],
+    ) -> list[tuple[int, _FlowStream, FlowKey | None, str]]:
+        """Release, assemble and window the selected flows' runs at once.
+
+        ``ts`` / ``sizes`` are the block's columns grouped by flow
+        (``order`` maps them back to block rows, ``bounds`` delimits flows);
+        ``selected`` are the sorted flows as ``(flow, stream, key)`` and
+        ``buffered`` their sorted reorder buffers, laid end to end.
+
+        On sorted runs each reorder buffer is a delay line: a flow releases
+        its buffer ++ run minus the newest ``reorder_depth`` rows, and
+        released row ``r`` is released by the push of the row ``depth``
+        places later.  So, over all flows at once: the release, one
+        ``video_mask``, one :func:`~repro.core.frame_assembly.assemble_segments`
+        call (which also writes the assemblers back), and one
+        ``window_indices`` over every finalized frame.  Then a light pass
+        scatters each flow's new buffer and watermark back into its stream.  A flow whose horizon stays
+        short of its next window end only buckets its finalized frames; the
+        rest replay their window closes (:meth:`_FlowStream._replay_closes`).
+
+        Returns the flows the kernel's liveness check bailed on, which
+        committed nothing, for the per-packet fallback.
+        """
+        n_flows = len(bounds) - 1
+        n_sel = len(selected)
+        sel = np.array([f for f, _, _ in selected], dtype=np.int64)
+        m = np.diff(bounds)[sel]
+        p0 = np.array(n_buffered, dtype=np.int64)
+        depth = self.reorder_depth
+        dl_len = p0 + m
+        n_rel = np.maximum(dl_len - depth, 0)
+        dl_start = np.zeros(n_sel + 1, dtype=np.int64)
+        np.cumsum(dl_len, out=dl_start[1:])
+        n_dl = int(dl_start[-1])
+        flow_of_dl = np.repeat(np.arange(n_sel), dl_len)
+        dl_local = np.arange(n_dl) - dl_start[flow_of_dl]
+        from_run = dl_local >= p0[flow_of_dl]
+        if n_sel == n_flows:
+            rows: "slice | np.ndarray" = slice(None)
+        else:
+            chosen = np.zeros(n_flows, dtype=bool)
+            chosen[sel] = True
+            rows = np.flatnonzero(np.repeat(chosen, np.diff(bounds)))
+        dl_ts = np.empty(n_dl, dtype=np.float64)
+        dl_sz = np.empty(n_dl, dtype=np.int64)
+        dl_row = np.full(n_dl, -1, dtype=np.int64)
+        dl_ts[from_run] = ts[rows]
+        dl_sz[from_run] = sizes[rows]
+        dl_row[from_run] = order[rows]
+        if buffered:
+            dl_ts[~from_run] = [entry[0] for entry in buffered]
+            dl_sz[~from_run] = [entry[2] for entry in buffered]
+        released = dl_local < n_rel[flow_of_dl]
+        rel = np.flatnonzero(released)
+        rel_ts = dl_ts[rel]
+        rel_sz = dl_sz[rel]
+        rel_start = np.zeros(n_sel + 1, dtype=np.int64)
+        np.cumsum(n_rel, out=rel_start[1:])
+        stay = np.flatnonzero(from_run & ~released)
+        n_stay = dl_len - np.maximum(n_rel, p0)
+
+        active = np.flatnonzero(n_rel)
+        n_active = len(active)
+        kseg = np.full(n_sel, -1, dtype=np.int64)
+        kseg[active] = np.arange(n_active)
+        bailed = np.zeros(n_sel, dtype=bool)
+        if n_active:
+            rel_flow = flow_of_dl[rel]
+            try:
+                video = np.flatnonzero(self.pipeline.heuristic.classifier.video_mask(rel_sz))
+            except Exception:
+                if n_sel == 1:
+                    raise
+                # Nothing is committed yet, so the failure can be pinned to
+                # its flow exactly as a per-flow tick would: retry one flow
+                # at a time -- the flows before the failing one commit (and
+                # their closed windows are held), then it raises again.
+                bails = []
+                pq = 0
+                for item, p0f in zip(selected, n_buffered):
+                    bails.extend(
+                        self._release_segments(
+                            ts, sizes, order, bounds, [item], buffered[pq : pq + p0f], [p0f], tagged
+                        )
+                    )
+                    pq += p0f
+                return bails
+            v_flow = rel_flow[video]
+            v_sz = rel_sz[video]
+            v_ts = rel_ts[video]
+            kbounds = np.zeros(n_active + 1, dtype=np.int64)
+            np.cumsum(np.bincount(v_flow, minlength=n_sel)[active], out=kbounds[1:])
+            obs = self.obs
+            started = perf_counter() if obs is not None else 0.0
+            run = assemble_segments(
+                [selected[f][1].assembler for f in active.tolist()],
+                v_sz,
+                np.maximum(v_sz - RTP_FIXED_HEADER_LEN, 0),
+                v_ts,
+                kbounds,
+                max_gap_s=self.max_frame_age_s,
+                horizons=rel_ts[rel_start[active + 1] - 1],
+            )
+            if obs is not None:
+                obs.time_stage("frame_assembly", started)
+            if run.bail is not None:
+                bailed[active[run.bail]] = True
+            fin_groups = run.fin_groups
+            fin_frames = [run.frames[g] for g in fin_groups.tolist()]
+            fin_ks = window_indices(run.end_ts[fin_groups], self.start, self.window_s).tolist()
+            fin_seg = run.g_seg[fin_groups]
+            segs = np.arange(n_active)
+            fin_lo = np.searchsorted(fin_seg, segs).tolist()
+            fin_hi = np.searchsorted(fin_seg, segs, side="right").tolist()
+
+        rel_ts_list = rel_ts.tolist()
+        rel_start_list = rel_start.tolist()
+        stay_ts = dl_ts[stay].tolist()
+        stay_sz = dl_sz[stay].tolist()
+        stay_i = (dl_local[stay] - p0[flow_of_dl[stay]]).tolist()
+        start = self.start
+        window_s = self.window_s
+        replay = None
+        bails: list[tuple[int, _FlowStream, FlowKey | None, str]] = []
+        pq = 0
+        tq = 0
+        for i, (f, stream, key), mf, p0f, nrel, nstay, ks, bail in zip(
+            range(n_sel),
+            selected,
+            m.tolist(),
+            n_buffered,
+            n_rel.tolist(),
+            n_stay.tolist(),
+            kseg.tolist(),
+            bailed.tolist(),
+        ):
+            if bail:
+                bails.append((f, stream, key, "liveness"))
+                pq += p0f
+                tq += nstay
+                continue
+            # Scatter: the unreleased tail of (buffer ++ run) is sorted,
+            # hence a valid heap as-is.
+            seq0 = stream._seq
+            stream._seq = seq0 + mf
+            pending = buffered[pq + nrel : pq + p0f] if nrel < p0f else []
+            for j in range(tq, tq + nstay):
+                pending.append((stay_ts[j], seq0 + stay_i[j], stay_sz[j], None))
+            stream._pending = pending
+            pq += p0f
+            tq += nstay
+            if not nrel:
+                continue
+            rs = rel_start_list[i]
+            re = rs + nrel
+            if stream._watermark is None:
+                stream._anchor(rel_ts_list[rs])
+            horizon = rel_ts_list[re - 1]
+            stream._watermark = horizon
+            next_end = start + (stream._next_window + 1) * window_s
+            if horizon < next_end:
+                # No window can close inside this run: just bucket the
+                # finalized frames in order.
+                for q in range(fin_lo[ks], fin_hi[ks]):
+                    stream._bucket(fin_ks[q], fin_frames[q])
+                continue
+            if replay is None:
+                # Placement tables in released-row coordinates, built once
+                # per tick as plain lists: the kernel's new rows are the
+                # released video rows, so v_local maps them to each flow's
+                # released-row index.  Carried slots (occ == -1) read the
+                # trailing sentinel and are never looked at.
+                v_local = np.append(video - rel_start[v_flow], -1)
+                fin_rel = np.full(len(run.g_seg), -1, dtype=np.int64)
+                fin_rel[fin_groups] = v_local[run.fin_rows]
+                replay = (
+                    v_local[run.occ].tolist(),
+                    np.append(v_ts, 0.0)[run.occ].tolist(),
+                    run.lo.tolist(),
+                    run.hi.tolist(),
+                    fin_rel.tolist(),
+                    np.searchsorted(run.g_seg, segs).tolist(),
+                    np.searchsorted(run.g_seg, segs, side="right").tolist(),
+                    dl_row[rel + depth].tolist(),
+                )
+            occ_rel_l, occ_ts_l, lo_l, hi_l, fin_rel_l, g_lo, g_hi, triggers = replay
+            # Frames that finalize before the first closable boundary row
+            # can never block a close (the boundary row only grows).
+            cross0 = bisect_left(rel_ts_list, next_end, rs, re) - rs
+            spans = []
+            for g in range(g_lo[ks], g_hi[ks]):
+                fin = fin_rel_l[g]
+                if fin < 0:
+                    fin = None
+                elif fin <= cross0:
+                    continue
+                lo = lo_l[g]
+                prior_end = run.prior_ends[g]
+                spans.append(
+                    (lo, hi_l[g], fin, prior_end, -1 if prior_end is not None else occ_rel_l[lo])
+                )
+            fins = [
+                (fin_rel_l[g], fin_ks[q], fin_frames[q])
+                for q, g in zip(range(fin_lo[ks], fin_hi[ks]), fin_groups[fin_lo[ks] : fin_hi[ks]].tolist())
+            ]
+            for pos, estimate in stream._replay_closes(
+                rel_ts_list, rs, re, triggers, spans, occ_rel_l, occ_ts_l, fins
+            ):
+                tagged.append((pos, len(tagged), StreamEstimate(flow=key, estimate=estimate)))
+        return bails
 
     def process(self, packets: Iterable[Packet]) -> Iterator[StreamEstimate]:
         """Consume a packet iterator, yielding estimates as windows close."""
@@ -1123,13 +1383,14 @@ class StreamingQoEPipeline:
                 classifier=self.pipeline.ml.media_classifier,
                 assembler=None,
                 predict=partial(self._window_closed, key),
+                counters=self.counters,
             )
         return _FlowStream(
             stream_config,
             classifier=self.pipeline.heuristic.classifier,
             assembler=FrameAssembler(delta_size=self._delta_size, lookback=self._lookback),
             predict=None,
-            obs=self.obs,
+            counters=self.counters,
         )
 
     def _window_closed(

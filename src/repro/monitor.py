@@ -42,7 +42,7 @@ from time import perf_counter
 
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import QoEPipeline
-from repro.core.streaming import StreamEstimate, StreamingQoEPipeline
+from repro.core.streaming import StreamEstimate, StreamingQoEPipeline, add_counters
 from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry
 from repro.sources.base import PacketSource, as_source
@@ -92,6 +92,11 @@ class MonitorReport:
     * ``shard_loads`` -- the final per-shard load telemetry of a sharded
       run (one ``{"live_flows", "buffered_packets", "open_windows"}`` dict
       per shard, ``{}`` for shards that never reported).
+    * ``counters`` -- the engine's always-on slow-path and drop counters
+      (see :func:`~repro.core.streaming.engine_counters`), summed over the
+      shards of a sharded run: block rows that took the per-packet fallback
+      (``scalar_fallback_rows``, by reason) and packets dropped for arriving
+      later than ``reorder_depth`` can absorb (``late_reorder_dropped``).
     """
 
     n_packets: int
@@ -103,6 +108,7 @@ class MonitorReport:
     timing: dict = field(default_factory=dict, compare=False)
     metrics: dict = field(default_factory=dict, compare=False)
     shard_loads: tuple = field(default=(), compare=False)
+    counters: dict = field(default_factory=dict, compare=False)
 
     @property
     def packets_consumed(self) -> int:
@@ -333,6 +339,7 @@ class QoEMonitor:
                 "drain_s": finished - drain_started,
             },
             metrics=self.metrics(),
+            counters=add_counters({}, engine.counters),
         )
 
     def _run_stream(self, engine: StreamingQoEPipeline) -> tuple[int, int, int, int, float]:

@@ -556,29 +556,47 @@ class PacketBlock:
 
     # -- grouping --------------------------------------------------------------
 
-    def flow_groups(self) -> list[tuple[int, np.ndarray]]:
-        """``(flow_code, row_indices)`` per flow, in first-appearance order.
+    def flow_segments(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The flow demultiplex as flat arrays: ``(order, codes, bounds)``.
 
-        Row indices are ascending within each group (one stable argsort over
-        the pre-computed codes -- the vectorized demultiplex), so feeding the
-        groups preserves each flow's arrival order exactly.
+        ``order[bounds[s]:bounds[s + 1]]`` are flow ``codes[s]``'s row
+        indices, ascending; flows are in first-appearance order.  One stable
+        argsort over the pre-computed codes and one over the flows' first
+        rows -- the vectorized demultiplex.
         """
         codes = self.flow_codes
         n = len(codes)
         if n == 0:
-            return []
+            return np.arange(0), codes[:0], np.array([0])
         if len(self.flows) == 1 or bool((codes == codes[0]).all()):
-            return [(int(codes[0]), np.arange(n))]
+            return np.arange(n), codes[:1], np.array([0, n])
         order = np.argsort(codes, kind="stable")
         sorted_codes = codes[order]
-        boundaries = np.flatnonzero(np.diff(sorted_codes)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [n]))
-        groups = [
-            (int(sorted_codes[a]), order[a:b]) for a, b in zip(starts.tolist(), ends.tolist())
+        head = np.ones(n, dtype=bool)
+        np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=head[1:])
+        starts = np.flatnonzero(head)
+        by_first_row = np.argsort(order[starts])
+        if (by_first_row[1:] < by_first_row[:-1]).any():
+            rank = np.empty_like(by_first_row)
+            rank[by_first_row] = np.arange(len(starts))
+            order = order[np.argsort(rank[np.cumsum(head) - 1], kind="stable")]
+            sorted_codes = codes[order]
+            np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=head[1:])
+            starts = np.flatnonzero(head)
+        return order, sorted_codes[starts], np.append(starts, n)
+
+    def flow_groups(self) -> list[tuple[int, np.ndarray]]:
+        """``(flow_code, row_indices)`` per flow, in first-appearance order.
+
+        Row indices are ascending within each group (see
+        :meth:`flow_segments`), so feeding the groups preserves each flow's
+        arrival order exactly.
+        """
+        order, codes, bounds = self.flow_segments()
+        return [
+            (code, order[a:b])
+            for code, a, b in zip(codes.tolist(), bounds[:-1].tolist(), bounds[1:].tolist())
         ]
-        groups.sort(key=lambda item: int(item[1][0]))
-        return groups
 
     # -- materialization -------------------------------------------------------
 

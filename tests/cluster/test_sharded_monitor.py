@@ -284,6 +284,34 @@ class TestShardTelemetry:
         for stats in monitor.shard_stats:
             assert set(stats["load"]) == {"live_flows", "buffered_packets", "open_windows"}
 
+    @pytest.mark.parametrize("transport", ["block", "shm"])
+    def test_engine_counters_sum_over_the_shards(self, many_flow_packets, transport):
+        """``MonitorReport.counters`` adds up the workers' engine counters: a
+        capture reordered past ``reorder_depth`` drops exactly the packets
+        the single-process monitor drops, and a sorted one reports zero."""
+        pipeline = QoEPipeline.for_vca("teams")
+        packets = list(many_flow_packets)
+        for i in range(0, len(packets) - 61, 25):
+            packets.insert(i + 60, packets.pop(i))  # 60 places late
+        single = QoEMonitor(pipeline, IteratorSource(iter(packets)), block_size=256).run()
+        dropped = single.counters["late_reorder_dropped"]
+        assert dropped > 0
+        _, report, monitor = run_sharded(pipeline, packets, 2, transport=transport)
+        assert report.counters["late_reorder_dropped"] == dropped
+        assert report.counters["scalar_fallback_rows"]["disordered"] > 0
+        shard_rows = [stats["counters"]["scalar_fallback_rows"] for stats in monitor.shard_stats]
+        assert report.counters == {
+            "scalar_fallback_rows": {
+                reason: sum(rows[reason] for rows in shard_rows) for reason in ("disordered", "liveness")
+            },
+            "late_reorder_dropped": dropped,
+        }
+        _, clean, _ = run_sharded(pipeline, many_flow_packets, 2, transport=transport)
+        assert clean.counters == {
+            "scalar_fallback_rows": {"disordered": 0, "liveness": 0},
+            "late_reorder_dropped": 0,
+        }
+
     def test_idle_shard_reports_load_at_done(self, many_flow_packets):
         # With the pinned 4-shard map ([2, 0, 1, 1]), shard 3 receives no
         # flows at all -- its only load report is the one in its done stats.

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro import QoEPipeline
+from repro import IteratorSource, QoEMonitor, QoEPipeline
 from repro.core.streaming import StreamingQoEPipeline
 from repro.net.block import blocks_from_packets
 from repro.net.packet import IPv4Header, Packet, UDPHeader
@@ -218,3 +218,39 @@ def test_state_stays_bounded(corpus, pipelines, scenario):
 
     for pipeline in pipelines.values():
         block_run(pipeline, corpus[scenario], 7, check=check)
+
+
+def zero_counters():
+    return {"scalar_fallback_rows": {"disordered": 0, "liveness": 0}, "late_reorder_dropped": 0}
+
+
+@pytest.mark.parametrize("mode", ["heuristic", "trained"])
+def test_counters_report_fallbacks_and_late_drops(corpus, pipelines, mode):
+    """Reordering past ``reorder_depth`` is counted, not silent: every path
+    drops the same packets, and the block path counts the rows it replayed
+    per packet.  A sorted capture reports zero everywhere."""
+    pipeline = pipelines[mode]
+    packets = corpus["reorder_beyond_depth"]
+    reference = StreamingQoEPipeline(pipeline)
+    for packet in packets:
+        reference.push(packet)
+    reference.flush()
+    dropped = reference.counters["late_reorder_dropped"]
+    assert dropped > 0
+    assert reference.counters["scalar_fallback_rows"] == {"disordered": 0, "liveness": 0}
+    for chunk_size in (1, 7, 1024):
+        engine = StreamingQoEPipeline(pipeline)
+        for block in blocks_from_packets(packets, chunk_size, keep_packets=False):
+            engine.push_block(block)
+        engine.flush()
+        assert engine.counters["late_reorder_dropped"] == dropped
+        fallback = engine.counters["scalar_fallback_rows"]
+        assert 0 < fallback["disordered"] <= len(packets)
+        assert fallback["liveness"] == 0
+    report = QoEMonitor(pipeline, IteratorSource(iter(packets)), block_size=64).run()
+    assert report.counters["late_reorder_dropped"] == dropped
+
+    clean = interleave(*calls())
+    for block_size in (None, 1024):
+        report = QoEMonitor(pipeline, IteratorSource(iter(clean)), block_size=block_size).run()
+        assert report.counters == zero_counters()

@@ -21,7 +21,7 @@ import pytest
 from repro import CollectorSink, IteratorSource, QoEMonitor, QoEPipeline, TraceSource
 from repro.core.streaming import StreamingQoEPipeline, _FlowStream, window_index, window_indices
 from repro.net.block import PacketBlock, blocks_from_packets
-from repro.net.packet import Packet
+from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.net.trace import PacketTrace
 
 # The synthetic-flow / trained-pipeline helpers live in the cluster suite's
@@ -301,25 +301,13 @@ class TestLivenessBound:
 
     @pytest.mark.parametrize("max_frame_age_s", [0.3, 2.0])
     @pytest.mark.parametrize("chunk_size", [1, 7, 256, 100_000])
-    def test_bit_identical_through_the_bailout(
-        self, stalling_packets, max_frame_age_s, chunk_size, monkeypatch
-    ):
+    def test_bit_identical_through_the_bailout(self, stalling_packets, max_frame_age_s, chunk_size):
         pipeline = QoEPipeline.for_vca("teams")
         reference = StreamingQoEPipeline(pipeline, max_frame_age_s=max_frame_age_s)
         expected = [item for packet in stalling_packets for item in reference.push(packet)]
         n_live = len(expected)
         expected.extend(reference.flush())
 
-        real = _FlowStream._push_rows_heuristic
-        bailouts = 0
-
-        def spy(stream, *args):
-            nonlocal bailouts
-            result = real(stream, *args)
-            bailouts += result is None
-            return result
-
-        monkeypatch.setattr(_FlowStream, "_push_rows_heuristic", spy)
         engine = StreamingQoEPipeline(pipeline, max_frame_age_s=max_frame_age_s)
         emitted = []
         for block in blocks_from_packets(stalling_packets, chunk_size):
@@ -328,6 +316,7 @@ class TestLivenessBound:
             assert len(emitted) == n_live  # same windows already out before the flush
         emitted.extend(engine.flush())
         assert emitted == expected  # values AND order
+        bailouts = engine.counters["scalar_fallback_rows"]["liveness"]
         assert bailouts >= 1, "no run hit the liveness bailout: the pin went vacuous"
 
 
@@ -513,3 +502,165 @@ class TestMidBlockFailure:
         else:
             resumed = engine.flush()
         assert resumed[: len(expected_held)] == expected_held
+
+
+def vantage_trace(n_flows: int = 512, duration_s: float = 2.1, stalled: int = 0) -> list[Packet]:
+    """``n_flows`` concurrent calls, ~13 packets/s each, windows crossed twice.
+
+    Frames of 1-3 equal-sized fragments every ~0.15 s, so a 1024-row block
+    gives each flow a run of ~2 rows -- the vantage-point shape.  The first
+    ``stalled`` flows lose their video for 1.2 s mid-call while 50 Hz audio
+    keeps their stream advancing (the ``max_frame_age_s`` case); their
+    video resumes at the stalled frame's size, so the frame open across the
+    stall gains a packet after it.
+    """
+    packets = []
+    for f in range(n_flows):
+        rng = np.random.default_rng([7, f])
+        ip = IPv4Header(src="192.0.2.10", dst=f"10.1.{f >> 8}.{f & 255}")
+        udp = UDPHeader(src_port=3478, dst_port=20000 + f)
+        t = float(rng.uniform(0.0, 0.1))
+        size, resume = 0, False
+        while t < duration_s:
+            if f < stalled and 0.6 <= t < 1.8:
+                resume = True
+            else:
+                drawn = int(rng.integers(700, 1200))
+                size, resume = (size if resume else drawn), False
+                for i in range(int(rng.integers(1, 4))):
+                    packets.append(Packet(timestamp=t + i * 0.0008, ip=ip, udp=udp, payload_size=size))
+            t += float(rng.normal(0.15, 0.015))
+        if f < stalled:
+            for t in np.arange(0.005 * f, duration_s, 0.02).tolist():
+                packets.append(
+                    Packet(timestamp=t, ip=ip, udp=udp, payload_size=int(rng.integers(90, 250)))
+                )
+    return sorted(packets, key=lambda p: p.timestamp)
+
+
+def exact_rows(items) -> list[tuple]:
+    """Estimates as comparable tuples, floats by bit pattern (NaN-safe)."""
+    return [
+        (
+            item.flow,
+            *(float(value).hex() for value in (
+                item.estimate.window_start,
+                item.estimate.frame_rate,
+                item.estimate.bitrate_kbps,
+                item.estimate.frame_jitter_ms,
+            )),
+            item.estimate.resolution,
+            item.estimate.source,
+        )
+        for item in items
+    ]
+
+
+class TestVantageSegmentedTick:
+    """The heuristic tick at a vantage point's shape: hundreds of flows with
+    a couple of rows each per block, run as one segmented pass."""
+
+    @pytest.fixture(scope="class")
+    def vantage512(self):
+        return vantage_trace()
+
+    @pytest.mark.parametrize("chunk_size", [1, 97, 1024])
+    def test_512_flows_bit_identical_in_order(self, vantage512, chunk_size):
+        pipeline = QoEPipeline.for_vca("teams")
+        expected = per_packet_run(pipeline, vantage512)
+        got = block_run(pipeline, vantage512, chunk_size)
+        assert len(expected) > 512
+        assert exact_rows(got) == exact_rows(expected)
+
+    @pytest.mark.parametrize("chunk_size", [1, 97, 1024])
+    def test_512_flows_with_stalls_under_max_frame_age(self, chunk_size):
+        packets = vantage_trace(stalled=24)
+        pipeline = QoEPipeline.for_vca("teams")
+        expected = per_packet_run(pipeline, packets, max_frame_age_s=0.3)
+        engine = StreamingQoEPipeline(pipeline, max_frame_age_s=0.3)
+        got = []
+        for block in blocks_from_packets(packets, chunk_size):
+            got.extend(engine.push_block(block))
+        got.extend(engine.flush())
+        assert exact_rows(got) == exact_rows(expected)
+        assert engine.counters["scalar_fallback_rows"]["liveness"] > 0
+
+    def test_only_the_disordered_flow_replays_per_packet(self, vantage512, monkeypatch):
+        victim = vantage512[5000].udp.dst_port  # a flow that is live mid-trace
+        packets = list(vantage512)
+        flow_rows = [i for i, p in enumerate(packets) if p.udp.dst_port == victim]
+        # Swap two of the victim's packets 40 positions apart (well within
+        # one 1024-row block and within its reorder depth of 2).
+        a = next(i for i in flow_rows if i > 5000)
+        b = next(i for i in flow_rows if i > a)
+        packets[a], packets[b] = packets[b], packets[a]
+        pipeline = QoEPipeline.for_vca("teams")
+        expected = per_packet_run(pipeline, packets)
+
+        real = _FlowStream._push_each
+        fallen: list[tuple[int, ...]] = []
+
+        def spy(stream, timestamps, sizes, positions):
+            fallen.append(tuple(positions.tolist()))
+            return real(stream, timestamps, sizes, positions)
+
+        monkeypatch.setattr(_FlowStream, "_push_each", spy)
+        engine = StreamingQoEPipeline(pipeline)
+        got = []
+        offset = 0
+        replayed = []
+        for block in blocks_from_packets(packets, 1024):
+            got.extend(engine.push_block(block))
+            replayed.extend(offset + pos for rows in fallen for pos in rows)
+            fallen.clear()
+            offset += len(block)
+        got.extend(engine.flush())
+        assert exact_rows(got) == exact_rows(expected)
+        assert replayed, "the disordered run never fell back: the pin went vacuous"
+        assert {packets[i].udp.dst_port for i in replayed} == {victim}
+        assert engine.counters["scalar_fallback_rows"] == {
+            "disordered": len(replayed),
+            "liveness": 0,
+        }
+
+    def test_a_tick_calls_the_segmented_kernel_once(self, vantage512, monkeypatch):
+        import repro.core.streaming as streaming
+
+        calls = 0
+        real = streaming.assemble_segments
+
+        def spy(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(streaming, "assemble_segments", spy)
+        engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
+        blocks = list(blocks_from_packets(vantage512, 1024))
+        for block in blocks:
+            before = calls
+            engine.push_block(block)
+            assert calls == before + 1
+        assert engine.counters["scalar_fallback_rows"] == {"disordered": 0, "liveness": 0}
+
+    def test_sorted_input_constructs_zero_block_rows(self, vantage512, monkeypatch):
+        import repro.net.block as block_mod
+
+        blocks = [
+            pickle.loads(pickle.dumps(block)) for block in blocks_from_packets(vantage512, 1024)
+        ]
+        constructed = 0
+        real_init = block_mod._BlockRow.__init__
+
+        def counting_init(self, *args):
+            nonlocal constructed
+            constructed += 1
+            real_init(self, *args)
+
+        monkeypatch.setattr(block_mod._BlockRow, "__init__", counting_init)
+        engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
+        emitted = []
+        for block in blocks:
+            emitted.extend(engine.push_block(block))
+        assert constructed == 0
+        assert emitted

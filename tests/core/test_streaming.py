@@ -78,6 +78,20 @@ class TestSingleFlowEquivalence:
         streamed = [e.estimate for e in stream.collect(call.trace)]
         assert_estimates_equal(batch, streamed)
 
+    def test_streaming_heuristic_equals_the_batch_heuristic(self, teams_call, lossy_teams_call):
+        """An oracle independent of the engine's windowing: the paper's batch
+        heuristic (whole-trace assembly, ``estimates_from_frames`` per
+        window) gives exactly the engine's per-window values, though the
+        engine keeps only each open window's frame end times and byte total."""
+        pipeline = QoEPipeline.for_vca("teams")
+        for call in (teams_call, lossy_teams_call):
+            streamed = pipeline.estimate(call.trace)
+            batch = pipeline.heuristic.estimate_trace(call.trace, window_s=pipeline.config.window_s)
+            assert len(streamed) >= 10
+            assert [
+                (e.window_start, e.frame_rate, e.bitrate_kbps, e.frame_jitter_ms) for e in streamed
+            ] == [(h.window_start, h.frame_rate, h.bitrate_kbps, h.frame_jitter_ms) for h in batch]
+
     def test_batch_adapter_is_the_streaming_engine(self, teams_call):
         """estimate() must go through the stream: same count, ordered windows."""
         pipeline = QoEPipeline.for_vca("teams")
