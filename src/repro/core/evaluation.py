@@ -24,7 +24,8 @@ from repro.core.estimators import (
     IPUDPMLEstimator,
     RTPMLEstimator,
 )
-from repro.core.heuristic import IPUDPHeuristic, estimates_from_frames
+from repro.core.heuristic import estimates_from_frames
+from repro.core.pipeline import QoEPipeline
 from repro.core.resolution import binner_for_vca
 from repro.core.rtp_heuristic import RTPHeuristic
 from repro.core.windows import match_windows_to_ground_truth
@@ -82,7 +83,13 @@ class EvaluationDataset:
     def from_calls(
         cls, calls: list[CallResult], window_s: int = 1, environment: str | None = None
     ) -> "EvaluationDataset":
-        """Build the per-window dataset from simulated calls of a single VCA."""
+        """Build the per-window dataset from simulated calls of a single VCA.
+
+        The ``ipudp_heuristic`` column is what the deployed engine emits:
+        :meth:`QoEPipeline.estimate <repro.core.pipeline.QoEPipeline.estimate>`
+        (one ``push_block`` tick) read by window start.  A window past the
+        call's last packet, which the engine never emits, scores as empty.
+        """
         if not calls:
             raise ValueError("need at least one call")
         vcas = {call.vca for call in calls}
@@ -95,7 +102,7 @@ class EvaluationDataset:
 
         ipudp_ml = IPUDPMLEstimator.for_profile(profile)
         rtp_ml = RTPMLEstimator.for_profile(profile, environment=environment)
-        ipudp_heuristic = IPUDPHeuristic.for_profile(profile)
+        ipudp_pipeline = QoEPipeline.for_vca(vca, window_s=window_s)
         rtp_heuristic = RTPHeuristic.for_profile(profile, environment=environment)
         binner = binner_for_vca(vca)
 
@@ -115,7 +122,7 @@ class EvaluationDataset:
             )
             if not matched:
                 continue
-            ipudp_frames = ipudp_heuristic.assemble(call.trace)
+            ipudp_estimates = {e.window_start: e for e in ipudp_pipeline.estimate(call.trace)}
             rtp_frames = rtp_heuristic.assemble(call.trace)
             for sample in matched:
                 window = sample.window
@@ -126,10 +133,17 @@ class EvaluationDataset:
                 gt["frame_jitter"].append(sample.ground_truth.frame_jitter_ms)
                 gt_heights.append(float(sample.ground_truth.frame_height))
 
-                ip_est = estimates_from_frames(ipudp_frames, window.start, window.duration)
+                ip_est = ipudp_estimates.get(window.start)
+                if ip_est is None:
+                    ip_est = estimates_from_frames([], window.start, window.duration)
                 rtp_est = estimates_from_frames(rtp_frames, window.start, window.duration)
+                ip_row = {
+                    "frame_rate": ip_est.frame_rate,
+                    "bitrate": ip_est.bitrate_kbps,
+                    "frame_jitter": ip_est.frame_jitter_ms,
+                }
                 for metric in REGRESSION_METRICS:
-                    heuristics["ipudp_heuristic"][metric].append(ip_est.metric(metric))
+                    heuristics["ipudp_heuristic"][metric].append(ip_row[metric])
                     heuristics["rtp_heuristic"][metric].append(rtp_est.metric(metric))
                 groups.append(call.config.call_id)
 

@@ -266,12 +266,15 @@ class QoEPipeline:
         """Per-window QoE estimates for a session trace.
 
         This is a batch adapter over the streaming engine
-        (:class:`~repro.core.streaming.StreamingQoEPipeline`): the trace is
-        fed through the single-pass per-flow operators in single-flow mode
-        and the emitted windows are collected.  Only IP/UDP header fields
-        (timestamp, 5-tuple, payload size) are ever read, so the trace is
-        consumed exactly as an IP/UDP monitor would see it regardless of any
-        RTP headers or ground-truth annotations it may carry.
+        (:class:`~repro.core.streaming.StreamingQoEPipeline`): in single-flow
+        mode the trace's cached columnar block runs through the deployed
+        ``push_block`` tick at once (trained: one feature pass, one forest
+        walk), the engine is flushed and the windows of ``[start,
+        end_time)`` are returned, bit-identical to per-packet ``push``.
+        Only IP/UDP header fields (timestamp, 5-tuple, payload size) are
+        ever read, so the trace is consumed exactly as an IP/UDP monitor
+        would see it regardless of any RTP headers or ground-truth
+        annotations it may carry.
         """
         from repro.core.streaming import StreamingQoEPipeline
 

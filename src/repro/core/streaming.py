@@ -21,8 +21,9 @@ call is happening*.  :class:`StreamingQoEPipeline` is that engine:
   length.
 
 :meth:`QoEPipeline.estimate <repro.core.pipeline.QoEPipeline.estimate>` is a
-thin batch adapter over this engine, so the batch and streaming paths cannot
-diverge.
+thin batch adapter over this engine's columnar :meth:`~StreamingQoEPipeline.push_block`
+tick -- the one the monitors deploy -- so the batch and streaming paths
+cannot diverge.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from repro.core.media import MediaClassifier
 from repro.net.block import PacketBlock, _BlockRow
 from repro.net.flows import FlowKey, FlowTable
 from repro.net.packet import RTP_FIXED_HEADER_LEN, Packet
+from repro.net.trace import PacketTrace
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.core.pipeline import PipelineEstimate, QoEPipeline
@@ -59,9 +61,6 @@ __all__ = [
     "window_index",
     "window_indices",
 ]
-
-#: Sentinel distinguishing "not passed" from an explicit ``None`` override.
-_UNSET = object()
 
 _PIPELINE_ESTIMATE_CLS = None
 
@@ -395,12 +394,14 @@ class _FlowStream:
         row's trigger -- the same trigger the per-packet path would have
         used.  Finalized frames bucket in finalization order, interleaved
         with emissions exactly as scalar pushes interleave them, so
-        estimates and their order are bit-identical.
+        estimates and their order are bit-identical.  ``spans`` are in
+        opening order, so each window scans only the frames near its end.
         """
         out: list[tuple[int, PipelineEstimate]] = []
         horizon = rel_ts[rel_hi - 1]
         ev = 0
         n_fins = len(fins)
+        done = 0  # spans[:done] finalized before an earlier boundary row
         while True:
             window_end = self.start + (self._next_window + 1) * self.window_s
             if horizon < window_end:
@@ -408,11 +409,14 @@ class _FlowStream:
             cross = bisect_left(rel_ts, window_end, rel_lo, rel_hi) - rel_lo
             r = cross
             blocked = False
-            for lo, hi, fin_rel, prior_end, first_rel in spans:
+            while done < len(spans) and spans[done][2] is not None and spans[done][2] <= cross:
+                done += 1
+            for j in range(done, len(spans)):
+                lo, hi, fin_rel, prior_end, first_rel = spans[j]
                 if fin_rel is not None and fin_rel <= cross:
                     continue  # already finalized by the time the window ends
                 if first_rel > cross:
-                    continue  # opens past the boundary: its end is >= window_end
+                    break  # it and every later span open past the boundary
                 i = bisect_right(occ_rel, cross, lo, hi) - 1
                 end = occ_ts[i] if i >= lo else prior_end
                 assert end is not None
@@ -599,50 +603,20 @@ class StreamingQoEPipeline:
         heuristic are used is decided by ``pipeline.is_trained`` at
         construction time, exactly as in the batch path.
     config:
-        A :class:`~repro.core.config.PipelineConfig` describing the engine's
-        behaviour.  Defaults to ``pipeline.config``.  The keyword arguments
-        below are per-field overrides kept for convenience (and backward
-        compatibility); when passed they take precedence over ``config``.
-    demux_flows:
-        When true (default), packets are demultiplexed by unidirectional
-        5-tuple and each flow gets an independent estimation stream.  When
-        false, all packets are treated as one pre-isolated session (the
-        batch-adapter mode).
-    start:
-        Time origin of the windowing grid (default 0.0, i.e. call time zero).
-    reorder_depth:
-        Size of the per-flow reorder buffer.  Defaults to the assembler
-        lookback: packets displaced by at most this many positions are
-        re-sorted transparently, mirroring the reordering tolerance of
-        Algorithm 1.  Packets arriving later than that are dropped (their
-        window may already be emitted) rather than corrupting open state.
-    max_frame_age_s:
-        Liveness bound for heuristic mode.  Algorithm 1's lookback counts
-        packets, so a total video stall (camera off, outage) leaves the last
-        frame open and would otherwise hold back every subsequent window
-        while audio keeps flowing -- precisely the degraded seconds a live
-        monitor exists to flag.  When set, open frames whose last packet
-        lags the stream by more than this many seconds are force-finalized.
-        ``None`` (default) preserves exact batch equivalence.
-    backfill_limit:
-        Maximum number of empty windows emitted before a flow's first packet
-        (default 0: a flow's first window is the one its first packet falls
-        in, on the shared grid).  This keeps a flow that joins mid-capture --
-        or a capture with epoch-relative timestamps -- from back-filling one
-        empty estimate per elapsed window since ``start``.  ``None`` means
-        unlimited, the batch contract (windows from ``start``), which
-        :meth:`collect` with ``batch=True`` selects automatically.
+        The :class:`~repro.core.config.PipelineConfig` the engine runs
+        (windowing grid, flow demultiplexing, reorder depth, liveness bound,
+        back-fill limit); defaults to ``pipeline.config``.  Derive a variant
+        with ``pipeline.config.replace(...)``.  A ``reorder_depth`` of
+        ``None`` resolves to the effective assembler lookback.
+    obs:
+        Optional :class:`~repro.obs.registry.MetricsRegistry` the engine
+        records tick counters and stage spans into.
     """
 
     def __init__(
         self,
         pipeline: "QoEPipeline",
         config: PipelineConfig | None = None,
-        demux_flows: bool | object = _UNSET,
-        start: float | object = _UNSET,
-        reorder_depth: int | None | object = _UNSET,
-        max_frame_age_s: float | None | object = _UNSET,
-        backfill_limit: int | None | object = _UNSET,
         obs: "MetricsRegistry | None" = None,
     ) -> None:
         self.pipeline = pipeline
@@ -651,19 +625,6 @@ class StreamingQoEPipeline:
         self.obs = obs
         if config is None:
             config = pipeline.config
-        overrides = {
-            name: value
-            for name, value in (
-                ("demux_flows", demux_flows),
-                ("start", start),
-                ("reorder_depth", reorder_depth),
-                ("max_frame_age_s", max_frame_age_s),
-                ("backfill_limit", backfill_limit),
-            )
-            if value is not _UNSET
-        }
-        if overrides:
-            config = config.replace(**overrides)
         # Resolve frame-assembly parameters from the *effective* config, not
         # the pipeline's pre-built heuristic: a per-engine config override of
         # delta_size/lookback must actually take effect.
@@ -683,17 +644,12 @@ class StreamingQoEPipeline:
         self.flow_table = FlowTable(store_packets=False)
         self._streams: dict[FlowKey | None, _FlowStream] = {}
         self._flow_order: list[FlowKey | None] = []
-        # Batch-adapter mode: when set, trained-mode windows append
-        # ``(accumulator, window_start)`` here instead of predicting per
-        # window, so ``collect(batch=True)`` can compute every window's
-        # features in one pass and run the forests once, vectorized.
-        self._feature_rows: list[tuple[IPUDPFeatureAccumulator, float]] | None = None
-        # Tick-batch mode: when set (inside push_block), trained-mode
+        # Tick-batch mode: when set (inside push_block or flush), trained-mode
         # windows append ``(flow, accumulator, window_start, trigger_pos)`` here
         # and inference runs once per tick over all flows whose windows
         # closed in it.  ``trigger_pos`` is the triggering packet's block
-        # row; the tick resolves in trigger order, i.e. per-packet emission
-        # order.
+        # row (the flow's position at flush); the tick resolves in trigger
+        # order, i.e. per-packet emission order.
         self._tick_rows: list[tuple[FlowKey | None, IPUDPFeatureAccumulator, float, int]] | None = None
         # Estimates of a block that raised mid-tick: the windows are already
         # closed, so they are delivered by the next push_block or flush.
@@ -732,8 +688,8 @@ class StreamingQoEPipeline:
         """Feed one packet; returns estimates for any windows that closed.
 
         In single-flow mode the 5-tuple bookkeeping is skipped entirely (the
-        session is pre-isolated by contract), keeping the batch adapter's
-        per-packet cost to the estimation operators alone.
+        session is pre-isolated by contract), keeping the per-packet cost to
+        the estimation operators alone.
         """
         if self._closed:
             raise RuntimeError(
@@ -789,6 +745,9 @@ class StreamingQoEPipeline:
         are row-independent and bit-identical per row, so the estimates equal
         per-window :meth:`push` inference; only the overhead is amortized.
 
+        It is also the batch path: :meth:`collect` with ``batch=True`` (for
+        ``QoEPipeline.estimate`` and ``QoEMonitor(batch_grid=True)``) runs it.
+
         **Equivalence contract (pinned by tests):** feeding a capture through
         ``push_block`` emits the same estimates as per-packet :meth:`push`,
         bit-identically and *in the same order* -- every emission is tagged
@@ -810,7 +769,7 @@ class StreamingQoEPipeline:
             return held
         obs = self.obs
         started = perf_counter() if obs is not None else 0.0
-        tick = self.trained and self._feature_rows is None
+        tick = self.trained
         if tick:
             if self._tick_rows is not None:
                 self._held_estimates = held
@@ -1197,15 +1156,27 @@ class StreamingQoEPipeline:
         rewound, so pushing a new capture into a flushed engine would
         silently discard every packet as stale reordering.  Further
         :meth:`push` calls raise; flushing again is a no-op.
+
+        In trained mode the flush is one tick: one feature pass and one
+        forest walk over every flow's remaining windows, in flow order.
         """
         if self._closed:
             return []
         self._closed = True
         emitted: list[StreamEstimate] = self._held_estimates
         self._held_estimates = []
-        for key in self._flow_order:
-            for estimate in self._streams[key].flush():
-                emitted.append(StreamEstimate(flow=key, estimate=estimate))
+        if self.trained:
+            self._tick_rows = []
+        try:
+            for pos, key in enumerate(self._flow_order):
+                stream = self._streams[key]
+                stream.trigger_pos = pos
+                for estimate in stream.flush():
+                    emitted.append(StreamEstimate(flow=key, estimate=estimate))
+                stream.trigger_pos = None
+            emitted.extend(self._flush_tick())
+        finally:
+            self._tick_rows = None
         if self.obs is not None and emitted:
             self.obs.inc("qoe_engine_estimates_total", len(emitted))
         return emitted
@@ -1266,50 +1237,49 @@ class StreamingQoEPipeline:
 
         * ``batch=False`` (default): returns ``list[StreamEstimate]`` -- every
           window of every flow, tagged with its 5-tuple, in emission order.
+          Packets go through per-packet :meth:`push`, the reference every
+          block-path pin compares against.
         * ``batch=True``: single-session batch scoring (the
           ``QoEPipeline.estimate`` backend); returns bare
           ``list[PipelineEstimate]`` truncated to the batch window grid
-          ``[0, end_time)`` -- the stream also closes the window *starting*
-          exactly at the last timestamp, which the batch contract excludes.
-          Requires ``demux_flows=False`` and a fresh engine.  In trained
-          mode the closed windows' accumulators are collected during the
-          pass; their features are computed in one array pass and the
-          per-metric forests run once over all windows (vectorized), which
-          is row-for-row identical to predicting at each window close but
-          avoids per-window overhead.
+          ``[start, end_time)`` -- the stream also closes the window
+          *starting* exactly at the last timestamp, which the batch contract
+          excludes.  Requires ``demux_flows=False`` and a fresh engine.
+          Blocks run through the deployed :meth:`push_block` tick: a
+          :class:`~repro.net.trace.PacketTrace` is one tick of its cached
+          ``block``, a source's native ``blocks()`` reader is used as is,
+          any other iterable goes through ``blocks_from_packets``.
         """
         if not batch:
             emitted = list(self.process(packets))
             emitted.extend(self.flush())
             return emitted
-        return self._collect_batch(packets)
+        if isinstance(packets, PacketTrace):
+            return self._collect_batch((packets.block,))
+        from repro.sources.base import iter_blocks
 
-    def _collect_batch(self, packets: Iterable[Packet]) -> list["PipelineEstimate"]:
+        return self._collect_batch(iter_blocks(packets))
+
+    def _collect_batch(self, blocks: Iterable[PacketBlock]) -> list["PipelineEstimate"]:
+        """``collect(batch=True)`` over columnar blocks (also the
+        ``QoEMonitor(batch_grid=True)`` loop)."""
         if self.demux_flows:
             raise RuntimeError("collect(batch=True) requires demux_flows=False (one session)")
         if self._streams:
             raise RuntimeError("collect(batch=True) requires a fresh engine")
         # The batch contract covers [start, end_time) in full, including
         # leading empty windows.
+        self.config = self.config.replace(backfill_limit=None)
         self.backfill_limit = None
-        if self.trained:
-            self._feature_rows = []
-        try:
-            estimates = [emitted.estimate for emitted in self.process(packets)]
-            estimates.extend(emitted.estimate for emitted in self.flush())
-            stream = self._streams.get(None)
-            watermark = stream._watermark if stream is not None else None
-            if watermark is None:
-                return []
-            # Number of windows k with start + k*window_s < watermark.
-            k = window_index(watermark, self.start, self.window_s)
-            n_windows = k if self.start + k * self.window_s >= watermark else k + 1
-            if self.trained:
-                assert self._feature_rows is not None
-                return self._predict_batch(self._feature_rows[:n_windows])
-            return estimates[:n_windows]
-        finally:
-            self._feature_rows = None
+        estimates = [emitted.estimate for block in blocks for emitted in self.push_block(block)]
+        estimates.extend(emitted.estimate for emitted in self.flush())
+        stream = self._streams.get(None)
+        watermark = stream._watermark if stream is not None else None
+        if watermark is None:
+            return []
+        # Number of windows k with start + k*window_s < watermark.
+        k = window_index(watermark, self.start, self.window_s)
+        return estimates[: k if self.start + k * self.window_s >= watermark else k + 1]
 
     def low_watermark(self, new_flow_slack_s: float | None = None) -> float | None:
         """A lower bound on the ``window_start`` of any future estimate.
@@ -1369,24 +1339,16 @@ class StreamingQoEPipeline:
     # -- internals -------------------------------------------------------------
 
     def _make_stream(self, key: FlowKey | None) -> _FlowStream:
-        # Snapshot the engine's *current* knob values: collect(batch=True)
-        # lifts backfill_limit after construction but before the first stream
-        # exists, so per-stream configs must be derived lazily.
-        stream_config = self.config.replace(
-            backfill_limit=self.backfill_limit,
-            max_frame_age_s=self.max_frame_age_s,
-            reorder_depth=self.reorder_depth,
-        )
         if self.trained:
             return _FlowStream(
-                stream_config,
+                self.config,
                 classifier=self.pipeline.ml.media_classifier,
                 assembler=None,
                 predict=partial(self._window_closed, key),
                 counters=self.counters,
             )
         return _FlowStream(
-            stream_config,
+            self.config,
             classifier=self.pipeline.heuristic.classifier,
             assembler=FrameAssembler(delta_size=self._delta_size, lookback=self._lookback),
             predict=None,
@@ -1398,21 +1360,16 @@ class StreamingQoEPipeline:
     ):
         """Trained-mode predict dispatch for one closed window.
 
-        Three behaviours behind one callback: defer to the batch adapter
-        (``collect(batch=True)`` computes features and runs the forests once
-        at the end), defer to the current tick (``push_block`` computes
-        features and runs the forests once over every flow's closed
-        windows), or predict immediately (plain ``push``).  Deferred windows return ``None`` so the
-        owning stream emits nothing until the batch is resolved.  A closed
-        window's accumulator is never extended again, so deferring it is
-        safe.
+        Two behaviours behind one callback: defer to the current tick
+        (``push_block`` or ``flush`` computes features and runs the forests
+        once over every flow's closed windows), or predict immediately
+        (plain ``push``).  Deferred windows return ``None`` so the owning
+        stream emits nothing until the tick is resolved.  A closed window's
+        accumulator is never extended again, so deferring it is safe.
         """
-        if self._feature_rows is not None:
-            self._feature_rows.append((acc, window_start))
-            return None
         if self._tick_rows is not None:
             trigger_pos = self._streams[key].trigger_pos
-            assert trigger_pos is not None  # tick windows close only inside push_rows
+            assert trigger_pos is not None  # tick windows close inside push_rows or flush
             self._tick_rows.append((key, acc, window_start, trigger_pos))
             return None
         return self._predict_rows(self._features([acc]), [window_start])[0]
@@ -1447,21 +1404,9 @@ class StreamingQoEPipeline:
         obs.time_stage("features", started)
         return features
 
-    def _predict_batch(
-        self, rows: list[tuple[IPUDPFeatureAccumulator, float]]
-    ) -> list["PipelineEstimate"]:
-        """One feature pass and one inference pass over all collected windows."""
-        if not rows:
-            return []
-        return self._predict_rows(
-            self._features([acc for acc, _ in rows]),
-            [window_start for _, window_start in rows],
-        )
-
     def _predict_rows(self, feature_rows, window_starts: list[float]) -> list["PipelineEstimate"]:
         """Run the trained per-metric forests once over ``feature_rows``."""
-        from repro.core.pipeline import PipelineEstimate
-
+        PipelineEstimate = _pipeline_estimate_cls()
         obs = self.obs
         if obs is None:
             rows = self.pipeline.ml.predict_many(feature_rows, window_starts)

@@ -45,7 +45,7 @@ from repro.core.pipeline import QoEPipeline
 from repro.core.streaming import StreamEstimate, StreamingQoEPipeline, add_counters
 from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry
-from repro.sources.base import PacketSource, as_source
+from repro.sources.base import DEFAULT_BLOCK_SIZE, PacketSource, as_source, iter_blocks
 
 __all__ = ["MonitorReport", "QoEMonitor", "IdleEvictionSchedule"]
 
@@ -192,10 +192,12 @@ class QoEMonitor:
         When true (requires ``demux_flows=False`` in the effective config),
         estimates are produced on the batch window grid ``[start,
         end_time)`` -- exactly what ``QoEPipeline.estimate`` returns,
-        including leading empty windows and vectorized trained inference.
-        Sinks then receive everything at end of source rather than as
-        windows close.  Use for offline scoring of single-session captures;
-        leave false for live monitoring.
+        including leading empty windows.  The source runs as blocks of
+        ``block_size`` rows (the source's native size when ``None``)
+        through the engine's ``push_block`` tick, the same batch path as
+        ``estimate``.  Sinks then receive everything at end of source
+        rather than as windows close.  Use for offline scoring of
+        single-session captures; leave false for live monitoring.
     block_size:
         When set, the monitor drives the engine's columnar hot path: the
         source is consumed as struct-of-arrays
@@ -237,15 +239,11 @@ class QoEMonitor:
             sinks = (sinks,)
         self.sinks = tuple(sinks)
         self.config = config if config is not None else pipeline.config
-        if batch_grid:
-            if self.config.demux_flows:
-                raise ValueError(
-                    "batch_grid requires demux_flows=False (one pre-isolated session); "
-                    "pass config=pipeline.config.replace(demux_flows=False)"
-                )
-            if self.config.backfill_limit is not None:
-                # The batch grid covers [start, end_time) in full.
-                self.config = self.config.replace(backfill_limit=None)
+        if batch_grid and self.config.demux_flows:
+            raise ValueError(
+                "batch_grid requires demux_flows=False (one pre-isolated session); "
+                "pass config=pipeline.config.replace(demux_flows=False)"
+            )
         self.batch_grid = batch_grid
         if block_size is not None and block_size < 1:
             raise ValueError(f"block_size must be >= 1 (or None), got {block_size!r}")
@@ -299,12 +297,13 @@ class QoEMonitor:
         self._ran = True
         registry = self.registry
         started = perf_counter()
-        # The engine records into the same registry: the monitor-level
-        # counters below are loop totals, the engine's are per-tick.  In the
-        # per-packet loop the engine sees obs=None -- a span per packet is
-        # exactly the overhead that mode exists to avoid -- and the loop
-        # syncs its counters into the registry once, at end of run.
-        engine_obs = registry if self.block_size is not None else None
+        # The engine records into the same registry whenever it runs
+        # push_block: the monitor-level counters below are loop totals, the
+        # engine's are per-tick.  In the per-packet loop the engine sees
+        # obs=None -- a span per packet is exactly the overhead that mode
+        # exists to avoid -- and the loop syncs its counters into the
+        # registry once, at end of run.
+        engine_obs = registry if self.block_size is not None or self.batch_grid else None
         self.engine = engine = StreamingQoEPipeline(
             self.pipeline, config=self.config, obs=engine_obs
         )
@@ -354,13 +353,8 @@ class QoEMonitor:
         n_evicted = 0
         flows_seen: set = set()
         if self.block_size is not None:
-            from repro.sources.base import iter_blocks
-
             fanout = self._fanout if registry is None else self._fanout_timed
-            blocks = iter_blocks(self.source, self.block_size)
-            if registry is not None:
-                blocks = registry.timed_iter(blocks, "source_read")
-            for block in blocks:
+            for block in self._blocks():
                 n_packets += len(block)
                 n_estimates += fanout(engine.push_block(block))
                 if len(block) and eviction.due(float(block.timestamps.max())):
@@ -383,15 +377,29 @@ class QoEMonitor:
         return n_packets, n_estimates, len(flows_seen), n_evicted, drain_started
 
     def _run_batch(self, engine: StreamingQoEPipeline) -> tuple[int, int, int, int, float]:
-        """The batch-grid loop: everything reaches the sinks at end of source."""
-        estimates = engine.collect(self.source, batch=True)
+        """The batch-grid loop: the source's blocks through the engine's
+        batch collector; everything reaches the sinks at end of source."""
+        n_packets = 0
+
+        def counted(blocks):
+            nonlocal n_packets
+            for block in blocks:
+                n_packets += len(block)
+                yield block
+
+        estimates = engine._collect_batch(counted(self._blocks()))
         drain_started = perf_counter()
         self._fanout([StreamEstimate(flow=None, estimate=e) for e in estimates])
-        # In single-flow mode the engine skips 5-tuple bookkeeping; the
-        # stream's push counter is the packet count.
-        stream = engine._streams.get(None)
-        n_packets = stream._seq if stream is not None else 0
         return n_packets, len(estimates), 1 if estimates else 0, 0, drain_started
+
+    def _blocks(self):
+        """The source as columnar blocks of ``block_size`` rows (its native
+        size when ``None``), each read timed as a ``source_read`` span when
+        observability is on."""
+        blocks = iter_blocks(self.source, self.block_size or DEFAULT_BLOCK_SIZE)
+        if self.registry is not None:
+            blocks = self.registry.timed_iter(blocks, "source_read")
+        return blocks
 
     def _fanout(self, items: list[StreamEstimate]) -> int:
         for item in items:

@@ -52,6 +52,18 @@ def lossy_teams_call() -> CallResult:
 
 
 @pytest.fixture(scope="session")
+def lossy_meet_call() -> CallResult:
+    """A Meet call under 5% loss and jitter (stress conditions)."""
+    return _make_call("meet", seed=5, loss=0.05, jitter_ms=15.0)
+
+
+@pytest.fixture(scope="session")
+def lossy_webex_call() -> CallResult:
+    """A Webex call under 5% loss and jitter (stress conditions)."""
+    return _make_call("webex", seed=6, loss=0.05, jitter_ms=15.0)
+
+
+@pytest.fixture(scope="session")
 def teams_calls_small() -> list[CallResult]:
     """Four short Teams calls under varied conditions (for ML training tests)."""
     calls = []

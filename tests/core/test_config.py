@@ -104,13 +104,31 @@ class TestWiring:
         assert engine.max_frame_age_s == 3.0
         assert engine.backfill_limit == 2
 
-    def test_engine_kwargs_override_config(self):
+    def test_engine_config_takes_precedence_over_pipeline_config(self):
         pipeline = QoEPipeline.for_vca("teams", config=PipelineConfig(reorder_depth=7))
-        engine = StreamingQoEPipeline(pipeline, reorder_depth=2, demux_flows=False)
+        engine = StreamingQoEPipeline(
+            pipeline, config=pipeline.config.replace(reorder_depth=2, demux_flows=False)
+        )
         assert engine.reorder_depth == 2
         assert not engine.demux_flows
         # The pipeline's own config is untouched (frozen).
         assert pipeline.config.reorder_depth == 7
+
+    @pytest.mark.parametrize(
+        "kwarg",
+        [
+            {"demux_flows": False},
+            {"start": 1.0},
+            {"reorder_depth": 2},
+            {"max_frame_age_s": 1.0},
+            {"backfill_limit": None},
+        ],
+    )
+    def test_engine_takes_settings_from_config_only(self, kwarg):
+        """The per-field constructor kwargs are gone: ``config=`` is the one
+        way to set the engine's behaviour."""
+        with pytest.raises(TypeError):
+            StreamingQoEPipeline(QoEPipeline.for_vca("teams"), **kwarg)
 
     def test_engine_resolves_default_reorder_depth_to_lookback(self):
         pipeline = QoEPipeline.for_vca("teams")
@@ -119,7 +137,8 @@ class TestWiring:
 
     def test_engine_rejects_invalid_override(self):
         with pytest.raises(ValueError):
-            StreamingQoEPipeline(QoEPipeline.for_vca("teams"), reorder_depth=-1)
+            pipeline = QoEPipeline.for_vca("teams")
+            StreamingQoEPipeline(pipeline, config=pipeline.config.replace(reorder_depth=-1))
 
     def test_engine_config_override_reaches_the_assembler(self):
         """A per-engine lookback/delta override must actually take effect,

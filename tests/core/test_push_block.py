@@ -49,15 +49,15 @@ def trained_pipeline():
     return make_trained_pipeline()
 
 
-def per_packet_run(pipeline, packets, **engine_kwargs):
-    engine = StreamingQoEPipeline(pipeline, **engine_kwargs)
+def per_packet_run(pipeline, packets, config=None):
+    engine = StreamingQoEPipeline(pipeline, config=config)
     emitted = [item for packet in packets for item in engine.push(packet)]
     emitted.extend(engine.flush())
     return emitted
 
 
-def block_run(pipeline, packets, chunk_size, wire=False, **engine_kwargs):
-    engine = StreamingQoEPipeline(pipeline, **engine_kwargs)
+def block_run(pipeline, packets, chunk_size, wire=False, config=None):
+    engine = StreamingQoEPipeline(pipeline, config=config)
     emitted = []
     for block in blocks_from_packets(packets, chunk_size):
         if wire:
@@ -194,8 +194,8 @@ class TestPushBlockEquivalence:
         feed = [[pkt(10.0), pkt(10.1)], [pkt(5.0), pkt(5.1), pkt(6.0)], [pkt(11.0)]]
         for pipeline in (QoEPipeline.for_vca("teams"), trained_pipeline):
             reference = per_packet_run(pipeline, [p for chunk in feed for p in chunk],
-                                       reorder_depth=0)
-            engine = StreamingQoEPipeline(pipeline, reorder_depth=0)
+                                       config=pipeline.config.replace(reorder_depth=0))
+            engine = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(reorder_depth=0))
             emitted = []
             for chunk in feed:
                 emitted.extend(engine.push_block(PacketBlock.from_packets(chunk)))
@@ -206,8 +206,9 @@ class TestPushBlockEquivalence:
     def test_single_flow_mode(self, trained_pipeline):
         packets = synthetic_flow(2, "10.0.0.2", 50002, duration_s=6.0)
         for pipeline in (QoEPipeline.for_vca("teams"), trained_pipeline):
-            assert block_run(pipeline, packets, 128, demux_flows=False) == per_packet_run(
-                pipeline, packets, demux_flows=False
+            single_flow = pipeline.config.replace(demux_flows=False)
+            assert block_run(pipeline, packets, 128, config=single_flow) == per_packet_run(
+                pipeline, packets, config=single_flow
             )
 
     def test_mixing_push_and_push_block(self, vantage_packets, trained_pipeline):
@@ -303,12 +304,12 @@ class TestLivenessBound:
     @pytest.mark.parametrize("chunk_size", [1, 7, 256, 100_000])
     def test_bit_identical_through_the_bailout(self, stalling_packets, max_frame_age_s, chunk_size):
         pipeline = QoEPipeline.for_vca("teams")
-        reference = StreamingQoEPipeline(pipeline, max_frame_age_s=max_frame_age_s)
+        reference = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(max_frame_age_s=max_frame_age_s))
         expected = [item for packet in stalling_packets for item in reference.push(packet)]
         n_live = len(expected)
         expected.extend(reference.flush())
 
-        engine = StreamingQoEPipeline(pipeline, max_frame_age_s=max_frame_age_s)
+        engine = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(max_frame_age_s=max_frame_age_s))
         emitted = []
         for block in blocks_from_packets(stalling_packets, chunk_size):
             emitted.extend(engine.push_block(block))
@@ -576,8 +577,8 @@ class TestVantageSegmentedTick:
     def test_512_flows_with_stalls_under_max_frame_age(self, chunk_size):
         packets = vantage_trace(stalled=24)
         pipeline = QoEPipeline.for_vca("teams")
-        expected = per_packet_run(pipeline, packets, max_frame_age_s=0.3)
-        engine = StreamingQoEPipeline(pipeline, max_frame_age_s=0.3)
+        expected = per_packet_run(pipeline, packets, config=pipeline.config.replace(max_frame_age_s=0.3))
+        engine = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(max_frame_age_s=0.3))
         got = []
         for block in blocks_from_packets(packets, chunk_size):
             got.extend(engine.push_block(block))

@@ -53,44 +53,115 @@ def remap_flow(trace: PacketTrace, src="172.16.5.5", src_port=3478, dst="10.0.0.
     )
 
 
+VCAS = ("meet", "teams", "webex")
+
+
+def exact(estimates) -> list[tuple]:
+    """PipelineEstimates as comparable tuples, floats by bit pattern (NaN-safe)."""
+    return [
+        (
+            *(float(value).hex() for value in (
+                e.window_start, e.frame_rate, e.bitrate_kbps, e.frame_jitter_ms
+            )),
+            e.resolution,
+            e.source,
+        )
+        for e in estimates
+    ]
+
+
+@pytest.fixture(params=[(vca, lossy) for vca in VCAS for lossy in (False, True)],
+                ids=lambda param: f"{param[0]}-{'lossy' if param[1] else 'clean'}")
+def vca_call(request):
+    """Each VCA's clean and lossy fixture call."""
+    vca, lossy = request.param
+    return request.getfixturevalue(f"{'lossy_' if lossy else ''}{vca}_call")
+
+
+@pytest.fixture(scope="module")
+def trained_for():
+    """A pipeline per VCA, trained on that VCA's clean and lossy calls."""
+    cache = {}
+
+    def train(vca, request):
+        if vca not in cache:
+            calls = [request.getfixturevalue(f"{vca}_call"), request.getfixturevalue(f"lossy_{vca}_call")]
+            cache[vca] = QoEPipeline.for_vca(vca).train(calls)
+        return cache[vca]
+
+    return train
+
+
+def per_packet_prefix(pipeline, trace, n):
+    """The first ``n`` windows of per-packet ``collect`` (the oracle)."""
+    stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False))
+    streamed = [e.estimate for e in stream.collect(trace)]
+    # The stream also closes the window that starts exactly at end_time; the
+    # batch contract stops one earlier.  Anything beyond that is a bug.
+    assert n <= len(streamed) <= n + 1
+    return streamed[:n]
+
+
 class TestSingleFlowEquivalence:
-    def test_untrained_heuristic_parity(self, teams_call):
-        pipeline = QoEPipeline.for_vca("teams")
-        batch = pipeline.estimate(teams_call.trace)
-        stream = StreamingQoEPipeline(pipeline, demux_flows=False)
-        streamed = [e.estimate for e in stream.collect(teams_call.trace)]
+    """``estimate`` (one ``push_block`` tick) equals per-packet ``collect``
+    bit for bit, NaN-safe, on every VCA's clean and lossy call."""
+
+    @pytest.mark.parametrize("window_s", [1, 2])
+    def test_untrained_heuristic_parity(self, vca_call, window_s):
+        pipeline = QoEPipeline.for_vca(vca_call.vca, window_s=window_s)
+        batch = pipeline.estimate(vca_call.trace)
         assert batch
-        assert_estimates_equal(batch, streamed)
+        assert exact(batch) == exact(per_packet_prefix(pipeline, vca_call.trace, len(batch)))
 
-    def test_untrained_parity_under_loss_and_jitter(self, lossy_teams_call):
-        pipeline = QoEPipeline.for_vca("teams")
-        batch = pipeline.estimate(lossy_teams_call.trace)
-        stream = StreamingQoEPipeline(pipeline, demux_flows=False)
-        streamed = [e.estimate for e in stream.collect(lossy_teams_call.trace)]
-        assert_estimates_equal(batch, streamed)
+    def test_trained_ml_parity(self, vca_call, trained_for, request):
+        pipeline = trained_for(vca_call.vca, request)
+        batch = pipeline.estimate(vca_call.trace)
+        assert batch and all(e.source == "ml" for e in batch)
+        assert exact(batch) == exact(per_packet_prefix(pipeline, vca_call.trace, len(batch)))
 
-    def test_trained_ml_parity(self, teams_calls_small):
-        pipeline = QoEPipeline.for_vca("teams").train(teams_calls_small)
-        call = teams_calls_small[0]
-        batch = pipeline.estimate(call.trace)
-        assert all(e.source == "ml" for e in batch)
-        stream = StreamingQoEPipeline(pipeline, demux_flows=False)
-        streamed = [e.estimate for e in stream.collect(call.trace)]
-        assert_estimates_equal(batch, streamed)
-
-    def test_streaming_heuristic_equals_the_batch_heuristic(self, teams_call, lossy_teams_call):
+    @pytest.mark.parametrize("window_s", [1, 2, 5])
+    def test_streaming_heuristic_equals_the_batch_heuristic(self, vca_call, window_s):
         """An oracle independent of the engine's windowing: the paper's batch
         heuristic (whole-trace assembly, ``estimates_from_frames`` per
         window) gives exactly the engine's per-window values, though the
         engine keeps only each open window's frame end times and byte total."""
-        pipeline = QoEPipeline.for_vca("teams")
-        for call in (teams_call, lossy_teams_call):
-            streamed = pipeline.estimate(call.trace)
-            batch = pipeline.heuristic.estimate_trace(call.trace, window_s=pipeline.config.window_s)
-            assert len(streamed) >= 10
-            assert [
-                (e.window_start, e.frame_rate, e.bitrate_kbps, e.frame_jitter_ms) for e in streamed
-            ] == [(h.window_start, h.frame_rate, h.bitrate_kbps, h.frame_jitter_ms) for h in batch]
+        pipeline = QoEPipeline.for_vca(vca_call.vca, window_s=window_s)
+        streamed = pipeline.estimate(vca_call.trace)
+        batch = pipeline.heuristic.estimate_trace(vca_call.trace, window_s=window_s)
+        assert len(streamed) >= 20 // window_s - 1
+        assert [
+            (e.window_start, e.frame_rate, e.bitrate_kbps, e.frame_jitter_ms) for e in streamed
+        ] == [(h.window_start, h.frame_rate, h.bitrate_kbps, h.frame_jitter_ms) for h in batch]
+
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_batch_collect_is_one_push_block_tick(self, teams_call, trained_for, request, trained,
+                                                  monkeypatch):
+        """Structural pin (no timing): a sorted trace is one ``push_block``
+        call and no per-packet ``_FlowStream.push``.  Trained, inference is
+        one ``predict_many`` walk per tick: the block's windows, then the
+        windows the flush closes."""
+        from repro.core import streaming
+
+        pipeline = trained_for("teams", request) if trained else QoEPipeline.for_vca("teams")
+        calls = {"push_block": 0, "push": 0, "predict_many": 0}
+
+        def spy(owner, name, key):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        spy(StreamingQoEPipeline, "push_block", "push_block")
+        spy(streaming._FlowStream, "push", "push")
+        spy(type(pipeline.ml), "predict_many", "predict_many")
+        trace = teams_call.trace
+        assert np.all(np.diff(trace.block.timestamps) >= 0)
+        estimates = pipeline.estimate(trace)
+        assert estimates
+        assert calls == {"push_block": 1, "push": 0, "predict_many": 2 if trained else 0}
 
     def test_batch_adapter_is_the_streaming_engine(self, teams_call):
         """estimate() must go through the stream: same count, ordered windows."""
@@ -155,7 +226,7 @@ class TestOutOfOrderPackets:
             else:
                 i += 1
         batch = pipeline.estimate(teams_call.trace)
-        stream = StreamingQoEPipeline(pipeline, demux_flows=False)
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False))
         streamed = [e.estimate for e in stream.collect(iter(shuffled))]
         assert_estimates_equal(batch, streamed)
 
@@ -170,7 +241,7 @@ class TestOutOfOrderPackets:
             rng.shuffle(block)
             shuffled[i : i + 4] = block
         batch = pipeline.estimate(teams_call.trace)
-        stream = StreamingQoEPipeline(pipeline, demux_flows=False, reorder_depth=4)
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False, reorder_depth=4))
         streamed = [e.estimate for e in stream.collect(iter(shuffled))]
         assert_estimates_equal(batch, streamed)
 
@@ -180,7 +251,7 @@ class TestBoundedMemory:
         """The engine must work on a generator: no rewind, no full-trace view."""
         pipeline = QoEPipeline.for_vca("teams")
         feed = (p for p in teams_call.trace)  # exhaustible, one pass only
-        stream = StreamingQoEPipeline(pipeline, demux_flows=False)
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False))
         streamed = [e.estimate for e in stream.collect(feed)]
         assert_estimates_equal(pipeline.estimate(teams_call.trace), streamed)
 
@@ -256,7 +327,7 @@ class TestLiveness:
         packets += [make_packet(3.0 + 0.02 * i, 120) for i in range(1500)]  # 30 s audio only
         pipeline = QoEPipeline.for_vca("teams")
 
-        bounded = StreamingQoEPipeline(pipeline, demux_flows=False, max_frame_age_s=2.0)
+        bounded = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False, max_frame_age_s=2.0))
         live_starts = [e.estimate.window_start for p in packets for e in bounded.push(p)]
         # Windows deep inside the outage are emitted live, without a flush.
         assert live_starts and max(live_starts) >= 25.0
@@ -264,7 +335,7 @@ class TestLiveness:
         assert len(outage) >= 20
 
         # Default (strict batch parity) holds those windows until flush.
-        strict = StreamingQoEPipeline(pipeline, demux_flows=False)
+        strict = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False))
         strict_live = [e for p in packets for e in strict.push(p)]
         assert max(e.estimate.window_start for e in strict_live) < 4.0
         flushed = strict.flush()
@@ -274,7 +345,7 @@ class TestLiveness:
         """On a healthy call the bound never fires: estimates match batch."""
         pipeline = QoEPipeline.for_vca("teams")
         batch = pipeline.estimate(teams_call.trace)
-        stream = StreamingQoEPipeline(pipeline, demux_flows=False, max_frame_age_s=2.0)
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False, max_frame_age_s=2.0))
         streamed = [e.estimate for e in stream.collect(teams_call.trace)]
         assert_estimates_equal(batch, streamed)
 
@@ -284,7 +355,8 @@ class TestExcessiveReordering:
         """A packet for an already-emitted window must not wipe open state."""
         packets = [make_packet(t, 1000) for t in (0.1, 0.2, 0.3, 1.1, 1.2, 1.3, 1.4)]
         late = make_packet(0.05, 1000)
-        stream = StreamingQoEPipeline(QoEPipeline.for_vca("teams"), demux_flows=False, reorder_depth=0)
+        pipeline = QoEPipeline.for_vca("teams")
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False, reorder_depth=0))
         emitted = []
         for p in packets:
             emitted.extend(stream.push(p))
@@ -303,7 +375,7 @@ class TestExcessiveReordering:
         late = _replace(ordered[5])
         feed = ordered[:1000] + [late] + ordered[1000:]
         batch = pipeline.estimate(call.trace)
-        stream = StreamingQoEPipeline(pipeline, demux_flows=False)
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False))
         streamed = [e.estimate for e in stream.collect(iter(feed))]
         # The late packet is dropped; estimates still match the clean batch.
         assert_estimates_equal(batch, streamed)
@@ -312,7 +384,8 @@ class TestExcessiveReordering:
         """A packet released behind the stream must be dropped, not fed to the
         order-sensitive accumulators (negative IATs) or the assembler."""
         packets = [make_packet(t, 1000) for t in (0.5, 0.51, 0.4, 1.5, 1.51)]
-        stream = StreamingQoEPipeline(QoEPipeline.for_vca("teams"), demux_flows=False, reorder_depth=0)
+        pipeline = QoEPipeline.for_vca("teams")
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False, reorder_depth=0))
         emitted = []
         for p in packets:
             emitted.extend(stream.push(p))
@@ -329,7 +402,8 @@ class TestLongRunningMonitor:
         timestamps) must not emit one empty window per elapsed second."""
         base = 1_000_000.0
         packets = [make_packet(base + 0.01 * i, 1000) for i in range(200)]
-        stream = StreamingQoEPipeline(QoEPipeline.for_vca("teams"), demux_flows=False)
+        pipeline = QoEPipeline.for_vca("teams")
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False))
         emitted = [e for p in packets for e in stream.push(p)]
         emitted.extend(stream.flush())
         assert 1 <= len(emitted) <= 4, "only the windows the flow actually spans"

@@ -128,6 +128,40 @@ class TestMonitorEquivalence:
         assert len(flows) == 1
         assert_estimates_equal(pipeline.estimate(teams_pcap), collector.estimates)
 
+    @pytest.mark.parametrize("block_size", [None, 1, 97, 4096])
+    def test_batch_grid_ticks_block_size_rows(self, teams_call, teams_pcap, block_size, monkeypatch):
+        """``block_size`` sets the batch grid's tick (the source's native
+        size when ``None``); the pcap is read by its slab decoder, never
+        per packet, and the estimates equal ``estimate`` at every size."""
+        from repro.core.streaming import StreamingQoEPipeline
+        from repro.sources.base import DEFAULT_BLOCK_SIZE
+
+        def no_iter(self):
+            raise AssertionError("batch_grid iterated the pcap packet by packet")
+
+        ticks = []
+        push_block = StreamingQoEPipeline.push_block
+
+        def counting_push_block(self, block):
+            ticks.append(len(block))
+            return push_block(self, block)
+
+        monkeypatch.setattr(PcapSource, "__iter__", no_iter)
+        monkeypatch.setattr(StreamingQoEPipeline, "push_block", counting_push_block)
+        pipeline = QoEPipeline.for_vca("teams")
+        collector = CollectorSink()
+        report = QoEMonitor(
+            pipeline,
+            PcapSource(teams_pcap),
+            sinks=collector,
+            config=pipeline.config.replace(demux_flows=False),
+            batch_grid=True,
+            block_size=block_size,
+        ).run()
+        assert report.n_packets == sum(ticks) == len(teams_call.trace)
+        assert max(ticks) == min(block_size or DEFAULT_BLOCK_SIZE, len(teams_call.trace))
+        assert collector.estimates == pipeline.estimate(teams_pcap)
+
     def test_batch_grid_requires_single_flow_config(self, teams_pcap):
         pipeline = QoEPipeline.for_vca("teams")
         with pytest.raises(ValueError, match="demux_flows"):
@@ -537,6 +571,10 @@ class TestReportThroughputCounters:
         counters = report.metrics["counters"]
         assert counters["qoe_monitor_packets_total"] == report.n_packets
         assert counters["qoe_monitor_estimates_total"] == report.n_estimates
+        # The batch grid runs push_block, so the engine records its ticks.
+        assert counters["qoe_engine_ticks_total"] >= 1
+        assert counters["qoe_engine_packets_total"] == report.n_packets
+        assert 'qoe_stage_seconds{stage="push_block"}' in report.metrics["histograms"]
 
 
 class TestObservability:
