@@ -119,6 +119,37 @@ class TestSingleFlowEquivalence:
         assert batch and all(e.source == "ml" for e in batch)
         assert exact(batch) == exact(per_packet_prefix(pipeline, vca_call.trace, len(batch)))
 
+    def test_streaming_trained_equals_the_batch_extractor(self, vca_call, trained_for, request):
+        """An oracle independent of the engine's windowing and feature state:
+        the batch extractor over ``window_trace``'s windows, then one walk of
+        the forests, gives exactly what per-packet ``collect`` and
+        ``estimate`` emit."""
+        from repro.core.features import extract_ipudp_features
+        from repro.core.windows import window_trace
+
+        pipeline = trained_for(vca_call.vca, request)
+        trace = vca_call.trace
+        windows = window_trace(trace, pipeline.config.window_s, pipeline.config.start)
+        expected = pipeline.ml.predict_many(
+            [extract_ipudp_features(w, classifier=pipeline.ml.media_classifier) for w in windows],
+            [w.start for w in windows],
+        )
+
+        def bits(rows) -> list[tuple]:
+            return [
+                (
+                    *(float(value).hex() for value in (
+                        row.window_start, row.frame_rate, row.bitrate_kbps, row.frame_jitter_ms
+                    )),
+                    row.resolution,
+                )
+                for row in rows
+            ]
+
+        assert len(expected) >= 20
+        assert bits(per_packet_prefix(pipeline, trace, len(expected))) == bits(expected)
+        assert bits(pipeline.estimate(trace)) == bits(expected)
+
     @pytest.mark.parametrize("window_s", [1, 2, 5])
     def test_streaming_heuristic_equals_the_batch_heuristic(self, vca_call, window_s):
         """An oracle independent of the engine's windowing: the paper's batch
