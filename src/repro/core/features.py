@@ -34,6 +34,7 @@ __all__ = [
     "IPUDPFeatureAccumulator",
     "MICROBURST_IAT_THRESHOLD",
     "accumulated_features",
+    "window_features",
 ]
 
 #: Inter-arrival threshold used to delimit microbursts (seconds).  Packets of
@@ -143,14 +144,17 @@ def extract_ipudp_features(
 class IPUDPFeatureAccumulator:
     """Incremental computation of the 14 IP/UDP features for one window.
 
-    The streaming engine creates one accumulator per open window and feeds it
-    packets as they arrive (in non-decreasing timestamp order).  Count, byte
+    The per-window reference operator: feed it one window's packets as they
+    arrive (in non-decreasing timestamp order), by :meth:`push` or by block
+    columns with :meth:`extend`.  The benchmark's layer replay runs it as the
+    feature operator; the streaming engine does not keep accumulators -- it
+    keeps each open window's raw video rows and resolves closed windows with
+    :func:`window_features`, which is pinned against this class.  Count, byte
     sum, min/max, the unique-size set and the microburst state are maintained
     incrementally and give O(1) mid-window introspection; the per-window size
     and inter-arrival buffers are kept so the exact order-sensitive statistics
     (mean, stdev, median) can be computed with the *same numpy operations* as
-    the batch extractor, and the whole accumulator is dropped when the window
-    closes -- memory is O(packets per window), never O(trace).
+    the batch extractor -- memory is O(packets per window), never O(trace).
 
     Produces a feature vector bit-identical to
     :func:`extract_ipudp_features` on the same window: a last-ulp difference
@@ -306,8 +310,8 @@ class IPUDPFeatureAccumulator:
         numpy calls as the batch extractor (pairwise summation and all), so
         the result is bit-identical, not merely close; the running counters
         drive the exact integer features.  This is the per-window reference
-        that :func:`accumulated_features` -- the many-window pass the engine
-        runs per tick -- is pinned against.
+        that :func:`accumulated_features` and :func:`window_features` are
+        pinned against.
         """
         sizes = self.sizes
         features = [
@@ -321,35 +325,81 @@ class IPUDPFeatureAccumulator:
         return np.array(features, dtype=float)
 
 
-def accumulated_features(accumulators) -> np.ndarray:
-    """The 14-feature vectors of many windows in one array pass.
+def window_features(
+    timestamps: np.ndarray, sizes: np.ndarray, lengths: np.ndarray, window_s: float
+) -> np.ndarray:
+    """The 14-feature vectors of many windows from their raw video rows, in one pass.
 
-    Row *i* is ``accumulators[i].features()``, bit for bit: the five-number
-    summaries reproduce ``np.mean`` / ``np.std`` / ``np.median`` / ``np.min``
-    / ``np.max`` (pairwise summation and all, see :class:`_PairwiseSums`) and
-    hence :func:`extract_ipudp_features`, but the numpy calls are made once
-    per call over every window's buffers together instead of once per
-    window.  The streaming engine calls it once per tick with every window
-    that closed in the tick, across all flows.  A lone window takes
-    :meth:`IPUDPFeatureAccumulator.features`, which needs fewer calls.
+    Window *i* owns the next ``lengths[i]`` rows of ``timestamps`` /
+    ``sizes``: its (predicted) video packets in timestamp order.  Row *i* is
+    bit for bit :func:`extract_ipudp_features` on that window and
+    :meth:`IPUDPFeatureAccumulator.features` after pushing its packets: the
+    gaps are the same float subtraction, the five-number summaries come from
+    :func:`_segment_five_stats` (NumPy's pairwise order per window), and the
+    counts are exact.  So a window's features never depend on what else is
+    resolved with it.  The streaming engine resolves every window it closes
+    in a tick, across all flows, with one call.
     """
-    n_windows = len(accumulators)
-    if n_windows == 1:
-        return accumulators[0].features()[None, :]
+    lengths = np.asarray(lengths, dtype=np.intp)
+    timestamps = np.asarray(timestamps, dtype=np.float64)
+    sizes = np.asarray(sizes, dtype=np.float64)
+    n_windows = len(lengths)
+    window = np.repeat(np.arange(n_windows), lengths)
+    inner = window[1:] == window[:-1]  # the gap joins two rows of one window
+    gaps = (timestamps[1:] - timestamps[:-1])[inner]
+    gap_window = window[1:][inner]
+    by_size = np.lexsort((sizes, window))
+    ordered, owner = sizes[by_size], window[by_size]
+    distinct = np.ones(len(ordered), dtype=bool)
+    distinct[1:] = (ordered[1:] != ordered[:-1]) | (owner[1:] != owner[:-1])
+    bursts = np.bincount(gap_window[gaps >= MICROBURST_IAT_THRESHOLD], minlength=n_windows)
+    return _feature_rows(
+        sizes,
+        lengths,
+        gaps,
+        np.maximum(lengths - 1, 0),
+        np.bincount(owner[distinct], minlength=n_windows),
+        bursts + (lengths > 0),  # a window's first video packet opens a burst
+        window_s,
+    )
+
+
+def accumulated_features(accumulators) -> np.ndarray:
+    """The 14-feature vectors of many accumulated windows in one array pass.
+
+    Row *i* is ``accumulators[i].features()``, bit for bit: a thin adapter
+    that runs the accumulators' size and gap buffers and counters through the
+    core of :func:`window_features`, so the segmented statistics are pinned
+    against the per-window accumulator.  The engine does not call it.
+    """
+    return _feature_rows(
+        np.concatenate([_EMPTY, *(acc.sizes for acc in accumulators)]),
+        np.fromiter((len(acc.sizes) for acc in accumulators), dtype=np.intp),
+        np.concatenate([_EMPTY, *(acc.iats for acc in accumulators)]),
+        np.fromiter((len(acc.iats) for acc in accumulators), dtype=np.intp),
+        [len(acc.unique_sizes) for acc in accumulators],
+        [acc.microbursts for acc in accumulators],
+        np.fromiter((acc.window_s for acc in accumulators), dtype=np.float64),
+    )
+
+
+def _feature_rows(sizes, size_lengths, iats, iat_lengths, unique, bursts, window_s) -> np.ndarray:
+    """Assemble the 14 features of windows given as size and gap segments.
+
+    ``unique`` / ``bursts`` are each window's distinct-size and microburst
+    counts; ``window_s`` is a scalar or one duration per window.
+    """
+    n_windows = len(size_lengths)
+    stats = _segment_five_stats(
+        np.concatenate((sizes, iats)), np.concatenate((size_lengths, iat_lengths))
+    )
     out = np.empty((n_windows, len(IPUDP_FEATURE_NAMES)))
-    if n_windows == 0:
-        return out
-    buffers = [acc.sizes for acc in accumulators] + [acc.iats for acc in accumulators]
-    lengths = np.fromiter((len(b) for b in buffers), dtype=np.intp, count=2 * n_windows)
-    values = np.concatenate(buffers)
-    stats = _segment_five_stats(values, lengths)
-    window_s = np.fromiter((acc.window_s for acc in accumulators), dtype=np.float64, count=n_windows)
     out[:, 0] = stats[:n_windows, 5] / window_s  # bytes per second
-    out[:, 1] = np.fromiter((acc.n for acc in accumulators), dtype=np.float64, count=n_windows) / window_s
+    out[:, 1] = size_lengths / window_s  # packets per second
     out[:, 2:7] = stats[:n_windows, :5]
     out[:, 7:12] = stats[n_windows:, :5]
-    out[:, 12] = [len(acc.unique_sizes) for acc in accumulators]
-    out[:, 13] = [acc.microbursts for acc in accumulators]
+    out[:, 12] = unique
+    out[:, 13] = bursts
     return out
 
 

@@ -11,14 +11,22 @@ call is happening*.  :class:`StreamingQoEPipeline` is that engine:
   :class:`~repro.net.flows.FlowTable` (non-buffering mode), one independent
   estimation stream per flow;
 * each flow stream runs the same operators as the batch pipeline -- media
-  classification, online frame assembly (Algorithm 1), incremental IP/UDP
-  feature accumulation -- and emits a
+  classification, then online frame assembly (Algorithm 1) or the IP/UDP
+  features of Table 1 -- and emits a
   :class:`~repro.core.pipeline.PipelineEstimate` the moment a window can no
   longer change;
 * retained state is **O(window)** per flow: a reorder buffer bounded by the
-  assembler lookback, the assembler's lookback state, and the accumulators /
-  frame end times of the currently-open windows.  Nothing scales with trace
-  length.
+  assembler lookback, plus either the assembler's lookback state and the
+  frame end times of the open windows (heuristic) or the open window's video
+  ``(timestamp, size)`` rows (trained).  Nothing scales with trace length.
+
+Both modes run one tick per :meth:`~StreamingQoEPipeline.push_block`: one
+segmented pass over every flow of the block (demux, reorder delay line, one
+``video_mask``), then a per-window reducer -- Algorithm 1 and the heuristic
+estimate, or the trained forests.  A flow stream hands its closed trained
+windows back as raw rows; the engine resolves every window a call closes
+with one :func:`~repro.core.features.window_features` pass and one walk of
+the stacked forests.
 
 :meth:`QoEPipeline.estimate <repro.core.pipeline.QoEPipeline.estimate>` is a
 thin batch adapter over this engine's columnar :meth:`~StreamingQoEPipeline.push_block`
@@ -33,14 +41,14 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import partial
+from itertools import chain
 from time import perf_counter
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
 from repro.core.config import PipelineConfig
-from repro.core.features import IPUDPFeatureAccumulator, accumulated_features
+from repro.core.features import window_features
 from repro.core.frame_assembly import AssembledFrame, FrameAssembler, assemble_segments
 from repro.core.heuristic import window_estimate
 from repro.core.media import MediaClassifier
@@ -63,6 +71,13 @@ __all__ = [
 ]
 
 _PIPELINE_ESTIMATE_CLS = None
+
+#: A closed trained-mode window before inference: its start and its video
+#: packets' timestamps and payload sizes, in timestamp order.
+_ClosedWindow = tuple[float, list[float], list[int]]
+#: What a flow stream emits per closed window: the heuristic estimate, or a
+#: trained window the engine resolves (see ``StreamingQoEPipeline._resolve``).
+_Closed = Union["PipelineEstimate", _ClosedWindow]
 
 
 def _pipeline_estimate_cls():
@@ -170,7 +185,7 @@ class _FlowStream:
 
     All retained state is bounded: the reorder buffer holds at most
     ``reorder_depth`` packets, the assembler keeps ``lookback`` assignments,
-    and only windows that are still open hold accumulators / frame end times
+    and only windows that are still open hold frame end times or video rows
     (dropped the moment the window closes).
     """
 
@@ -179,7 +194,6 @@ class _FlowStream:
         config: PipelineConfig,
         classifier: MediaClassifier,
         assembler: FrameAssembler | None,
-        predict: Callable[[IPUDPFeatureAccumulator, float], "PipelineEstimate | None"] | None,
         counters: dict,
     ) -> None:
         assert config.reorder_depth is not None, "engine must resolve reorder_depth"
@@ -191,20 +205,14 @@ class _FlowStream:
         self.max_frame_age_s = config.max_frame_age_s
         self.backfill_limit = config.backfill_limit
         self.classifier = classifier
-        #: Online frame assembler (heuristic mode) -- one per flow.
+        #: Online frame assembler (heuristic mode) -- one per flow; ``None``
+        #: -> trained mode.
         self.assembler = assembler
-        #: ML predictor callback (trained mode), handed each closed window's
-        #: accumulator; ``None`` -> heuristic mode.
-        self.predict = predict
         # Reorder buffer: ``(timestamp, seq, payload_size, packet)`` heap
         # entries; the block path buffers rows with ``packet=None``.
         self._pending: list[tuple[float, int, int, Packet | None]] = []
         self._seq = 0
         self._watermark: float | None = None
-        #: Block-path bookkeeping: the in-block row index of the packet whose
-        #: push is currently triggering emissions (``None`` outside a block).
-        #: The engine reads it to restore per-packet emission order.
-        self.trigger_pos: int | None = None
         #: Arrival time of the newest packet ever pushed (unlike the
         #: watermark, set even while everything still sits in the reorder
         #: buffer) -- the idle-eviction signal.
@@ -216,11 +224,11 @@ class _FlowStream:
         # dropped when the window is emitted.
         self._window_ends: dict[int, list[float]] = {}
         self._window_bytes: dict[int, int] = {}
-        # Trained mode: the accumulator of the (single) window currently being
-        # filled -- released packets arrive in timestamp order, so at most one
-        # feature window is ever open.
-        self._acc: IPUDPFeatureAccumulator | None = None
-        self._acc_index = -1
+        # Trained mode: the video rows of the one open window, which is
+        # window _next_window -- released packets arrive in timestamp order,
+        # and a release closes every window before its own.
+        self._open_ts: list[float] = []
+        self._open_sz: list[int] = []
 
     # -- introspection (used by the memory-bound tests) ------------------------
 
@@ -230,7 +238,11 @@ class _FlowStream:
 
     @property
     def open_windows(self) -> int:
-        return len(self._window_ends) + (1 if self._acc is not None else 0)
+        if self.assembler is not None:
+            return len(self._window_ends)
+        # Trained: from the first release until the flush closes it.
+        watermark = self._watermark
+        return int(watermark is not None and self.next_window_start <= watermark)
 
     @property
     def next_window_start(self) -> float:
@@ -239,8 +251,8 @@ class _FlowStream:
 
     # -- streaming -------------------------------------------------------------
 
-    def push(self, packet: Packet) -> list["PipelineEstimate"]:
-        """Feed one packet; returns estimates for any windows that closed."""
+    def push(self, packet: Packet) -> list[_Closed]:
+        """Feed one packet; returns any windows that closed."""
         if self.last_seen is None or packet.timestamp > self.last_seen:
             self.last_seen = packet.timestamp
         heapq.heappush(self._pending, (packet.timestamp, self._seq, packet.payload_size, packet))
@@ -255,113 +267,52 @@ class _FlowStream:
         timestamp, _, size, packet = heapq.heappop(self._pending)
         return packet if packet is not None else _BlockRow(timestamp, size)
 
-    def push_rows(
-        self,
-        timestamps: np.ndarray,
-        sizes: np.ndarray,
-        positions: np.ndarray,
-    ) -> list[tuple[int, "PipelineEstimate"]]:
-        """Feed a run of block rows in trained mode: the columnar hot path.
-
-        ``timestamps`` / ``sizes`` are one flow's columns in arrival order;
-        ``positions`` carries each row's index in the enclosing block, and
-        every returned estimate is tagged with the position of the row whose
-        (virtual) push triggered it, so the engine can interleave flows back
-        into exact per-packet emission order.
-
-        When the run is timestamp-sorted and nothing in it backdates the
-        reorder buffer -- the overwhelmingly common case -- the reorder
-        buffer reduces to a sliding delay line: the released rows are the
-        sorted buffer followed by the run's prefix, processed with one
-        vectorized window assignment and one array accumulator update per
-        window -- exactly what per-packet :meth:`push` does (same releases,
-        same order, same float arithmetic).  Disordered runs fall back to the
-        per-row path, which *is* :meth:`push`.  (Heuristic mode runs every
-        flow of a block through one segmented pass instead, see
-        :meth:`StreamingQoEPipeline.push_block`.)
-        """
-        assert self.predict is not None, "heuristic block rows take the segmented tick"
-        m = len(timestamps)
-        if m == 0:
-            return []
-        pending = self._pending
-        ordered = m == 1 or bool(np.all(timestamps[1:] >= timestamps[:-1]))
-        newest = float(timestamps[-1]) if ordered else float(timestamps.max())
-        if self.last_seen is None or newest > self.last_seen:
-            self.last_seen = newest
-        if ordered and pending:
-            ordered = float(timestamps[0]) >= max(entry[0] for entry in pending)
-        if ordered and self._watermark is not None:
-            # A run that backdates the stream (possible whenever the buffer
-            # is shallower than the disorder, e.g. reorder_depth=0) must go
-            # through _release's stale-packet drop, not the delay line.
-            ordered = float(timestamps[0]) >= self._watermark
-        if not ordered:
-            self.counters["scalar_fallback_rows"]["disordered"] += m
-            return self._push_each(timestamps, sizes, positions)
-
-        depth = self.reorder_depth
-        p0 = len(pending)
-        pending_sorted = sorted(pending)
-        seq0 = self._seq
-        self._seq += m
-        n_release = p0 + m - depth if p0 + m > depth else 0
-        out: list[tuple[int, PipelineEstimate]] = []
-        if n_release:
-            trig_start = depth - p0
-            # The released rows: sorted reorder buffer ++ run prefix.
-            if p0:
-                pend_ts = np.fromiter(
-                    (entry[0] for entry in pending_sorted), dtype=np.float64, count=p0
-                )
-                pend_sz = np.fromiter(
-                    (entry[2] for entry in pending_sorted), dtype=np.int64, count=p0
-                )
-                rel_ts = np.concatenate((pend_ts, timestamps))[:n_release]
-                rel_sz = np.concatenate((pend_sz, sizes))[:n_release]
-            else:
-                rel_ts = timestamps[:n_release]
-                rel_sz = sizes[:n_release]
-            rel_trig = positions[trig_start : trig_start + n_release]
-            if self._watermark is None:
-                self._anchor(float(rel_ts[0]))
-            self._watermark = float(rel_ts[-1])
-            ks = window_indices(rel_ts, self.start, self.window_s)
-            bounds = np.flatnonzero(np.diff(ks)) + 1
-            starts = np.concatenate(([0], bounds))
-            ends = np.concatenate((bounds, [n_release]))
-            for a, b in zip(starts.tolist(), ends.tolist()):
-                k = int(ks[a])
-                trig = int(rel_trig[a])
-                self.trigger_pos = trig
-                for estimate in self._close_through(k - 1):
-                    out.append((trig, estimate))
-                if self._acc is None or k != self._acc_index:
-                    self._acc = IPUDPFeatureAccumulator(
-                        self.window_s, classifier=self.classifier
-                    )
-                    self._acc_index = k
-                self._acc.extend(rel_ts[a:b], rel_sz[a:b])
-            self.trigger_pos = None
-        # Rebuild the reorder buffer: the unreleased tail of (sorted pending
-        # ++ incoming) is sorted, hence a valid heap as-is.
-        tail = list(pending_sorted[n_release:]) if n_release < p0 else []
-        for i in range(max(0, n_release - p0), m):
-            tail.append((float(timestamps[i]), seq0 + i, int(sizes[i]), None))
-        self._pending = tail
-        return out
-
     def _push_each(
         self, timestamps: np.ndarray, sizes: np.ndarray, positions: np.ndarray
-    ) -> list[tuple[int, "PipelineEstimate"]]:
-        """The scalar fallback of the block path: one :meth:`push` per row."""
-        out: list[tuple[int, PipelineEstimate]] = []
+    ) -> list[tuple[int, _Closed]]:
+        """The scalar fallback of the block path: one :meth:`push` per row,
+        each closed window tagged with the block row that closed it."""
+        out: list[tuple[int, _Closed]] = []
         for i in range(len(timestamps)):
             pos = int(positions[i])
-            self.trigger_pos = pos
-            for estimate in self.push(_BlockRow(float(timestamps[i]), int(sizes[i]))):
-                out.append((pos, estimate))
-        self.trigger_pos = None
+            for closed in self.push(_BlockRow(float(timestamps[i]), int(sizes[i]))):
+                out.append((pos, closed))
+        return out
+
+    def _close_rows(
+        self,
+        rel_k: list[int],
+        rs: int,
+        re: int,
+        triggers: list[int],
+        v_k: list[int],
+        v_ts: list[float],
+        v_sz: list[int],
+        vlo: int,
+        vhi: int,
+    ) -> list[tuple[int, _ClosedWindow]]:
+        """Commit one flow's released rows of a trained segmented tick.
+
+        ``rel_k[rs:re]`` are the windows of the flow's released rows (row
+        ``r`` released by the push of block row ``triggers[r]``);
+        ``v_k`` / ``v_ts`` / ``v_sz[vlo:vhi]`` are its released video rows.
+        Released row ``r`` closes windows ``[max(_next_window, rel_k[r-1]),
+        rel_k[r])`` -- what per-packet :meth:`_release_trained` closes, with
+        the same trigger; video rows join the open window.
+        """
+        out: list[tuple[int, _ClosedWindow]] = []
+        first = self._next_window
+        r = rs
+        a = bisect_left(v_k, first, vlo, vhi)  # rows of closed windows are stale
+        for k in range(first, rel_k[re - 1]):
+            r = bisect_right(rel_k, k, r, re)
+            b = bisect_right(v_k, k, a, vhi)
+            self._open_ts += v_ts[a:b]
+            self._open_sz += v_sz[a:b]
+            out.append((triggers[r], self._emit(k)))
+            a = b
+        self._open_ts += v_ts[a:vhi]
+        self._open_sz += v_sz[a:vhi]
         return out
 
     def _replay_closes(
@@ -439,31 +390,28 @@ class _FlowStream:
             while ev < n_fins and fins[ev][0] <= r:
                 self._bucket(fins[ev][1], fins[ev][2])
                 ev += 1
-            estimate = self._emit(self._next_window)
-            if estimate is not None:
-                out.append((triggers[rel_lo + r], estimate))
+            out.append((triggers[rel_lo + r], self._emit(self._next_window)))
         while ev < n_fins:
             self._bucket(fins[ev][1], fins[ev][2])
             ev += 1
         return out
 
-    def flush(self) -> list["PipelineEstimate"]:
+    def flush(self) -> list[_Closed]:
         """Drain the reorder buffer, finalize open frames, close all windows."""
-        estimates: list[PipelineEstimate] = []
+        closed: list[_Closed] = []
         while self._pending:
-            estimates.extend(self._release(self._pop_pending()))
+            closed.extend(self._release(self._pop_pending()))
         if self._watermark is None:
-            return estimates
-        if self.predict is None:
-            assert self.assembler is not None
+            return closed
+        if self.assembler is not None:
             for frame in self.assembler.flush():
                 self._bucket_frame(frame)
-        estimates.extend(self._close_through(window_index(self._watermark, self.start, self.window_s)))
-        return estimates
+        closed.extend(self._close_through(window_index(self._watermark, self.start, self.window_s)))
+        return closed
 
     # -- internals -------------------------------------------------------------
 
-    def _release(self, packet: Packet) -> list["PipelineEstimate"]:
+    def _release(self, packet: Packet) -> list[_Closed]:
         """Process one packet in (reorder-corrected) timestamp order."""
         if self._watermark is None:
             self._anchor(packet.timestamp)
@@ -476,7 +424,7 @@ class _FlowStream:
             self.counters["late_reorder_dropped"] += 1
             return []
         self._watermark = packet.timestamp
-        if self.predict is not None:
+        if self.assembler is None:
             return self._release_trained(packet)
         return self._release_heuristic(packet)
 
@@ -489,16 +437,15 @@ class _FlowStream:
             first_window = window_index(first_timestamp, self.start, self.window_s)
             self._next_window = max(self._next_window, first_window - self.backfill_limit)
 
-    def _release_trained(self, packet: Packet) -> list["PipelineEstimate"]:
+    def _release_trained(self, packet: Packet) -> list[_Closed]:
         k = window_index(packet.timestamp, self.start, self.window_s)
         # Every window before the packet's own is now immutable (released
         # packets are in timestamp order), so close them immediately.
-        estimates = self._close_through(k - 1)
-        if self._acc is None or k != self._acc_index:
-            self._acc = IPUDPFeatureAccumulator(self.window_s, classifier=self.classifier)
-            self._acc_index = k
-        self._acc.push(packet)
-        return estimates
+        closed = self._close_through(k - 1)
+        if k == self._next_window and self.classifier.is_video(packet):
+            self._open_ts.append(packet.timestamp)
+            self._open_sz.append(packet.payload_size)
+        return closed
 
     def _release_heuristic(self, packet: Packet) -> list["PipelineEstimate"]:
         assert self.assembler is not None
@@ -541,32 +488,25 @@ class _FlowStream:
                     self._bucket_frame(frame)
             if any(f.end_time < window_end for f in self.assembler.open_frames):
                 break  # an open frame might still finalize into this window
-            estimate = self._emit(self._next_window)
-            if estimate is not None:
-                estimates.append(estimate)
+            estimates.append(self._emit(self._next_window))
         return estimates
 
-    def _close_through(self, last_index: int) -> list["PipelineEstimate"]:
-        estimates: list[PipelineEstimate] = []
+    def _close_through(self, last_index: int) -> list[_Closed]:
+        closed: list[_Closed] = []
         while self._next_window <= last_index:
-            estimate = self._emit(self._next_window)
-            if estimate is not None:
-                estimates.append(estimate)
-        return estimates
+            closed.append(self._emit(self._next_window))
+        return closed
 
-    def _emit(self, k: int) -> "PipelineEstimate | None":
+    def _emit(self, k: int) -> _Closed:
+        """Close window ``k`` (always ``_next_window``)."""
         PipelineEstimate = _pipeline_estimate_cls()
 
         window_start = self.start + k * self.window_s
         self._next_window = k + 1
-        if self.predict is not None:
-            if self._acc is not None and self._acc_index == k:
-                acc = self._acc
-            else:
-                acc = IPUDPFeatureAccumulator(self.window_s, classifier=self.classifier)
-            if self._acc is not None and self._acc_index <= k:
-                self._acc = None  # consumed, or stale from excessive reordering
-            return self.predict(acc, window_start)
+        if self.assembler is None:
+            closed = (window_start, self._open_ts, self._open_sz)
+            self._open_ts, self._open_sz = [], []
+            return closed
         # window_index files a frame under k exactly when start + k*window_s
         # <= end < start + (k+1)*window_s, so every filed frame is a member.
         heuristic = window_estimate(
@@ -636,6 +576,7 @@ class StreamingQoEPipeline:
         self.demux_flows = config.demux_flows
         self.start = config.start
         self.trained = pipeline.is_trained
+        self._classifier = pipeline.ml.media_classifier if self.trained else pipeline.heuristic.classifier
         self.reorder_depth = config.reorder_depth
         self.max_frame_age_s = config.max_frame_age_s
         self.backfill_limit = config.backfill_limit
@@ -644,13 +585,6 @@ class StreamingQoEPipeline:
         self.flow_table = FlowTable(store_packets=False)
         self._streams: dict[FlowKey | None, _FlowStream] = {}
         self._flow_order: list[FlowKey | None] = []
-        # Tick-batch mode: when set (inside push_block or flush), trained-mode
-        # windows append ``(flow, accumulator, window_start, trigger_pos)`` here
-        # and inference runs once per tick over all flows whose windows
-        # closed in it.  ``trigger_pos`` is the triggering packet's block
-        # row (the flow's position at flush); the tick resolves in trigger
-        # order, i.e. per-packet emission order.
-        self._tick_rows: list[tuple[FlowKey | None, IPUDPFeatureAccumulator, float, int]] | None = None
         # Estimates of a block that raised mid-tick: the windows are already
         # closed, so they are delivered by the next push_block or flush.
         self._held_estimates: list[StreamEstimate] = []
@@ -705,7 +639,8 @@ class StreamingQoEPipeline:
             stream = self._make_stream(key)
             self._streams[key] = stream
             self._flow_order.append(key)
-        return [StreamEstimate(flow=key, estimate=e) for e in stream.push(packet)]
+        closed = stream.push(packet)
+        return self._resolve([(key, item) for item in closed]) if closed else []
 
     def push_block(self, block: PacketBlock) -> list[StreamEstimate]:
         """Feed a columnar :class:`~repro.net.block.PacketBlock` as one tick.
@@ -714,36 +649,40 @@ class StreamingQoEPipeline:
         pre-computed flow codes (one stable argsort, no per-packet dict
         work) and per-flow statistics update from segment sums.
 
-        In heuristic mode the tick is **one segmented pass over the whole
-        block**, not one pass per (flow, block): a light loop gathers each
-        flow's carried state (its reorder tail and its assembler's lookback
-        tail) into flat arrays with segment offsets; then, once per block,
-        the reorder delay line releases, ``video_mask`` classifies,
-        :func:`~repro.core.frame_assembly.assemble_segments` runs Algorithm
-        1 over every flow at once (stacked lookback comparison under a
-        same-segment mask, pointer doubling, segment-reduced per-frame
-        aggregates) and every finalized frame gets its window index.  The
-        state is scattered back into the same per-flow objects, so ``push``
-        and ``push_block`` interleave freely.  Only flows whose horizon
-        crosses their next window end replay their window closes in Python;
-        the rest just bucket their finalized frames.  A flow whose run is
-        disordered, or whose frames a ``max_frame_age_s`` sweep could evict
-        mid-run, commits nothing from the pass and replays through
-        per-packet :meth:`push` instead (counted in :attr:`counters`).
+        The tick is **one segmented pass over the whole block** in both
+        modes, not one pass per (flow, block): a light loop gathers each
+        flow's reorder tail into flat arrays with segment offsets; then, once
+        per block, the reorder delay line releases and ``video_mask``
+        classifies.  Only the per-window reducer differs by mode.
 
-        In trained mode each flow's rows run through the stream's columnar
-        path (:meth:`_FlowStream.push_rows`): vectorized window assignment
-        and array accumulator updates.  No packet objects are constructed
-        for sorted in-flow runs in either mode.
+        In heuristic mode :func:`~repro.core.frame_assembly.assemble_segments`
+        runs Algorithm 1 over every flow at once (stacked lookback comparison
+        under a same-segment mask, pointer doubling, segment-reduced
+        per-frame aggregates) and every finalized frame gets its window
+        index.  Only flows whose horizon crosses their next window end replay
+        their window closes in Python; the rest just bucket their finalized
+        frames.
 
-        In trained mode, windows that close anywhere in the block -- across
-        all flows -- defer their feature vector and their inference; at the
-        end of the block one array pass computes every deferred window's
-        features (:func:`~repro.core.features.accumulated_features`) and one
-        walk of the stacked forests predicts them all
+        In trained mode one ``window_indices`` call places every released row
+        of the block, video or not (any released packet closes the windows
+        before its own, so an audio-only stretch still closes windows).  Each
+        flow's open window gains its released video rows, and every window
+        the block closes -- across all flows -- becomes raw rows.  At the end
+        of the tick one :func:`~repro.core.features.window_features` pass
+        computes all their features and one walk of the stacked forests
+        predicts them all
         (:meth:`~repro.core.estimators.BaseMLEstimator.predict_many`).  Both
         are row-independent and bit-identical per row, so the estimates equal
         per-window :meth:`push` inference; only the overhead is amortized.
+
+        The state is scattered back into the same per-flow objects, so
+        ``push`` and ``push_block`` interleave freely.  A flow whose run is
+        disordered, or (heuristic) whose frames a ``max_frame_age_s`` sweep
+        could evict mid-run, commits nothing from the pass and replays
+        through per-packet :meth:`push` instead (counted in
+        :attr:`counters`); its closed windows join the tick's single
+        resolution.  No packet objects are constructed for sorted in-flow
+        runs in either mode.
 
         It is also the batch path: :meth:`collect` with ``batch=True`` (for
         ``QoEPipeline.estimate`` and ``QoEMonitor(batch_grid=True)``) runs it.
@@ -769,32 +708,18 @@ class StreamingQoEPipeline:
             return held
         obs = self.obs
         started = perf_counter() if obs is not None else 0.0
-        tick = self.trained
-        if tick:
-            if self._tick_rows is not None:
-                self._held_estimates = held
-                raise RuntimeError("push_block is not reentrant")
-            self._tick_rows = []
-        tagged: list[tuple[int, int, StreamEstimate]] = []
+        # (trigger row, sequence, flow, closed window): sorting by the first
+        # two restores per-packet emission order.
+        tagged: list[tuple[int, int, FlowKey | None, _Closed]] = []
         try:
-            if self.trained:
-                self._push_flows(block, tagged)
-            else:
-                self._segmented_tick(block, tagged)
+            self._segmented_tick(block, tagged)
             tagged.sort(key=lambda item: (item[0], item[1]))
-            emitted = held + [item[2] for item in tagged]
-            if tick:
-                emitted.extend(self._flush_tick())
+            emitted = held + self._resolve([item[2:] for item in tagged])
         except BaseException:
-            tagged.sort(key=lambda item: (item[0], item[1]))
-            held.extend(item[2] for item in tagged)
-            if tick and self._tick_rows:
-                held.extend(self._flush_tick())
             self._held_estimates = held
+            tagged.sort(key=lambda item: (item[0], item[1]))
+            held.extend(self._resolve([item[2:] for item in tagged]))
             raise
-        finally:
-            if tick:
-                self._tick_rows = None
         if obs is not None:
             obs.time_stage("push_block", started)
             obs.inc("qoe_engine_ticks_total")
@@ -803,37 +728,10 @@ class StreamingQoEPipeline:
                 obs.inc("qoe_engine_estimates_total", len(emitted))
         return emitted
 
-    def _push_flows(self, block: PacketBlock, tagged: list[tuple[int, int, StreamEstimate]]) -> None:
-        """Trained tick body: each flow's rows through its stream's columnar
-        path (:meth:`_FlowStream.push_rows`)."""
-        if self.demux_flows:
-            groups: list[tuple[int | None, np.ndarray]] = block.flow_groups()
-        else:
-            groups = [(None, np.arange(len(block)))]
-        for code, idx in groups:
-            if code is None:
-                key: FlowKey | None = None
-            else:
-                key = block.flows[code]
-                self.flow_table.update_bulk(
-                    key,
-                    n=len(idx),
-                    n_bytes=int(block.sizes[idx].sum()),
-                    first_ts=float(block.timestamps[idx[0]]),
-                    last_ts=float(block.timestamps[idx[-1]]),
-                )
-            stream = self._streams.get(key)
-            if stream is None:
-                stream = self._make_stream(key)
-                self._streams[key] = stream
-                self._flow_order.append(key)
-            for pos, estimate in stream.push_rows(block.timestamps[idx], block.sizes[idx], idx):
-                tagged.append((pos, len(tagged), StreamEstimate(flow=key, estimate=estimate)))
-
     def _segmented_tick(
-        self, block: PacketBlock, tagged: list[tuple[int, int, StreamEstimate]]
+        self, block: PacketBlock, tagged: list[tuple[int, int, FlowKey | None, _Closed]]
     ) -> None:
-        """Heuristic tick body: every flow of the block in one segmented pass.
+        """Tick body: every flow of the block in one segmented pass.
 
         Demultiplexes by flow code, updates the flow table from per-flow
         segment sums, and sorts out the flows whose run is disordered or
@@ -862,7 +760,7 @@ class StreamingQoEPipeline:
             flow_of_row = np.repeat(np.arange(n_flows), counts)
             disordered[flow_of_row[np.flatnonzero(falls) + 1]] = True
             newest = np.where(disordered, np.maximum.reduceat(ts, heads), last_ts)
-        n_bytes = np.add.reduceat(sizes, heads)
+        n_bytes = np.add.reduceat(sizes, heads)  # detlint: disable=DET005 -- int64 byte counts are exact in any association
 
         # Gather: one light pass over the flows, reading each stream's
         # reorder buffer and watermark (nothing is written but last_seen).
@@ -921,8 +819,8 @@ class StreamingQoEPipeline:
         for f, stream, key, reason in fallback:
             a, b = int(bounds[f]), int(bounds[f + 1])
             fallback_rows[reason] += b - a
-            for pos, estimate in stream._push_each(ts[a:b], sizes[a:b], order[a:b]):
-                tagged.append((pos, len(tagged), StreamEstimate(flow=key, estimate=estimate)))
+            for pos, closed in stream._push_each(ts[a:b], sizes[a:b], order[a:b]):
+                tagged.append((pos, len(tagged), key, closed))
 
     def _release_segments(
         self,
@@ -933,9 +831,9 @@ class StreamingQoEPipeline:
         selected: list[tuple[int, _FlowStream, FlowKey | None]],
         buffered: list[tuple[float, int, int, Packet | None]],
         n_buffered: list[int],
-        tagged: list[tuple[int, int, StreamEstimate]],
+        tagged: list[tuple[int, int, FlowKey | None, _Closed]],
     ) -> list[tuple[int, _FlowStream, FlowKey | None, str]]:
-        """Release, assemble and window the selected flows' runs at once.
+        """Release, reduce and window the selected flows' runs at once.
 
         ``ts`` / ``sizes`` are the block's columns grouped by flow
         (``order`` maps them back to block rows, ``bounds`` delimits flows);
@@ -945,13 +843,17 @@ class StreamingQoEPipeline:
         On sorted runs each reorder buffer is a delay line: a flow releases
         its buffer ++ run minus the newest ``reorder_depth`` rows, and
         released row ``r`` is released by the push of the row ``depth``
-        places later.  So, over all flows at once: the release, one
-        ``video_mask``, one :func:`~repro.core.frame_assembly.assemble_segments`
-        call (which also writes the assemblers back), and one
-        ``window_indices`` over every finalized frame.  Then a light pass
-        scatters each flow's new buffer and watermark back into its stream.  A flow whose horizon stays
-        short of its next window end only buckets its finalized frames; the
-        rest replay their window closes (:meth:`_FlowStream._replay_closes`).
+        places later.  So, over all flows at once: the release and one
+        ``video_mask``.  Heuristic: one
+        :func:`~repro.core.frame_assembly.assemble_segments` call (which also
+        writes the assemblers back) and one ``window_indices`` over every
+        finalized frame.  Trained: one ``window_indices`` over every released
+        row.  Then a light pass scatters each flow's new buffer and watermark
+        back into its stream.  A trained flow commits its rows and closes its
+        windows (:meth:`_FlowStream._close_rows`).  A heuristic flow whose
+        horizon stays short of its next window end only buckets its finalized
+        frames; the rest replay their window closes
+        (:meth:`_FlowStream._replay_closes`).
 
         Returns the flows the kernel's liveness check bailed on, which
         committed nothing, for the per-packet fallback.
@@ -1000,9 +902,8 @@ class StreamingQoEPipeline:
         kseg[active] = np.arange(n_active)
         bailed = np.zeros(n_sel, dtype=bool)
         if n_active:
-            rel_flow = flow_of_dl[rel]
             try:
-                video = np.flatnonzero(self.pipeline.heuristic.classifier.video_mask(rel_sz))
+                video = np.flatnonzero(self._classifier.video_mask(rel_sz))
             except Exception:
                 if n_sel == 1:
                     raise
@@ -1020,33 +921,44 @@ class StreamingQoEPipeline:
                     )
                     pq += p0f
                 return bails
-            v_flow = rel_flow[video]
-            v_sz = rel_sz[video]
-            v_ts = rel_ts[video]
-            kbounds = np.zeros(n_active + 1, dtype=np.int64)
-            np.cumsum(np.bincount(v_flow, minlength=n_sel)[active], out=kbounds[1:])
-            obs = self.obs
-            started = perf_counter() if obs is not None else 0.0
-            run = assemble_segments(
-                [selected[f][1].assembler for f in active.tolist()],
-                v_sz,
-                np.maximum(v_sz - RTP_FIXED_HEADER_LEN, 0),
-                v_ts,
-                kbounds,
-                max_gap_s=self.max_frame_age_s,
-                horizons=rel_ts[rel_start[active + 1] - 1],
-            )
-            if obs is not None:
-                obs.time_stage("frame_assembly", started)
-            if run.bail is not None:
-                bailed[active[run.bail]] = True
-            fin_groups = run.fin_groups
-            fin_frames = [run.frames[g] for g in fin_groups.tolist()]
-            fin_ks = window_indices(run.end_ts[fin_groups], self.start, self.window_s).tolist()
-            fin_seg = run.g_seg[fin_groups]
-            segs = np.arange(n_active)
-            fin_lo = np.searchsorted(fin_seg, segs).tolist()
-            fin_hi = np.searchsorted(fin_seg, segs, side="right").tolist()
+            if self.trained:
+                rel_k = window_indices(rel_ts, self.start, self.window_s)
+                closes = (
+                    rel_k.tolist(),
+                    dl_row[rel + depth].tolist(),
+                    rel_k[video].tolist(),
+                    rel_ts[video].tolist(),
+                    rel_sz[video].tolist(),
+                    np.searchsorted(video, rel_start).tolist(),  # each flow's video rows
+                )
+            else:
+                v_flow = flow_of_dl[rel[video]]
+                v_sz = rel_sz[video]
+                v_ts = rel_ts[video]
+                kbounds = np.zeros(n_active + 1, dtype=np.int64)
+                np.cumsum(np.bincount(v_flow, minlength=n_sel)[active], out=kbounds[1:])
+                obs = self.obs
+                started = perf_counter() if obs is not None else 0.0
+                run = assemble_segments(
+                    [selected[f][1].assembler for f in active.tolist()],
+                    v_sz,
+                    np.maximum(v_sz - RTP_FIXED_HEADER_LEN, 0),
+                    v_ts,
+                    kbounds,
+                    max_gap_s=self.max_frame_age_s,
+                    horizons=rel_ts[rel_start[active + 1] - 1],
+                )
+                if obs is not None:
+                    obs.time_stage("frame_assembly", started)
+                if run.bail is not None:
+                    bailed[active[run.bail]] = True
+                fin_groups = run.fin_groups
+                fin_frames = [run.frames[g] for g in fin_groups.tolist()]
+                fin_ks = window_indices(run.end_ts[fin_groups], self.start, self.window_s).tolist()
+                fin_seg = run.g_seg[fin_groups]
+                segs = np.arange(n_active)
+                fin_lo = np.searchsorted(fin_seg, segs).tolist()
+                fin_hi = np.searchsorted(fin_seg, segs, side="right").tolist()
 
         rel_ts_list = rel_ts.tolist()
         rel_start_list = rel_start.tolist()
@@ -1055,6 +967,7 @@ class StreamingQoEPipeline:
         stay_i = (dl_local[stay] - p0[flow_of_dl[stay]]).tolist()
         start = self.start
         window_s = self.window_s
+        trained = self.trained
         replay = None
         bails: list[tuple[int, _FlowStream, FlowKey | None, str]] = []
         pq = 0
@@ -1092,6 +1005,13 @@ class StreamingQoEPipeline:
                 stream._anchor(rel_ts_list[rs])
             horizon = rel_ts_list[re - 1]
             stream._watermark = horizon
+            if trained:
+                rel_k_l, triggers, v_k, v_ts_l, v_sz_l, v_lo = closes
+                for pos, closed in stream._close_rows(
+                    rel_k_l, rs, re, triggers, v_k, v_ts_l, v_sz_l, v_lo[i], v_lo[i + 1]
+                ):
+                    tagged.append((pos, len(tagged), key, closed))
+                continue
             next_end = start + (stream._next_window + 1) * window_s
             if horizon < next_end:
                 # No window can close inside this run: just bucket the
@@ -1141,7 +1061,7 @@ class StreamingQoEPipeline:
             for pos, estimate in stream._replay_closes(
                 rel_ts_list, rs, re, triggers, spans, occ_rel_l, occ_ts_l, fins
             ):
-                tagged.append((pos, len(tagged), StreamEstimate(flow=key, estimate=estimate)))
+                tagged.append((pos, len(tagged), key, estimate))
         return bails
 
     def process(self, packets: Iterable[Packet]) -> Iterator[StreamEstimate]:
@@ -1163,20 +1083,10 @@ class StreamingQoEPipeline:
         if self._closed:
             return []
         self._closed = True
-        emitted: list[StreamEstimate] = self._held_estimates
+        held = self._held_estimates
         self._held_estimates = []
-        if self.trained:
-            self._tick_rows = []
-        try:
-            for pos, key in enumerate(self._flow_order):
-                stream = self._streams[key]
-                stream.trigger_pos = pos
-                for estimate in stream.flush():
-                    emitted.append(StreamEstimate(flow=key, estimate=estimate))
-                stream.trigger_pos = None
-            emitted.extend(self._flush_tick())
-        finally:
-            self._tick_rows = None
+        closed = [(key, item) for key in self._flow_order for item in self._streams[key].flush()]
+        emitted = held + self._resolve(closed)
         if self.obs is not None and emitted:
             self.obs.inc("qoe_engine_estimates_total", len(emitted))
         return emitted
@@ -1187,7 +1097,8 @@ class StreamingQoEPipeline:
         A monitor that runs forever sees an unbounded number of 5-tuples come
         and go; calling this periodically keeps total memory proportional to
         the number of *live* flows rather than flows ever seen.  Evicted
-        flows' remaining windows are closed and returned; if such a flow
+        flows' remaining windows are closed and returned (trained: one
+        feature pass and one forest walk for the whole sweep); if such a flow
         later resumes, it simply re-enters as a fresh flow (``backfill_limit``
         bounds the gap windows).
         """
@@ -1197,7 +1108,7 @@ class StreamingQoEPipeline:
         )
         if newest is None:
             return []
-        emitted: list[StreamEstimate] = []
+        closed: list[tuple[FlowKey | None, _Closed]] = []
         n_evicted = 0
         try:
             for key in self._flow_order:
@@ -1207,8 +1118,7 @@ class StreamingQoEPipeline:
                 # evictable too (its buffered packets are drained by the
                 # flush).
                 if stream.last_seen is not None and newest - stream.last_seen > idle_s:
-                    for estimate in stream.flush():
-                        emitted.append(StreamEstimate(flow=key, estimate=estimate))
+                    closed.extend((key, item) for item in stream.flush())
                     del self._streams[key]
                     n_evicted += 1
                     if key is not None:
@@ -1222,6 +1132,7 @@ class StreamingQoEPipeline:
             # drift apart (a stale key would poison every later sweep).
             if n_evicted:
                 self._flow_order = [key for key in self._flow_order if key in self._streams]
+        emitted = self._resolve(closed)
         if self.obs is not None:
             if n_evicted:
                 self.obs.inc("qoe_engine_evicted_flows_total", n_evicted)
@@ -1339,70 +1250,34 @@ class StreamingQoEPipeline:
     # -- internals -------------------------------------------------------------
 
     def _make_stream(self, key: FlowKey | None) -> _FlowStream:
-        if self.trained:
-            return _FlowStream(
-                self.config,
-                classifier=self.pipeline.ml.media_classifier,
-                assembler=None,
-                predict=partial(self._window_closed, key),
-                counters=self.counters,
-            )
-        return _FlowStream(
-            self.config,
-            classifier=self.pipeline.heuristic.classifier,
-            assembler=FrameAssembler(delta_size=self._delta_size, lookback=self._lookback),
-            predict=None,
-            counters=self.counters,
-        )
+        assembler = None
+        if not self.trained:
+            assembler = FrameAssembler(delta_size=self._delta_size, lookback=self._lookback)
+        return _FlowStream(self.config, self._classifier, assembler, self.counters)
 
-    def _window_closed(
-        self, key: FlowKey | None, acc: IPUDPFeatureAccumulator, window_start: float
-    ):
-        """Trained-mode predict dispatch for one closed window.
+    def _resolve(self, closed: list[tuple[FlowKey | None, _Closed]]) -> list[StreamEstimate]:
+        """The estimates of ``(flow, closed window)`` pairs, in order.
 
-        Two behaviours behind one callback: defer to the current tick
-        (``push_block`` or ``flush`` computes features and runs the forests
-        once over every flow's closed windows), or predict immediately
-        (plain ``push``).  Deferred windows return ``None`` so the owning
-        stream emits nothing until the tick is resolved.  A closed window's
-        accumulator is never extended again, so deferring it is safe.
+        A heuristic window is its estimate already.  Trained windows resolve
+        together: one :func:`~repro.core.features.window_features` pass over
+        their raw video rows and one walk of the stacked forests.
         """
-        if self._tick_rows is not None:
-            trigger_pos = self._streams[key].trigger_pos
-            assert trigger_pos is not None  # tick windows close inside push_rows or flush
-            self._tick_rows.append((key, acc, window_start, trigger_pos))
-            return None
-        return self._predict_rows(self._features([acc]), [window_start])[0]
-
-    def _flush_tick(self) -> list[StreamEstimate]:
-        """Resolve the current tick: one feature pass and one inference pass
-        over every deferred window."""
-        rows = self._tick_rows
-        if not rows:
+        if not self.trained:
+            return [StreamEstimate(flow=key, estimate=item) for key, item in closed]
+        if not closed:
             return []
-        self._tick_rows = []
-        # Flows were processed one after another, so restore the per-packet
-        # trigger order (stable on ties) before emitting.
-        rows.sort(key=lambda row: row[3])
-        estimates = self._predict_rows(
-            self._features([acc for _, acc, _, _ in rows]),
-            [window_start for _, _, window_start, _ in rows],
-        )
-        return [
-            StreamEstimate(flow=key, estimate=estimate)
-            for (key, _, _, _), estimate in zip(rows, estimates)
-        ]
-
-    def _features(self, accumulators: list[IPUDPFeatureAccumulator]) -> np.ndarray:
-        """Feature matrix of closed windows (one array pass, see
-        :func:`~repro.core.features.accumulated_features`)."""
+        windows = [item for _, item in closed]
+        lengths = np.fromiter((len(w[1]) for w in windows), dtype=np.intp, count=len(windows))
+        n_rows = int(lengths.sum())
+        timestamps = np.fromiter(chain.from_iterable(w[1] for w in windows), np.float64, n_rows)
+        sizes = np.fromiter(chain.from_iterable(w[2] for w in windows), np.float64, n_rows)
         obs = self.obs
-        if obs is None:
-            return accumulated_features(accumulators)
-        started = perf_counter()
-        features = accumulated_features(accumulators)
-        obs.time_stage("features", started)
-        return features
+        started = perf_counter() if obs is not None else 0.0
+        features = window_features(timestamps, sizes, lengths, self.window_s)
+        if obs is not None:
+            obs.time_stage("features", started)
+        estimates = self._predict_rows(features, [w[0] for w in windows])
+        return [StreamEstimate(flow=key, estimate=e) for (key, _), e in zip(closed, estimates)]
 
     def _predict_rows(self, feature_rows, window_starts: list[float]) -> list["PipelineEstimate"]:
         """Run the trained per-metric forests once over ``feature_rows``."""

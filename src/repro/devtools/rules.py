@@ -220,9 +220,11 @@ class NoSegmentedFloatSums(Rule):
         "np.mean on that segment alone, so a window's features would move in "
         "the last ulp with whatever else closed in its tick and could cross a "
         "forest split threshold.  The one-pass feature kernel replays NumPy's "
-        "pairwise order instead (features.py _PairwiseSums)."
+        "pairwise order instead (features.py _PairwiseSums).  The engine's "
+        "trained reducer gathers those windows, so core/streaming.py is in "
+        "scope too; its integer byte count carries a reasoned suppression."
     )
-    scope = ("repro/core/features.py", "repro/ml/")
+    scope = ("repro/core/features.py", "repro/core/streaming.py", "repro/ml/")
     node_types = (ast.Call,)
 
     def visit(self, node: ast.Call, ctx: LintContext) -> None:

@@ -76,13 +76,13 @@ class TestOneFeaturePassPerTick:
         import repro.core.streaming as streaming
 
         passes: list[int] = []
-        real = streaming.accumulated_features
+        real = streaming.window_features
 
-        def spy(accumulators):
-            passes.append(len(accumulators))
-            return real(accumulators)
+        def spy(timestamps, sizes, lengths, window_s):
+            passes.append(len(lengths))
+            return real(timestamps, sizes, lengths, window_s)
 
-        monkeypatch.setattr(streaming, "accumulated_features", spy)
+        monkeypatch.setattr(streaming, "window_features", spy)
         engine = StreamingQoEPipeline(trained_pipeline)
         emitted = []
         for block in blocks_from_packets(vantage_packets, 512):
@@ -92,7 +92,7 @@ class TestOneFeaturePassPerTick:
             assert sum(passes[before:]) == len(out)
             emitted.extend(out)
         assert max(passes) > 1 and len({item.flow for item in emitted}) == 4
-        monkeypatch.setattr(streaming, "accumulated_features", real)
+        monkeypatch.setattr(streaming, "window_features", real)
         assert emitted + engine.flush() == per_packet_run(trained_pipeline, vantage_packets)
 
     def test_feature_pass_has_its_own_stage_span(self, vantage_packets, trained_pipeline):
@@ -454,9 +454,8 @@ class TestMidBlockFailure:
 
     The first flow of the failing block has already advanced past the
     windows it closed, so they can never re-emit: their estimates must
-    arrive at the front of the next ``push_block`` / ``flush``.  And the
-    trained-mode tick buffer must be cleared, or every later block would be
-    refused as reentrant.
+    arrive at the front of the next ``push_block`` / ``flush``, and the
+    engine must keep accepting blocks after the failure.
     """
 
     POISON = 1333  # no synthetic_flow packet has this payload size
@@ -665,3 +664,139 @@ class TestVantageSegmentedTick:
             emitted.extend(engine.push_block(block))
         assert constructed == 0
         assert emitted
+
+
+class TestVantageTrainedTick:
+    """The trained tick at a vantage point's shape: the heuristic tick's
+    segmented front end (demux, delay line, one ``video_mask``), then one
+    feature-kernel pass and one forest walk over every window it closes."""
+
+    @pytest.fixture(scope="class")
+    def traces(self):
+        return {0: vantage_trace(), 24: vantage_trace(stalled=24)}
+
+    @pytest.mark.parametrize("stalled", [0, 24])
+    @pytest.mark.parametrize("chunk_size", [1, 97, 1024])
+    def test_512_flows_bit_identical_in_order(self, traces, trained_pipeline, stalled, chunk_size):
+        """``stalled=24``: audio-only stretches must still close windows."""
+        packets = traces[stalled]
+        expected = per_packet_run(trained_pipeline, packets)
+        assert len(expected) > 512 and all(item.estimate.source == "ml" for item in expected)
+        got = block_run(trained_pipeline, packets, chunk_size)
+        assert exact_rows(got) == exact_rows(expected)
+
+    def test_a_tick_is_one_feature_pass_and_one_forest_walk(self, traces, trained_pipeline, monkeypatch):
+        import repro.core.streaming as streaming
+
+        calls = {"features": 0, "predict_many": 0}
+        real_features = streaming.window_features
+        real_predict = type(trained_pipeline.ml).predict_many
+
+        def features_spy(*args):
+            calls["features"] += 1
+            return real_features(*args)
+
+        def predict_spy(estimator, *args):
+            calls["predict_many"] += 1
+            return real_predict(estimator, *args)
+
+        monkeypatch.setattr(streaming, "window_features", features_spy)
+        monkeypatch.setattr(type(trained_pipeline.ml), "predict_many", predict_spy)
+        engine = StreamingQoEPipeline(trained_pipeline)
+        widest = 0
+        for block in blocks_from_packets(traces[0], 1024):
+            before = dict(calls)
+            out = engine.push_block(block)
+            step = 1 if out else 0
+            assert calls == {name: count + step for name, count in before.items()}
+            widest = max(widest, len({item.flow for item in out}))
+        assert widest > 100  # one pass really spans many flows' windows
+        assert engine.counters["scalar_fallback_rows"] == {"disordered": 0, "liveness": 0}
+
+    def test_only_the_disordered_flow_replays_per_packet(self, traces, trained_pipeline, monkeypatch):
+        packets = list(traces[0])
+        victim = packets[5000].udp.dst_port  # a flow that is live mid-trace
+        flow_rows = [i for i, p in enumerate(packets) if p.udp.dst_port == victim]
+        a = next(i for i in flow_rows if i > 5000)
+        b = next(i for i in flow_rows if i > a)
+        packets[a], packets[b] = packets[b], packets[a]
+        expected = per_packet_run(trained_pipeline, packets)
+
+        real = _FlowStream._push_each
+        fallen: list[tuple[int, ...]] = []
+
+        def spy(stream, timestamps, sizes, positions):
+            fallen.append(tuple(positions.tolist()))
+            return real(stream, timestamps, sizes, positions)
+
+        monkeypatch.setattr(_FlowStream, "_push_each", spy)
+        engine = StreamingQoEPipeline(trained_pipeline)
+        got = []
+        offset = 0
+        replayed = []
+        for block in blocks_from_packets(packets, 1024):
+            got.extend(engine.push_block(block))
+            replayed.extend(offset + pos for rows in fallen for pos in rows)
+            fallen.clear()
+            offset += len(block)
+        got.extend(engine.flush())
+        assert exact_rows(got) == exact_rows(expected)
+        assert replayed, "the disordered run never fell back: the pin went vacuous"
+        assert {packets[i].udp.dst_port for i in replayed} == {victim}
+        assert engine.counters["scalar_fallback_rows"] == {
+            "disordered": len(replayed),
+            "liveness": 0,
+        }
+
+    def test_sorted_input_constructs_zero_block_rows(self, traces, trained_pipeline, monkeypatch):
+        import repro.net.block as block_mod
+
+        blocks = [
+            pickle.loads(pickle.dumps(block)) for block in blocks_from_packets(traces[24], 1024)
+        ]
+        constructed = 0
+        real_init = block_mod._BlockRow.__init__
+
+        def counting_init(self, *args):
+            nonlocal constructed
+            constructed += 1
+            real_init(self, *args)
+
+        monkeypatch.setattr(block_mod._BlockRow, "__init__", counting_init)
+        engine = StreamingQoEPipeline(trained_pipeline)
+        emitted = []
+        for block in blocks:
+            emitted.extend(engine.push_block(block))
+        assert constructed == 0
+        assert emitted
+
+
+class TestTrainedEviction:
+    def test_mass_eviction_is_one_forest_walk(self, trained_pipeline, monkeypatch):
+        """Every window an ``evict_idle`` sweep closes, across all evicted
+        flows, resolves in one feature pass and one ``predict_many`` -- with
+        the values a flush of the same flows gives."""
+        dying = [synthetic_flow(seed, f"10.0.2.{seed}", 52000 + seed, duration_s=3.0) for seed in range(10)]
+        survivor = synthetic_flow(20, "10.0.2.20", 52020, duration_s=9.0)
+        packets = interleave(*dying, survivor)
+        reference = StreamingQoEPipeline(trained_pipeline)
+        engine = StreamingQoEPipeline(trained_pipeline)
+        for packet in packets:
+            reference.push(packet)
+            engine.push(packet)
+        survivor_key = next(key for key in reference.flows if key.dst_port == 52020)
+        expected = [item for item in reference.flush() if item.flow != survivor_key]
+
+        calls = 0
+        real_predict = type(trained_pipeline.ml).predict_many
+
+        def predict_spy(estimator, *args):
+            nonlocal calls
+            calls += 1
+            return real_predict(estimator, *args)
+
+        monkeypatch.setattr(type(trained_pipeline.ml), "predict_many", predict_spy)
+        evicted = engine.evict_idle(idle_s=3.0)
+        assert calls == 1
+        assert len({item.flow for item in evicted}) == 10 and len(evicted) > 10
+        assert exact_rows(evicted) == exact_rows(expected)

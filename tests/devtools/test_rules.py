@@ -448,6 +448,20 @@ def test_det005_scoped_to_feature_and_model_math():
     assert not rule.applies_to("src/repro/core/frame_assembly.py")
 
 
+def test_det005_reports_a_float_reduceat_in_the_engine():
+    """The trained reducer sits beside feature math in core/streaming.py."""
+    source = textwrap.dedent(
+        """
+        import numpy as np
+
+        def window_byte_rates(sizes, starts, window_s):
+            return np.add.reduceat(sizes.astype(np.float64), starts) / window_s
+        """
+    )
+    result = lint_source(source, path="src/repro/core/streaming.py")
+    assert [finding.rule for finding in result.findings] == ["DET005"]
+
+
 def test_det004_scoped_to_pure_modules():
     rule = get_rule("DET004")
     assert rule.applies_to("src/repro/core/frame_assembly.py")
