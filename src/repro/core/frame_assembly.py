@@ -21,11 +21,11 @@ Two implementations share the operator's bounded state:
   vectorized runs is frame-for-frame identical to pushing every packet
   through :meth:`~FrameAssembler.push`.
 
-Frames assembled by the vectorized path carry aggregate columns only
-(``n_packets``/``size_bytes``/``raw_size_bytes``/``start_time``/``end_time``);
-the packet-list view on :class:`AssembledFrame` stays available where
-evaluation and ground-truth code needs it (scalar pushes and the batch
-:meth:`FrameAssembler.assemble` adapter, which attaches a lazy view).
+Frames assembled by either path carry aggregate columns only
+(``n_packets``/``size_bytes``/``raw_size_bytes``/``start_time``/``end_time``):
+the assembler never retains a packet.  Evaluation and ground-truth code that
+needs a frame's packets goes through the batch
+:meth:`FrameAssembler.assemble` adapter, which attaches a lazy view.
 """
 
 from __future__ import annotations
@@ -48,16 +48,18 @@ __all__ = [
 
 
 class AssembledFrame:
-    """A frame recovered by the heuristic: running aggregates, plus packets.
+    """A frame recovered by a heuristic: running aggregates, plus packets.
 
     The attributes every consumer is hot on (``n_packets``, ``size_bytes``,
-    ``raw_size_bytes``, ``start_time``, ``end_time``) are running values
-    updated on :meth:`add` -- the streaming engine polls ``end_time`` of
-    every open frame at each window-close check, so they must not recompute
-    over the packet list.  The packet list itself is optional: frames built
-    by the scalar push path keep one (as before), frames built by the
-    vectorized run path carry aggregates only (the batch adapter attaches a
-    lazy view so evaluation code can still reach the packets).
+    ``raw_size_bytes``, ``start_time``, ``end_time``) are running values --
+    the streaming engine polls ``end_time`` of every open frame at each
+    window-close check, so they must not recompute over a packet list.
+    Frames of :class:`FrameAssembler` (scalar :meth:`~FrameAssembler.push`
+    and the vectorized kernel alike) carry these aggregates only; their
+    packet view exists only through the batch
+    :meth:`~FrameAssembler.assemble` adapter, which attaches a lazy one.
+    A frame built packet by packet with :meth:`add` (the RTP-timestamp
+    baseline) keeps its packet list.
     """
 
     __slots__ = (
@@ -102,14 +104,17 @@ class AssembledFrame:
         start_time: float,
         end_time: float,
     ) -> "AssembledFrame":
-        """Trusted constructor for aggregate-only frames (vectorized / wire)."""
-        frame = cls(frame_index)
+        """Trusted constructor for aggregate-only frames."""
+        frame = cls.__new__(cls)
+        frame.frame_index = frame_index
         frame.n_packets = n_packets
         frame.size_bytes = size_bytes
         frame.raw_size_bytes = raw_size_bytes
         frame._start_time = start_time
         frame._end_time = end_time
         frame._packets = None
+        frame._packet_src = None
+        frame._packet_idx = None
         return frame
 
     def add(self, packet: Packet) -> None:
@@ -133,12 +138,6 @@ class AssembledFrame:
         end_time: float,
     ) -> None:
         """Bulk :meth:`add` of one vectorized run segment (aggregates only)."""
-        # A frame that gains rows through the array path can no longer vouch
-        # for a complete packet list; drop the view rather than expose a
-        # partial one.
-        self._packets = None
-        self._packet_src = None
-        self._packet_idx = None
         self.n_packets += n_packets
         self.size_bytes += size_bytes
         self.raw_size_bytes += raw_size_bytes
@@ -151,9 +150,10 @@ class AssembledFrame:
     def packets(self) -> list[Packet]:
         """The frame's packets (evaluation / ground-truth view).
 
-        Eager for scalar-assembled frames, materialized on first access for
-        batch-assembled ones; unavailable for frames that only ever existed
-        as aggregate columns (streaming block path).
+        Eager for frames built with :meth:`add`, materialized on first access
+        for frames of the batch :meth:`FrameAssembler.assemble` adapter;
+        unavailable for frames of the streaming assembler, which only ever
+        exist as aggregate columns.
         """
         if self._packets is None:
             if self._packet_src is None:
@@ -534,32 +534,43 @@ class FrameAssembler:
         once none of its packets remain within the lookback, because no future
         packet can then join it.  Callers that need the paper's frame order
         should sort finalized frames by ``frame_index`` (creation order).
+
+        Like the vectorized kernel's, these frames carry aggregate columns
+        only: the packet is folded into its frame's running aggregates and
+        not retained (see :attr:`AssembledFrame.packets`).
         """
         size = packet.payload_size
-        assigned_frame: AssembledFrame | None = None
-        for _, previous_size, frame in reversed(self._recent):
+        timestamp = packet.timestamp
+        media = size - RTP_FIXED_HEADER_LEN if size > RTP_FIXED_HEADER_LEN else 0
+        recent = self._recent
+        live = self._live
+        for _, previous_size, frame in reversed(recent):
             if abs(previous_size - size) <= self.delta_size:
-                assigned_frame = frame
+                frame.n_packets += 1
+                frame.size_bytes += media
+                frame.raw_size_bytes += size
+                if timestamp < frame._start_time:
+                    frame._start_time = timestamp
+                if timestamp > frame._end_time:
+                    frame._end_time = timestamp
+                live[frame.frame_index] += 1
                 break
-        if assigned_frame is None:
-            assigned_frame = AssembledFrame(frame_index=self._next_index)
-            self._next_index += 1
-            self._open[assigned_frame.frame_index] = assigned_frame
-            self._live[assigned_frame.frame_index] = 0
-        assigned_frame.add(packet)
-        self._recent.append((packet.timestamp, size, assigned_frame))
-        self._live[assigned_frame.frame_index] += 1
-
-        finalized: list[AssembledFrame] = []
-        if len(self._recent) > self.lookback:
-            _, _, old_frame = self._recent.pop(0)
-            index = old_frame.frame_index
-            self._live[index] -= 1
-            if self._live[index] == 0:
-                del self._live[index]
-                del self._open[index]
-                finalized.append(old_frame)
-        return finalized
+        else:
+            index = self._next_index
+            frame = AssembledFrame._from_aggregates(index, 1, media, size, timestamp, timestamp)
+            self._next_index = index + 1
+            self._open[index] = frame
+            live[index] = 1
+        recent.append((timestamp, size, frame))
+        if len(recent) <= self.lookback:
+            return []
+        index = recent.pop(0)[2].frame_index
+        count = live[index] - 1
+        if count:
+            live[index] = count
+            return []
+        del live[index]
+        return [self._open.pop(index)]
 
     def push_rows(
         self,

@@ -161,17 +161,6 @@ class MediaClassifier:
             mask &= sizes != self.keepalive_size
         return mask
 
-    def push(self, packet: Packet) -> bool:
-        """Streaming entry point: classify one packet as it arrives.
-
-        The classifier is stateless per packet, so ``push`` is simply
-        :meth:`is_video`; it exists so the streaming engine can treat the
-        classifier like the other online operators (assembler, accumulators).
-        Use :class:`MediaClassificationAccumulator` to additionally track
-        online confusion counts.
-        """
-        return self.is_video(packet)
-
     def stream_evaluator(self) -> MediaClassificationAccumulator:
         """A fresh online confusion-count accumulator bound to this classifier."""
         return MediaClassificationAccumulator(self)

@@ -7,9 +7,11 @@ call is happening*.  :class:`StreamingQoEPipeline` is that engine:
 
 * packets are consumed from any iterator (live capture, pcap reader,
   :class:`~repro.net.trace.PacketTrace`) in a **single pass**;
-* traffic is demultiplexed by unidirectional 5-tuple via
-  :class:`~repro.net.flows.FlowTable` (non-buffering mode), one independent
-  estimation stream per flow;
+* traffic is demultiplexed by unidirectional 5-tuple, one independent
+  estimation stream per flow: one registry keyed by the plain header tuple
+  ``(src, src_port, dst, dst_port, protocol)``, whose streams each hold the
+  flow's :class:`~repro.net.flows.FlowKey`, built once when it is first
+  seen;
 * each flow stream runs the same operators as the batch pipeline -- media
   classification, then online frame assembly (Algorithm 1) or the IP/UDP
   features of Table 1 -- and emits a
@@ -53,7 +55,7 @@ from repro.core.frame_assembly import AssembledFrame, FrameAssembler, assemble_s
 from repro.core.heuristic import window_estimate
 from repro.core.media import MediaClassifier
 from repro.net.block import PacketBlock, _BlockRow
-from repro.net.flows import FlowKey, FlowTable
+from repro.net.flows import FlowKey
 from repro.net.packet import RTP_FIXED_HEADER_LEN, Packet
 from repro.net.trace import PacketTrace
 
@@ -191,12 +193,16 @@ class _FlowStream:
 
     def __init__(
         self,
+        flow: FlowKey | None,
         config: PipelineConfig,
         classifier: MediaClassifier,
         assembler: FrameAssembler | None,
         counters: dict,
     ) -> None:
         assert config.reorder_depth is not None, "engine must resolve reorder_depth"
+        #: The flow every estimate of this stream is tagged with (``None`` in
+        #: single-flow mode).
+        self.flow = flow
         #: The engine's slow-path / drop counters (shared by every stream).
         self.counters = counters
         self.window_s = config.window_s
@@ -218,6 +224,9 @@ class _FlowStream:
         #: buffer) -- the idle-eviction signal.
         self.last_seen: float | None = None
         self._next_window = 0
+        # End of window _next_window: the heuristic close check runs only
+        # once the watermark reaches it.
+        self._next_end = self.start + self.window_s
         # Heuristic mode: the finalized frames of each open window, as the
         # only two things its estimate reads -- their end times and their
         # total media bytes -- keyed by the window their end time falls in;
@@ -253,19 +262,15 @@ class _FlowStream:
 
     def push(self, packet: Packet) -> list[_Closed]:
         """Feed one packet; returns any windows that closed."""
-        if self.last_seen is None or packet.timestamp > self.last_seen:
-            self.last_seen = packet.timestamp
-        heapq.heappush(self._pending, (packet.timestamp, self._seq, packet.payload_size, packet))
+        timestamp = packet.timestamp
+        if self.last_seen is None or timestamp > self.last_seen:
+            self.last_seen = timestamp
+        entry = (timestamp, self._seq, packet.payload_size, packet)
         self._seq += 1
-        if len(self._pending) <= self.reorder_depth:
+        if len(self._pending) < self.reorder_depth:
+            heapq.heappush(self._pending, entry)
             return []
-        return self._release(self._pop_pending())
-
-    def _pop_pending(self) -> Packet:
-        """Pop the oldest buffered packet; rows the block path buffered as
-        bare ``(timestamp, size)`` become a :class:`_BlockRow` only here."""
-        timestamp, _, size, packet = heapq.heappop(self._pending)
-        return packet if packet is not None else _BlockRow(timestamp, size)
+        return self._release(*heapq.heappushpop(self._pending, entry))
 
     def _push_each(
         self, timestamps: np.ndarray, sizes: np.ndarray, positions: np.ndarray
@@ -354,7 +359,7 @@ class _FlowStream:
         n_fins = len(fins)
         done = 0  # spans[:done] finalized before an earlier boundary row
         while True:
-            window_end = self.start + (self._next_window + 1) * self.window_s
+            window_end = self._next_end
             if horizon < window_end:
                 break
             cross = bisect_left(rel_ts, window_end, rel_lo, rel_hi) - rel_lo
@@ -400,7 +405,7 @@ class _FlowStream:
         """Drain the reorder buffer, finalize open frames, close all windows."""
         closed: list[_Closed] = []
         while self._pending:
-            closed.extend(self._release(self._pop_pending()))
+            closed.extend(self._release(*heapq.heappop(self._pending)))
         if self._watermark is None:
             return closed
         if self.assembler is not None:
@@ -411,11 +416,13 @@ class _FlowStream:
 
     # -- internals -------------------------------------------------------------
 
-    def _release(self, packet: Packet) -> list[_Closed]:
-        """Process one packet in (reorder-corrected) timestamp order."""
+    def _release(self, timestamp: float, _seq: int, size: int, packet: Packet | None) -> list[_Closed]:
+        """Process one reorder-buffer entry in (reorder-corrected) timestamp
+        order; rows the block path buffered as bare ``(timestamp, size)``
+        become a :class:`_BlockRow` only here."""
         if self._watermark is None:
-            self._anchor(packet.timestamp)
-        elif packet.timestamp < self._watermark:
+            self._anchor(timestamp)
+        elif timestamp < self._watermark:
             # Reordered beyond the buffer's tolerance: the stream has already
             # advanced past this timestamp, so feeding it on would corrupt
             # the (order-sensitive) accumulator and assembler state -- and
@@ -423,10 +430,15 @@ class _FlowStream:
             # batch path never hits this because traces arrive sorted.
             self.counters["late_reorder_dropped"] += 1
             return []
-        self._watermark = packet.timestamp
+        self._watermark = timestamp
+        if packet is None:
+            packet = _BlockRow(timestamp, size)
         if self.assembler is None:
             return self._release_trained(packet)
-        return self._release_heuristic(packet)
+        if self.classifier.is_video(packet):
+            for frame in self.assembler.push(packet):
+                self._bucket_frame(frame)
+        return self._close_ready() if timestamp >= self._next_end else []
 
     def _anchor(self, first_timestamp: float) -> None:
         # First packet of the flow anchors the grid.  Without a back-fill
@@ -435,7 +447,11 @@ class _FlowStream:
         # estimate per elapsed window -- billions for an epoch capture.
         if self.backfill_limit is not None:
             first_window = window_index(first_timestamp, self.start, self.window_s)
-            self._next_window = max(self._next_window, first_window - self.backfill_limit)
+            self._set_next_window(max(self._next_window, first_window - self.backfill_limit))
+
+    def _set_next_window(self, k: int) -> None:
+        self._next_window = k
+        self._next_end = self.start + (k + 1) * self.window_s
 
     def _release_trained(self, packet: Packet) -> list[_Closed]:
         k = window_index(packet.timestamp, self.start, self.window_s)
@@ -446,13 +462,6 @@ class _FlowStream:
             self._open_ts.append(packet.timestamp)
             self._open_sz.append(packet.payload_size)
         return closed
-
-    def _release_heuristic(self, packet: Packet) -> list["PipelineEstimate"]:
-        assert self.assembler is not None
-        if self.classifier.push(packet):
-            for frame in self.assembler.push(packet):
-                self._bucket_frame(frame)
-        return self._close_ready()
 
     def _bucket_frame(self, frame: AssembledFrame) -> None:
         self._bucket(window_index(frame.end_time, self.start, self.window_s), frame)
@@ -478,7 +487,7 @@ class _FlowStream:
         assert self.assembler is not None and self._watermark is not None
         estimates: list[PipelineEstimate] = []
         while True:
-            window_end = self.start + (self._next_window + 1) * self.window_s
+            window_end = self._next_end
             if self._watermark < window_end:
                 break
             if self.max_frame_age_s is not None:
@@ -502,7 +511,7 @@ class _FlowStream:
         PipelineEstimate = _pipeline_estimate_cls()
 
         window_start = self.start + k * self.window_s
-        self._next_window = k + 1
+        self._set_next_window(k + 1)
         if self.assembler is None:
             closed = (window_start, self._open_ts, self._open_sz)
             self._open_ts, self._open_sz = [], []
@@ -581,10 +590,10 @@ class StreamingQoEPipeline:
         self.max_frame_age_s = config.max_frame_age_s
         self.backfill_limit = config.backfill_limit
         self._closed = False
-        #: Per-flow aggregate statistics only -- packets are never retained.
-        self.flow_table = FlowTable(store_packets=False)
-        self._streams: dict[FlowKey | None, _FlowStream] = {}
-        self._flow_order: list[FlowKey | None] = []
+        # The stream registry, keyed by the plain header tuple
+        # ``(src, src_port, dst, dst_port, protocol)`` (``None`` in
+        # single-flow mode); insertion order is first-seen order.
+        self._streams: dict[tuple | None, _FlowStream] = {}
         # Estimates of a block that raised mid-tick: the windows are already
         # closed, so they are delivered by the next push_block or flush.
         self._held_estimates: list[StreamEstimate] = []
@@ -603,8 +612,15 @@ class StreamingQoEPipeline:
 
     @property
     def flows(self) -> list[FlowKey]:
-        """The 5-tuples seen so far (demux mode), in first-seen order."""
-        return [key for key in self._flow_order if key is not None]
+        """The 5-tuples of the live flows (demux mode), in first-seen order."""
+        return [stream.flow for stream in self._streams.values() if stream.flow is not None]
+
+    @property
+    def live_flows(self) -> list[FlowKey | None]:
+        """The flow of every live stream, in first-seen order: :attr:`flows`,
+        or ``[None]`` for the one stream of single-flow mode once it has
+        seen a packet."""
+        return [stream.flow for stream in self._streams.values()]
 
     @property
     def buffered_packets(self) -> int:
@@ -631,23 +647,24 @@ class StreamingQoEPipeline:
                 "StreamingQoEPipeline for the next capture"
             )
         if self.demux_flows:
-            key: FlowKey | None = self.flow_table.add(packet)
+            ip = packet.ip
+            udp = packet.udp
+            key: tuple | None = (ip.src, udp.src_port, ip.dst, udp.dst_port, ip.protocol)
         else:
             key = None
         stream = self._streams.get(key)
         if stream is None:
-            stream = self._make_stream(key)
-            self._streams[key] = stream
-            self._flow_order.append(key)
+            stream = self._add_stream(key, None if key is None else FlowKey(*key))
         closed = stream.push(packet)
-        return self._resolve([(key, item) for item in closed]) if closed else []
+        return self._resolve([(stream.flow, item) for item in closed]) if closed else []
 
     def push_block(self, block: PacketBlock) -> list[StreamEstimate]:
         """Feed a columnar :class:`~repro.net.block.PacketBlock` as one tick.
 
         The struct-of-arrays hot path: the block is demultiplexed by its
         pre-computed flow codes (one stable argsort, no per-packet dict
-        work) and per-flow statistics update from segment sums.
+        work), and each flow's :class:`~repro.net.flows.FlowKey` becomes a
+        registry key once per tick.
 
         The tick is **one segmented pass over the whole block** in both
         modes, not one pass per (flow, block): a light loop gathers each
@@ -733,10 +750,9 @@ class StreamingQoEPipeline:
     ) -> None:
         """Tick body: every flow of the block in one segmented pass.
 
-        Demultiplexes by flow code, updates the flow table from per-flow
-        segment sums, and sorts out the flows whose run is disordered or
-        backdates its reorder buffer or watermark: those replay through
-        per-packet :meth:`_FlowStream.push` (counted as
+        Demultiplexes by flow code and sorts out the flows whose run is
+        disordered or backdates its reorder buffer or watermark: those
+        replay through per-packet :meth:`_FlowStream.push` (counted as
         ``scalar_fallback_rows["disordered"]``).  Every other flow goes
         through :meth:`_release_segments` together.
         """
@@ -760,38 +776,27 @@ class StreamingQoEPipeline:
             flow_of_row = np.repeat(np.arange(n_flows), counts)
             disordered[flow_of_row[np.flatnonzero(falls) + 1]] = True
             newest = np.where(disordered, np.maximum.reduceat(ts, heads), last_ts)
-        n_bytes = np.add.reduceat(sizes, heads)  # detlint: disable=DET005 -- int64 byte counts are exact in any association
 
         # Gather: one light pass over the flows, reading each stream's
         # reorder buffer and watermark (nothing is written but last_seen).
         streams = self._streams
         flows = block.flows
         demux = self.demux_flows
-        update_bulk = self.flow_table.update_bulk
-        selected: list[tuple[int, _FlowStream, FlowKey | None]] = []
+        selected: list[tuple[int, _FlowStream]] = []
         buffered: list[tuple[float, int, int, Packet | None]] = []
         n_buffered: list[int] = []
-        fallback: list[tuple[int, _FlowStream, FlowKey | None, str]] = []
-        for f, code, n, nbytes, first, last, new_ts, backwards in zip(
-            range(n_flows),
-            codes.tolist(),
-            counts.tolist(),
-            n_bytes.tolist(),
-            first_ts.tolist(),
-            last_ts.tolist(),
-            newest.tolist(),
-            disordered.tolist(),
+        fallback: list[tuple[int, _FlowStream, str]] = []
+        for f, code, first, new_ts, backwards in zip(
+            range(n_flows), codes.tolist(), first_ts.tolist(), newest.tolist(), disordered.tolist()
         ):
             if demux:
-                key: FlowKey | None = flows[code]
-                update_bulk(key, n, nbytes, first, last)
+                flow: FlowKey | None = flows[code]
+                key: tuple | None = (flow.src, flow.src_port, flow.dst, flow.dst_port, flow.protocol)
             else:
-                key = None
+                flow = key = None
             stream = streams.get(key)
             if stream is None:
-                stream = self._make_stream(key)
-                streams[key] = stream
-                self._flow_order.append(key)
+                stream = self._add_stream(key, flow)
             if stream.last_seen is None or new_ts > stream.last_seen:
                 stream.last_seen = new_ts
             pending = stream._pending
@@ -806,9 +811,9 @@ class StreamingQoEPipeline:
                 if not backwards and stream._watermark is not None:
                     backwards = first < stream._watermark
             if backwards:
-                fallback.append((f, stream, key, "disordered"))
+                fallback.append((f, stream, "disordered"))
                 continue
-            selected.append((f, stream, key))
+            selected.append((f, stream))
             n_buffered.append(len(pending))
             buffered.extend(pending)
         if selected:
@@ -816,11 +821,11 @@ class StreamingQoEPipeline:
                 self._release_segments(ts, sizes, order, bounds, selected, buffered, n_buffered, tagged)
             )
         fallback_rows = self.counters["scalar_fallback_rows"]
-        for f, stream, key, reason in fallback:
+        for f, stream, reason in fallback:
             a, b = int(bounds[f]), int(bounds[f + 1])
             fallback_rows[reason] += b - a
             for pos, closed in stream._push_each(ts[a:b], sizes[a:b], order[a:b]):
-                tagged.append((pos, len(tagged), key, closed))
+                tagged.append((pos, len(tagged), stream.flow, closed))
 
     def _release_segments(
         self,
@@ -828,16 +833,16 @@ class StreamingQoEPipeline:
         sizes: np.ndarray,
         order: np.ndarray,
         bounds: np.ndarray,
-        selected: list[tuple[int, _FlowStream, FlowKey | None]],
+        selected: list[tuple[int, _FlowStream]],
         buffered: list[tuple[float, int, int, Packet | None]],
         n_buffered: list[int],
         tagged: list[tuple[int, int, FlowKey | None, _Closed]],
-    ) -> list[tuple[int, _FlowStream, FlowKey | None, str]]:
+    ) -> list[tuple[int, _FlowStream, str]]:
         """Release, reduce and window the selected flows' runs at once.
 
         ``ts`` / ``sizes`` are the block's columns grouped by flow
         (``order`` maps them back to block rows, ``bounds`` delimits flows);
-        ``selected`` are the sorted flows as ``(flow, stream, key)`` and
+        ``selected`` are the sorted flows as ``(flow, stream)`` and
         ``buffered`` their sorted reorder buffers, laid end to end.
 
         On sorted runs each reorder buffer is a delay line: a flow releases
@@ -860,7 +865,7 @@ class StreamingQoEPipeline:
         """
         n_flows = len(bounds) - 1
         n_sel = len(selected)
-        sel = np.array([f for f, _, _ in selected], dtype=np.int64)
+        sel = np.array([f for f, _ in selected], dtype=np.int64)
         m = np.diff(bounds)[sel]
         p0 = np.array(n_buffered, dtype=np.int64)
         depth = self.reorder_depth
@@ -965,14 +970,12 @@ class StreamingQoEPipeline:
         stay_ts = dl_ts[stay].tolist()
         stay_sz = dl_sz[stay].tolist()
         stay_i = (dl_local[stay] - p0[flow_of_dl[stay]]).tolist()
-        start = self.start
-        window_s = self.window_s
         trained = self.trained
         replay = None
-        bails: list[tuple[int, _FlowStream, FlowKey | None, str]] = []
+        bails: list[tuple[int, _FlowStream, str]] = []
         pq = 0
         tq = 0
-        for i, (f, stream, key), mf, p0f, nrel, nstay, ks, bail in zip(
+        for i, (f, stream), mf, p0f, nrel, nstay, ks, bail in zip(
             range(n_sel),
             selected,
             m.tolist(),
@@ -983,7 +986,7 @@ class StreamingQoEPipeline:
             bailed.tolist(),
         ):
             if bail:
-                bails.append((f, stream, key, "liveness"))
+                bails.append((f, stream, "liveness"))
                 pq += p0f
                 tq += nstay
                 continue
@@ -1010,9 +1013,9 @@ class StreamingQoEPipeline:
                 for pos, closed in stream._close_rows(
                     rel_k_l, rs, re, triggers, v_k, v_ts_l, v_sz_l, v_lo[i], v_lo[i + 1]
                 ):
-                    tagged.append((pos, len(tagged), key, closed))
+                    tagged.append((pos, len(tagged), stream.flow, closed))
                 continue
-            next_end = start + (stream._next_window + 1) * window_s
+            next_end = stream._next_end
             if horizon < next_end:
                 # No window can close inside this run: just bucket the
                 # finalized frames in order.
@@ -1061,7 +1064,7 @@ class StreamingQoEPipeline:
             for pos, estimate in stream._replay_closes(
                 rel_ts_list, rs, re, triggers, spans, occ_rel_l, occ_ts_l, fins
             ):
-                tagged.append((pos, len(tagged), key, estimate))
+                tagged.append((pos, len(tagged), stream.flow, estimate))
         return bails
 
     def process(self, packets: Iterable[Packet]) -> Iterator[StreamEstimate]:
@@ -1085,7 +1088,7 @@ class StreamingQoEPipeline:
         self._closed = True
         held = self._held_estimates
         self._held_estimates = []
-        closed = [(key, item) for key in self._flow_order for item in self._streams[key].flush()]
+        closed = [(stream.flow, item) for stream in self._streams.values() for item in stream.flush()]
         emitted = held + self._resolve(closed)
         if self.obs is not None and emitted:
             self.obs.inc("qoe_engine_estimates_total", len(emitted))
@@ -1110,28 +1113,14 @@ class StreamingQoEPipeline:
             return []
         closed: list[tuple[FlowKey | None, _Closed]] = []
         n_evicted = 0
-        try:
-            for key in self._flow_order:
-                stream = self._streams[key]
-                # Keyed off last *arrival*, not the watermark: a tiny flow
-                # whose only packets still sit in the reorder buffer must be
-                # evictable too (its buffered packets are drained by the
-                # flush).
-                if stream.last_seen is not None and newest - stream.last_seen > idle_s:
-                    closed.extend((key, item) for item in stream.flush())
-                    del self._streams[key]
-                    n_evicted += 1
-                    if key is not None:
-                        self.flow_table.remove(key)
-        finally:
-            # One O(flows) rebuild for the whole sweep: a per-eviction
-            # ``list.remove`` would make a mass eviction O(evicted x flows),
-            # a visible stall on monitors tracking tens of thousands of
-            # flows.  Survivors keep their first-seen order.  Runs even if a
-            # flush raised mid-sweep, so _flow_order and _streams can never
-            # drift apart (a stale key would poison every later sweep).
-            if n_evicted:
-                self._flow_order = [key for key in self._flow_order if key in self._streams]
+        for key, stream in list(self._streams.items()):
+            # Keyed off last *arrival*, not the watermark: a tiny flow whose
+            # only packets still sit in the reorder buffer must be evictable
+            # too (its buffered packets are drained by the flush).
+            if stream.last_seen is not None and newest - stream.last_seen > idle_s:
+                closed.extend((stream.flow, item) for item in stream.flush())
+                del self._streams[key]
+                n_evicted += 1
         emitted = self._resolve(closed)
         if self.obs is not None:
             if n_evicted:
@@ -1249,11 +1238,13 @@ class StreamingQoEPipeline:
 
     # -- internals -------------------------------------------------------------
 
-    def _make_stream(self, key: FlowKey | None) -> _FlowStream:
+    def _add_stream(self, key: tuple | None, flow: FlowKey | None) -> _FlowStream:
+        """Register a new stream for ``flow`` under registry ``key``."""
         assembler = None
         if not self.trained:
             assembler = FrameAssembler(delta_size=self._delta_size, lookback=self._lookback)
-        return _FlowStream(self.config, self._classifier, assembler, self.counters)
+        stream = self._streams[key] = _FlowStream(flow, self.config, self._classifier, assembler, self.counters)
+        return stream
 
     def _resolve(self, closed: list[tuple[FlowKey | None, _Closed]]) -> list[StreamEstimate]:
         """The estimates of ``(flow, closed window)`` pairs, in order.

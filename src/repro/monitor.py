@@ -373,7 +373,7 @@ class QoEMonitor:
                     n_estimates += self._fanout(evicted)
         drain_started = perf_counter()
         n_estimates += self._fanout(engine.flush())
-        flows_seen.update(engine._streams.keys())
+        flows_seen.update(engine.live_flows)
         return n_packets, n_estimates, len(flows_seen), n_evicted, drain_started
 
     def _run_batch(self, engine: StreamingQoEPipeline) -> tuple[int, int, int, int, float]:

@@ -77,23 +77,15 @@ class FlowStats:
 
 
 class FlowTable:
-    """Group packets of a trace by unidirectional 5-tuple.
+    """Group the packets of a trace by unidirectional 5-tuple."""
 
-    With ``store_packets=False`` the table keeps only per-flow aggregate
-    statistics and drops the packets themselves; this is the mode the
-    streaming engine uses so its memory stays bounded by the window size
-    rather than the trace length.
-    """
-
-    def __init__(self, store_packets: bool = True) -> None:
-        self.store_packets = store_packets
+    def __init__(self) -> None:
         self._packets: dict[FlowKey, list[Packet]] = defaultdict(list)
         self._stats: dict[FlowKey, FlowStats] = defaultdict(FlowStats)
 
     def add(self, packet: Packet) -> FlowKey:
         key = five_tuple(packet)
-        if self.store_packets:
-            self._packets[key].append(packet)
+        self._packets[key].append(packet)
         self._stats[key].update(packet)
         return key
 
@@ -102,43 +94,17 @@ class FlowTable:
             self.add(packet)
         return self
 
-    def update_bulk(self, key: FlowKey, n: int, n_bytes: int, first_ts: float, last_ts: float) -> None:
-        """Account ``n`` packets of ``key`` in one step (the columnar path).
-
-        Equivalent to ``n`` arrival-ordered :meth:`add` calls for stats-only
-        tables (packet sizes are integers, so the byte sum is order-exact);
-        refuses on packet-retaining tables, which need the objects.
-        """
-        if self.store_packets:
-            raise RuntimeError("update_bulk requires store_packets=False (stats-only mode)")
-        stats = self._stats[key]
-        stats.packets += n
-        stats.bytes += n_bytes
-        if stats.first_seen is None:
-            stats.first_seen = first_ts
-        stats.last_seen = last_ts
-
     @property
     def flows(self) -> list[FlowKey]:
         return list(self._stats)
 
     def packets(self, key: FlowKey) -> list[Packet]:
-        if not self.store_packets:
-            raise RuntimeError("this FlowTable does not retain packets (store_packets=False)")
         return list(self._packets.get(key, []))
 
     def stats(self, key: FlowKey) -> FlowStats:
         if key not in self._stats:
             raise KeyError(f"unknown flow: {key}")
         return self._stats[key]
-
-    def remove(self, key: FlowKey) -> None:
-        """Forget a flow entirely (stats and any stored packets).
-
-        Used by long-running monitors when evicting dead flows so table
-        memory tracks *live* flows, not flows ever seen."""
-        self._stats.pop(key, None)
-        self._packets.pop(key, None)
 
     def dominant_flow(self) -> FlowKey | None:
         """The flow carrying the most bytes (the video downlink in a 2-party call)."""

@@ -303,10 +303,11 @@ class TestPushRowsEquivalence:
             assert sum(p.payload_size for p in frame.packets) == frame.raw_size_bytes
             assert min(p.timestamp for p in frame.packets) == frame.start_time
 
-    def test_aggregate_only_frames_refuse_packet_access(self):
+    @pytest.mark.parametrize("push", [_push_scalar, _push_vectorized])
+    def test_aggregate_only_frames_refuse_packet_access(self, push):
         assembler = FrameAssembler(delta_size=2, lookback=1)
         packets = [make_packet(0.001, 1000), make_packet(0.002, 500), make_packet(0.003, 100)]
-        finalized = _push_vectorized(assembler, packets)
+        finalized = push(assembler, packets)
         assert finalized
         with pytest.raises(ValueError, match="aggregate columns only"):
             finalized[0].packets

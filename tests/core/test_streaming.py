@@ -8,7 +8,9 @@ only -- including on interleaved multi-session traffic and packets reordered
 within the assembler lookback.
 """
 
+import gc
 import heapq
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +19,7 @@ import pytest
 from repro.core.pipeline import QoEPipeline
 from repro.core.streaming import StreamingQoEPipeline, window_index
 from repro.net.block import PacketBlock
-from repro.net.flows import five_tuple
+from repro.net.flows import FlowKey, five_tuple
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.net.trace import PacketTrace
 
@@ -310,16 +312,31 @@ class TestBoundedMemory:
         assert max_open <= 3 * n_flows
         assert stream.buffered_packets == 0 and stream.open_windows == 0
 
-    def test_flow_table_does_not_retain_packets(self, teams_call):
-        pipeline = QoEPipeline.for_vca("teams")
-        stream = StreamingQoEPipeline(pipeline)
-        stream.collect(teams_call.trace)
-        assert not stream.flow_table.store_packets
-        with pytest.raises(RuntimeError):
-            stream.flow_table.packets(stream.flows[0])
-        # Aggregate statistics are still tracked per flow.
-        stats = stream.flow_table.stats(stream.flows[0])
-        assert stats.packets == len(teams_call.trace)
+    def test_engine_retains_only_reorder_buffered_packets(self, teams_call, lossy_teams_call):
+        """Released packets are folded into aggregates and dropped: mid-stream
+        the only pushed packets the engine keeps alive are those its reorder
+        buffers hold, and after the flush none are."""
+        flow_a = teams_call.trace.without_ground_truth().without_rtp()
+        flow_b = remap_flow(lossy_teams_call.trace.without_ground_truth().without_rtp())
+        merged = list(heapq.merge(flow_a, flow_b, key=lambda p: p.timestamp))
+        stream = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
+        refs = []
+        for original in merged[: len(merged) // 2]:
+            packet = replace(original)  # a copy only the engine can keep alive
+            refs.append(weakref.ref(packet))
+            stream.push(packet)
+        del packet
+        gc.collect()
+        alive = [ref() for ref in refs if ref() is not None]
+        pending = [s._pending for s in stream._streams.values()]
+        assert all(len(entries) <= stream.reorder_depth for entries in pending)
+        buffered = {id(entry[3]) for entries in pending for entry in entries}
+        assert len(alive) == len(buffered) == stream.buffered_packets
+        assert {id(packet) for packet in alive} == buffered
+        del alive, pending
+        stream.flush()
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestWindowIndex:
@@ -440,6 +457,32 @@ class TestLongRunningMonitor:
         assert 1 <= len(emitted) <= 4, "only the windows the flow actually spans"
         assert emitted[0].estimate.window_start == base
 
+    @pytest.mark.parametrize("path", ["push", "push_block"])
+    def test_late_starting_flow_matches_the_batch_heuristic(self, path):
+        """The windows of a flow anchored late on the grid carry the same
+        values as the engine-independent batch heuristic on that grid."""
+        rng = np.random.default_rng(4)
+        base = 1_000_000.0
+        packets = [
+            make_packet(base + 0.034 * f + 0.001 * j, size)
+            for f, size in enumerate(rng.choice([900, 1000, 1100, 1200], size=90).tolist())
+            for j in range(3)
+        ]
+        pipeline = QoEPipeline.for_vca("teams")
+        stream = StreamingQoEPipeline(pipeline, config=pipeline.config.replace(demux_flows=False))
+        if path == "push":
+            emitted = [e.estimate for p in packets for e in stream.push(p)]
+        else:
+            emitted = [e.estimate for e in stream.push_block(PacketBlock.from_packets(packets))]
+        emitted.extend(e.estimate for e in stream.flush())
+        reference = pipeline.heuristic.estimate_trace(PacketTrace(packets), window_s=1.0, start=base)
+        assert len(reference) == 4 and len(emitted) in (4, 5)
+        for expected, actual in zip(reference, emitted):
+            assert actual.window_start == expected.window_start
+            assert actual.frame_rate == expected.frame_rate > 0
+            assert actual.bitrate_kbps == pytest.approx(expected.bitrate_kbps, abs=1e-9)
+            assert actual.frame_jitter_ms == pytest.approx(expected.frame_jitter_ms, abs=1e-9)
+
     def test_batch_adapter_still_backfills_from_zero(self, teams_call):
         """QoEPipeline.estimate keeps the seed contract: windows from t=0."""
         shifted = teams_call.trace.shifted(5.0)
@@ -484,7 +527,7 @@ class TestLongRunningMonitor:
         assert len(stream._streams) == 2
         evicted = stream.evict_idle(idle_s=5.0)
         assert len(stream._streams) == 1
-        assert len(stream.flow_table) == 1
+        assert len(stream.flows) == 1
         assert all(e.flow.dst_port == 40000 for e in evicted)
 
     def test_mass_eviction_sweep_is_one_pass(self):
@@ -513,10 +556,72 @@ class TestLongRunningMonitor:
         started = perf_counter()
         evicted = stream.evict_idle(idle_s=10.0)
         elapsed = perf_counter() - started
-        assert len(stream._streams) == 1 and len(stream.flow_table) == 1
+        assert len(stream._streams) == 1 and len(stream.flows) == 1
         assert len({e.flow for e in evicted}) == n_flows
         assert stream.flows == [five_tuple(make_packet(1000.0, 1000))]
         assert elapsed < 3.0, f"mass-eviction sweep took {elapsed:.2f}s (quadratic regression?)"
+
+
+class TestFlowRegistry:
+    """One stream per flow, keyed by its header tuple: the flow's FlowKey is
+    built once, tags every estimate, and keeps first-seen order."""
+
+    N_FLOWS = 512
+
+    def _vantage_feed(self):
+        """512 interleaved flows, ~40 packets each over 10 s, frame-like sizes."""
+        rng = np.random.default_rng(3)
+        return [
+            make_packet(i * 0.0005, 1000 + 40 * int(rng.integers(0, 5)), dst_port=40000 + i % self.N_FLOWS)
+            for i in range(40 * self.N_FLOWS)
+        ]
+
+    def test_push_builds_one_flow_key_per_flow(self, monkeypatch):
+        feed = self._vantage_feed()
+        built = []
+        init = FlowKey.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FlowKey, "__init__", counting_init)
+        engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
+        emitted = [item for packet in feed for item in engine.push(packet)]
+        emitted.extend(engine.flush())
+        assert len(built) == self.N_FLOWS
+        keys = {id(flow): flow for flow in engine.flows}
+        assert len(keys) == self.N_FLOWS
+        assert engine.flows == [five_tuple(packet) for packet in feed[: self.N_FLOWS]]
+        # Every estimate of a flow carries that one FlowKey object.
+        assert {item.flow for item in emitted} == set(keys.values())
+        assert all(keys.get(id(item.flow)) is item.flow for item in emitted)
+
+    def test_first_seen_order_survives_eviction_and_reentry(self):
+        ports = [40005, 40001, 40003, 40000, 40004, 40002]
+        dead = {40001, 40003}  # fall silent after 1 s
+        feed = [
+            make_packet(0.01 * i + 0.001 * j, 1000, dst_port=port)
+            for i in range(2000)
+            for j, port in enumerate(ports)
+            if port not in dead or i < 100
+        ]
+        engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
+        for packet in feed:
+            engine.push(packet)
+        first_seen = [five_tuple(make_packet(0.0, 1000, dst_port=port)) for port in ports]
+        assert engine.flows == first_seen
+        evicted = engine.evict_idle(idle_s=5.0)
+        assert {item.flow.dst_port for item in evicted} == dead
+        survivors = [key for key in first_seen if key.dst_port not in dead]
+        assert engine.flows == survivors
+        # A re-entering flow is a fresh flow: it joins at the end, by either path.
+        engine.push(make_packet(20.5, 1000, dst_port=40003))
+        block = PacketBlock.from_packets([make_packet(20.6, 1000, dst_port=40001)])
+        engine.push_block(block)
+        assert engine.flows == survivors + [first_seen[2], first_seen[1]]
+        assert engine.flows[-1] is block.flows[0]
+        assert engine.live_flows == engine.flows
 
 
 class TestLowWatermark:

@@ -415,7 +415,7 @@ class TestEvictionAndReadmission:
         evicted = engine.evict_idle(idle_s=10.0)
         key = five_tuple(short[0])
         assert {item.flow for item in evicted} == {key}
-        assert key not in engine._streams
+        assert key not in engine.flows
 
         # The same 5-tuple resumes: it re-enters as a fresh flow and its new
         # windows are emitted again without interference from evicted state.
@@ -423,7 +423,7 @@ class TestEvictionAndReadmission:
         late_filler = [make_packet(20.0 + 0.05 * i, 1000) for i in range(300)]
         for packet in sorted(resumed + late_filler, key=lambda p: p.timestamp):
             emitted.extend(engine.push(packet))
-        assert key in engine._streams
+        assert key in engine.flows
         tail = engine.flush()
         resumed_windows = [
             item.estimate.window_start for item in emitted + tail if item.flow == key
