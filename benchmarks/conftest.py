@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark/experiment harness.
 
 Each ``benchmarks/test_*.py`` file regenerates one of the paper's tables or
-figures (see DESIGN.md for the experiment index).  The datasets are simulated
+figures, named after it (``test_fig3_*`` is Figure 3).  The datasets are simulated
 once per pytest session at a reduced scale (minutes, not the paper's weeks of
 collection); the *shape* of each result -- method ordering, over/under
 estimation, trends across swept parameters -- is what is being reproduced.

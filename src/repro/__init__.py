@@ -7,8 +7,8 @@ network measurements using **only IP/UDP headers**, and compares against
 RTP-header baselines.  Because the original measurement environment (real VCA
 clients, browser automation, household deployments) is not available offline,
 the package also contains a full WebRTC traffic simulator, network emulator
-and dataset builders that reproduce the relevant transport-level behaviour;
-see DESIGN.md for the substitution rationale.
+and dataset builders that reproduce the relevant transport-level behaviour
+(the README's introduction gives the substitution rationale).
 
 Quickstart (train once, deploy many)::
 

@@ -214,9 +214,6 @@ class ShardedQoEMonitor:
         (``2 * n_workers * queue_depth * shm_slot_bytes``) and the largest
         inference tick a worker runs (one slot's worth of rows), not what
         can be shipped.
-    start_method:
-        ``multiprocessing`` start method; the default ``"spawn"`` is the
-        portable choice and what the workers are built to be safe under.
     new_flow_slack_s:
         Bound on cross-flow disorder in the source -- how far a brand-new
         flow's first packet may trail the newest packet already seen --
@@ -255,7 +252,6 @@ class ShardedQoEMonitor:
         n_workers: int = 2,
         chunk_size: int = 256,
         transport: str = "block",
-        start_method: str = "spawn",
         new_flow_slack_s: float | None = None,
         queue_depth: int = 8,
         shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
@@ -291,7 +287,6 @@ class ShardedQoEMonitor:
         self.n_workers = n_workers
         self.chunk_size = chunk_size
         self.transport = transport
-        self.start_method = start_method
         self.new_flow_slack_s = new_flow_slack_s
         self.queue_depth = queue_depth
         self.shm_slot_bytes = shm_slot_bytes
@@ -354,7 +349,7 @@ class ShardedQoEMonitor:
             )
         self._ran = True
         started = perf_counter()
-        ctx = multiprocessing.get_context(self.start_method)
+        ctx = multiprocessing.get_context("spawn")
         out_queue = ctx.Queue()
         payload_json = json.dumps(self.pipeline.to_payload())
         n_workers = self.n_workers

@@ -229,15 +229,6 @@ def heuristic_predictions(dataset: EvaluationDataset, method: str, metric: str) 
     return dataset.heuristic_estimates[method][metric]
 
 
-def method_predictions(
-    dataset: EvaluationDataset, method: str, metric: str, n_estimators: int = 30
-) -> np.ndarray:
-    """Predictions for any of the four methods on one metric."""
-    if method in ("ipudp_ml", "rtp_ml"):
-        return cross_validated_predictions(dataset, method, metric, n_estimators=n_estimators)
-    return heuristic_predictions(dataset, method, metric)
-
-
 def compare_methods(
     dataset: EvaluationDataset,
     metric: str,

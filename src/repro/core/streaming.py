@@ -601,13 +601,6 @@ class StreamingQoEPipeline:
         #: plain integer adds, no ``ObsConfig`` needed.
         self.counters = engine_counters()
 
-    @classmethod
-    def for_vca(cls, vca: str, window_s: int = 1, **kwargs) -> "StreamingQoEPipeline":
-        """An untrained (heuristic-backed) streaming pipeline for ``vca``."""
-        from repro.core.pipeline import QoEPipeline
-
-        return cls(QoEPipeline.for_vca(vca, window_s=window_s), **kwargs)
-
     # -- introspection ---------------------------------------------------------
 
     @property

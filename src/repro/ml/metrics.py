@@ -15,12 +15,9 @@ import numpy as np
 __all__ = [
     "mean_absolute_error",
     "mean_relative_absolute_error",
-    "root_mean_squared_error",
-    "r2_score",
     "accuracy_score",
     "confusion_matrix",
     "normalized_confusion_matrix",
-    "within_tolerance_fraction",
     "ErrorSummary",
     "summarize_errors",
 ]
@@ -53,22 +50,6 @@ def mean_relative_absolute_error(y_true, y_pred, eps: float = 1e-9) -> float:
     """
     y_true, y_pred = _as_arrays(y_true, y_pred)
     return float(np.mean(np.abs(y_pred - y_true) / np.maximum(np.abs(y_true), eps)))
-
-
-def root_mean_squared_error(y_true, y_pred) -> float:
-    """Square root of the mean squared error."""
-    y_true, y_pred = _as_arrays(y_true, y_pred)
-    return float(np.sqrt(np.mean((y_pred - y_true) ** 2)))
-
-
-def r2_score(y_true, y_pred) -> float:
-    """Coefficient of determination."""
-    y_true, y_pred = _as_arrays(y_true, y_pred)
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
-    ss_tot = float(np.sum((y_true - np.mean(y_true)) ** 2))
-    if ss_tot == 0.0:
-        return 1.0 if ss_res == 0.0 else 0.0
-    return 1.0 - ss_res / ss_tot
 
 
 def accuracy_score(y_true, y_pred) -> float:
@@ -108,21 +89,6 @@ def normalized_confusion_matrix(y_true, y_pred, labels=None) -> tuple[np.ndarray
     with np.errstate(invalid="ignore", divide="ignore"):
         normalized = np.where(row_sums > 0, matrix / row_sums, 0.0)
     return normalized, labels
-
-
-def within_tolerance_fraction(y_true, y_pred, tolerance: float, relative: bool = False) -> float:
-    """Fraction of predictions within ``tolerance`` of the ground truth.
-
-    With ``relative=True`` the tolerance is interpreted as a fraction of the
-    ground-truth value (used for "within 25% of the ground truth bitrate").
-    """
-    y_true, y_pred = _as_arrays(y_true, y_pred)
-    errors = np.abs(y_pred - y_true)
-    if relative:
-        bound = tolerance * np.maximum(np.abs(y_true), 1e-9)
-    else:
-        bound = tolerance
-    return float(np.mean(errors <= bound))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,8 @@
-"""Cross-validation utilities.
+"""Cross-validation splitting.
 
 The paper reports all ML accuracy numbers over 5-fold cross validation
-(Section 4.3); :func:`cross_val_predict` produces out-of-fold predictions for
-every sample, which is what the error box plots and confusion matrices are
-computed from.
+(Section 4.3); :class:`KFold` yields the train/test index folds that
+:mod:`repro.core.evaluation` fits and scores each model on.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-__all__ = ["KFold", "StratifiedKFold", "train_test_split", "cross_val_predict", "GroupKFold"]
+__all__ = ["KFold"]
 
 
 class KFold:
@@ -44,145 +43,3 @@ class KFold:
             yield train_idx, test_idx
             start += size
 
-
-class StratifiedKFold:
-    """K-fold splitting that preserves the class distribution in each fold."""
-
-    def __init__(self, n_splits: int = 5, shuffle: bool = True, random_state: int | None = None) -> None:
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-        self.shuffle = shuffle
-        self.random_state = random_state
-
-    def split(self, X, y) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        y = np.asarray(y)
-        n = len(y)
-        if len(X) != n:
-            raise ValueError("X and y have inconsistent lengths")
-        rng = np.random.default_rng(self.random_state)
-        # Assign a fold to every sample, class by class, round-robin.
-        fold_of = np.empty(n, dtype=int)
-        for cls in np.unique(y):
-            cls_idx = np.nonzero(y == cls)[0]
-            if self.shuffle:
-                rng.shuffle(cls_idx)
-            fold_of[cls_idx] = np.arange(len(cls_idx)) % self.n_splits
-        all_idx = np.arange(n)
-        for fold in range(self.n_splits):
-            test_idx = all_idx[fold_of == fold]
-            train_idx = all_idx[fold_of != fold]
-            if len(test_idx) == 0:
-                raise ValueError(
-                    f"fold {fold} is empty; too few samples for {self.n_splits} folds"
-                )
-            yield train_idx, test_idx
-
-
-class GroupKFold:
-    """K-fold splitting where all samples of a group land in the same fold.
-
-    Used to split by call/session so per-second windows from the same call do
-    not leak between training and test folds.
-    """
-
-    def __init__(self, n_splits: int = 5) -> None:
-        if n_splits < 2:
-            raise ValueError("n_splits must be >= 2")
-        self.n_splits = n_splits
-
-    def split(self, X, y=None, groups=None) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        if groups is None:
-            raise ValueError("GroupKFold requires a groups array")
-        groups = np.asarray(groups)
-        if len(groups) != len(X):
-            raise ValueError("groups and X have inconsistent lengths")
-        unique_groups, group_counts = np.unique(groups, return_counts=True)
-        if len(unique_groups) < self.n_splits:
-            raise ValueError(
-                f"cannot split {len(unique_groups)} groups into {self.n_splits} folds"
-            )
-        # Greedy balancing: assign the largest groups first to the emptiest fold.
-        order = np.argsort(-group_counts)
-        fold_sizes = np.zeros(self.n_splits, dtype=int)
-        fold_of_group: dict = {}
-        for group_idx in order:
-            fold = int(np.argmin(fold_sizes))
-            fold_of_group[unique_groups[group_idx]] = fold
-            fold_sizes[fold] += group_counts[group_idx]
-        sample_fold = np.array([fold_of_group[g] for g in groups])
-        all_idx = np.arange(len(groups))
-        for fold in range(self.n_splits):
-            test_idx = all_idx[sample_fold == fold]
-            train_idx = all_idx[sample_fold != fold]
-            yield train_idx, test_idx
-
-
-def train_test_split(
-    *arrays,
-    test_size: float = 0.25,
-    random_state: int | None = None,
-    shuffle: bool = True,
-):
-    """Split each array into a train part and a test part.
-
-    Returns ``train_a, test_a, train_b, test_b, ...`` in the same order the
-    arrays were passed, mirroring the scikit-learn helper.
-    """
-    if not arrays:
-        raise ValueError("at least one array is required")
-    if not 0.0 < test_size < 1.0:
-        raise ValueError("test_size must be in (0, 1)")
-    n = len(arrays[0])
-    for array in arrays:
-        if len(array) != n:
-            raise ValueError("all arrays must have the same length")
-    indices = np.arange(n)
-    if shuffle:
-        rng = np.random.default_rng(random_state)
-        rng.shuffle(indices)
-    n_test = max(1, int(round(test_size * n)))
-    test_idx = indices[:n_test]
-    train_idx = indices[n_test:]
-    result = []
-    for array in arrays:
-        array = np.asarray(array)
-        result.append(array[train_idx])
-        result.append(array[test_idx])
-    return result
-
-
-def cross_val_predict(
-    estimator_factory,
-    X: np.ndarray,
-    y: np.ndarray,
-    cv: KFold | StratifiedKFold | None = None,
-    groups: np.ndarray | None = None,
-) -> np.ndarray:
-    """Out-of-fold predictions for every sample.
-
-    ``estimator_factory`` is a zero-argument callable returning a fresh,
-    unfitted estimator; a new instance is created per fold so no state leaks
-    across folds.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if cv is None:
-        cv = KFold(n_splits=5, shuffle=True, random_state=0)
-    predictions = np.empty(len(y), dtype=object)
-    seen = np.zeros(len(y), dtype=bool)
-    split_args = (X, y, groups) if isinstance(cv, GroupKFold) else (X, y)
-    for train_idx, test_idx in cv.split(*split_args):
-        estimator = estimator_factory()
-        estimator.fit(X[train_idx], y[train_idx])
-        fold_pred = estimator.predict(X[test_idx])
-        for i, pred in zip(test_idx, fold_pred):
-            predictions[i] = pred
-        seen[test_idx] = True
-    if not seen.all():
-        raise RuntimeError("cross validation did not cover every sample")
-    # Convert to a homogeneous array (float when possible, keeping labels otherwise).
-    try:
-        return np.array([float(p) for p in predictions])
-    except (TypeError, ValueError):
-        return np.array(list(predictions))

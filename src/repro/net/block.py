@@ -114,9 +114,9 @@ class _BlockRow:
     :class:`~repro.net.packet.Packet` in IP/UDP-only mode -- ``timestamp``,
     ``payload_size`` and the derived ``media_payload_size`` -- without the
     dataclass construction and validation cost.  Used by the engine's block
-    path when the block carries no cached packet objects (i.e. it crossed a
-    process boundary); operators needing anything else (RTP headers, ground
-    truth) must materialize real packets via :meth:`PacketBlock.to_packets`.
+    path for the rows it buffers as bare ``(timestamp, size)`` pairs;
+    operators needing anything else (RTP headers, ground truth) must
+    materialize real packets via :meth:`PacketBlock.to_packets`.
     """
 
     __slots__ = ("timestamp", "payload_size")
@@ -649,20 +649,6 @@ class PacketBlock:
                 )
             )
         return packets
-
-    def packet_rows(self, indices: np.ndarray) -> list:
-        """Objects usable by the IP/UDP streaming operators, one per index.
-
-        Cached originals when available (zero cost, full fidelity);
-        otherwise lightweight rows exposing ``timestamp`` / ``payload_size``
-        / ``media_payload_size`` -- all the engine's heuristic operators read.
-        """
-        if self._packets is not None:
-            source = self._packets
-            return [source[i] for i in indices]
-        ts = self.timestamps
-        sizes = self.sizes
-        return [_BlockRow(float(ts[i]), int(sizes[i])) for i in indices]
 
     def iter_packets(self) -> Iterator[Packet]:
         return iter(self.to_packets())

@@ -85,12 +85,6 @@ class GroundTruthLog:
     def frame_heights(self) -> np.ndarray:
         return np.array([row.frame_height for row in self.rows], dtype=int)
 
-    def row_for_second(self, second: int) -> PerSecondStats | None:
-        for row in self.rows:
-            if row.second == second:
-                return row
-        return None
-
     def metric(self, name: str) -> np.ndarray:
         """Ground-truth series by metric name ("frame_rate", "bitrate",
         "frame_jitter", "resolution")."""

@@ -258,6 +258,7 @@ class TestColumnarTransport:
             ({"shm_return": "queue"}, TypeError),
             ({"shm_batch_slots": False}, TypeError),
             ({"rebalance": None}, TypeError),
+            ({"start_method": "fork"}, TypeError),
         ],
     )
     def test_removed_options_are_rejected_at_construction(self, many_flow_packets, removed, error):

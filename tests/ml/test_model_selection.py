@@ -3,14 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ml.linear import LinearRegression
-from repro.ml.model_selection import (
-    GroupKFold,
-    KFold,
-    StratifiedKFold,
-    cross_val_predict,
-    train_test_split,
-)
+from repro.ml.model_selection import KFold
 
 
 class TestKFold:
@@ -39,80 +32,3 @@ class TestKFold:
     def test_invalid_n_splits(self):
         with pytest.raises(ValueError):
             KFold(n_splits=1)
-
-
-class TestStratifiedKFold:
-    def test_class_balance_preserved(self):
-        y = np.array(["a"] * 40 + ["b"] * 10)
-        X = np.zeros((50, 1))
-        for _, test_idx in StratifiedKFold(n_splits=5, random_state=0).split(X, y):
-            labels = y[test_idx]
-            assert np.sum(labels == "a") == 8
-            assert np.sum(labels == "b") == 2
-
-    def test_covers_all_samples(self):
-        y = np.array([0, 1] * 15)
-        X = np.zeros((30, 1))
-        seen = []
-        for _, test_idx in StratifiedKFold(n_splits=3, random_state=1).split(X, y):
-            seen.extend(test_idx.tolist())
-        assert sorted(seen) == list(range(30))
-
-
-class TestGroupKFold:
-    def test_groups_never_split_across_folds(self):
-        groups = np.repeat(np.arange(10), 6)
-        X = np.zeros((60, 1))
-        for train_idx, test_idx in GroupKFold(n_splits=5).split(X, groups=groups):
-            assert set(groups[train_idx]) & set(groups[test_idx]) == set()
-
-    def test_requires_groups(self):
-        with pytest.raises(ValueError):
-            list(GroupKFold(n_splits=2).split(np.zeros((4, 1))))
-
-    def test_more_folds_than_groups_raises(self):
-        groups = np.array([0, 0, 1, 1])
-        with pytest.raises(ValueError):
-            list(GroupKFold(n_splits=3).split(np.zeros((4, 1)), groups=groups))
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        X = np.arange(100).reshape(-1, 1)
-        y = np.arange(100)
-        X_train, X_test, y_train, y_test = train_test_split(X, y, test_size=0.2, random_state=0)
-        assert len(X_test) == 20
-        assert len(X_train) == 80
-        assert len(y_train) == 80 and len(y_test) == 20
-
-    def test_rows_stay_aligned(self):
-        X = np.arange(50).reshape(-1, 1)
-        y = np.arange(50) * 10
-        X_train, X_test, y_train, y_test = train_test_split(X, y, test_size=0.3, random_state=3)
-        assert np.all(y_train == X_train[:, 0] * 10)
-        assert np.all(y_test == X_test[:, 0] * 10)
-
-    def test_invalid_test_size(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((5, 1)), test_size=1.5)
-
-    def test_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            train_test_split(np.zeros((5, 1)), np.zeros(4))
-
-
-class TestCrossValPredict:
-    def test_every_sample_predicted(self):
-        generator = np.random.default_rng(0)
-        X = generator.normal(size=(60, 2))
-        y = X @ np.array([1.0, -2.0]) + 0.5
-        predictions = cross_val_predict(LinearRegression, X, y, cv=KFold(5, random_state=0))
-        assert predictions.shape == (60,)
-        assert np.all(np.isfinite(predictions))
-
-    def test_out_of_fold_predictions_reasonable(self):
-        generator = np.random.default_rng(1)
-        X = generator.normal(size=(100, 2))
-        y = 3.0 * X[:, 0] + generator.normal(scale=0.01, size=100)
-        predictions = cross_val_predict(LinearRegression, X, y)
-        assert np.mean(np.abs(predictions - y)) < 0.1

@@ -7,7 +7,7 @@ from repro.core.frame_assembly import assemble_frames
 from repro.core.features import extract_flow_features, extract_ipudp_features
 from repro.core.resolution import ResolutionBinner, TEAMS_RESOLUTION_BINS
 from repro.core.windows import WindowedTrace
-from repro.ml.metrics import mean_absolute_error, summarize_errors, within_tolerance_fraction
+from repro.ml.metrics import mean_absolute_error, summarize_errors
 from repro.ml.model_selection import KFold
 from repro.ml.tree import DecisionTreeRegressor
 from repro.net.packet import IPv4Header, Packet, UDPHeader
@@ -169,13 +169,6 @@ def test_error_summary_percentiles_ordered(a, b):
     summary = summarize_errors(np.array(a[:n]), np.array(b[:n]))
     assert summary.p10 <= summary.p25 <= summary.median <= summary.p75 <= summary.p90
     assert summary.mae >= 0
-
-
-@given(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=30), st.floats(0.0, 10.0))
-def test_within_tolerance_is_a_fraction(values, tolerance):
-    array = np.array(values)
-    fraction = within_tolerance_fraction(array, array + 1.0, tolerance)
-    assert 0.0 <= fraction <= 1.0
 
 
 # -- ML substrate -------------------------------------------------------------------
