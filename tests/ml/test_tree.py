@@ -162,3 +162,73 @@ class TestNodeTable:
         assert np.all(nodes.right[internal] > nodes.left[internal])
         leaves = nodes.feature < 0
         assert np.all(nodes.left[leaves] == -1) and np.all(nodes.right[leaves] == -1)
+
+
+class TestTreeOptions:
+    @pytest.mark.parametrize(
+        "max_features, expected", [(None, 9), ("sqrt", 3), ("log2", 3), (0.5, 4), (2, 2), (20, 9)]
+    )
+    def test_candidate_feature_count(self, max_features, expected):
+        tree = DecisionTreeRegressor(max_features=max_features)
+        tree.n_features_ = 9
+        assert tree._n_candidate_features() == expected
+
+    def test_unknown_max_features_string_raises(self, regression_data):
+        X, y = regression_data
+        with pytest.raises(ValueError):
+            DecisionTreeRegressor(max_features="half").fit(X, y)
+
+    def test_same_random_state_grows_the_same_tree(self, regression_data):
+        X, y = regression_data
+        a = DecisionTreeRegressor(max_features="sqrt", random_state=5).fit(X, y)
+        b = DecisionTreeRegressor(max_features="sqrt", random_state=5).fit(X, y)
+        assert a.nodes_.to_columns() == b.nodes_.to_columns()
+
+    def test_min_samples_split_is_respected(self):
+        X = np.arange(40, dtype=float).reshape(-1, 1)
+        y = X[:, 0] ** 2
+        nodes = DecisionTreeRegressor(min_samples_split=12).fit(X, y).nodes_
+        internal = nodes.feature >= 0
+        assert internal.any()
+        assert np.all(nodes.n_samples[internal] >= 12)
+
+    def test_nan_feature_goes_right(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0.0, 0.0, 10.0, 10.0])
+        tree = DecisionTreeRegressor().fit(X, y)
+        assert tree.predict(np.array([[np.nan]])).tolist() == [10.0]
+
+    def test_apply_returns_leaf_indices(self, regression_data):
+        X, y = regression_data
+        tree = DecisionTreeRegressor(max_depth=5).fit(X, y)
+        leaves = tree.apply(X)
+        assert leaves.shape == (len(X),)
+        assert np.all(tree.nodes_.feature[leaves] == -1)
+        assert np.array_equal(tree.nodes_.value[leaves], tree.predict(X))
+
+    def test_classifier_probability_columns_follow_classes(self):
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array(["b", "b", "a", "a"])
+        tree = DecisionTreeClassifier().fit(X, y)
+        assert list(tree.classes_) == ["a", "b"]
+        assert tree.predict_proba(np.array([[0.0], [3.0]])).tolist() == [[0.0, 1.0], [1.0, 0.0]]
+
+
+class TestTreePersistence:
+    def test_regressor_round_trip_predicts_identically(self, regression_data):
+        X, y = regression_data
+        tree = DecisionTreeRegressor(max_depth=7, random_state=0).fit(X, y)
+        again = DecisionTreeRegressor.from_dict(tree.to_dict())
+        assert again.predict(X).tolist() == tree.predict(X).tolist()
+        assert again.to_dict() == tree.to_dict()
+
+    def test_classifier_round_trip_predicts_identically(self, classification_data):
+        X, y = classification_data
+        tree = DecisionTreeClassifier(max_depth=6, random_state=0).fit(X, y)
+        again = DecisionTreeClassifier.from_dict(tree.to_dict())
+        assert list(again.classes_) == list(tree.classes_)
+        assert again.predict(X).tolist() == tree.predict(X).tolist()
+
+    def test_to_dict_before_fit_raises(self):
+        with pytest.raises(RuntimeError):
+            DecisionTreeRegressor().to_dict()
