@@ -35,100 +35,65 @@ knobs in the frozen :class:`~repro.core.config.PipelineConfig`, and
 engine.
 """
 
-from repro.core.config import PipelineConfig
-from repro.core.pipeline import PipelineEstimate, QoEPipeline
-from repro.core.streaming import StreamEstimate, StreamingQoEPipeline
-from repro.core.estimators import IPUDPMLEstimator, RTPMLEstimator
-from repro.monitor import MonitorReport, QoEMonitor
-from repro.cluster import FanInSink, FlowShardRouter, ShardedQoEMonitor
-from repro.obs import (
-    MetricsLogSink,
-    MetricsRegistry,
-    ObsConfig,
-    parse_prometheus,
-    render_prometheus,
-)
-from repro.sources import (
-    IteratorSource,
-    MergedSource,
-    PacketSource,
-    PcapSource,
-    TraceSource,
-    as_source,
-    iter_blocks,
-)
-from repro.sinks import (
-    CollectorSink,
-    CSVSink,
-    EstimateSink,
-    FlowSummary,
-    JSONLinesSink,
-    MetricsSnapshotSink,
-    SummarySink,
-)
-from repro.core.heuristic import IPUDPHeuristic
-from repro.core.rtp_heuristic import RTPHeuristic
-from repro.core.media import MediaClassifier
-from repro.core.evaluation import EvaluationDataset, compare_methods
-from repro.datasets.lab import LabDatasetConfig, build_lab_dataset
-from repro.datasets.realworld import RealWorldConfig, build_real_world_dataset
-from repro.datasets.synthetic import SweepConfig, build_impairment_sweep
-from repro.net.block import PacketBlock
-from repro.net.trace import PacketTrace
-from repro.netem.conditions import ConditionSchedule, NetworkCondition
-from repro.webrtc.session import CallResult, SessionConfig, simulate_call
+from repro._lazy import lazy_exports
+
+#: Each public name and the module defining it, imported on first access:
+#: ``import repro`` itself loads nothing (a spawned worker imports the data
+#: plane only).
+_EXPORTS = {
+    "QoEPipeline": "repro.core.pipeline",
+    "PipelineEstimate": "repro.core.pipeline",
+    "PipelineConfig": "repro.core.config",
+    "StreamingQoEPipeline": "repro.core.streaming",
+    "StreamEstimate": "repro.core.streaming",
+    "QoEMonitor": "repro.monitor",
+    "MonitorReport": "repro.monitor",
+    "ShardedQoEMonitor": "repro.cluster",
+    "FlowShardRouter": "repro.cluster",
+    "FanInSink": "repro.cluster",
+    "ObsConfig": "repro.obs",
+    "MetricsRegistry": "repro.obs",
+    "MetricsLogSink": "repro.obs",
+    "render_prometheus": "repro.obs",
+    "parse_prometheus": "repro.obs",
+    "PacketSource": "repro.sources",
+    "IteratorSource": "repro.sources",
+    "TraceSource": "repro.sources",
+    "PcapSource": "repro.sources",
+    "MergedSource": "repro.sources",
+    "as_source": "repro.sources",
+    "iter_blocks": "repro.sources",
+    "PacketBlock": "repro.net.block",
+    "EstimateSink": "repro.sinks",
+    "CollectorSink": "repro.sinks",
+    "JSONLinesSink": "repro.sinks",
+    "CSVSink": "repro.sinks",
+    "SummarySink": "repro.sinks",
+    "FlowSummary": "repro.sinks",
+    "MetricsSnapshotSink": "repro.sinks",
+    "IPUDPMLEstimator": "repro.core.estimators",
+    "RTPMLEstimator": "repro.core.estimators",
+    "IPUDPHeuristic": "repro.core.heuristic",
+    "RTPHeuristic": "repro.core.rtp_heuristic",
+    "MediaClassifier": "repro.core.media",
+    "EvaluationDataset": "repro.core.evaluation",
+    "compare_methods": "repro.core.evaluation",
+    "LabDatasetConfig": "repro.datasets.lab",
+    "build_lab_dataset": "repro.datasets.lab",
+    "RealWorldConfig": "repro.datasets.realworld",
+    "build_real_world_dataset": "repro.datasets.realworld",
+    "SweepConfig": "repro.datasets.synthetic",
+    "build_impairment_sweep": "repro.datasets.synthetic",
+    "PacketTrace": "repro.net.trace",
+    "NetworkCondition": "repro.netem.conditions",
+    "ConditionSchedule": "repro.netem.conditions",
+    "SessionConfig": "repro.webrtc.session",
+    "CallResult": "repro.webrtc.session",
+    "simulate_call": "repro.webrtc.session",
+}
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "QoEPipeline",
-    "PipelineEstimate",
-    "PipelineConfig",
-    "StreamingQoEPipeline",
-    "StreamEstimate",
-    "QoEMonitor",
-    "MonitorReport",
-    "ShardedQoEMonitor",
-    "FlowShardRouter",
-    "FanInSink",
-    "ObsConfig",
-    "MetricsRegistry",
-    "MetricsLogSink",
-    "render_prometheus",
-    "parse_prometheus",
-    "PacketSource",
-    "IteratorSource",
-    "TraceSource",
-    "PcapSource",
-    "MergedSource",
-    "as_source",
-    "iter_blocks",
-    "PacketBlock",
-    "EstimateSink",
-    "CollectorSink",
-    "JSONLinesSink",
-    "CSVSink",
-    "SummarySink",
-    "FlowSummary",
-    "MetricsSnapshotSink",
-    "IPUDPMLEstimator",
-    "RTPMLEstimator",
-    "IPUDPHeuristic",
-    "RTPHeuristic",
-    "MediaClassifier",
-    "EvaluationDataset",
-    "compare_methods",
-    "LabDatasetConfig",
-    "build_lab_dataset",
-    "RealWorldConfig",
-    "build_real_world_dataset",
-    "SweepConfig",
-    "build_impairment_sweep",
-    "PacketTrace",
-    "NetworkCondition",
-    "ConditionSchedule",
-    "SessionConfig",
-    "CallResult",
-    "simulate_call",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

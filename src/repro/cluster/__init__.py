@@ -21,18 +21,19 @@ in the deterministic fan-in order ``(window_start, flow)``, for any worker
 count.
 """
 
-from repro.cluster.fanin import FanInSink, flow_sort_key
-from repro.cluster.monitor import ShardedQoEMonitor
-from repro.cluster.router import FlowShardRouter
-from repro.cluster.shm import BlockRing, shm_available
-from repro.cluster.worker import ShardWorker
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "FlowShardRouter",
-    "ShardWorker",
-    "FanInSink",
-    "BlockRing",
-    "ShardedQoEMonitor",
-    "flow_sort_key",
-    "shm_available",
-]
+#: Each public name and the module defining it, imported on first access.
+_EXPORTS = {
+    "FlowShardRouter": "repro.cluster.router",
+    "ShardWorker": "repro.cluster.worker",
+    "FanInSink": "repro.cluster.fanin",
+    "BlockRing": "repro.cluster.shm",
+    "ShardedQoEMonitor": "repro.cluster.monitor",
+    "flow_sort_key": "repro.cluster.fanin",
+    "shm_available": "repro.cluster.shm",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -36,6 +36,7 @@ import json
 import math
 import multiprocessing
 import queue as queue_module
+from collections.abc import Callable
 from pathlib import Path
 from time import perf_counter
 
@@ -43,12 +44,13 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import QoEPipeline
 from repro.core.streaming import add_counters, engine_counters
 from repro.cluster.fanin import FanInSink
-from repro.cluster.router import FlowShardRouter
+from repro.cluster.router import SHARD_CACHE_SIZE, FlowShardRouter
 from repro.cluster.shm import DEFAULT_SLOT_BYTES, MIN_SLOT_BYTES, BlockRing, shm_available
 from repro.cluster.worker import ShardWorker
 from repro.monitor import MonitorReport
 from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry, ingest_transport_stats
+from repro.net.block import LinkEncoder, PacketBlock
 from repro.net.estwire import EstimateBatch
 from repro.sources.base import PacketSource, as_source, iter_blocks
 
@@ -60,76 +62,99 @@ _TRANSPORTS = ("shm", "block")
 class _ForwardLink:
     """Parent-side forward link of one shard: routed sub-blocks to its worker.
 
+    Every sub-block is coded by the link's
+    :class:`~repro.net.block.LinkEncoder` against the table the worker's
+    :class:`~repro.net.block.LinkDecoder` holds: its numeric columns, with
+    the codes remapped into the link table, plus the addresses and flow keys
+    new to the link -- for a long-lived flow, once per run (the table
+    restarts past :data:`~repro.cluster.router.SHARD_CACHE_SIZE` flows).
+    Both carriers take the same segments, so the worker decodes one way.
+
     Over a ring the link is **self-clocking**: every :meth:`add` offers
     everything pending to the ring *without blocking*, so while the worker
     keeps up a sub-block leaves the parent in the ``add`` that routed it,
     one slot and one ``("shm",)`` token each.  Only while the ring is full
-    (back-pressure) do sub-blocks accumulate -- as references, nothing is
-    copied -- and the next successful offer flat-encodes the whole batch
-    into **one** slot behind length-prefixed segment headers, two semaphore
-    ops and a single token no matter how many routed ticks ride in it.
-    ``add`` blocks only when the pending batch would overflow a slot.  So a
-    saturated worker sees slots as full as they can be, and an idle one is
-    never kept waiting for a batch to fill: rows are held exactly as long
-    as the ring gives them nowhere to go.  The worker runs everything a slot
-    carries as **one** inference tick, so this rule is also what sizes the
-    tick: one sub-block while the worker keeps up (nothing is delayed for a
-    bigger batch), up to a slot's worth once it is the bottleneck -- which
-    is when amortizing the engine's per-flow cost over more rows pays.  The
+    (back-pressure) do coded segments accumulate -- nothing is written yet
+    -- and the next successful offer writes the whole batch into **one**
+    slot behind length-prefixed segment headers, two semaphore ops and a
+    single token no matter how many routed ticks ride in it.  ``add`` blocks
+    only when the pending batch would overflow a slot.  So a saturated
+    worker sees slots as full as they can be, and an idle one is never kept
+    waiting for a batch to fill: rows are held exactly as long as the ring
+    gives them nowhere to go.  The worker runs everything a slot carries as
+    **one** inference tick, so this rule is also what sizes the tick: one
+    sub-block while the worker keeps up (nothing is delayed for a bigger
+    batch), up to a slot's worth once it is the bottleneck -- which is when
+    amortizing the engine's per-flow cost over more rows pays.  The
     estimates do not depend on the grouping (``push_block`` is bit-identical
     at every split; the worker cuts a tick wherever an idle-eviction sweep
-    falls due).  Every routed sub-block is header-only, so it always
-    flat-encodes; the one kind that goes to the pickling queue instead is a
-    single row that outsizes a slot on its own (side tables larger than the
-    slot) -- always behind a flush, so a queue message cannot overtake
-    pending sub-blocks and everything still arrives in routed order.  With
-    no ring (``transport="block"``) the queue carries every sub-block.
+    falls due).  A segment larger than a slot is split in halves; the one
+    kind that goes to the pickling queue instead is a single row whose table
+    delta outsizes a slot on its own (a multi-kilobyte address) -- always
+    behind a flush, so a queue message cannot overtake pending segments and
+    everything arrives in the order it was coded.  With no ring
+    (``transport="block"``) the queue carries every segment.
     """
 
     def __init__(self, monitor: "ShardedQoEMonitor", worker: ShardWorker) -> None:
         self._monitor = monitor
         self._worker = worker
         self._ring = worker.ring
-        self._pending: list[tuple[int, object]] = []
+        self._encoder = LinkEncoder(max_flows=SHARD_CACHE_SIZE)
+        #: Routed sub-blocks waiting for a slot, with their segment sizes;
+        #: ``_writes`` holds the matching segment writers, in the same order.
+        self._pending: list[tuple[int, PacketBlock]] = []
+        self._writes: list[Callable[[memoryview], int]] = []
         self._pending_cost = 0
         self._queue_fallbacks = 0
 
-    def add(self, block) -> None:
+    def add(self, block: PacketBlock) -> None:
         """Route one sub-block: offer it now, batch it only under back-pressure."""
         ring = self._ring
         if ring is None:
-            self._monitor._send(self._worker, ("block", block))
+            self._send_queued(block)
             return
-        size = block.byte_size()
-        if size > ring.max_segment_bytes:
+        segment = self._encoder.encode_within(block, ring.max_segment_bytes)
+        if segment is None:
             if len(block) <= 1:
-                # A single row that out-sizes a slot (pathological side
-                # tables): the queue handles it, correctness over zero-copy.
+                # A single row whose table delta outsizes a slot
+                # (pathological side tables): the queue handles it,
+                # correctness over zero-copy.
                 self.flush()
                 self._queue_fallbacks += 1
-                self._monitor._send(self._worker, ("block", block))
+                self._send_queued(block)
                 return
             mid = len(block) // 2
-            self.add(block[:mid].compact())
-            self.add(block[mid:].compact())
+            self.add(block[:mid])
+            self.add(block[mid:])
             return
+        size, write_into = segment
         cost = ring.segment_cost(size)
         if self._pending and self._pending_cost + cost > ring.slot_bytes:
             self.flush()
         self._pending.append((size, block))
+        self._writes.append(write_into)
         self._pending_cost += cost
         self._offer(timeout=0)
 
+    def _send_queued(self, block: PacketBlock) -> None:
+        """Code ``block`` as the link's next segment and put it on the queue."""
+        size, write_into = self._encoder.encode(block)
+        buffer = bytearray(size)
+        write_into(memoryview(buffer))
+        self._monitor._send(self._worker, ("block", buffer))
+
     def _offer(self, timeout: float) -> bool:
-        """Pack everything pending into the next free slot and announce it.
+        """Write everything pending into the next free slot and announce it.
 
         False -- with the batch still pending, in routed order -- when no
         slot freed within ``timeout`` (``0``: do not wait at all).
         """
-        payloads = [(size, block.write_into) for size, block in self._pending]
+        payloads = [(size, write) for (size, _), write in zip(self._pending, self._writes)]
         if not self._ring.try_push_segments(payloads, timeout=timeout):
             return False
         self._pending = []
+        self._writes = []
         self._pending_cost = 0
         self._monitor._send(self._worker, ("shm",))
         return True
@@ -182,20 +207,25 @@ class ShardedQoEMonitor:
         either way: the source is consumed as columnar
         :class:`~repro.net.block.PacketBlock` batches
         (:func:`~repro.sources.base.iter_blocks`), each split into per-shard
-        sub-blocks with one CRC-32 per *unique flow* (memoized), and workers
-        run the engine's columnar :meth:`push_block
-        <repro.core.streaming.StreamingQoEPipeline.push_block>` path.
-        ``"block"`` (default): sub-blocks and estimates are pickled onto the
-        queues as raw array buffers -- works wherever ``multiprocessing``
-        does.  ``"shm"``: sub-blocks are flat-encoded into a per-shard
-        shared-memory :class:`~repro.cluster.shm.BlockRing` (several per
-        slot) and read as zero-copy views by the worker, and estimate
-        batches (:class:`~repro.net.estwire.EstimateBatch`) come back over a
-        reverse ring, so only slot tokens and control messages ride the
-        queues.  A block or batch the codec cannot flatten, or that outsizes
-        a slot even after splitting, goes over the queue instead, so output
-        never depends on the transport: both emit bit-identical estimates in
-        identical order (pinned by ``tests/cluster/``).
+        sub-blocks with one array gather over its flow codes (a CRC-32 runs
+        once per flow), and workers run the engine's columnar
+        :meth:`push_block <repro.core.streaming.StreamingQoEPipeline.push_block>`
+        path.  The encoding is the same too: each shard's forward link codes
+        a sub-block as its numeric columns against a link table the worker
+        keeps (:class:`~repro.net.block.LinkEncoder`), so a flow's key and
+        addresses cross once and the worker builds each
+        :class:`~repro.net.flows.FlowKey` once.  ``"block"`` (default): the
+        coded segments and the estimates are pickled onto the queues as
+        bytes -- works wherever ``multiprocessing`` does.  ``"shm"``: the
+        segments are written into a per-shard shared-memory
+        :class:`~repro.cluster.shm.BlockRing` (several per slot) and read as
+        zero-copy views by the worker, and estimate batches
+        (:class:`~repro.net.estwire.EstimateBatch`) come back over a reverse
+        ring, so only slot tokens and control messages ride the queues.  A
+        segment or batch that outsizes a slot even after splitting, or a
+        batch the codec cannot flatten, goes over the queue instead, so
+        output never depends on the transport: both emit bit-identical
+        estimates in identical order (pinned by ``tests/cluster/``).
     queue_depth:
         Bound of each shard's input queue, and -- on the ``"shm"``
         transport -- the slot count of its block rings (the pairing:
@@ -410,9 +440,10 @@ class ShardedQoEMonitor:
                 worker.start()
             stream_started = perf_counter()
             # The source yields struct-of-arrays blocks (native fast paths
-            # for traces and pcap files), the router hashes once per unique
-            # flow, and each shard's forward link carries its sub-block:
-            # array buffers in a ring slot or a pickle, never packet objects.
+            # for traces and pcap files), the router gathers each row's shard
+            # from its flow code, and each shard's forward link codes its
+            # sub-block against the worker's link table: array buffers in a
+            # ring slot or a pickle, never packet objects.
             blocks = iter_blocks(self.source, self.chunk_size)
             if registry is not None:
                 blocks = registry.timed_iter(blocks, "source_read")

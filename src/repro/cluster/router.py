@@ -19,9 +19,11 @@ Two properties matter and both are load-bearing:
   and replicas must all agree where a flow lives.
 
 Assignments are memoized per unidirectional key (an LRU keeps a perpetual
-monitor's cache bounded), so steady-state routing is a dict hit; on the
-columnar path (:meth:`FlowShardRouter.partition_block`) the hash runs once
-per *unique flow* of a block, never once per packet.
+monitor's cache bounded), so steady-state routing is a dict hit.  On the
+columnar path (:meth:`FlowShardRouter.partition_block`) the shards are
+cached as an array over the source block's flow table, so routing a block
+is one gather over its ``flow_codes`` column; the hash runs once per flow
+of a table, never once per packet or per block.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ from repro.net.block import PacketBlock
 from repro.net.flows import FlowKey, five_tuple
 from repro.net.packet import Packet
 
-__all__ = ["FlowShardRouter"]
+__all__ = ["FlowShardRouter", "SHARD_CACHE_SIZE"]
 
-#: Distinct unidirectional keys whose shard assignment is kept memoized.
-#: Far above any realistic live-flow count; bounds memory on endless runs.
+#: Distinct unidirectional keys whose shard assignment is kept memoized, and
+#: the flows a forward link's table holds before it restarts.  Far above any
+#: realistic live-flow count; bounds memory on endless runs.
 SHARD_CACHE_SIZE = 1 << 16
 
 
@@ -47,7 +50,9 @@ class FlowShardRouter:
 
     Stateless-in-effect and deterministic: the same flow maps to the same
     shard in every process, on every run, for a given shard count.  The
-    only state is a memo of past answers, which cannot change them.
+    only state is a memo of past answers, which cannot change them: the
+    per-key LRU, and the shards of the last source flow table routed, kept
+    as an array indexed by flow code so a block routes with one gather.
     """
 
     def __init__(self, n_shards: int) -> None:
@@ -56,6 +61,10 @@ class FlowShardRouter:
         self.n_shards = n_shards
         #: Shard index of a (unidirectional or canonical) flow key, memoized.
         self.shard_of_key = lru_cache(maxsize=SHARD_CACHE_SIZE)(self._shard_of_key)
+        #: The last source flow table routed, and the shard of each of its
+        #: codes (-1: not looked up yet).
+        self._table: tuple[FlowKey, ...] | None = None
+        self._table_shards = np.empty(0, dtype=np.int64)
 
     def _shard_of_key(self, key: FlowKey) -> int:
         """Shard index of a (unidirectional or canonical) flow key."""
@@ -73,32 +82,42 @@ class FlowShardRouter:
     def partition_block(self, block: PacketBlock) -> list[tuple[int, PacketBlock]]:
         """Split a block into per-shard sub-blocks, preserving arrival order.
 
-        The shard is computed once per unique flow of the block (memoized
-        across blocks) and broadcast over the pre-computed ``flow_codes``
-        column; each returned sub-block keeps its rows in the original
-        order.  Sub-blocks are :meth:`~repro.net.block.PacketBlock.headers_only`
-        -- they are headed for a process boundary, and the monitor reads the
-        IP/UDP header columns alone, so no packet cache, RTP or ground-truth
-        column ever crosses it.  Shards with no packets in the block are
-        omitted.
+        Each row's shard is one gather of the block's ``flow_codes`` through
+        the shards of its flow table (cached across blocks that share one;
+        only a code not met before is hashed); each returned sub-block keeps
+        its rows in the original order and shares the block's side tables --
+        what crosses a process boundary is decided by the forward link's
+        codec, which ships a flow's key once per link.  Sub-blocks are
+        :meth:`~repro.net.block.PacketBlock.headers_only` -- the monitor reads
+        the IP/UDP header columns alone, so no packet cache, RTP or
+        ground-truth column ever crosses it.  Shards with no packets in the
+        block are omitted.
         """
         n = len(block)
         if n == 0:
             return []
         block = block.headers_only()
-        # Hash only the flows *present* in this block: a chunk sliced from a
-        # whole-capture block shares the capture-wide flow table, and
-        # iterating all of it per chunk would be O(total flows ever seen).
-        present = np.unique(block.flow_codes)
-        present_shards = np.fromiter(
-            (self.shard_of_key(block.flows[code]) for code in present.tolist()),
-            dtype=np.int64,
-            count=len(present),
-        )
-        if self.n_shards == 1 or len(np.unique(present_shards)) == 1:
-            return [(int(present_shards[0]), block.compact())]
-        per_packet = present_shards[np.searchsorted(present, block.flow_codes)]
+        if self.n_shards == 1:
+            return [(0, block)]
+        per_row = self._row_shards(block)
+        first = int(per_row[0])
+        if bool((per_row == first).all()):
+            return [(first, block)]
         return [
-            (int(shard), block.take(np.flatnonzero(per_packet == shard)).compact())
-            for shard in np.unique(per_packet).tolist()
+            (shard, block.take(np.flatnonzero(per_row == shard)))
+            for shard in np.unique(per_row).tolist()
         ]
+
+    def _row_shards(self, block: PacketBlock) -> np.ndarray:
+        """The shard of every row of ``block``: a gather over its flow codes."""
+        if block.flows is not self._table:
+            self._table = block.flows
+            self._table_shards = np.full(len(block.flows), -1, dtype=np.int64)
+        shards = self._table_shards
+        per_row = shards[block.flow_codes]
+        if per_row.min() < 0:
+            flows = block.flows
+            missed = np.unique(block.flow_codes[per_row < 0]).tolist()
+            shards[missed] = [self.shard_of_key(flows[code]) for code in missed]
+            per_row = shards[block.flow_codes]
+        return per_row

@@ -17,8 +17,8 @@ queues; with the shared-memory transport the *payloads* in both directions
 ride :class:`~repro.cluster.shm.BlockRing` segments and the queues carry
 only slot tokens)::
 
-    parent -> worker:  ("block", PacketBlock)          one routed sub-block, pickled
-                       ("shm",)                        one ring slot (>= 1 routed sub-blocks)
+    parent -> worker:  ("block", bytearray)            one routed sub-block's segment, pickled
+                       ("shm",)                        one ring slot (>= 1 segments)
                        ("stop",)                       end of source
     worker -> parent:  ("progress", shard_id, [StreamEstimate], low_watermark, load)
                        ("est", shard_id, load)         one return-ring slot (>= 1 tick batches)
@@ -31,20 +31,30 @@ watermark-bearing message so the parent has a mid-run load signal
 (terminal ``done`` stats carry the final reading).
 
 The :class:`~repro.net.block.PacketBlock` is the only data unit a worker
-receives.  A ``("block", ...)`` message pickles it as a handful of NumPy
-array buffers plus small side tables: all of ``transport="block"``, and
-``transport="shm"``'s fallback for a single row that outsizes a slot.
-Either way the block is header-only (the router strips every other column),
-so the worker receives IP/UDP header fields and nothing else.
-A ``("shm",)`` token instead announces a ring slot the parent flat-encoded
-routed blocks into (several per slot behind length-prefixed segment
-headers): the worker decodes zero-copy array views over it, consumes all of
-them as one inference tick, and only then releases the slot.  The
-return direction mirrors it: with a return ring, per-tick estimate batches
-are flat-encoded (:class:`~repro.net.estwire.EstimateBatch`) into it and
-announced with ``("est", shard_id)`` tokens; without one they ride pickled
-``progress`` messages.  Both transports produce bit-identical estimates in
-identical order (pinned by ``tests/cluster/``).
+receives, and it always arrives as a **segment of the shard's forward
+link**: the block's IP/UDP header columns, with addresses and flows coded
+against the link table, plus the table entries new to the link (a
+:class:`~repro.net.block.LinkEncoder` on the parent side, one
+:class:`~repro.net.block.LinkDecoder` here).  A flow's key crosses the link
+once, so the worker builds each :class:`~repro.net.flows.FlowKey` once, and
+every block it decodes between two table resets shares one ``flows`` /
+``addresses`` pair, which ``PacketBlock.concat`` joins without re-interning.
+Segments are decoded strictly in the order the parent coded them, whichever
+carrier brought them.  A ``("block", ...)`` message carries one segment as
+pickled bytes: all of ``transport="block"``, and ``transport="shm"``'s
+fallback for a single row whose table delta outsizes a slot.  A
+``("shm",)`` token instead announces a ring slot the parent wrote segments
+into (several per slot behind length-prefixed segment headers): the worker
+decodes zero-copy array views over it, consumes all of them as one
+inference tick, and only then releases the slot.  Either way the block is
+header-only (the router strips every other column), so the worker receives
+IP/UDP header fields and nothing else.
+
+The return direction mirrors the carriers: with a return ring, per-tick
+estimate batches are flat-encoded (:class:`~repro.net.estwire.EstimateBatch`)
+into it and announced with ``("est", shard_id)`` tokens; without one they
+ride pickled ``progress`` messages.  Both transports produce bit-identical
+estimates in identical order (pinned by ``tests/cluster/``).
 
 The worker's output protocol is linear by construction:
 ``(progress|est)* -> done | error``.  :class:`_WorkerChannel` enforces
@@ -107,7 +117,7 @@ from repro.core.config import PipelineConfig
 from repro.core.pipeline import QoEPipeline
 from repro.core.streaming import StreamingQoEPipeline
 from repro.monitor import IdleEvictionSchedule
-from repro.net.block import PacketBlock
+from repro.net.block import LinkDecoder, PacketBlock
 from repro.net.estwire import EstimateBatch
 from repro.obs.config import ObsConfig
 from repro.obs.registry import MetricsRegistry, ingest_transport_stats
@@ -349,6 +359,9 @@ def shard_worker_main(
         n_ticks = 0
         n_sub_blocks = 0
         evicted_keys: set = set()
+        # The receiving end of the forward link: both carriers' segments are
+        # coded against this one table, in the order they are received.
+        link = LinkDecoder()
 
         def consume(blocks: list[PacketBlock]) -> None:
             """One forward message: everything it carries, as one inference tick.
@@ -407,7 +420,7 @@ def shard_worker_main(
                 # full), which is exactly when a larger tick pays.
                 segments = ring.pop_segments()
                 try:
-                    consume([PacketBlock.read_from(segment) for segment in segments])
+                    consume(link.decode(segments))
                 finally:
                     # Consumed: push_block copied everything it keeps, the
                     # stream clock is a scalar, and the decoded blocks (a
@@ -417,7 +430,7 @@ def shard_worker_main(
                     segments = None
                     ring.release()
             elif kind == "block":
-                consume([message[1]])
+                consume(link.decode([message[1]]))
             else:  # pragma: no cover - protocol guard
                 raise RuntimeError(f"unknown parent message {kind!r}")
         final_load = engine.load_stats()

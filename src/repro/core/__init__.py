@@ -21,50 +21,35 @@ resolution binning (:mod:`repro.core.resolution`), the evaluation protocol
 (:mod:`repro.core.streaming`).
 """
 
-from repro.core.config import PipelineConfig
-from repro.core.estimators import IPUDPMLEstimator, RTPMLEstimator
-from repro.core.features import (
-    IPUDP_FEATURE_NAMES,
-    RTP_FEATURE_NAMES,
-    IPUDPFeatureAccumulator,
-    extract_ipudp_features,
-    extract_rtp_features,
-)
-from repro.core.frame_assembly import FrameAssembler, assemble_frames
-from repro.core.heuristic import IPUDPHeuristic
-from repro.core.media import (
-    MediaClassificationAccumulator,
-    MediaClassificationReport,
-    MediaClassifier,
-)
-from repro.core.pipeline import QoEPipeline, PipelineEstimate
-from repro.core.resolution import ResolutionBinner, TEAMS_RESOLUTION_BINS
-from repro.core.rtp_heuristic import RTPHeuristic
-from repro.core.streaming import StreamEstimate, StreamingQoEPipeline
-from repro.core.windows import WindowedTrace, window_trace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "MediaClassifier",
-    "MediaClassificationReport",
-    "MediaClassificationAccumulator",
-    "FrameAssembler",
-    "assemble_frames",
-    "IPUDPHeuristic",
-    "RTPHeuristic",
-    "IPUDPMLEstimator",
-    "RTPMLEstimator",
-    "extract_ipudp_features",
-    "extract_rtp_features",
-    "IPUDPFeatureAccumulator",
-    "IPUDP_FEATURE_NAMES",
-    "RTP_FEATURE_NAMES",
-    "WindowedTrace",
-    "window_trace",
-    "ResolutionBinner",
-    "TEAMS_RESOLUTION_BINS",
-    "QoEPipeline",
-    "PipelineEstimate",
-    "PipelineConfig",
-    "StreamingQoEPipeline",
-    "StreamEstimate",
-]
+#: Each public name and the module defining it, imported on first access.
+_EXPORTS = {
+    "MediaClassifier": "repro.core.media",
+    "MediaClassificationReport": "repro.core.media",
+    "MediaClassificationAccumulator": "repro.core.media",
+    "FrameAssembler": "repro.core.frame_assembly",
+    "assemble_frames": "repro.core.frame_assembly",
+    "IPUDPHeuristic": "repro.core.heuristic",
+    "RTPHeuristic": "repro.core.rtp_heuristic",
+    "IPUDPMLEstimator": "repro.core.estimators",
+    "RTPMLEstimator": "repro.core.estimators",
+    "extract_ipudp_features": "repro.core.features",
+    "extract_rtp_features": "repro.core.features",
+    "IPUDPFeatureAccumulator": "repro.core.features",
+    "IPUDP_FEATURE_NAMES": "repro.core.features",
+    "RTP_FEATURE_NAMES": "repro.core.features",
+    "WindowedTrace": "repro.core.windows",
+    "window_trace": "repro.core.windows",
+    "ResolutionBinner": "repro.core.resolution",
+    "TEAMS_RESOLUTION_BINS": "repro.core.resolution",
+    "QoEPipeline": "repro.core.pipeline",
+    "PipelineEstimate": "repro.core.pipeline",
+    "PipelineConfig": "repro.core.config",
+    "StreamingQoEPipeline": "repro.core.streaming",
+    "StreamEstimate": "repro.core.streaming",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -42,7 +43,9 @@ from repro.core.media import MediaClassifier
 from repro.core.windows import match_windows_to_ground_truth
 from repro.net.trace import PacketTrace
 from repro.webrtc.profiles import VCAProfile, get_profile
-from repro.webrtc.session import CallResult
+
+if TYPE_CHECKING:  # the simulator is training-side only: a deployed pipeline never loads it
+    from repro.webrtc.session import CallResult
 
 __all__ = ["PipelineEstimate", "QoEPipeline", "PIPELINE_FORMAT", "PIPELINE_FORMAT_VERSION"]
 

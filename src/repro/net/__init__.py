@@ -8,37 +8,31 @@ objects holding timestamped :class:`repro.net.packet.Packet` records, and
 traces can be persisted to / loaded from standard libpcap files.
 """
 
-from repro.net.block import PacketBlock, blocks_from_packets
-from repro.net.flows import FlowKey, FlowTable, five_tuple
-from repro.net.headers import (
-    ETHERNET_HEADER_LEN,
-    IPV4_HEADER_MIN_LEN,
-    UDP_HEADER_LEN,
-    decode_ethernet_ipv4_udp,
-    encode_ethernet_ipv4_udp,
-)
-from repro.net.packet import IPv4Header, Packet, UDPHeader
-from repro.net.pcap import PcapReader, PcapWriter, read_pcap, write_pcap
-from repro.net.trace import PacketTrace, TraceStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Packet",
-    "IPv4Header",
-    "UDPHeader",
-    "PacketBlock",
-    "blocks_from_packets",
-    "PacketTrace",
-    "TraceStats",
-    "PcapReader",
-    "PcapWriter",
-    "read_pcap",
-    "write_pcap",
-    "FlowKey",
-    "FlowTable",
-    "five_tuple",
-    "decode_ethernet_ipv4_udp",
-    "encode_ethernet_ipv4_udp",
-    "ETHERNET_HEADER_LEN",
-    "IPV4_HEADER_MIN_LEN",
-    "UDP_HEADER_LEN",
-]
+#: Each public name and the module defining it, imported on first access.
+_EXPORTS = {
+    "Packet": "repro.net.packet",
+    "IPv4Header": "repro.net.packet",
+    "UDPHeader": "repro.net.packet",
+    "PacketBlock": "repro.net.block",
+    "blocks_from_packets": "repro.net.block",
+    "PacketTrace": "repro.net.trace",
+    "TraceStats": "repro.net.trace",
+    "PcapReader": "repro.net.pcap",
+    "PcapWriter": "repro.net.pcap",
+    "read_pcap": "repro.net.pcap",
+    "write_pcap": "repro.net.pcap",
+    "FlowKey": "repro.net.flows",
+    "FlowTable": "repro.net.flows",
+    "five_tuple": "repro.net.flows",
+    "decode_ethernet_ipv4_udp": "repro.net.headers",
+    "encode_ethernet_ipv4_udp": "repro.net.headers",
+    "ETHERNET_HEADER_LEN": "repro.net.headers",
+    "IPV4_HEADER_MIN_LEN": "repro.net.headers",
+    "UDP_HEADER_LEN": "repro.net.headers",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import struct
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Iterator
 
 import numpy as np
@@ -48,7 +48,7 @@ from repro.net.flows import FlowKey
 from repro.net.media import MediaType
 from repro.net.packet import RTP_FIXED_HEADER_LEN, IPv4Header, Packet, UDPHeader
 
-__all__ = ["PacketBlock", "blocks_from_packets"]
+__all__ = ["LinkDecoder", "LinkEncoder", "PacketBlock", "blocks_from_packets"]
 
 #: Stable media-type coding for the optional ground-truth column (-1 = None).
 _MEDIA_ORDER: tuple[MediaType, ...] = tuple(MediaType)
@@ -56,26 +56,40 @@ _MEDIA_CODE = {media: code for code, media in enumerate(_MEDIA_ORDER)}
 
 # -- flat-buffer codec layout (the shared-memory wire format) ------------------
 #
-# A block encodes into one contiguous little-endian buffer:
+# A block travels as a *segment* of a link: it is coded against the link
+# table, the addresses and flow keys the receiving end already holds (see
+# :class:`LinkEncoder` / :class:`LinkDecoder`).  One contiguous
+# little-endian buffer:
 #
-#   header | meta JSON | column 0 | column 1 | ... | column 10
+#   header | table delta (JSON) | column 0 | column 1 | ... | column 10
 #
-# where the header is ``_CODEC_HEADER`` (magic, version, row count, meta
-# length), the meta blob is the interned side tables (addresses + flow keys)
-# as compact JSON, and every section is padded to an 8-byte boundary so each
-# column lands aligned for its dtype and ``read_from`` can hand out zero-copy
+# The header is ``_CODEC_HEADER`` (magic, version, flags, row count, delta
+# length).  The delta lists the table entries new to the link -- addresses,
+# then flows as ``[src, src_port, dst, dst_port, protocol]`` with ``src`` and
+# ``dst`` as link address codes -- and is empty (length 0, no JSON at all)
+# when the link already holds every flow of the block, which on a long-lived
+# link is nearly always.  The code columns index the link table.  The
+# ``_RESET`` flag tells the receiver to clear its table before applying the
+# delta: a link's first segment carries it, and so does the first one after
+# the sender restarts a full table.  A self-contained block (``write_into`` /
+# ``read_from``) is a one-segment link: reset, with every entry its rows use
+# and no other.  Every section is padded to an 8-byte boundary so each
+# column lands aligned for its dtype and decoding hands out zero-copy
 # ``np.frombuffer`` views.  The columns are the IP/UDP header fields only:
 # annotated blocks are refused (strip them with ``headers_only()``), so a
 # round trip can never silently lose a column.  In-host only -- nothing
-# persisted uses this layout, so a format change is a version bump and nothing more.
+# persisted uses this layout, so a format change is a version bump and
+# nothing more.
 
 _CODEC_MAGIC = b"PBK1"
-_CODEC_VERSION = 2
-#: magic, version, 2 pad bytes, n_rows, meta_len (24 bytes, itself 8-aligned).
-_CODEC_HEADER = struct.Struct("<4sHxxqq")
+_CODEC_VERSION = 3
+#: magic, version, flags, n_rows, delta_len (24 bytes, itself 8-aligned).
+_CODEC_HEADER = struct.Struct("<4sHHqq")
+#: Header flag: the receiver clears its link table before applying the delta.
+_RESET = 1
 
 #: Explicit little-endian dtypes, shared by the wire sections below and the
-#: in-memory column constructions (``from_packets``/``concat``/``compact``):
+#: in-memory column constructions (``from_packets``/``concat``):
 #: one definition means "wire dtypes equal from_packets dtypes" holds by
 #: construction, not by little-endian-host coincidence (CODEC001).
 _F8 = np.dtype("<f8")
@@ -105,6 +119,15 @@ _CODEC_COLUMNS: tuple[tuple[str, np.dtype], ...] = (
 def _pad8(n: int) -> int:
     """Round ``n`` up to the next multiple of 8 (section alignment)."""
     return (n + 7) & ~7
+
+
+def _column_bytes(n: int) -> int:
+    """Wire size of ``n`` rows' numeric columns, padding included."""
+    return sum(_pad8(n * dtype.itemsize) for _, dtype in _CODEC_COLUMNS)
+
+
+#: A committed segment: its size in bytes and the callable that writes it.
+Segment = tuple[int, Callable[[memoryview], int]]
 
 
 class _BlockRow:
@@ -179,7 +202,7 @@ class PacketBlock:
         "media_codes",
         "frame_ids",
         "_packets",
-        "_meta_cache",
+        "_wire",
     )
 
     def __init__(
@@ -219,9 +242,9 @@ class PacketBlock:
         self.media_codes = media_codes
         self.frame_ids = frame_ids
         self._packets = _packets
-        # Lazily-encoded codec side tables (blocks are immutable, so the
-        # bytes can be computed once and shared by byte_size/write_into).
-        self._meta_cache: bytes | None = None
+        # The lazily-encoded self-contained segment (blocks are immutable, so
+        # it is computed once and shared by byte_size/write_into).
+        self._wire: Segment | None = None
 
     # -- construction ----------------------------------------------------------
 
@@ -331,38 +354,26 @@ class PacketBlock:
 
         Row order is the concatenation order; the merged side tables keep
         first-seen order across blocks, so codes stay dense and stable.
+        Blocks that share one ``flows`` and one ``addresses`` table (those a
+        :class:`LinkDecoder` decodes between two resets) already agree on
+        every code: their columns are joined as they are, and the result
+        shares the tables too -- the same block re-interning would build.
         """
         blocks = list(blocks)
         if not blocks:
             return cls.from_packets([])
         if len(blocks) == 1:
             return blocks[0]
-        addr_codes: dict[str, int] = {}
-        flow_table: dict[tuple, int] = {}
-        flow_keys: list[FlowKey] = []
-        addr_maps: list[np.ndarray] = []
-        flow_maps: list[np.ndarray] = []
-        for block in blocks:
-            addr_maps.append(
-                np.array(
-                    [addr_codes.setdefault(addr, len(addr_codes)) for addr in block.addresses],
-                    dtype=_I4,
-                )
-            )
-            remap = np.empty(len(block.flows), dtype=_I4)
-            for local, flow in enumerate(block.flows):
-                # Resolve via the merged address table (flow addresses are
-                # guaranteed to be in the block's own table).
-                src = addr_codes[flow.src]
-                dst = addr_codes[flow.dst]
-                composite = (src, flow.src_port, dst, flow.dst_port, flow.protocol)
-                code = flow_table.get(composite)
-                if code is None:
-                    code = len(flow_table)
-                    flow_table[composite] = code
-                    flow_keys.append(flow)
-                remap[local] = code
-            flow_maps.append(remap)
+        first = blocks[0]
+        if all(b.flows is first.flows and b.addresses is first.addresses for b in blocks):
+            # One shared table -- the blocks a LinkDecoder hands out, or
+            # slices of one block: the codes already agree, nothing to re-intern.
+            addresses, flows = first.addresses, first.flows
+            src_codes = np.concatenate([b.src_codes for b in blocks])
+            dst_codes = np.concatenate([b.dst_codes for b in blocks])
+            flow_codes = np.concatenate([b.flow_codes for b in blocks])
+        else:
+            addresses, flows, src_codes, dst_codes, flow_codes = cls._reinterned(blocks)
 
         def cat(name: str) -> np.ndarray:
             return np.concatenate([getattr(b, name) for b in blocks])
@@ -402,27 +413,60 @@ class PacketBlock:
         return cls(
             timestamps=cat("timestamps"),
             sizes=cat("sizes"),
-            src_codes=np.concatenate(
-                [m[b.src_codes] for b, m in zip(blocks, addr_maps)]
-            ),
-            dst_codes=np.concatenate(
-                [m[b.dst_codes] for b, m in zip(blocks, addr_maps)]
-            ),
+            src_codes=src_codes,
+            dst_codes=dst_codes,
             src_ports=cat("src_ports"),
             dst_ports=cat("dst_ports"),
             protocols=cat("protocols"),
             ttls=cat("ttls"),
             total_lengths=cat("total_lengths"),
             udp_lengths=cat("udp_lengths"),
-            flow_codes=np.concatenate(
-                [m[b.flow_codes] for b, m in zip(blocks, flow_maps)]
-            ),
-            addresses=tuple(addr_codes),
-            flows=tuple(flow_keys),
+            flow_codes=flow_codes,
+            addresses=addresses,
+            flows=flows,
             rtp=rtp,
             media_codes=media_codes,
             frame_ids=frame_ids,
             _packets=packets,
+        )
+
+    @staticmethod
+    def _reinterned(
+        blocks: Sequence["PacketBlock"],
+    ) -> tuple[tuple[str, ...], tuple[FlowKey, ...], np.ndarray, np.ndarray, np.ndarray]:
+        """Merged side tables (first-seen order) and the remapped code columns."""
+        addr_codes: dict[str, int] = {}
+        flow_table: dict[tuple, int] = {}
+        flow_keys: list[FlowKey] = []
+        addr_maps: list[np.ndarray] = []
+        flow_maps: list[np.ndarray] = []
+        for block in blocks:
+            addr_maps.append(
+                np.array(
+                    [addr_codes.setdefault(addr, len(addr_codes)) for addr in block.addresses],
+                    dtype=_I4,
+                )
+            )
+            remap = np.empty(len(block.flows), dtype=_I4)
+            for local, flow in enumerate(block.flows):
+                # Resolve via the merged address table (flow addresses are
+                # guaranteed to be in the block's own table).
+                src = addr_codes[flow.src]
+                dst = addr_codes[flow.dst]
+                composite = (src, flow.src_port, dst, flow.dst_port, flow.protocol)
+                code = flow_table.get(composite)
+                if code is None:
+                    code = len(flow_table)
+                    flow_table[composite] = code
+                    flow_keys.append(flow)
+                remap[local] = code
+            flow_maps.append(remap)
+        return (
+            tuple(addr_codes),
+            tuple(flow_keys),
+            np.concatenate([m[b.src_codes] for b, m in zip(blocks, addr_maps)]),
+            np.concatenate([m[b.dst_codes] for b, m in zip(blocks, addr_maps)]),
+            np.concatenate([m[b.flow_codes] for b, m in zip(blocks, flow_maps)]),
         )
 
     # -- container protocol ----------------------------------------------------
@@ -478,49 +522,6 @@ class PacketBlock:
             media_codes=self.media_codes[indices] if self.media_codes is not None else None,
             frame_ids=self.frame_ids[indices] if self.frame_ids is not None else None,
             _packets=packets,
-        )
-
-    def compact(self) -> "PacketBlock":
-        """Re-intern the side tables to the rows actually present.
-
-        Slices share their parent's ``flows`` / ``addresses`` tables, which
-        is ideal in-process (O(1) slicing) but wrong for the wire: a chunk
-        sliced from a whole-capture block would otherwise ship the entire
-        capture's flow-key table with every message.  ``compact`` rebuilds
-        dense tables covering only this block's rows and remaps the code
-        columns; a block whose tables are already dense is returned as-is.
-        """
-        n = len(self.timestamps)
-        flow_present = np.unique(self.flow_codes) if n else np.empty(0, dtype=_I8)
-        addr_present = (
-            np.unique(np.concatenate((self.src_codes, self.dst_codes)))
-            if n
-            else np.empty(0, dtype=_I8)
-        )
-        if len(flow_present) == len(self.flows) and len(addr_present) == len(self.addresses):
-            return self
-        flow_map = np.zeros(len(self.flows) + 1, dtype=_I4)
-        flow_map[flow_present] = np.arange(len(flow_present), dtype=_I4)
-        addr_map = np.zeros(len(self.addresses) + 1, dtype=_I4)
-        addr_map[addr_present] = np.arange(len(addr_present), dtype=_I4)
-        return PacketBlock(
-            timestamps=self.timestamps,
-            sizes=self.sizes,
-            src_codes=addr_map[self.src_codes],
-            dst_codes=addr_map[self.dst_codes],
-            src_ports=self.src_ports,
-            dst_ports=self.dst_ports,
-            protocols=self.protocols,
-            ttls=self.ttls,
-            total_lengths=self.total_lengths,
-            udp_lengths=self.udp_lengths,
-            flow_codes=flow_map[self.flow_codes],
-            addresses=tuple(self.addresses[i] for i in addr_present.tolist()),
-            flows=tuple(self.flows[i] for i in flow_present.tolist()),
-            rtp=self.rtp,
-            media_codes=self.media_codes,
-            frame_ids=self.frame_ids,
-            _packets=self._packets,
         )
 
     def headers_only(self) -> "PacketBlock":
@@ -655,20 +656,6 @@ class PacketBlock:
 
     # -- flat-buffer codec (the shared-memory wire format) ---------------------
 
-    def _codec_meta(self) -> bytes:
-        """The interned side tables as a compact JSON blob (cached)."""
-        if self._meta_cache is None:
-            self._meta_cache = json.dumps(
-                {
-                    "addresses": list(self.addresses),
-                    "flows": [
-                        [f.src, f.src_port, f.dst, f.dst_port, f.protocol] for f in self.flows
-                    ],
-                },
-                separators=(",", ":"),
-            ).encode()
-        return self._meta_cache
-
     def _codec_check(self) -> None:
         if self._annotated:
             raise ValueError(
@@ -676,41 +663,30 @@ class PacketBlock:
                 "strip RTP / ground-truth columns with headers_only() first"
             )
 
+    def _self_contained(self) -> Segment:
+        """This block as a one-segment link (cached)."""
+        if self._wire is None:
+            self._wire = LinkEncoder().encode(self)
+        return self._wire
+
     def byte_size(self) -> int:
         """Encoded size of this block in the flat-buffer layout, in bytes.
 
+        Self-contained: the side-table delta carries the addresses and flows
+        this block's rows use, not every entry of a table it shares.
         Raises :class:`ValueError` for a block that still carries an
         annotation column (see :meth:`headers_only`).
         """
-        self._codec_check()
-        n = len(self.timestamps)
-        size = _CODEC_HEADER.size + _pad8(len(self._codec_meta()))
-        for _, dtype in _CODEC_COLUMNS:
-            size += _pad8(n * dtype.itemsize)
-        return size
+        return self._self_contained()[0]
 
     def write_into(self, buf: memoryview) -> int:
         """Encode this block into ``buf``; returns the bytes written.
 
-        The layout is the module's flat-buffer codec: a fixed header, the
-        side tables as JSON, then each numeric column 8-aligned.  ``buf``
-        must be writable and at least :meth:`byte_size` bytes long.
+        The layout is the module's flat-buffer codec, as the first segment of
+        a fresh link: ``read_from`` decodes it on its own.  ``buf`` must be
+        writable and at least :meth:`byte_size` bytes long.
         """
-        total = self.byte_size()
-        n = len(self.timestamps)
-        meta = self._codec_meta()
-        mv = memoryview(buf)
-        if len(mv) < total:
-            raise ValueError(f"buffer too small: need {total} bytes, have {len(mv)}")
-        _CODEC_HEADER.pack_into(mv, 0, _CODEC_MAGIC, _CODEC_VERSION, n, len(meta))
-        offset = _CODEC_HEADER.size
-        mv[offset : offset + len(meta)] = meta
-        offset += _pad8(len(meta))
-        for name, dtype in _CODEC_COLUMNS:
-            dest = np.frombuffer(mv, dtype=dtype, count=n, offset=offset)
-            dest[:] = getattr(self, name)
-            offset += _pad8(n * dtype.itemsize)
-        return offset
+        return self._self_contained()[1](buf)
 
     @classmethod
     def read_from(cls, buf: memoryview) -> "PacketBlock":
@@ -721,29 +697,18 @@ class PacketBlock:
         The caller owns the buffer's lifetime: the returned block (and any
         state derived from its columns by reference) must not outlive it.
         Consumers that release the buffer back to a ring must finish with the
-        block first (the engine's ``push_block`` copies what it keeps).
+        block first (the engine's ``push_block`` copies what it keeps).  A
+        segment that continues a link's table is refused: only that link's
+        :class:`LinkDecoder` can resolve its codes.
         """
         mv = memoryview(buf)
-        magic, version, n, meta_len = _CODEC_HEADER.unpack_from(mv, 0)
-        if magic != _CODEC_MAGIC:
-            raise ValueError(f"not a flat-encoded PacketBlock (magic {magic!r})")
-        if version != _CODEC_VERSION:
-            raise ValueError(f"unsupported PacketBlock codec version {version}")
-        offset = _CODEC_HEADER.size
-        meta = json.loads(bytes(mv[offset : offset + meta_len]))
-        offset += _pad8(meta_len)
-        columns: dict[str, np.ndarray] = {}
-        for name, dtype in _CODEC_COLUMNS:
-            columns[name] = np.frombuffer(mv, dtype=dtype, count=n, offset=offset)
-            offset += _pad8(n * dtype.itemsize)
-        return cls(
-            addresses=tuple(meta["addresses"]),
-            flows=tuple(
-                FlowKey(src=src, src_port=src_port, dst=dst, dst_port=dst_port, protocol=protocol)
-                for src, src_port, dst, dst_port, protocol in meta["flows"]
-            ),
-            **columns,
-        )
+        flags, _, _ = _read_header(mv)
+        if not flags & _RESET:
+            raise ValueError(
+                "not a self-contained PacketBlock: a link segment continues its "
+                "link's table; decode it with that link's LinkDecoder"
+            )
+        return LinkDecoder().decode([mv])[0]
 
     # -- pickling (the cluster wire format) ------------------------------------
 
@@ -751,7 +716,7 @@ class PacketBlock:
         """Arrays and side tables only: the packet-object cache never ships."""
         state = {name: getattr(self, name) for name in self.__slots__}
         state["_packets"] = None
-        state["_meta_cache"] = None
+        state["_wire"] = None
         # Basic slices are views into the parent block's buffers; pickling a
         # view would serialize the whole base buffer.
         for name, value in state.items():
@@ -768,6 +733,264 @@ class PacketBlock:
             f"PacketBlock(n={len(self)}, flows={len(self.flows)}, "
             f"cached_packets={self._packets is not None})"
         )
+
+
+def _read_header(mv: memoryview) -> tuple[int, int, int]:
+    """Validate a segment header: ``(flags, n_rows, delta_len)``."""
+    magic, version, flags, n, delta_len = _CODEC_HEADER.unpack_from(mv, 0)
+    if magic != _CODEC_MAGIC:
+        raise ValueError(f"not a flat-encoded PacketBlock (magic {magic!r})")
+    if version != _CODEC_VERSION:
+        raise ValueError(f"unsupported PacketBlock codec version {version}")
+    return flags, n, delta_len
+
+
+def _segment_writer(
+    size: int, flags: int, delta: bytes, columns: list[np.ndarray]
+) -> Callable[[memoryview], int]:
+    """The ``write_into`` of one committed segment."""
+
+    def write_into(buf: memoryview) -> int:
+        mv = memoryview(buf)
+        if len(mv) < size:
+            raise ValueError(f"buffer too small: need {size} bytes, have {len(mv)}")
+        n = len(columns[0])
+        _CODEC_HEADER.pack_into(mv, 0, _CODEC_MAGIC, _CODEC_VERSION, flags, n, len(delta))
+        offset = _CODEC_HEADER.size
+        mv[offset : offset + len(delta)] = delta
+        offset += _pad8(len(delta))
+        for (_, dtype), column in zip(_CODEC_COLUMNS, columns):
+            dest = np.frombuffer(mv, dtype=dtype, count=n, offset=offset)
+            dest[:] = column
+            offset += _pad8(n * dtype.itemsize)
+        return offset
+
+    return write_into
+
+
+class LinkEncoder:
+    """The sending end of one link: the side tables its receiver holds.
+
+    A link is an ordered stream of segments to one :class:`LinkDecoder`
+    (the sharded monitor keeps one per worker).  Its address and flow tables
+    are append-only and mirror the decoder's, so a segment ships only the
+    entries new to the link -- for a long-lived flow, once -- and a flow's
+    :class:`~repro.net.flows.FlowKey` is built once at the receiving end, not
+    once per block.  Lookups are cached as arrays over the *source* block's
+    tables (the last ones seen; chunks sliced from one capture-wide block
+    all share them), so coding a block is three array gathers, and a dict
+    lookup runs only for a source code the cache has not met yet.  With
+    ``max_flows`` the table restarts once it holds that many flows, so its
+    size stays bounded on an endless stream; the next segment carries the
+    reset flag.
+    """
+
+    def __init__(self, max_flows: int | None = None) -> None:
+        if max_flows is not None and max_flows < 1:
+            raise ValueError(f"max_flows must be >= 1, got {max_flows!r}")
+        self.max_flows = max_flows
+        self._addresses: dict[str, int] = {}
+        self._flows: dict[FlowKey, int] = {}
+        #: Whether the next segment must tell the receiver to start afresh.
+        self._reset = True
+        self._source_addresses: tuple[str, ...] | None = None
+        self._source_flows: tuple[FlowKey, ...] | None = None
+        #: Link code of each source address / flow code (-1: not looked up).
+        self._addr_map = np.empty(0, dtype=_I4)
+        self._flow_map = np.empty(0, dtype=_I4)
+
+    def __len__(self) -> int:
+        """Flows in the link table."""
+        return len(self._flows)
+
+    def _restart(self) -> None:
+        self._addresses = {}
+        self._flows = {}
+        self._reset = True
+        self._addr_map.fill(-1)
+        self._flow_map.fill(-1)
+
+    def encode(self, block: PacketBlock) -> Segment:
+        """Code ``block`` as the link's next segment: ``(size, write_into)``.
+
+        Commits the segment -- the table now holds its entries -- so it must
+        reach the receiver, after every segment committed before it and
+        before any committed after.  Raises :class:`ValueError` for a block
+        that still carries an annotation column (see ``headers_only()``).
+        """
+        segment = self.encode_within(block, None)
+        if segment is None:  # pragma: no cover - an unbounded segment always commits
+            raise RuntimeError("unbounded encode returned no segment")
+        return segment
+
+    def encode_within(self, block: PacketBlock, max_bytes: int | None) -> Segment | None:
+        """:meth:`encode`, unless the segment would exceed ``max_bytes``.
+
+        A segment that would be larger is not committed and ``None`` is
+        returned: split the block, or carry it some other way.
+        """
+        block._codec_check()
+        if self.max_flows is not None and len(self._flows) >= self.max_flows:
+            self._restart()
+        if block.flows is not self._source_flows or block.addresses is not self._source_addresses:
+            self._source_flows = block.flows
+            self._source_addresses = block.addresses
+            self._addr_map = np.full(len(block.addresses), -1, dtype=_I4)
+            self._flow_map = np.full(len(block.flows), -1, dtype=_I4)
+        src = self._addr_map[block.src_codes]
+        dst = self._addr_map[block.dst_codes]
+        codes = self._flow_map[block.flow_codes]
+        delta = b""
+        commit: Callable[[], None] | None = None
+        if len(block) and min(int(src.min()), int(dst.min()), int(codes.min())) < 0:
+            delta, commit = self._delta(block, src, dst, codes)
+        size = _CODEC_HEADER.size + _pad8(len(delta)) + _column_bytes(len(block))
+        if max_bytes is not None and size > max_bytes:
+            return None
+        if commit is not None:
+            commit()
+            src = self._addr_map[block.src_codes]
+            dst = self._addr_map[block.dst_codes]
+            codes = self._flow_map[block.flow_codes]
+        flags = _RESET if self._reset else 0
+        self._reset = False
+        columns = [
+            block.timestamps,
+            block.sizes,
+            src,
+            dst,
+            block.src_ports,
+            block.dst_ports,
+            block.protocols,
+            block.ttls,
+            block.total_lengths,
+            block.udp_lengths,
+            codes,
+        ]
+        return size, _segment_writer(size, flags, delta, columns)
+
+    def _delta(
+        self, block: PacketBlock, src: np.ndarray, dst: np.ndarray, codes: np.ndarray
+    ) -> tuple[bytes, Callable[[], None]]:
+        """The entries ``block`` adds to the link, and how to commit them.
+
+        Returns the delta bytes and a callable that adds the new entries to
+        the table and records the link code of every source code the cache
+        missed; nothing changes until it is called.  New entries take
+        source-code order, so a block that owns dense tables keeps its codes
+        through a self-contained round trip.
+        """
+        known = self._addresses
+        new_addresses: dict[str, int] = {}
+
+        def address_code(address: str) -> int:
+            code = known.get(address)
+            if code is None:
+                code = new_addresses.setdefault(address, len(known) + len(new_addresses))
+            return code
+
+        missed = np.concatenate((block.src_codes[src < 0], block.dst_codes[dst < 0]))
+        addr_links = {
+            code: address_code(block.addresses[code]) for code in np.unique(missed).tolist()
+        }
+        new_flows: dict[FlowKey, int] = {}
+        flow_links: dict[int, int] = {}
+        for code in np.unique(block.flow_codes[codes < 0]).tolist():
+            flow = block.flows[code]
+            link = self._flows.get(flow)
+            if link is None:
+                link = new_flows.setdefault(flow, len(self._flows) + len(new_flows))
+            flow_links[code] = link
+        entries = [
+            [address_code(f.src), f.src_port, address_code(f.dst), f.dst_port, f.protocol]
+            for f in new_flows
+        ]
+        delta = b""
+        if new_addresses or entries:
+            delta = json.dumps(
+                {"addresses": list(new_addresses), "flows": entries}, separators=(",", ":")
+            ).encode()
+
+        def commit() -> None:
+            self._addresses.update(new_addresses)
+            self._flows.update(new_flows)
+            self._addr_map[list(addr_links)] = list(addr_links.values())
+            self._flow_map[list(flow_links)] = list(flow_links.values())
+
+        return delta, commit
+
+
+class LinkDecoder:
+    """The receiving end of one link: the table its segments are coded against.
+
+    Applies each segment's table delta in segment order and hands every
+    block the link's tables as shared tuples: the blocks decoded between two
+    resets all carry the same ``flows`` / ``addresses`` objects, so
+    :meth:`PacketBlock.concat` joins them without re-interning.
+    """
+
+    def __init__(self) -> None:
+        self._addresses: list[str] = []
+        self._flows: list[FlowKey] = []
+        self._tables: tuple[tuple[str, ...], tuple[FlowKey, ...]] = ((), ())
+        self._stale = False
+
+    def __len__(self) -> int:
+        """Flows in the link table."""
+        return len(self._flows)
+
+    def decode(self, segments: Iterable[memoryview | bytes | bytearray]) -> list[PacketBlock]:
+        """Decode consecutive segments of the link, in order, zero-copy.
+
+        Codes only ever append until a reset, so every block up to the next
+        reset is handed the tables as they stand after that run's last delta.
+        The columns are views over the segments: the caller keeps the buffers
+        alive for as long as the blocks.
+        """
+        blocks: list[PacketBlock] = []
+        run: list[tuple[memoryview, int, int]] = []
+        for buf in segments:
+            mv = memoryview(buf)
+            flags, n, delta_len = _read_header(mv)
+            if flags & _RESET:
+                blocks.extend(self._blocks(run))
+                run = []
+                self._addresses = []
+                self._flows = []
+                self._stale = True
+            offset = _CODEC_HEADER.size
+            if delta_len:
+                delta = json.loads(bytes(mv[offset : offset + delta_len]))
+                addresses = self._addresses
+                addresses.extend(delta["addresses"])
+                self._flows.extend(
+                    FlowKey(
+                        src=addresses[src],
+                        src_port=src_port,
+                        dst=addresses[dst],
+                        dst_port=dst_port,
+                        protocol=protocol,
+                    )
+                    for src, src_port, dst, dst_port, protocol in delta["flows"]
+                )
+                self._stale = True
+            run.append((mv, n, offset + _pad8(delta_len)))
+        blocks.extend(self._blocks(run))
+        return blocks
+
+    def _blocks(self, run: list[tuple[memoryview, int, int]]) -> list[PacketBlock]:
+        if self._stale:
+            self._tables = (tuple(self._addresses), tuple(self._flows))
+            self._stale = False
+        addresses, flows = self._tables
+        blocks = []
+        for mv, n, offset in run:
+            columns: dict[str, np.ndarray] = {}
+            for name, dtype in _CODEC_COLUMNS:
+                columns[name] = np.frombuffer(mv, dtype=dtype, count=n, offset=offset)
+                offset += _pad8(n * dtype.itemsize)
+            blocks.append(PacketBlock(addresses=addresses, flows=flows, **columns))
+        return blocks
 
 
 def blocks_from_packets(

@@ -22,17 +22,20 @@ The per-second receiver statistics (:class:`repro.webrtc.stats.GroundTruthLog`)
 play the role of Chrome's ``webrtc-internals`` dump.
 """
 
-from repro.webrtc.profiles import VCA_PROFILES, VCAProfile, get_profile
-from repro.webrtc.session import CallResult, SessionConfig, simulate_call
-from repro.webrtc.stats import GroundTruthLog, PerSecondStats
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "VCAProfile",
-    "VCA_PROFILES",
-    "get_profile",
-    "SessionConfig",
-    "CallResult",
-    "simulate_call",
-    "GroundTruthLog",
-    "PerSecondStats",
-]
+#: Each public name and the module defining it, imported on first access.
+_EXPORTS = {
+    "VCAProfile": "repro.webrtc.profiles",
+    "VCA_PROFILES": "repro.webrtc.profiles",
+    "get_profile": "repro.webrtc.profiles",
+    "SessionConfig": "repro.webrtc.session",
+    "CallResult": "repro.webrtc.session",
+    "simulate_call": "repro.webrtc.session",
+    "GroundTruthLog": "repro.webrtc.stats",
+    "PerSecondStats": "repro.webrtc.stats",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -34,8 +34,9 @@ from repro import (
     parse_prometheus,
     render_prometheus,
 )
-from repro.cluster import shm_available
+from repro.cluster import FlowShardRouter, shm_available
 from repro.cluster.fanin import flow_sort_key
+from repro.net.flows import FlowKey
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.obs.registry import render_key
 
@@ -310,9 +311,11 @@ class TestTransportCounters:
         self.assert_mirrors_report(report, monitor)
 
     def test_queue_fallbacks_counted(self):
-        """A row whose side tables alone outsize a slot (a multi-kilobyte
+        """A row whose table delta alone outsizes a slot (a multi-kilobyte
         address: IPv4Header does not validate dotted quads) is the one block
-        the forward link pickles onto the queue; the registry counts each."""
+        the forward link pickles onto the queue; the registry counts each.
+        The address crosses each link once, so only the first such row a
+        shard receives needs the queue."""
         oversized = "10." + "9" * 2048
         packets = [
             Packet(
@@ -331,8 +334,14 @@ class TestTransportCounters:
             QoEPipeline.for_vca("teams"), packets, 2, transport="block", **kwargs
         )
         assert as_rows(sink.items) == as_rows(block_sink.items)
-        # Every row of the oversized flow leaves alone, through the queue.
-        assert report.transport["forward"]["queue_fallbacks"] == 8
+        # The first oversized row of each shard leaves alone, through the
+        # queue; later ones find the address in the link table.
+        router = FlowShardRouter(2)
+        shards = {
+            router.shard_of_key(FlowKey("192.0.2.10", 3478, oversized, 50000 + port))
+            for port in range(3)
+        }
+        assert report.transport["forward"]["queue_fallbacks"] == len(shards)
         self.assert_mirrors_report(report, monitor)
 
 

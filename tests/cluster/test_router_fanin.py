@@ -19,7 +19,7 @@ from repro.cluster.fanin import flow_sort_key
 from repro.cluster.worker import shard_worker_main
 from repro.core.pipeline import PipelineEstimate, QoEPipeline
 from repro.core.streaming import StreamEstimate, StreamingQoEPipeline
-from repro.net.block import PacketBlock
+from repro.net.block import _CODEC_HEADER, LinkDecoder, LinkEncoder, PacketBlock
 from repro.net.flows import FlowKey, five_tuple
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.sinks.base import CollectorSink
@@ -98,9 +98,23 @@ def run_worker(
     return messages
 
 
-def worker_messages(payload: str, blocks, new_flow_slack_s=None, shard_id: int = 7, config=None) -> list:
+def link_segments(blocks, max_flows=None) -> list[bytearray]:
+    """``blocks`` coded as consecutive segments of one forward link."""
+    encoder = LinkEncoder(max_flows=max_flows)
+    segments = []
+    for block in blocks:
+        size, write_into = encoder.encode(block)
+        segment = bytearray(size)
+        write_into(memoryview(segment))
+        segments.append(segment)
+    return segments
+
+
+def worker_messages(
+    payload: str, blocks, new_flow_slack_s=None, shard_id: int = 7, config=None, max_flows=None
+) -> list:
     """The queue carrier: one ``("block", ...)`` message per routed sub-block."""
-    inbound = [("block", block) for block in blocks]
+    inbound = [("block", segment) for segment in link_segments(blocks, max_flows)]
     return run_worker(payload, inbound, new_flow_slack_s, shard_id, config)
 
 
@@ -446,24 +460,19 @@ class TestMeasuredSlackThroughTheFanIn:
 class _FakeSlotRing:
     """The worker's side of a forward ring, over plain bytearrays.
 
-    ``slots`` is what the parent packed: per slot, the flat-encoded routed
-    sub-blocks that shared it.  ``release`` recycles the slot the hard way:
+    ``slots`` is what the parent packed: per slot, the routed sub-blocks that
+    shared it, coded as consecutive segments of one forward link.  ``release`` recycles the slot the hard way:
     it empties the buffers, which a ``bytearray`` refuses (``BufferError``)
     while anything decoded from it -- a block, a column, a slice of one -- is
     still alive, so a view that outlives its slot fails the run even if
     nobody reads it, and a late read would find nothing.
     """
 
-    def __init__(self, slots: list[list[PacketBlock]]) -> None:
-        self._slots = [[self._encoded(block) for block in slot] for slot in slots]
+    def __init__(self, slots: list[list[PacketBlock]], max_flows=None) -> None:
+        segments = iter(link_segments([block for slot in slots for block in slot], max_flows))
+        self._slots = [[next(segments) for _ in slot] for slot in slots]
         self._popped: list[memoryview] = []
         self.released = 0
-
-    @staticmethod
-    def _encoded(block: PacketBlock) -> bytearray:
-        buffer = bytearray(block.byte_size())
-        block.write_into(buffer)
-        return buffer
 
     def attach(self) -> "_FakeSlotRing":
         return self
@@ -485,7 +494,9 @@ class _FakeSlotRing:
         pass
 
 
-def slot_worker_messages(payload: str, blocks, per_slot: int | None, config=None) -> list:
+def slot_worker_messages(
+    payload: str, blocks, per_slot: int | None, config=None, max_flows=None
+) -> list:
     """The shm carrier over a fake forward ring.
 
     The routed sequence ``blocks`` is delivered ``per_slot`` sub-blocks to a
@@ -494,7 +505,7 @@ def slot_worker_messages(payload: str, blocks, per_slot: int | None, config=None
     """
     per_slot = per_slot or max(len(blocks), 1)
     slots = [blocks[i : i + per_slot] for i in range(0, len(blocks), per_slot)]
-    ring = _FakeSlotRing(slots)
+    ring = _FakeSlotRing(slots, max_flows)
     messages = run_worker(payload, [("shm",)] * len(slots), config=config, ring_handle=ring)
     assert ring.released == len(slots)
     return messages
@@ -598,6 +609,25 @@ class TestSlotGroupingInvariance:
         # them keeps the paused flow alive across its gap.
         unswept = self._outcome(slot_worker_messages(HEURISTIC_PAYLOAD, blocks, None))
         assert unswept["rows"] != together["rows"]
+
+    def test_link_table_resets_change_nothing(self):
+        """The forward link restarts its table at a cap (the monitor's is
+        ``SHARD_CACHE_SIZE`` flows).  At a cap of two over four flows it
+        restarts every few sub-blocks, inside slots too, and every grouping
+        gives exactly what an uncapped link gives."""
+        blocks = chunked(delivered([video_flow(5000 + i, 0.0, 6.0) for i in range(4)]), 64)
+        resets = [
+            _CODEC_HEADER.unpack_from(segment)[2] & 1
+            for segment in link_segments(blocks, max_flows=2)
+        ]
+        assert resets[0] == 1 and sum(resets) > len(blocks) // 4
+        for per_slot in self.GROUPINGS:
+            capped = slot_worker_messages(HEURISTIC_PAYLOAD, blocks, per_slot, max_flows=2)
+            uncapped = slot_worker_messages(HEURISTIC_PAYLOAD, blocks, per_slot)
+            assert self._outcome(capped) == self._outcome(uncapped)
+        assert self._outcome(
+            worker_messages(HEURISTIC_PAYLOAD, blocks, max_flows=2)
+        ) == self._outcome(worker_messages(HEURISTIC_PAYLOAD, blocks))
 
 
 class TestStreamTimeLagBound:
@@ -710,9 +740,9 @@ class TestRouterMemoizationAndBlocks:
         assert split
 
     def test_partitioned_chunks_do_not_ship_capture_wide_tables(self):
-        """A chunk sliced from a whole-capture block must compact its side
-        tables before crossing the wire: one message must not carry every
-        flow the capture ever saw."""
+        """A chunk sliced from a whole-capture block shares the capture's side
+        tables; the forward segment it is coded into must not carry them: one
+        message must not carry every flow the capture ever saw."""
         from repro.net.block import PacketBlock
 
         packets = [
@@ -724,7 +754,11 @@ class TestRouterMemoizationAndBlocks:
         chunk = capture[0:10]  # 10 packets, 10 distinct flows of the 40
         router = FlowShardRouter(4)
         for shard, sub in router.partition_block(chunk):
-            assert len(sub.flows) <= 10
-            assert len(sub.addresses) <= 11
-            for packet in sub.to_packets():
+            # The sub-block's first segment on a fresh link carries the most
+            # table entries any segment of it can.
+            (segment,) = link_segments([sub])
+            (decoded,) = LinkDecoder().decode([segment])
+            assert len(decoded.flows) <= 10
+            assert len(decoded.addresses) <= 11
+            for packet in decoded.to_packets():
                 assert router.shard_of(packet) == shard

@@ -29,7 +29,7 @@ from repro.cluster.router import FlowShardRouter
 from repro.cluster.shm import BlockRing, shm_available
 from repro.cluster.worker import _WorkerChannel
 from repro.sources.base import iter_blocks
-from repro.net.block import PacketBlock
+from repro.net.block import LinkDecoder, LinkEncoder, PacketBlock
 from repro.net.media import MediaType
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.rtp.header import RTPHeader
@@ -78,6 +78,17 @@ def assert_blocks_equal(a: PacketBlock, b: PacketBlock) -> None:
         left, right = getattr(a, name), getattr(b, name)
         assert left.dtype.itemsize == right.dtype.itemsize, name
         assert np.array_equal(left, right), name
+
+
+def assert_rows_equal(a: PacketBlock, b: PacketBlock) -> None:
+    """Same rows, whatever the side tables: codes compared by what they name."""
+    for name in _COLUMNS:
+        if name not in ("src_codes", "dst_codes", "flow_codes"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for column, table in (("src_codes", "addresses"), ("dst_codes", "addresses"), ("flow_codes", "flows")):
+        left = [getattr(a, table)[code] for code in getattr(a, column).tolist()]
+        right = [getattr(b, table)[code] for code in getattr(b, column).tolist()]
+        assert left == right, column
 
 
 def no_segment_leaked(names) -> bool:
@@ -148,7 +159,7 @@ class TestFlatBufferCodec:
 
     def test_sliced_block_encodes_its_view(self):
         block = make_block(n=64)
-        part = block[10:30].compact()
+        part = block[10:30]
         decoded = PacketBlock.read_from(memoryview(encoded(part)))
         assert_blocks_equal(part, decoded)
 
@@ -359,9 +370,10 @@ class TestShmTransportEquivalence:
 class _FakeRing:
     """The producer surface of a ``BlockRing`` with a settable free-slot count.
 
-    Decodes what it is handed, so a test reads slots back as blocks; logs
-    every slot into the shared ``events`` list the fake monitor also logs
-    queue messages into, so ordering across the two carriers is one list.
+    Decodes what it is handed with the link's one ``LinkDecoder``, so a test
+    reads slots back as blocks; logs every slot into the shared ``events``
+    list the fake monitor also logs queue messages into, so ordering across
+    the two carriers is one list (and one link table).
     """
 
     slot_bytes = 8192
@@ -372,6 +384,7 @@ class _FakeRing:
         self.free = free
         self.slots: list[list[PacketBlock]] = []
         self.timeouts: list = []
+        self.link = LinkDecoder()
 
     @property
     def max_segment_bytes(self) -> int:
@@ -384,11 +397,12 @@ class _FakeRing:
         if not self.free:
             return False
         self.free -= 1
-        slot = []
+        buffers = []
         for size, write_into in payloads:
             buf = bytearray(size)
             write_into(memoryview(buf))
-            slot.append(PacketBlock.read_from(memoryview(buf)))
+            buffers.append(buf)
+        slot = self.link.decode(buffers)
         self.slots.append(slot)
         self.events.append(("slot", len(slot)))
         return True
@@ -410,6 +424,8 @@ class _FakeMonitor(ShardedQoEMonitor):
         self._done = [False]
 
     def _send(self, worker, message) -> None:
+        if message[0] == "block":  # a queued segment of the same link
+            (message,) = [("block", block) for block in worker.ring.link.decode([message[1]])]
         self.events.append(message)
 
     def _pump_blocked_on(self, worker) -> None:
@@ -455,7 +471,11 @@ class TestSelfClockingForwardLink:
         monitor = _FakeMonitor(free=0)
         link, ring = monitor._links[0], monitor._workers[0].ring
         block = make_block(n=32)
-        fits = ring.slot_bytes // ring.segment_cost(block.byte_size())
+        # The first segment ships the block's table entries, the rest only
+        # its columns.
+        sizes = LinkEncoder()
+        first, then = (ring.segment_cost(sizes.encode(block)[0]) for _ in range(2))
+        fits = 1 + (ring.slot_bytes - first) // then
         assert fits >= 2
         for _ in range(fits):
             link.add(block)
@@ -483,7 +503,9 @@ class TestSelfClockingForwardLink:
         oversized = make_block(n=1, dst="10." + "9" * ring.slot_bytes)
         assert oversized.byte_size() > ring.max_segment_bytes
         link.add(oversized)
-        assert monitor.events == [("slot", 2), ("shm",), ("block", oversized)]
+        assert monitor.events[:2] == [("slot", 2), ("shm",)]
+        assert [kind for kind, *_ in monitor.events] == ["slot", "shm", "block"]
+        assert_rows_equal(oversized, monitor.events[2][1])
         assert link._pending == [] and monitor.pumps == 1
         assert link._queue_fallbacks == 1
 

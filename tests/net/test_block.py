@@ -139,26 +139,40 @@ class TestSliceTakeConcat:
         assert rebuilt[1].media_type is MediaType.VIDEO and rebuilt[1].frame_id == 4
 
 
-class TestCompact:
-    def test_compact_reinterns_sliced_side_tables(self):
+def round_trip(block: PacketBlock) -> PacketBlock:
+    buffer = bytearray(block.byte_size())
+    block.write_into(memoryview(buffer))
+    return PacketBlock.read_from(memoryview(buffer))
+
+
+class TestSlicedBlocksOnTheWire:
+    """A slice shares its parent's side tables; its encoding carries only
+    the entries its own rows use."""
+
+    def test_slice_encodes_only_the_entries_its_rows_use(self):
         packets = interleaved_packets(60)  # 3 flows interleaved round-robin
-        block = PacketBlock.from_packets(packets)
-        part = block[0:1]  # one packet, but sliced tables still cover 3 flows
-        assert len(part.flows) == 3
-        dense = part.compact()
-        assert len(dense.flows) == 1
-        assert dense.addresses == (packets[0].ip.src, packets[0].ip.dst)
-        assert dense.to_packets() == [packets[0]]
-        assert dense.flows[dense.flow_codes[0]] == five_tuple(packets[0])
+        part = PacketBlock.from_packets(packets).headers_only()[0:1]
+        assert len(part.flows) == 3  # one packet, but the tables cover 3 flows
+        decoded = round_trip(part)
+        assert len(decoded.flows) == 1
+        assert decoded.addresses == (packets[0].ip.src, packets[0].ip.dst)
+        assert decoded.flows[decoded.flow_codes[0]] == five_tuple(packets[0])
+        (row,) = decoded.to_packets()
+        assert (row.timestamp, row.ip, row.udp, row.payload_size) == (
+            packets[0].timestamp, packets[0].ip, packets[0].udp, packets[0].payload_size
+        )
 
-    def test_compact_is_identity_for_dense_blocks(self):
-        block = PacketBlock.from_packets(interleaved_packets(12))
-        assert block.compact() is block
+    def test_dense_block_keeps_its_tables_and_codes(self):
+        block = PacketBlock.from_packets(interleaved_packets(12)).headers_only()
+        decoded = round_trip(block)
+        assert decoded.flows == block.flows and decoded.addresses == block.addresses
+        for name in ("src_codes", "dst_codes", "flow_codes"):
+            assert np.array_equal(getattr(decoded, name), getattr(block, name)), name
 
-    def test_compact_preserves_optional_columns_over_the_wire(self):
+    def test_pickled_slice_keeps_optional_columns(self):
         packets = interleaved_packets(30)
-        dense = pickle.loads(pickle.dumps(PacketBlock.from_packets(packets)[10:20].compact()))
-        assert dense.to_packets() == packets[10:20]
+        part = pickle.loads(pickle.dumps(PacketBlock.from_packets(packets)[10:20]))
+        assert part.to_packets() == packets[10:20]
 
 
 class TestHeadersOnly:
