@@ -27,7 +27,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "MediaClassifier": "repro.core.media",
     "MediaClassificationReport": "repro.core.media",
-    "MediaClassificationAccumulator": "repro.core.media",
     "FrameAssembler": "repro.core.frame_assembly",
     "assemble_frames": "repro.core.frame_assembly",
     "IPUDPHeuristic": "repro.core.heuristic",

@@ -33,7 +33,6 @@ __all__ = [
     "extract_rtp_features",
     "IPUDPFeatureAccumulator",
     "MICROBURST_IAT_THRESHOLD",
-    "accumulated_features",
     "window_features",
 ]
 
@@ -81,12 +80,18 @@ RTP_FEATURE_NAMES: tuple[str, ...] = FLOW_FEATURE_NAMES + (
 
 
 def _five_stats(values: np.ndarray) -> list[float]:
-    """Mean, standard deviation, median, minimum, maximum (zeros when empty)."""
+    """Mean, standard deviation, median, minimum, maximum (zeros when empty).
+
+    The mean and stdev sum with ``np.add.reduceat`` over the one segment, the
+    reduction :func:`_segment_five_stats` runs over many windows at once.
+    """
     if values.size == 0:
         return [0.0, 0.0, 0.0, 0.0, 0.0]
+    mean = np.add.reduceat(values, [0])[0] / values.size
+    deviations = values - mean
     return [
-        float(np.mean(values)),
-        float(np.std(values)),
+        float(mean),
+        float(np.sqrt(np.add.reduceat(deviations * deviations, [0])[0] / values.size)),
         float(np.median(values)),
         float(np.min(values)),
         float(np.max(values)),
@@ -306,12 +311,11 @@ class IPUDPFeatureAccumulator:
     def features(self) -> np.ndarray:
         """The 14-feature vector for the window accumulated so far.
 
-        The five-number summaries are computed from the buffers with the same
-        numpy calls as the batch extractor (pairwise summation and all), so
+        The five-number summaries are computed from the buffers by the batch
+        extractor's own :func:`_five_stats` (``np.add.reduceat`` sums), so
         the result is bit-identical, not merely close; the running counters
         drive the exact integer features.  This is the per-window reference
-        that :func:`accumulated_features` and :func:`window_features` are
-        pinned against.
+        that :func:`window_features` is pinned against.
         """
         sizes = self.sizes
         features = [
@@ -335,10 +339,10 @@ def window_features(
     bit for bit :func:`extract_ipudp_features` on that window and
     :meth:`IPUDPFeatureAccumulator.features` after pushing its packets: the
     gaps are the same float subtraction, the five-number summaries come from
-    :func:`_segment_five_stats` (NumPy's pairwise order per window), and the
-    counts are exact.  So a window's features never depend on what else is
-    resolved with it.  The streaming engine resolves every window it closes
-    in a tick, across all flows, with one call.
+    :func:`_segment_five_stats` (the same ``np.add.reduceat`` sums as
+    :func:`_five_stats`), and the counts are exact.  So a window's features
+    never depend on what else is resolved with it.  The streaming engine
+    resolves every window it closes in a tick, across all flows, with one call.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     timestamps = np.asarray(timestamps, dtype=np.float64)
@@ -353,128 +357,27 @@ def window_features(
     distinct = np.ones(len(ordered), dtype=bool)
     distinct[1:] = (ordered[1:] != ordered[:-1]) | (owner[1:] != owner[:-1])
     bursts = np.bincount(gap_window[gaps >= MICROBURST_IAT_THRESHOLD], minlength=n_windows)
-    return _feature_rows(
-        sizes,
-        lengths,
-        gaps,
-        np.maximum(lengths - 1, 0),
-        np.bincount(owner[distinct], minlength=n_windows),
-        bursts + (lengths > 0),  # a window's first video packet opens a burst
-        window_s,
-    )
-
-
-def accumulated_features(accumulators) -> np.ndarray:
-    """The 14-feature vectors of many accumulated windows in one array pass.
-
-    Row *i* is ``accumulators[i].features()``, bit for bit: a thin adapter
-    that runs the accumulators' size and gap buffers and counters through the
-    core of :func:`window_features`, so the segmented statistics are pinned
-    against the per-window accumulator.  The engine does not call it.
-    """
-    return _feature_rows(
-        np.concatenate([_EMPTY, *(acc.sizes for acc in accumulators)]),
-        np.fromiter((len(acc.sizes) for acc in accumulators), dtype=np.intp),
-        np.concatenate([_EMPTY, *(acc.iats for acc in accumulators)]),
-        np.fromiter((len(acc.iats) for acc in accumulators), dtype=np.intp),
-        [len(acc.unique_sizes) for acc in accumulators],
-        [acc.microbursts for acc in accumulators],
-        np.fromiter((acc.window_s for acc in accumulators), dtype=np.float64),
-    )
-
-
-def _feature_rows(sizes, size_lengths, iats, iat_lengths, unique, bursts, window_s) -> np.ndarray:
-    """Assemble the 14 features of windows given as size and gap segments.
-
-    ``unique`` / ``bursts`` are each window's distinct-size and microburst
-    counts; ``window_s`` is a scalar or one duration per window.
-    """
-    n_windows = len(size_lengths)
     stats = _segment_five_stats(
-        np.concatenate((sizes, iats)), np.concatenate((size_lengths, iat_lengths))
+        np.concatenate((sizes, gaps)), np.concatenate((lengths, np.maximum(lengths - 1, 0)))
     )
     out = np.empty((n_windows, len(IPUDP_FEATURE_NAMES)))
     out[:, 0] = stats[:n_windows, 5] / window_s  # bytes per second
-    out[:, 1] = size_lengths / window_s  # packets per second
+    out[:, 1] = lengths / window_s  # packets per second
     out[:, 2:7] = stats[:n_windows, :5]
     out[:, 7:12] = stats[n_windows:, :5]
-    out[:, 12] = unique
-    out[:, 13] = bursts
+    out[:, 12] = np.bincount(owner[distinct], minlength=n_windows)
+    out[:, 13] = bursts + (lengths > 0)  # a window's first video packet opens a burst
     return out
-
-
-#: Longest run NumPy sums in one unrolled block (``PW_BLOCKSIZE``).
-_PAIRWISE_BLOCK = 128
-
-
-class _PairwiseSums:
-    """``np.add.reduce(values[s:s + n])`` for every segment, bit for bit.
-
-    NumPy sums a contiguous float64 run pairwise: under 8 elements in order;
-    up to 128 in eight interleaved running sums combined as
-    ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))`` and followed by the remainder
-    in order; longer runs as the sum of two halves.  ``np.add.reduceat``
-    associates differently and moves last ulps, which would make a window's
-    features depend on what else closed in its tick (detlint ``DET005``).
-    Runs up to 128 are replayed here with sequential scans (``np.cumsum``
-    never reassociates), all segments at once; longer ones take one
-    ``np.add.reduce`` each.  Built once per segment layout, then applied to
-    any values laid out that way (the values, then their squared
-    deviations).  ``tests/core/test_feature_accumulator.py`` fuzzes it
-    against ``np.sum``.
-    """
-
-    def __init__(self, starts: np.ndarray, lengths: np.ndarray, n_values: int) -> None:
-        self.n_segments = len(lengths)
-        self.long = [
-            (i, int(starts[i]), int(starts[i] + lengths[i]))
-            for i in np.flatnonzero(lengths > _PAIRWISE_BLOCK).tolist()
-        ]
-        self.short = None
-        if self.long:
-            self.short = lengths <= _PAIRWISE_BLOCK
-            starts, lengths = starts[self.short], lengths[self.short]
-        n = len(lengths)
-        last = max(n_values - 1, 0)
-        blocks = lengths // 8
-        unrolled = blocks * 8
-        self.n_blocks = int(blocks.max(initial=0))
-        if self.n_blocks:
-            # Gather each run's first n_blocks * 8 values (clipped reads past
-            # a run's end only feed scan positions that are never picked).
-            self.block_index = np.minimum(starts[:, None] + np.arange(self.n_blocks * 8), last)
-            self.block_pick = np.arange(n) * self.n_blocks + np.maximum(blocks - 1, 0)
-            self.has_blocks = blocks > 0
-        self.tail_index = np.minimum((starts + unrolled)[:, None] + np.arange(7), last)
-        self.tail_pick = np.arange(n) * 8 + (lengths - unrolled)
-
-    def __call__(self, values: np.ndarray) -> np.ndarray:
-        if len(values) == 0:
-            return np.zeros(self.n_segments)
-        tail = np.empty((len(self.tail_pick), 8))
-        tail[:, 0] = -0.0  # NumPy's short-run accumulator starts at -0.0
-        if self.n_blocks:
-            lanes = values[self.block_index].reshape(-1, self.n_blocks, 8)
-            lanes = np.cumsum(lanes, axis=1).reshape(-1, 8)[self.block_pick]
-            pairs = lanes[:, 0::2] + lanes[:, 1::2]
-            quads = pairs[:, 0::2] + pairs[:, 1::2]
-            np.copyto(tail[:, 0], quads[:, 0] + quads[:, 1], where=self.has_blocks)
-        tail[:, 1:] = values[self.tail_index]
-        sums = np.cumsum(tail, axis=1).ravel()[self.tail_pick]
-        if self.long:
-            out = np.empty(self.n_segments)
-            out[self.short] = sums
-            for i, lo, hi in self.long:
-                out[i] = np.add.reduce(values[lo:hi])
-            sums = out
-        return 0.0 + sums  # the reduction's identity, as np.add.reduce starts from it
 
 
 def _segment_five_stats(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """:func:`_five_stats` of every segment of ``values``, plus its sum.
 
     Returns ``(n_segments, 6)``: mean, stdev, median, min, max, sum -- zeros
-    for an empty segment -- each bit-identical to the numpy call on the
+    for an empty segment.  The sums are one ``np.add.reduceat`` over the
+    non-empty segments' starts (it would answer ``values[i]`` for an empty
+    one), which sums a segment the same way at any offset and beside any
+    neighbours, so each row is bit-identical to :func:`_five_stats` on the
     segment alone.
     """
     n_segments = len(lengths)
@@ -483,18 +386,16 @@ def _segment_five_stats(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         return out
     starts = np.zeros(n_segments, dtype=np.intp)
     np.cumsum(lengths[:-1], out=starts[1:])
-    pairwise = _PairwiseSums(starts, lengths, len(values))
-    counts = np.maximum(lengths, 1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        sums = pairwise(values)
-        means = sums / counts
-        deviations = values - np.repeat(means, lengths)
-        out[:, 1] = np.sqrt(pairwise(deviations * deviations) / counts)
-    out[:, 0] = means
-    out[:, 5] = sums
     nonempty = lengths > 0
     first = starts[nonempty]
     sizes = lengths[nonempty]
+    with np.errstate(invalid="ignore", over="ignore"):
+        sums = np.add.reduceat(values, first)
+        means = sums / sizes
+        deviations = values - np.repeat(means, sizes)
+        out[nonempty, 1] = np.sqrt(np.add.reduceat(deviations * deviations, first) / sizes)
+    out[nonempty, 0] = means
+    out[nonempty, 5] = sums
     # The median: np.median partitions, then takes the mean of the middle
     # value (odd) or two (even) -- 0.0 + (a + b), over 2 -- and answers NaN
     # if any value is NaN (sorted last).  Sort by value, then stably by

@@ -10,6 +10,7 @@ their fixed size (304 bytes for the evaluated VCAs).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from repro.net.trace import PacketTrace
 __all__ = [
     "MediaClassifier",
     "MediaClassificationReport",
-    "MediaClassificationAccumulator",
     "DEFAULT_VIDEO_SIZE_THRESHOLD",
 ]
 
@@ -80,46 +80,6 @@ class MediaClassificationReport:
             return np.where(row_sums > 0, matrix / row_sums, 0.0)
 
 
-class MediaClassificationAccumulator:
-    """Online confusion counts for video-vs-non-video classification.
-
-    Feed packets one at a time with :meth:`push`; the accumulator keeps four
-    running counters (O(1) state, no trace-wide pass) and can produce a
-    :class:`MediaClassificationReport` at any point.  This is the streaming
-    counterpart of :meth:`MediaClassifier.evaluate`.
-    """
-
-    def __init__(self, classifier: "MediaClassifier") -> None:
-        self.classifier = classifier
-        self.video_as_video = 0
-        self.video_as_nonvideo = 0
-        self.nonvideo_as_video = 0
-        self.nonvideo_as_nonvideo = 0
-
-    def push(self, packet: Packet) -> bool:
-        """Classify one packet, updating confusion counts when ground truth is present."""
-        predicted_video = self.classifier.is_video(packet)
-        if packet.media_type is not None:
-            actually_video = packet.media_type is MediaType.VIDEO
-            if actually_video and predicted_video:
-                self.video_as_video += 1
-            elif actually_video:
-                self.video_as_nonvideo += 1
-            elif predicted_video:
-                self.nonvideo_as_video += 1
-            else:
-                self.nonvideo_as_nonvideo += 1
-        return predicted_video
-
-    def report(self) -> MediaClassificationReport:
-        return MediaClassificationReport(
-            video_as_video=self.video_as_video,
-            video_as_nonvideo=self.video_as_nonvideo,
-            nonvideo_as_video=self.nonvideo_as_video,
-            nonvideo_as_nonvideo=self.nonvideo_as_nonvideo,
-        )
-
-
 class MediaClassifier:
     """Size-threshold video packet identification.
 
@@ -161,10 +121,6 @@ class MediaClassifier:
             mask &= sizes != self.keepalive_size
         return mask
 
-    def stream_evaluator(self) -> MediaClassificationAccumulator:
-        """A fresh online confusion-count accumulator bound to this classifier."""
-        return MediaClassificationAccumulator(self)
-
     def video_packets(self, trace: PacketTrace) -> PacketTrace:
         """The sub-trace of packets classified as video."""
         return trace.filter(self.is_video)
@@ -183,10 +139,17 @@ class MediaClassifier:
         frames); retransmissions, audio and control packets count as non-video.
         Packets lacking a ground-truth annotation are skipped.
         """
-        accumulator = self.stream_evaluator()
-        for packet in trace:
-            accumulator.push(packet)
-        return accumulator.report()
+        cells = Counter(
+            (packet.media_type is MediaType.VIDEO, self.is_video(packet))
+            for packet in trace
+            if packet.media_type is not None
+        )
+        return MediaClassificationReport(
+            video_as_video=cells[True, True],
+            video_as_nonvideo=cells[True, False],
+            nonvideo_as_video=cells[False, True],
+            nonvideo_as_nonvideo=cells[False, False],
+        )
 
     @classmethod
     def calibrate(cls, traces: list[PacketTrace], percentile: float = 99.5) -> "MediaClassifier":

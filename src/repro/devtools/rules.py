@@ -211,34 +211,6 @@ class NoWallClockInPureModules(Rule):
             ctx.add(node, f"wall-clock read ({resolved}) in a pure estimate/codec module")
 
 
-@rule
-class NoSegmentedFloatSums(Rule):
-    id = "DET005"
-    summary = "no np.add.reduceat in feature or model math"
-    rationale = (
-        "np.add.reduceat associates a segment's sum differently from np.sum / "
-        "np.mean on that segment alone, so a window's features would move in "
-        "the last ulp with whatever else closed in its tick and could cross a "
-        "forest split threshold.  The one-pass feature kernel replays NumPy's "
-        "pairwise order instead (features.py _PairwiseSums).  The engine's "
-        "trained reducer gathers those windows, so core/streaming.py is in "
-        "scope too; its integer byte count carries a reasoned suppression."
-    )
-    scope = ("repro/core/features.py", "repro/core/streaming.py", "repro/ml/")
-    node_types = (ast.Call,)
-
-    def visit(self, node: ast.Call, ctx: LintContext) -> None:
-        func = node.func
-        if (
-            _call_name(node, ctx) == "numpy.add.reduceat"
-            or isinstance(func, ast.Attribute)
-            and func.attr == "reduceat"
-            and isinstance(func.value, ast.Attribute)
-            and func.value.attr == "add"
-        ):
-            ctx.add(node, "np.add.reduceat reassociates float sums; replay np.sum's order per segment")
-
-
 # -- wire codecs ---------------------------------------------------------------
 
 

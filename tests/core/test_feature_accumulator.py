@@ -15,8 +15,8 @@ from repro.core.features import (
     IPUDPFeatureAccumulator,
     _five_stats,
     _segment_five_stats,
-    accumulated_features,
     extract_ipudp_features,
+    window_features,
 )
 from repro.core.media import MediaClassifier
 from repro.core.windows import window_trace
@@ -144,8 +144,13 @@ def _segments(rng, n_segments):
     return runs
 
 
+def _reduceat_sum(run):
+    """The reference sum of one segment: ``np.add.reduceat`` over it alone."""
+    return float(np.add.reduceat(run, [0])[0]) if len(run) else 0.0
+
+
 class TestOnePassKernel:
-    """The tick-wide feature pass against NumPy's own per-window calls."""
+    """The tick-wide feature pass against the per-window reference."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_segment_stats_match_numpy(self, seed):
@@ -155,7 +160,7 @@ class TestOnePassKernel:
         stats = _segment_five_stats(np.concatenate(runs), lengths)
         for row, run in zip(stats, runs):
             with np.errstate(all="ignore"):
-                expected = np.array(_five_stats(run) + [np.add.reduce(run) if len(run) else 0.0])
+                expected = np.array(_five_stats(run) + [_reduceat_sum(run)])
             np.testing.assert_array_equal(row, expected)
             assert np.array_equal(np.signbit(row), np.signbit(expected))
 
@@ -164,51 +169,56 @@ class TestOnePassKernel:
         runs = [rng.random(n) * 1e3 for n in range(0, 260)]
         lengths = np.array([len(run) for run in runs], dtype=np.intp)
         sums = _segment_five_stats(np.concatenate(runs), lengths)[:, 5]
-        assert sums.tolist() == [float(np.add.reduce(run)) for run in runs]
-
-    def test_reduceat_is_not_numpy_sum(self):
-        """Why the kernel replays NumPy's order (and why detlint DET005 bans
-        np.add.reduceat here): a segmented reduction rounds differently."""
-        rng = np.random.default_rng(11)
-        values = rng.random(4000) * 1e3
-        starts = np.arange(0, 4000, 100)
-        segmented = np.add.reduceat(values, starts)
-        alone = np.array([np.add.reduce(values[s : s + 100]) for s in starts])
-        assert not np.array_equal(segmented, alone)
+        assert sums.tolist() == [_reduceat_sum(run) for run in runs]
 
     def test_rows_match_batch_extractor(self):
         rng = np.random.default_rng(5)
         trace = random_trace(rng, n_packets=600, duration=6.0)
         classifier = MediaClassifier()
         windows = window_trace(trace, window_s=1.0, start=0.0)
-        accumulators = []
-        for window in windows:
+        video = [[p for p in window.packets if classifier.is_video(p)] for window in windows]
+        got = window_features(
+            [p.timestamp for packets in video for p in packets],
+            [p.payload_size for packets in video for p in packets],
+            [len(packets) for packets in video],
+            1.0,
+        )
+        for window, row in zip(windows, got):
             accumulator = IPUDPFeatureAccumulator(window.duration, classifier=classifier)
             for packet in window.packets:
                 accumulator.push(packet)
-            accumulators.append(accumulator)
-        expected = np.vstack([extract_ipudp_features(w, classifier=classifier) for w in windows])
-        np.testing.assert_array_equal(accumulated_features(accumulators), expected)
+            np.testing.assert_array_equal(row, accumulator.features())
+            np.testing.assert_array_equal(row, extract_ipudp_features(window, classifier=classifier))
 
     def test_a_window_does_not_depend_on_its_neighbours(self):
         rng = np.random.default_rng(9)
-        accumulators = []
+        classifier = MediaClassifier()
+        accumulators, rows = [], []
         for _ in range(30):
-            accumulator = IPUDPFeatureAccumulator(1.0)
+            accumulator = IPUDPFeatureAccumulator(1.0, classifier=classifier)
             n = int(rng.integers(0, 200))
             timestamps = np.sort(rng.uniform(0.0, 1.0, n))
             sizes = rng.integers(80, 1300, n)
             for cut in np.split(np.arange(n), np.sort(rng.integers(0, n + 1, 3))):
                 accumulator.extend(timestamps[cut], sizes[cut])
             accumulators.append(accumulator)
-        together = accumulated_features(accumulators)
+            video = classifier.video_mask(sizes)
+            rows.append((timestamps[video], sizes[video]))
+
+        def resolve(order):
+            return window_features(
+                np.concatenate([rows[i][0] for i in order]),
+                np.concatenate([rows[i][1] for i in order]),
+                [len(rows[i][0]) for i in order],
+                1.0,
+            )
+
+        together = resolve(range(len(rows)))
         for i, accumulator in enumerate(accumulators):
             np.testing.assert_array_equal(accumulator.features(), together[i])
-        order = rng.permutation(len(accumulators))
-        np.testing.assert_array_equal(
-            accumulated_features([accumulators[i] for i in order]), together[order]
-        )
-        assert accumulated_features([]).shape == (0, len(IPUDP_FEATURE_NAMES))
+        order = rng.permutation(len(rows))
+        np.testing.assert_array_equal(resolve(order), together[order])
+        assert window_features([], [], [], 1.0).shape == (0, len(IPUDP_FEATURE_NAMES))
 
     def test_push_and_extend_fill_the_same_buffers(self):
         rng = np.random.default_rng(2)

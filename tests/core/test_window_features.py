@@ -7,15 +7,19 @@ accumulator bit for bit, whatever else is resolved with it.
 """
 
 import numpy as np
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.core.features import (
     IPUDP_FEATURE_NAMES,
     IPUDPFeatureAccumulator,
+    _five_stats,
+    _segment_five_stats,
     extract_ipudp_features,
     window_features,
 )
 from repro.core.media import MediaClassifier
-from repro.core.windows import window_trace
+from repro.core.windows import WindowedTrace, window_trace
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.net.trace import PacketTrace
 
@@ -69,3 +73,109 @@ class TestWindowFeatures:
             alone = window_features(timestamps[lo:hi], sizes[lo:hi], [hi - lo], 1.0)
             np.testing.assert_array_equal(alone[0], together[i])
         assert window_features([], [], [], 1.0).shape == (0, len(IPUDP_FEATURE_NAMES))
+
+
+# -- exact by construction ---------------------------------------------------
+#
+# A window's mean and stdev are np.add.reduceat sums in the per-window
+# reference and in the many-window kernel alike, so a window's 14 features
+# are the same bits alone, in any batch and at any offset.  Window lengths
+# run to 600 rows: across NumPy's 8- and 128-element summation blocks.
+
+LENGTHS = st.integers(0, 600)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def raw_rows(seed: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``n`` arrival-ordered rows: bursty gaps, sizes either side of V_min."""
+    rng = np.random.default_rng(seed)
+    start = float(rng.choice([0.0, 41.5, 1.7e9]))
+    timestamps = start + np.cumsum(rng.exponential(float(rng.choice([0.001, 0.003, 0.01])), n))
+    return timestamps, rng.integers(60, 1500, n)
+
+
+def video(rows, classifier=MediaClassifier()):
+    timestamps, sizes = rows
+    mask = classifier.video_mask(sizes)
+    return timestamps[mask], sizes[mask]
+
+
+def features_of(windows) -> np.ndarray:
+    """One :func:`window_features` pass over windows given as video rows."""
+    return window_features(
+        np.concatenate([np.empty(0)] + [timestamps for timestamps, _ in windows]),
+        np.concatenate([np.empty(0, np.int64)] + [sizes for _, sizes in windows]),
+        [len(sizes) for _, sizes in windows],
+        1.0,
+    )
+
+
+def assert_same_bits(got, expected) -> None:
+    """Equal values with equal sign bits (-0.0 differs from 0.0); NaN equals NaN."""
+    got, expected = np.asarray(got, dtype=np.float64), np.asarray(expected, dtype=np.float64)
+    np.testing.assert_array_equal(got, expected)
+    number = ~np.isnan(expected)
+    np.testing.assert_array_equal(np.signbit(got[number]), np.signbit(expected[number]))
+
+
+class TestExactByConstruction:
+    @given(seeds=st.lists(st.tuples(SEEDS, LENGTHS), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None)
+    def test_every_window_of_a_batch_is_itself_alone(self, seeds):
+        windows = [video(raw_rows(seed, n)) for seed, n in seeds]
+        together = features_of(windows)
+        for window, row in zip(windows, together):
+            assert_same_bits(row, features_of([window])[0])
+
+    @given(
+        seed=SEEDS,
+        n=LENGTHS,
+        before=st.lists(st.tuples(SEEDS, LENGTHS), max_size=4),
+        after=st.lists(st.tuples(SEEDS, LENGTHS), max_size=4),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_a_window_at_any_offset_is_itself_alone(self, seed, n, before, after):
+        window = video(raw_rows(seed, n))
+        padded = [video(raw_rows(*pad)) for pad in before] + [window]
+        padded += [video(raw_rows(*pad)) for pad in after]
+        assert_same_bits(features_of(padded)[len(before)], features_of([window])[0])
+
+    @given(seed=SEEDS, n=LENGTHS)
+    @settings(max_examples=40, deadline=None)
+    def test_a_window_is_the_batch_extractor(self, seed, n):
+        timestamps, sizes = raw_rows(seed, n)
+        ip, udp = IPv4Header(src="1.1.1.1", dst="2.2.2.2"), UDPHeader(src_port=1, dst_port=2)
+        packets = [
+            Packet(timestamp=float(t), ip=ip, udp=udp, payload_size=int(s))
+            for t, s in zip(timestamps, sizes)
+        ]
+        window = WindowedTrace(start=float(timestamps[0]) if n else 0.0, duration=1.0, packets=PacketTrace(packets))
+        assert_same_bits(features_of([video((timestamps, sizes))])[0], extract_ipudp_features(window))
+
+    @given(seed=SEEDS, n=LENGTHS, cuts=st.lists(st.integers(0, 600), max_size=4))
+    @settings(max_examples=40, deadline=None)
+    def test_a_window_is_the_accumulator(self, seed, n, cuts):
+        timestamps, sizes = raw_rows(seed, n)
+        extended = IPUDPFeatureAccumulator(1.0)
+        for cut in np.split(np.arange(n), sorted(min(cut, n) for cut in cuts)):
+            extended.extend(timestamps[cut], sizes[cut])
+        assert_same_bits(features_of([video((timestamps, sizes))])[0], extended.features())
+
+    @given(
+        values=arrays(np.float64, LENGTHS, elements=st.floats(width=64)),
+        before=st.lists(LENGTHS, max_size=3),
+        after=st.lists(LENGTHS, max_size=3),
+        seed=SEEDS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_segment_stats_at_any_offset_are_the_reference(self, values, before, after, seed):
+        """NaN, +-inf and -0.0 included: the six statistics of a segment are
+        :func:`_five_stats` and its ``np.add.reduceat`` sum, wherever it sits."""
+        rng = np.random.default_rng(seed)
+        pads = [rng.normal(0.0, 1e3, n) for n in before + after]
+        segments = pads[: len(before)] + [values] + pads[len(before) :]
+        lengths = np.array([len(segment) for segment in segments], dtype=np.intp)
+        with np.errstate(all="ignore"):
+            row = _segment_five_stats(np.concatenate(segments), lengths)[len(before)]
+            total = np.add.reduceat(values, [0])[0] if len(values) else 0.0
+            assert_same_bits(row, _five_stats(values) + [total])
