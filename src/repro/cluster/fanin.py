@@ -16,17 +16,14 @@ shards' messages interleave.
 **Ordering contract.**  The output is globally sorted by ``(window_start,
 flow)`` provided every shard honours its watermarks, which holds whenever a
 new flow's first packet trails the newest packet its shard has seen by no
-more than the slack the shard's watermarks leave.  By default that slack is
-the cross-flow disorder the shard has *measured* so far (see
+more than the slack the shard's watermarks leave.  That slack is the
+cross-flow disorder the shard has *measured* so far (see
 :mod:`repro.cluster.worker`): zero on a timestamp-sorted source, so a window
-is released the moment every live flow of every shard has closed it; an
-operator who knows the source's skew can declare a fixed bound instead
-(``ShardedQoEMonitor(new_flow_slack_s=...)``).  The measured bound protects
-against disorder the stream has shown before, not against its first
-occurrence: a flow that joins later than anything seen so far -- like any
-flow that violates a declared bound -- degrades only the *order* of its late
-estimates, which are still delivered exactly once, and widens the slack from
-then on.
+is released the moment every live flow of every shard has closed it.  The
+measured bound protects against disorder the stream has shown before, not
+against its first occurrence: a flow that joins later than anything seen so
+far degrades only the *order* of its late estimates, which are still
+delivered exactly once, and widens the slack from then on.
 
 With watermarks flowing (the sharded monitor's mode), memory is
 O(in-flight window span x flows), not O(run): estimates leave the buffer as

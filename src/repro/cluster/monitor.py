@@ -244,21 +244,6 @@ class ShardedQoEMonitor:
         (``2 * n_workers * queue_depth * shm_slot_bytes``) and the largest
         inference tick a worker runs (one slot's worth of rows), not what
         can be shipped.
-    new_flow_slack_s:
-        Bound on cross-flow disorder in the source -- how far a brand-new
-        flow's first packet may trail the newest packet already seen --
-        which every fan-in watermark leaves room for.  ``None`` (default):
-        **measured**.  Each worker uses the largest amount by which any
-        row it received trailed the newest timestamp that arrived before
-        it (stream time only): 0 on a timestamp-sorted source, so a window
-        is released as soon as every live flow of every shard has closed
-        it, and exactly as much as the stream has shown to be necessary
-        otherwise.  A float is a fixed, operator-declared bound used
-        verbatim; larger values delay every release by that much.  Either
-        way a flow that arrives later than the bound in force (measured:
-        later than anything its shard has seen before) degrades only the
-        *order* of its late estimates -- they are still delivered exactly
-        once.
     obs:
         An :class:`~repro.obs.config.ObsConfig` enabling the unified
         telemetry plane (PR 8): the parent owns a fleet
@@ -282,7 +267,6 @@ class ShardedQoEMonitor:
         n_workers: int = 2,
         chunk_size: int = 256,
         transport: str = "block",
-        new_flow_slack_s: float | None = None,
         queue_depth: int = 8,
         shm_slot_bytes: int = DEFAULT_SLOT_BYTES,
         obs: ObsConfig | None = None,
@@ -317,7 +301,6 @@ class ShardedQoEMonitor:
         self.n_workers = n_workers
         self.chunk_size = chunk_size
         self.transport = transport
-        self.new_flow_slack_s = new_flow_slack_s
         self.queue_depth = queue_depth
         self.shm_slot_bytes = shm_slot_bytes
         self.obs = obs
@@ -401,7 +384,6 @@ class ShardedQoEMonitor:
                     ctx,
                     out_queue,
                     queue_depth=self.queue_depth,
-                    new_flow_slack_s=self.new_flow_slack_s,
                     ring=forward_rings[shard_id],
                     return_ring=return_rings[shard_id],
                     obs_dict=self.obs.to_dict() if self.registry is not None else None,

@@ -93,15 +93,16 @@ promise that it will emit nothing below it
 <repro.core.streaming.StreamingQoEPipeline.low_watermark>`), which is what
 lets the fan-in release a window.  Live flows bound it exactly; the only
 guess in it is how far behind the newest packet a brand-new flow may still
-start.  By default that slack is **measured, not assumed**: the largest
-amount by which any row this shard received trailed the newest timestamp
-that had arrived before it -- three vector operations per sub-block over
-its timestamps, stream time only.  On a sorted source it stays 0 and the
+start.  That slack is **measured, not assumed**: the largest amount by
+which any row this shard received trailed the newest timestamp that had
+arrived before it -- three vector operations per sub-block over its
+timestamps, stream time only.  On a sorted source it stays 0 and the
 watermark is the minimum ``next_window_start`` over the live flows; a source
-that shows disorder *d* gets *d* of slack from then on.  An explicit
-``new_flow_slack_s`` replaces the measurement with a fixed bound, verbatim.
-Reported watermarks never step back (a growing slack can lower the computed
-bound, and the fan-in ignores regressions anyway).
+that shows disorder *d* gets *d* of slack from then on.  A flow that joins
+later than anything the shard has seen before degrades only the *order* of
+its late estimates -- they are still delivered exactly once.  Reported
+watermarks never step back (a growing slack can lower the computed bound,
+and the fan-in ignores regressions anyway).
 """
 
 from __future__ import annotations
@@ -125,10 +126,9 @@ from repro.obs.registry import MetricsRegistry, ingest_transport_stats
 __all__ = ["ShardWorker", "shard_worker_main"]
 
 #: The fixed two-window bound on cross-flow source disorder that every worker
-#: assumed before the slack was measured (see ``shard_worker_main``).  No
-#: longer the worker default -- ``new_flow_slack_s=None`` now means measured --
-#: but still the bound ``bench/``'s in-process replay of the data plane models,
-#: so it stays exported until that replay is re-pointed.
+#: assumed before the slack was measured (see ``shard_worker_main``).  Workers
+#: no longer use it, but ``bench/``'s in-process replay of the data plane
+#: models it, so it stays exported until that replay is re-pointed.
 DEFAULT_NEW_FLOW_SLACK_WINDOWS = 2.0
 
 
@@ -314,7 +314,6 @@ def shard_worker_main(
     shard_id: int,
     pipeline_payload: str,
     config_dict: dict | None,
-    new_flow_slack_s: float | None,
     in_queue,
     out_queue,
     ring_handle=None,
@@ -340,10 +339,9 @@ def shard_worker_main(
         config = (
             PipelineConfig.from_dict(config_dict) if config_dict is not None else pipeline.config
         )
-        # The fan-in slack (module docstring): a declared bound is used
-        # verbatim; None means measured, 0 until the source shows disorder.
-        measured = new_flow_slack_s is None
-        slack_s = 0.0 if measured else new_flow_slack_s
+        # The fan-in slack (module docstring): measured, 0 until the source
+        # shows disorder.
+        slack_s = 0.0
         engine = StreamingQoEPipeline(pipeline, config=config, obs=obs)
         idle_timeout = config.idle_timeout_s
         eviction = IdleEvictionSchedule(idle_timeout)
@@ -388,8 +386,7 @@ def shard_worker_main(
                     running = np.maximum.accumulate(timestamps)
                     np.maximum(running, newest_ts, out=running)
                     newest_ts = float(running[-1])
-                    if measured:
-                        slack_s = max(slack_s, float((running - timestamps).max()))
+                    slack_s = max(slack_s, float((running - timestamps).max()))
                     sweep = eviction.due(newest_ts)
                 if sweep or i == len(blocks) - 1:
                     emitted.extend(engine.push_block(PacketBlock.concat(batch)))
@@ -483,7 +480,6 @@ class ShardWorker:
         ctx,
         out_queue,
         queue_depth: int = 8,
-        new_flow_slack_s: float | None = None,
         ring=None,
         return_ring=None,
         obs_dict: dict | None = None,
@@ -502,7 +498,6 @@ class ShardWorker:
                 shard_id,
                 pipeline_payload,
                 config.to_dict() if config is not None else None,
-                new_flow_slack_s,
                 self.in_queue,
                 out_queue,
                 ring.handle() if ring is not None else None,

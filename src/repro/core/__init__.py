@@ -33,7 +33,6 @@ _EXPORTS = {
     "RTPHeuristic": "repro.core.rtp_heuristic",
     "IPUDPMLEstimator": "repro.core.estimators",
     "RTPMLEstimator": "repro.core.estimators",
-    "extract_ipudp_features": "repro.core.features",
     "extract_rtp_features": "repro.core.features",
     "IPUDPFeatureAccumulator": "repro.core.features",
     "IPUDP_FEATURE_NAMES": "repro.core.features",

@@ -20,8 +20,8 @@ import numpy as np
 from repro.core.features import (
     IPUDP_FEATURE_NAMES,
     RTP_FEATURE_NAMES,
-    extract_ipudp_features,
     extract_rtp_features,
+    window_features,
 )
 from repro.core.media import MediaClassifier
 from repro.core.resolution import ResolutionBin, ResolutionBinner
@@ -111,14 +111,9 @@ class BaseMLEstimator:
 
     # -- feature extraction (subclass hook) ------------------------------------
 
-    def features_for_window(self, window: WindowedTrace) -> np.ndarray:
-        raise NotImplementedError
-
     def feature_matrix(self, windows: list[WindowedTrace]) -> np.ndarray:
-        """Stack per-window feature vectors into a design matrix."""
-        if not windows:
-            raise ValueError("need at least one window")
-        return np.vstack([self.features_for_window(w) for w in windows])
+        """The design matrix of ``windows``: one feature row per window."""
+        raise NotImplementedError
 
     # -- training ---------------------------------------------------------------
 
@@ -161,9 +156,6 @@ class BaseMLEstimator:
                 raise ValueError(f"unknown metric: {metric!r}")
         return self
 
-    def fit_windows(self, windows: list[WindowedTrace], targets: dict[str, np.ndarray]) -> "BaseMLEstimator":
-        return self.fit(self.feature_matrix(windows), targets)
-
     # -- prediction --------------------------------------------------------------
 
     def _check_fitted(self, metric: str) -> None:
@@ -188,7 +180,7 @@ class BaseMLEstimator:
         """Per-window estimate rows for a design matrix.
 
         The single metric-to-field mapping shared by the batch
-        (:meth:`predict_windows`) and streaming
+        (:meth:`predict_many`) and streaming
         (:meth:`~repro.core.streaming.StreamingQoEPipeline`) paths: unfitted
         regression metrics become NaN, resolution ``None`` without a
         classifier.
@@ -230,11 +222,6 @@ class BaseMLEstimator:
             assert self.classifier_.classes_ is not None
             columns["resolution"] = self.classifier_.classes_[np.argmax(outputs[-1], axis=1)]
         return columns
-
-    def predict_windows(self, windows: list[WindowedTrace]) -> list[MLEstimateRow]:
-        """Full per-window estimates for every fitted metric."""
-        X = self.feature_matrix(windows)
-        return self.predict_rows(X, [window.start for window in windows])
 
     def predict_many(self, feature_rows, window_starts) -> list[MLEstimateRow]:
         """Batched inference over per-window feature vectors.
@@ -382,8 +369,25 @@ class IPUDPMLEstimator(BaseMLEstimator):
             **kwargs,
         )
 
-    def features_for_window(self, window: WindowedTrace) -> np.ndarray:
-        return extract_ipudp_features(window, classifier=self.media_classifier)
+    def feature_matrix(self, windows: list[WindowedTrace]) -> np.ndarray:
+        """The 14 IP/UDP features of ``windows`` from one :func:`window_features` pass.
+
+        The serving kernel over the windows' rows, classified by
+        ``media_classifier.video_mask``, each at its own duration: a
+        training row is the row the engine computes for the same window.
+        """
+        if not windows:
+            raise ValueError("need at least one window")
+        traces = [window.packets for window in windows]
+        sizes = np.concatenate([trace.sizes for trace in traces])
+        video = self.media_classifier.video_mask(sizes)
+        owner = np.repeat(np.arange(len(traces)), [len(trace) for trace in traces])
+        return window_features(
+            np.concatenate([trace.timestamps for trace in traces])[video],
+            sizes[video],
+            np.bincount(owner[video], minlength=len(traces)),
+            np.array([window.duration for window in windows]),
+        )
 
     def _extra_state(self) -> dict:
         return {
@@ -417,8 +421,11 @@ class RTPMLEstimator(BaseMLEstimator):
             **kwargs,
         )
 
-    def features_for_window(self, window: WindowedTrace) -> np.ndarray:
-        return extract_rtp_features(window, self.payload_types)
+    def feature_matrix(self, windows: list[WindowedTrace]) -> np.ndarray:
+        """The RTP feature rows of ``windows``, one :func:`extract_rtp_features` each."""
+        if not windows:
+            raise ValueError("need at least one window")
+        return np.vstack([extract_rtp_features(window, self.payload_types) for window in windows])
 
     def _extra_state(self) -> dict:
         pt = self.payload_types

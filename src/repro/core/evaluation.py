@@ -85,7 +85,10 @@ class EvaluationDataset:
     ) -> "EvaluationDataset":
         """Build the per-window dataset from simulated calls of a single VCA.
 
-        The ``ipudp_heuristic`` column is what the deployed engine emits:
+        ``X_ipudp`` holds one :meth:`IPUDPMLEstimator.feature_matrix
+        <repro.core.estimators.IPUDPMLEstimator.feature_matrix>` call per
+        call: the rows :class:`QoEPipeline` trains on.  The
+        ``ipudp_heuristic`` column is what the deployed engine emits:
         :meth:`QoEPipeline.estimate <repro.core.pipeline.QoEPipeline.estimate>`
         (one ``push_block`` tick) read by window start.  A window past the
         call's last packet, which the engine never emits, scores as empty.
@@ -124,10 +127,10 @@ class EvaluationDataset:
                 continue
             ipudp_estimates = {e.window_start: e for e in ipudp_pipeline.estimate(call.trace)}
             rtp_frames = rtp_heuristic.assemble(call.trace)
-            for sample in matched:
-                window = sample.window
-                X_ipudp_rows.append(ipudp_ml.features_for_window(window))
-                X_rtp_rows.append(rtp_ml.features_for_window(window))
+            windows = [sample.window for sample in matched]
+            X_ipudp_rows.append(ipudp_ml.feature_matrix(windows))
+            X_rtp_rows.append(rtp_ml.feature_matrix(windows))
+            for sample, window in zip(matched, windows):
                 gt["frame_rate"].append(sample.ground_truth.frames_received)
                 gt["bitrate"].append(sample.ground_truth.bitrate_kbps)
                 gt["frame_jitter"].append(sample.ground_truth.frame_jitter_ms)

@@ -29,7 +29,6 @@ __all__ = [
     "RTP_FEATURE_NAMES",
     "FLOW_FEATURE_NAMES",
     "extract_flow_features",
-    "extract_ipudp_features",
     "extract_rtp_features",
     "IPUDPFeatureAccumulator",
     "MICROBURST_IAT_THRESHOLD",
@@ -98,17 +97,6 @@ def _five_stats(values: np.ndarray) -> list[float]:
     ]
 
 
-def _count_microbursts(timestamps: np.ndarray, threshold: float = MICROBURST_IAT_THRESHOLD) -> int:
-    """Number of maximal runs of packets with inter-arrival gaps below ``threshold``."""
-    if timestamps.size == 0:
-        return 0
-    if timestamps.size == 1:
-        return 1
-    gaps = np.diff(np.sort(timestamps))
-    # A new burst starts at the first packet and after every gap >= threshold.
-    return int(1 + np.sum(gaps >= threshold))
-
-
 def extract_flow_features(packets: list[Packet], window_s: float) -> list[float]:
     """The 12 flow-level statistics for one window."""
     if window_s <= 0:
@@ -125,52 +113,31 @@ def extract_flow_features(packets: list[Packet], window_s: float) -> list[float]
     return features
 
 
-def extract_ipudp_features(
-    window: WindowedTrace,
-    classifier: MediaClassifier | None = None,
-    microburst_threshold: float = MICROBURST_IAT_THRESHOLD,
-) -> np.ndarray:
-    """The 14 IP/UDP features of Table 1 for one window.
-
-    The window's packets are first reduced to (predicted) video packets using
-    the size-threshold classifier, as in the paper's pipeline.
-    """
-    classifier = classifier if classifier is not None else MediaClassifier()
-    video_packets = [p for p in window.packets if classifier.is_video(p)]
-    features = extract_flow_features(video_packets, window.duration)
-
-    sizes = np.array([p.payload_size for p in video_packets], dtype=float)
-    timestamps = np.array([p.timestamp for p in video_packets], dtype=float)
-    features.append(float(np.unique(sizes).size))
-    features.append(float(_count_microbursts(timestamps, microburst_threshold)))
-    return np.array(features, dtype=float)
-
-
 class IPUDPFeatureAccumulator:
     """Incremental computation of the 14 IP/UDP features for one window.
 
     The per-window reference operator: feed it one window's packets as they
     arrive (in non-decreasing timestamp order), by :meth:`push` or by block
     columns with :meth:`extend`.  The benchmark's layer replay runs it as the
-    feature operator; the streaming engine does not keep accumulators -- it
-    keeps each open window's raw video rows and resolves closed windows with
-    :func:`window_features`, which is pinned against this class.  Count, byte
-    sum, min/max, the unique-size set and the microburst state are maintained
-    incrementally and give O(1) mid-window introspection; the per-window size
-    and inter-arrival buffers are kept so the exact order-sensitive statistics
-    (mean, stdev, median) can be computed with the *same numpy operations* as
-    the batch extractor -- memory is O(packets per window), never O(trace).
+    feature operator.  Neither training nor serving keeps accumulators: both
+    resolve windows from their raw video rows with :func:`window_features`
+    (the engine per tick, :meth:`IPUDPMLEstimator.feature_matrix
+    <repro.core.estimators.IPUDPMLEstimator.feature_matrix>` per call), and
+    both are pinned against this class.  Count, byte sum, min/max, the
+    unique-size set and the microburst state are maintained incrementally and
+    give O(1) mid-window introspection; the per-window size and inter-arrival
+    buffers are kept so the exact order-sensitive statistics (mean, stdev,
+    median) come from the *same numpy operations* as the kernel -- memory is
+    O(packets per window), never O(trace).
 
-    Produces a feature vector bit-identical to
-    :func:`extract_ipudp_features` on the same window: a last-ulp difference
-    could otherwise cross a forest split threshold and make streaming and
-    batch predictions diverge nondeterministically.
+    The feature vector is bit-identical to the kernel's row for the same
+    window: a last-ulp difference could otherwise cross a forest split
+    threshold and make training and serving rows diverge.
     """
 
     __slots__ = (
         "window_s",
         "classifier",
-        "microburst_threshold",
         "n",
         "byte_sum",
         "size_min",
@@ -188,13 +155,11 @@ class IPUDPFeatureAccumulator:
         self,
         window_s: float,
         classifier: MediaClassifier | None = None,
-        microburst_threshold: float = MICROBURST_IAT_THRESHOLD,
     ) -> None:
         if window_s <= 0:
             raise ValueError("window_s must be positive")
         self.window_s = window_s
         self.classifier = classifier if classifier is not None else MediaClassifier()
-        self.microburst_threshold = microburst_threshold
         # Live counters, readable mid-window (a monitor can report the
         # partial second without touching the buffers).
         self.n = 0
@@ -214,8 +179,8 @@ class IPUDPFeatureAccumulator:
         """Account one packet; returns whether it counted as (predicted) video.
 
         Packets must arrive in non-decreasing timestamp order (the streaming
-        engine's reorder buffer guarantees this), matching the batch
-        extractor's sort of the window's timestamps.
+        engine's reorder buffer guarantees this), the order
+        :func:`window_features` takes a window's rows in.
         """
         if not self.classifier.is_video(packet):
             return False
@@ -234,7 +199,7 @@ class IPUDPFeatureAccumulator:
             self.microbursts = 1
         else:
             gap = packet.timestamp - self._last_timestamp
-            if gap >= self.microburst_threshold:
+            if gap >= MICROBURST_IAT_THRESHOLD:
                 self.microbursts += 1
             self._iats = _reserved(self._iats, self._n_iats, 1)
             self._iats[self._n_iats] = gap
@@ -294,7 +259,7 @@ class IPUDPFeatureAccumulator:
             gaps[0] = timestamps[0] - previous
             np.subtract(timestamps[1:], timestamps[:-1], out=gaps[1:])
         self._n_iats = used + n_gaps
-        self.microbursts += int(np.count_nonzero(gaps >= self.microburst_threshold))
+        self.microbursts += int(np.count_nonzero(gaps >= MICROBURST_IAT_THRESHOLD))
         self._last_timestamp = float(timestamps[-1])
         return n
 
@@ -311,8 +276,8 @@ class IPUDPFeatureAccumulator:
     def features(self) -> np.ndarray:
         """The 14-feature vector for the window accumulated so far.
 
-        The five-number summaries are computed from the buffers by the batch
-        extractor's own :func:`_five_stats` (``np.add.reduceat`` sums), so
+        The five-number summaries are computed from the buffers by
+        :func:`_five_stats` (``np.add.reduceat`` sums, as in the kernel), so
         the result is bit-identical, not merely close; the running counters
         drive the exact integer features.  This is the per-window reference
         that :func:`window_features` is pinned against.
@@ -330,19 +295,21 @@ class IPUDPFeatureAccumulator:
 
 
 def window_features(
-    timestamps: np.ndarray, sizes: np.ndarray, lengths: np.ndarray, window_s: float
+    timestamps: np.ndarray, sizes: np.ndarray, lengths: np.ndarray, window_s: float | np.ndarray
 ) -> np.ndarray:
-    """The 14-feature vectors of many windows from their raw video rows, in one pass.
+    """The 14 IP/UDP features of Table 1 for many windows, from their raw video rows.
 
     Window *i* owns the next ``lengths[i]`` rows of ``timestamps`` /
-    ``sizes``: its (predicted) video packets in timestamp order.  Row *i* is
-    bit for bit :func:`extract_ipudp_features` on that window and
-    :meth:`IPUDPFeatureAccumulator.features` after pushing its packets: the
-    gaps are the same float subtraction, the five-number summaries come from
-    :func:`_segment_five_stats` (the same ``np.add.reduceat`` sums as
-    :func:`_five_stats`), and the counts are exact.  So a window's features
-    never depend on what else is resolved with it.  The streaming engine
-    resolves every window it closes in a tick, across all flows, with one call.
+    ``sizes``: its (predicted) video packets in timestamp order.  Its rates
+    divide by ``window_s``, one duration for every window or one per window.
+    Row *i* is bit for bit :meth:`IPUDPFeatureAccumulator.features` after
+    pushing the window's packets: the gaps are the same float subtraction,
+    the five-number summaries come from :func:`_segment_five_stats` (the same
+    ``np.add.reduceat`` sums as :func:`_five_stats`), and the counts are
+    exact.  So a window's features never depend on what else is resolved
+    with it.  This is the only IP/UDP feature path: the streaming engine
+    resolves every window it closes in a tick, across all flows, with one
+    call, and training resolves a call's windows with one call.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
     timestamps = np.asarray(timestamps, dtype=np.float64)

@@ -10,15 +10,17 @@ Architecture
 ------------
 Estimation is *streaming-first*.  The actual execution engine is
 :class:`~repro.core.streaming.StreamingQoEPipeline`: a single-pass, per-flow
-operator chain (media classification -> online frame assembly -> incremental
-feature accumulation -> per-window inference) whose retained state is bounded
-by the window size, never the trace length.  :meth:`QoEPipeline.estimate` is
-a thin *batch adapter* over that engine -- it feeds the materialized trace
+operator chain (media classification, then online frame assembly for the
+heuristic or, once trained, each open window's video rows, resolved by one
+``window_features`` pass and one forest walk per tick) whose retained state is
+bounded by the window size, never the trace length.  :meth:`QoEPipeline.estimate`
+is a thin *batch adapter* over that engine -- it feeds the materialized trace
 through the stream in single-flow mode and collects the emitted windows -- so
 the batch and streaming code paths share one implementation and cannot
 diverge.  Training, which inherently needs the labelled lab traces aligned
 with per-second ground truth, remains a batch operation over
-:func:`~repro.core.windows.match_windows_to_ground_truth`.
+:func:`~repro.core.windows.match_windows_to_ground_truth`, whose windows'
+rows come from the same ``window_features`` kernel.
 
 All behavioural knobs live in a frozen, validated
 :class:`~repro.core.config.PipelineConfig`; a trained pipeline can be
@@ -158,7 +160,10 @@ class QoEPipeline:
 
         The calls provide both traces and ground-truth logs (the labelled data
         a lab-style collection framework produces); only IP/UDP features are
-        used for the models themselves.
+        used for the models themselves.  A call's matched windows become rows
+        in one :meth:`~repro.core.estimators.IPUDPMLEstimator.feature_matrix`
+        call -- the ``window_features`` kernel the deployed engine resolves
+        windows with, so training rows are serving rows.
         """
         if not calls:
             raise ValueError("need at least one labelled call to train")
@@ -185,8 +190,9 @@ class QoEPipeline:
             matched = match_windows_to_ground_truth(
                 call.trace, call.ground_truth, window_s=window_s
             )
+            if matched:
+                feature_rows.append(self.ml.feature_matrix([sample.window for sample in matched]))
             for sample in matched:
-                feature_rows.append(self.ml.features_for_window(sample.window))
                 targets["frame_rate"].append(sample.ground_truth.frames_received)
                 targets["bitrate"].append(sample.ground_truth.bitrate_kbps)
                 targets["frame_jitter"].append(sample.ground_truth.frame_jitter_ms)

@@ -74,9 +74,7 @@ def chunked(packets, chunk_size: int) -> list[PacketBlock]:
 HEURISTIC_PAYLOAD = json.dumps(QoEPipeline.for_vca("teams").to_payload())
 
 
-def run_worker(
-    payload: str, inbound, new_flow_slack_s=None, shard_id: int = 7, config=None, ring_handle=None
-) -> list:
+def run_worker(payload: str, inbound, shard_id: int = 7, config=None, ring_handle=None) -> list:
     """Everything ``shard_worker_main`` sends when run in-process over ``inbound``."""
     in_queue: queue.Queue = queue.Queue()
     out_queue: queue.Queue = queue.Queue()
@@ -87,7 +85,6 @@ def run_worker(
         shard_id,
         payload,
         config.to_dict() if config is not None else None,
-        new_flow_slack_s,
         in_queue,
         out_queue,
         ring_handle=ring_handle,
@@ -110,12 +107,10 @@ def link_segments(blocks, max_flows=None) -> list[bytearray]:
     return segments
 
 
-def worker_messages(
-    payload: str, blocks, new_flow_slack_s=None, shard_id: int = 7, config=None, max_flows=None
-) -> list:
+def worker_messages(payload: str, blocks, shard_id: int = 7, config=None, max_flows=None) -> list:
     """The queue carrier: one ``("block", ...)`` message per routed sub-block."""
     inbound = [("block", segment) for segment in link_segments(blocks, max_flows)]
-    return run_worker(payload, inbound, new_flow_slack_s, shard_id, config)
+    return run_worker(payload, inbound, shard_id, config)
 
 
 class _StampingSink(CollectorSink):
@@ -131,7 +126,7 @@ class _StampingSink(CollectorSink):
         self.stamps.append(self.now)
 
 
-def run_sharded_in_process(packets, n_shards: int, chunk_size: int, new_flow_slack_s=None):
+def run_sharded_in_process(packets, n_shards: int, chunk_size: int):
     """Router -> one ``shard_worker_main`` per shard -> ``FanInSink``, single-threaded.
 
     On the queue path a worker answers every sub-block with exactly one
@@ -152,7 +147,7 @@ def run_sharded_in_process(packets, n_shards: int, chunk_size: int, new_flow_sla
             shard_blocks[shard].append(sub_block)
         routed.append((newest, [shard for shard, _ in parts]))
     messages = [
-        iter(worker_messages(HEURISTIC_PAYLOAD, blocks, new_flow_slack_s, shard_id=shard))
+        iter(worker_messages(HEURISTIC_PAYLOAD, blocks, shard_id=shard))
         for shard, blocks in enumerate(shard_blocks)
     ]
     sink = _StampingSink()
@@ -358,16 +353,16 @@ class TestShardWorkerLoop:
         assert kind == "error" and shard_id == 7
         assert "not a saved QoE pipeline" in trace
 
-    # -- the fan-in slack: measured by default, verbatim when declared ---------
+    # -- the fan-in slack: measured from the source's own disorder ------------
 
     @staticmethod
-    def _reference_watermarks(blocks, new_flow_slack_s=None) -> list:
+    def _reference_watermarks(blocks) -> list:
         """``low_watermark`` of an in-process engine after each of ``blocks``."""
         engine = StreamingQoEPipeline(QoEPipeline.for_vca("teams"))
         watermarks = []
         for block in blocks:
             engine.push_block(block)
-            watermarks.append(engine.low_watermark(new_flow_slack_s))
+            watermarks.append(engine.low_watermark())
         return watermarks
 
     def test_sorted_source_watermark_is_the_live_flow_bound(self):
@@ -379,14 +374,6 @@ class TestShardWorkerLoop:
         reported = [message[3] for message in messages[:-1]]
         assert reported == self._reference_watermarks(blocks)
         assert reported[-1] == 5.0  # the window every flow is still in
-
-    def test_declared_slack_is_the_fixed_bound_verbatim(self):
-        blocks = chunked(delivered([video_flow(5000 + i, 0.0, 6.0) for i in range(4)]), 64)
-        messages = worker_messages(HEURISTIC_PAYLOAD, blocks, new_flow_slack_s=1.5)
-        reported = [message[3] for message in messages[:-1]]
-        assert reported == self._reference_watermarks(blocks, new_flow_slack_s=1.5)
-        # window_index(newest - 1.5): never closer than a window and a half.
-        assert reported[-1] == 4.0
 
     def test_regressing_chunk_widens_the_slack_and_reports_stay_monotone(self):
         """A new flow joins 0.7 s behind the newest packet.  Its own windows
@@ -417,10 +404,12 @@ class TestShardWorkerLoop:
         assert reported[-1] == 5.0  # still advancing: floor(6.0 - 0.7)
 
 
-def two_tap_trace(n_shards: int):
-    """Flows of an on-time tap and of one that came up 0.8 s late, on every
-    shard, plus a flow that joins mid-run 0.75 s behind the newest packet --
-    its first packet in window 3 while the stream is already in window 4."""
+def two_tap_trace(n_shards: int, late_tap_s: float = 0.8):
+    """Flows of an on-time tap and of one that came up ``late_tap_s`` late, on
+    every shard, plus a flow that joins mid-run 0.75 s behind the newest
+    packet -- its first packet in window 3 while the stream is already in
+    window 4.  With ``late_tap_s=0.0`` both taps are on time and the joiner
+    is the source's first disorder."""
     router = FlowShardRouter(n_shards)
     ports: dict[int, list[int]] = {shard: [] for shard in range(n_shards)}
     for port in range(5000, 5064):
@@ -431,7 +420,7 @@ def two_tap_trace(n_shards: int):
     flows, online_at = [], []
     for _, on_time, late_tap in ports.values():
         flows += [video_flow(on_time, 0.0, 6.0), video_flow(late_tap, 0.0, 6.0)]
-        online_at += [-math.inf, 0.8]
+        online_at += [-math.inf, late_tap_s]
     # The joiner's key sorts ahead of its shard's other flows, so releasing
     # their window 3 before its own is visible in the output order.
     flows.append(video_flow(ports[0][0], 3.5, 6.0))
@@ -448,11 +437,16 @@ class TestMeasuredSlackThroughTheFanIn:
         expected = single_process_rows(packets)
         sink = run_sharded_in_process(packets, n_shards, chunk_size=64)
         assert as_rows(sink.items) == expected
-        # The same trace under a declared bound it violates: every estimate
-        # still arrives exactly once, only the late joiner's order degrades.
-        violated = as_rows(
-            run_sharded_in_process(packets, n_shards, chunk_size=64, new_flow_slack_s=0.0).items
-        )
+
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_a_first_disorder_degrades_only_the_order(self, n_shards):
+        """Both taps on time: the measured slack is 0 until the joiner itself
+        arrives, so the bound it violates is the one in force.  Every
+        estimate still arrives exactly once; only the joiner's order
+        degrades."""
+        packets = two_tap_trace(n_shards, late_tap_s=0.0)
+        expected = single_process_rows(packets)
+        violated = as_rows(run_sharded_in_process(packets, n_shards, chunk_size=64).items)
         assert violated != expected
         assert sorted(violated, key=repr) == sorted(expected, key=repr)
 

@@ -259,6 +259,7 @@ class TestColumnarTransport:
             ({"shm_batch_slots": False}, TypeError),
             ({"rebalance": None}, TypeError),
             ({"start_method": "fork"}, TypeError),
+            ({"new_flow_slack_s": 0.0}, TypeError),
         ],
     )
     def test_removed_options_are_rejected_at_construction(self, many_flow_packets, removed, error):

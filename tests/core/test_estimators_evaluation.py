@@ -36,8 +36,9 @@ class TestMLEstimators:
             "frame_jitter": np.array([m.ground_truth.frame_jitter_ms for m in matched]),
             "resolution": np.array(["low"] * len(matched)),
         }
-        estimator.fit_windows(windows, targets)
-        rows = estimator.predict_windows(windows)
+        X = estimator.feature_matrix(windows)
+        estimator.fit(X, targets)
+        rows = estimator.predict_rows(X, [window.start for window in windows])
         assert len(rows) == len(windows)
         assert all(row.frame_rate >= 0 for row in rows)
         assert all(row.resolution == "low" for row in rows)

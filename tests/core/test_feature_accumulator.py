@@ -1,10 +1,12 @@
-"""Incremental IP/UDP feature accumulators vs the batch extractor.
+"""The per-window IP/UDP feature reference and what is pinned against it.
 
-The streaming engine computes the 14 Table-1 features with
-:class:`~repro.core.features.IPUDPFeatureAccumulator` (running counters plus a
-per-window buffer for the exact percentile statistics).  These tests assert it
-reproduces :func:`~repro.core.features.extract_ipudp_features` on the same
-window for randomized traces.
+:class:`~repro.core.features.IPUDPFeatureAccumulator` computes one window's 14
+Table-1 features from running counters plus a per-window buffer for the exact
+percentile statistics.  It is the reference both feature rows are pinned
+against: the rows training computes
+(:meth:`~repro.core.estimators.IPUDPMLEstimator.feature_matrix`) and the
+engine's many-window kernel (:func:`~repro.core.features.window_features`),
+bit for bit on randomized traces.
 """
 
 import numpy as np
@@ -15,9 +17,9 @@ from repro.core.features import (
     IPUDPFeatureAccumulator,
     _five_stats,
     _segment_five_stats,
-    extract_ipudp_features,
     window_features,
 )
+from repro.core.estimators import IPUDPMLEstimator
 from repro.core.media import MediaClassifier
 from repro.core.windows import window_trace
 from repro.net.packet import IPv4Header, Packet, UDPHeader
@@ -46,21 +48,27 @@ def random_trace(rng, n_packets, duration):
     return PacketTrace([make_packet(float(t), int(s)) for t, s in zip(timestamps, sizes)])
 
 
-class TestAccumulatorMatchesBatchExtractor:
+def pushed_features(window, classifier) -> np.ndarray:
+    """The reference row: the window's packets pushed one by one."""
+    accumulator = IPUDPFeatureAccumulator(window.duration, classifier=classifier)
+    for packet in window.packets:
+        accumulator.push(packet)
+    return accumulator.features()
+
+
+class TestTrainingRowsMatchTheAccumulator:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_windows_match(self, seed):
         rng = np.random.default_rng(seed)
         trace = random_trace(rng, n_packets=400, duration=8.0)
         classifier = MediaClassifier()
-        for window in window_trace(trace, window_s=1.0, start=0.0):
-            accumulator = IPUDPFeatureAccumulator(window.duration, classifier=classifier)
-            for packet in window.packets:
-                accumulator.push(packet)
-            expected = extract_ipudp_features(window, classifier=classifier)
+        windows = window_trace(trace, window_s=1.0, start=0.0)
+        rows = IPUDPMLEstimator(classifier=classifier).feature_matrix(windows)
+        for window, row in zip(windows, rows, strict=True):
             # Bit-identical, not merely close: a last-ulp difference could
             # cross a forest split threshold and flip a prediction.
             np.testing.assert_array_equal(
-                accumulator.features(), expected,
+                row, pushed_features(window, classifier),
                 err_msg=f"feature mismatch (names: {IPUDP_FEATURE_NAMES})",
             )
 
@@ -68,14 +76,10 @@ class TestAccumulatorMatchesBatchExtractor:
         rng = np.random.default_rng(99)
         trace = random_trace(rng, n_packets=300, duration=6.0)
         classifier = MediaClassifier()
-        for window in window_trace(trace, window_s=0.5, start=0.0):
-            accumulator = IPUDPFeatureAccumulator(window.duration, classifier=classifier)
-            for packet in window.packets:
-                accumulator.push(packet)
-            np.testing.assert_array_equal(
-                accumulator.features(),
-                extract_ipudp_features(window, classifier=classifier),
-            )
+        windows = window_trace(trace, window_s=0.5, start=0.0)
+        rows = IPUDPMLEstimator(classifier=classifier).feature_matrix(windows)
+        for window, row in zip(windows, rows, strict=True):
+            np.testing.assert_array_equal(row, pushed_features(window, classifier))
 
     def test_empty_window_is_all_zeros(self):
         accumulator = IPUDPFeatureAccumulator(1.0)
@@ -86,7 +90,7 @@ class TestAccumulatorMatchesBatchExtractor:
         assert accumulator.push(make_packet(0.25, 1000))
         features = accumulator.features()
         window = window_trace(PacketTrace([make_packet(0.25, 1000)]), 1.0, start=0.0, end=1.0)[0]
-        np.testing.assert_allclose(features, extract_ipudp_features(window))
+        np.testing.assert_allclose(features, IPUDPMLEstimator().feature_matrix([window])[0])
         assert features[IPUDP_FEATURE_NAMES.index("# microbursts")] == 1.0
 
     def test_non_video_packets_ignored(self):
@@ -171,7 +175,7 @@ class TestOnePassKernel:
         sums = _segment_five_stats(np.concatenate(runs), lengths)[:, 5]
         assert sums.tolist() == [_reduceat_sum(run) for run in runs]
 
-    def test_rows_match_batch_extractor(self):
+    def test_rows_match_the_accumulator(self):
         rng = np.random.default_rng(5)
         trace = random_trace(rng, n_packets=600, duration=6.0)
         classifier = MediaClassifier()
@@ -183,12 +187,8 @@ class TestOnePassKernel:
             [len(packets) for packets in video],
             1.0,
         )
-        for window, row in zip(windows, got):
-            accumulator = IPUDPFeatureAccumulator(window.duration, classifier=classifier)
-            for packet in window.packets:
-                accumulator.push(packet)
-            np.testing.assert_array_equal(row, accumulator.features())
-            np.testing.assert_array_equal(row, extract_ipudp_features(window, classifier=classifier))
+        for window, row in zip(windows, got, strict=True):
+            np.testing.assert_array_equal(row, pushed_features(window, classifier))
 
     def test_a_window_does_not_depend_on_its_neighbours(self):
         rng = np.random.default_rng(9)

@@ -8,9 +8,9 @@ from repro.core.features import (
     IPUDP_FEATURE_NAMES,
     RTP_FEATURE_NAMES,
     extract_flow_features,
-    extract_ipudp_features,
     extract_rtp_features,
 )
+from repro.core.estimators import IPUDPMLEstimator
 from repro.core.resolution import ResolutionBinner, TEAMS_RESOLUTION_BINS, binner_for_vca
 from repro.core.windows import WindowedTrace, window_trace
 from repro.rtp.payload_types import LAB_PAYLOAD_TYPES
@@ -44,18 +44,23 @@ class TestFlowFeatures:
             extract_flow_features([], window_s=0.0)
 
 
+def ipudp_features(window: WindowedTrace) -> np.ndarray:
+    """The IP/UDP feature row training computes for ``window``."""
+    return IPUDPMLEstimator().feature_matrix([window])[0]
+
+
 class TestIPUDPFeatures:
     def test_vector_length_and_finiteness(self, teams_call):
         windows = window_trace(teams_call.trace, 1.0, start=2.0, end=10.0)
         for window in windows:
-            features = extract_ipudp_features(window)
+            features = ipudp_features(window)
             assert features.shape == (14,)
             assert np.all(np.isfinite(features))
 
     def test_unique_sizes_tracks_frame_count_on_clean_trace(self):
         trace = build_synthetic_trace(n_frames=20, packets_per_frame=3)
         window = WindowedTrace(start=0.0, duration=1.0, packets=trace)
-        features = extract_ipudp_features(window)
+        features = ipudp_features(window)
         unique_sizes = features[list(IPUDP_FEATURE_NAMES).index("# unique sizes")]
         # The synthetic trace cycles through 7 distinct frame sizes.
         assert unique_sizes == 7.0
@@ -63,13 +68,13 @@ class TestIPUDPFeatures:
     def test_microburst_count_close_to_frame_count(self):
         trace = build_synthetic_trace(n_frames=20, packets_per_frame=3, fps=20.0)
         window = WindowedTrace(start=0.0, duration=1.0, packets=trace)
-        features = extract_ipudp_features(window)
+        features = ipudp_features(window)
         microbursts = features[list(IPUDP_FEATURE_NAMES).index("# microbursts")]
         assert microbursts == pytest.approx(20.0)
 
     def test_empty_window(self):
         window = WindowedTrace(start=0.0, duration=1.0, packets=PacketTrace([]))
-        features = extract_ipudp_features(window)
+        features = ipudp_features(window)
         assert features.shape == (14,)
         assert np.all(features == 0.0)
 

@@ -122,20 +122,23 @@ class TestSingleFlowEquivalence:
         assert exact(batch) == exact(per_packet_prefix(pipeline, vca_call.trace, len(batch)))
 
     def test_streaming_trained_equals_the_batch_extractor(self, vca_call, trained_for, request):
-        """An oracle independent of the engine's windowing and feature state:
-        the batch extractor over ``window_trace``'s windows, then one walk of
-        the forests, gives exactly what per-packet ``collect`` and
-        ``estimate`` emit."""
-        from repro.core.features import extract_ipudp_features
+        """An oracle independent of the engine's windowing and feature kernel:
+        the per-window accumulator, pushed each of ``window_trace``'s windows
+        packet by packet, then one walk of the forests, gives exactly what
+        per-packet ``collect`` and ``estimate`` emit."""
+        from repro.core.features import IPUDPFeatureAccumulator
         from repro.core.windows import window_trace
 
         pipeline = trained_for(vca_call.vca, request)
         trace = vca_call.trace
         windows = window_trace(trace, pipeline.config.window_s, pipeline.config.start)
-        expected = pipeline.ml.predict_many(
-            [extract_ipudp_features(w, classifier=pipeline.ml.media_classifier) for w in windows],
-            [w.start for w in windows],
-        )
+        rows = []
+        for window in windows:
+            accumulator = IPUDPFeatureAccumulator(window.duration, pipeline.ml.media_classifier)
+            for packet in window.packets:
+                accumulator.push(packet)
+            rows.append(accumulator.features())
+        expected = pipeline.ml.predict_many(rows, [w.start for w in windows])
 
         def bits(rows) -> list[tuple]:
             return [

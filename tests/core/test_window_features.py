@@ -2,26 +2,30 @@
 
 :func:`~repro.core.features.window_features` computes many windows' 14
 Table-1 features from their raw video ``(timestamp, size)`` rows in one
-pass.  Each row must equal the batch extractor and the per-window
-accumulator bit for bit, whatever else is resolved with it.
+pass.  Each row must equal the per-window accumulator bit for bit, whatever
+else is resolved with it.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.estimators import IPUDPMLEstimator
+from repro.core.evaluation import EvaluationDataset
 from repro.core.features import (
     IPUDP_FEATURE_NAMES,
     IPUDPFeatureAccumulator,
     _five_stats,
     _segment_five_stats,
-    extract_ipudp_features,
     window_features,
 )
 from repro.core.media import MediaClassifier
-from repro.core.windows import WindowedTrace, window_trace
+from repro.core.pipeline import QoEPipeline
+from repro.core.windows import match_windows_to_ground_truth, window_trace
 from repro.net.packet import IPv4Header, Packet, UDPHeader
 from repro.net.trace import PacketTrace
+from repro.webrtc.profiles import get_profile
 
 
 def random_trace(seed: int, n_packets: int = 600, duration: float = 6.0) -> PacketTrace:
@@ -45,8 +49,19 @@ def video_rows(windows, classifier):
     return timestamps, sizes, np.array([len(packets) for packets in video])
 
 
+def pushed_rows(windows, classifier) -> np.ndarray:
+    """The reference: one accumulator per window, pushed packet by packet."""
+    rows = []
+    for window in windows:
+        accumulator = IPUDPFeatureAccumulator(window.duration, classifier=classifier)
+        for packet in window.packets:
+            accumulator.push(packet)
+        rows.append(accumulator.features())
+    return np.vstack(rows)
+
+
 class TestWindowFeatures:
-    def test_rows_equal_the_batch_extractor_and_the_accumulator(self):
+    def test_rows_equal_the_accumulator(self):
         classifier = MediaClassifier()
         shapes = set()
         for seed, window_s in ((1, 1.0), (2, 0.5), (3, 0.01)):
@@ -54,13 +69,7 @@ class TestWindowFeatures:
             timestamps, sizes, lengths = video_rows(windows, classifier)
             shapes.update(np.minimum(lengths, 2).tolist())
             got = window_features(timestamps, sizes, lengths, window_s)
-            expected = np.vstack([extract_ipudp_features(w, classifier=classifier) for w in windows])
-            np.testing.assert_array_equal(got, expected)
-            for window, row in zip(windows, got):
-                accumulator = IPUDPFeatureAccumulator(window_s, classifier=classifier)
-                for packet in window.packets:
-                    accumulator.push(packet)
-                np.testing.assert_array_equal(row, accumulator.features())
+            np.testing.assert_array_equal(got, pushed_rows(windows, classifier))
         assert shapes == {0, 1, 2}  # empty, one-packet and multi-packet windows
 
     def test_a_window_does_not_depend_on_its_neighbours(self):
@@ -73,6 +82,59 @@ class TestWindowFeatures:
             alone = window_features(timestamps[lo:hi], sizes[lo:hi], [hi - lo], 1.0)
             np.testing.assert_array_equal(alone[0], together[i])
         assert window_features([], [], [], 1.0).shape == (0, len(IPUDP_FEATURE_NAMES))
+
+
+def bit_patterns(rows) -> np.ndarray:
+    return np.ascontiguousarray(rows, dtype=np.float64).view(np.uint64)
+
+
+class TestTrainingRowsAreServingRows:
+    """The rows training and the evaluation datasets use are the serving
+    kernel's: :meth:`IPUDPMLEstimator.feature_matrix` is one
+    :func:`window_features` call over a call's matched windows."""
+
+    @pytest.mark.parametrize("window_s", [1, 2, 5])
+    @pytest.mark.parametrize("vca", ["teams", "meet", "webex"])
+    def test_matched_window_rows_are_the_accumulator_bits(self, vca, window_s, request):
+        call = request.getfixturevalue(f"{vca}_call")
+        estimator = IPUDPMLEstimator.for_profile(get_profile(vca))
+        matched = match_windows_to_ground_truth(call.trace, call.ground_truth, window_s=window_s)
+        windows = [sample.window for sample in matched]
+        assert len(windows) >= 2
+        rows = estimator.feature_matrix(windows)
+        expected = pushed_rows(windows, estimator.media_classifier)
+        np.testing.assert_array_equal(bit_patterns(rows), bit_patterns(expected))
+
+    def test_each_window_divides_by_its_own_duration(self, teams_call):
+        windows = window_trace(teams_call.trace, 0.5, start=2.0, end=4.0)
+        windows += window_trace(teams_call.trace, 2.0, start=4.0, end=10.0)
+        estimator = IPUDPMLEstimator()
+        rows = estimator.feature_matrix(windows)
+        expected = pushed_rows(windows, estimator.media_classifier)
+        np.testing.assert_array_equal(bit_patterns(rows), bit_patterns(expected))
+
+    def test_train_and_from_calls_make_one_kernel_call_per_call(self, teams_calls_small, monkeypatch):
+        import repro.core.estimators as estimators
+
+        real = estimators.window_features
+        passes: list[np.ndarray] = []
+
+        def spy(timestamps, sizes, lengths, window_s):
+            passes.append(real(timestamps, sizes, lengths, window_s))
+            return passes[-1]
+
+        monkeypatch.setattr(estimators, "window_features", spy)
+        n_matched = [
+            len(match_windows_to_ground_truth(call.trace, call.ground_truth))
+            for call in teams_calls_small
+        ]
+        QoEPipeline.for_vca("teams").train(teams_calls_small)
+        assert [len(rows) for rows in passes] == n_matched
+        trained_rows = np.vstack(passes)
+        passes.clear()
+        dataset = EvaluationDataset.from_calls(teams_calls_small)
+        assert [len(rows) for rows in passes] == n_matched
+        np.testing.assert_array_equal(bit_patterns(dataset.X_ipudp), bit_patterns(trained_rows))
 
 
 # -- exact by construction ---------------------------------------------------
@@ -142,15 +204,13 @@ class TestExactByConstruction:
 
     @given(seed=SEEDS, n=LENGTHS)
     @settings(max_examples=40, deadline=None)
-    def test_a_window_is_the_batch_extractor(self, seed, n):
+    def test_a_window_is_the_pushed_accumulator(self, seed, n):
         timestamps, sizes = raw_rows(seed, n)
         ip, udp = IPv4Header(src="1.1.1.1", dst="2.2.2.2"), UDPHeader(src_port=1, dst_port=2)
-        packets = [
-            Packet(timestamp=float(t), ip=ip, udp=udp, payload_size=int(s))
-            for t, s in zip(timestamps, sizes)
-        ]
-        window = WindowedTrace(start=float(timestamps[0]) if n else 0.0, duration=1.0, packets=PacketTrace(packets))
-        assert_same_bits(features_of([video((timestamps, sizes))])[0], extract_ipudp_features(window))
+        pushed = IPUDPFeatureAccumulator(1.0)
+        for t, s in zip(timestamps, sizes):
+            pushed.push(Packet(timestamp=float(t), ip=ip, udp=udp, payload_size=int(s)))
+        assert_same_bits(features_of([video((timestamps, sizes))])[0], pushed.features())
 
     @given(seed=SEEDS, n=LENGTHS, cuts=st.lists(st.integers(0, 600), max_size=4))
     @settings(max_examples=40, deadline=None)

@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.frame_assembly import assemble_frames
-from repro.core.features import extract_flow_features, extract_ipudp_features
+from repro.core.estimators import IPUDPMLEstimator
+from repro.core.features import extract_flow_features
 from repro.core.resolution import ResolutionBinner, TEAMS_RESOLUTION_BINS
 from repro.core.windows import WindowedTrace
 from repro.ml.metrics import mean_absolute_error, summarize_errors
@@ -127,7 +128,7 @@ def test_flow_features_finite_and_nonnegative(packets):
 @settings(max_examples=40, deadline=None)
 def test_ipudp_features_shape_and_bounds(packets):
     window = WindowedTrace(start=0.0, duration=1.0, packets=PacketTrace(packets))
-    features = extract_ipudp_features(window)
+    features = IPUDPMLEstimator().feature_matrix([window])[0]
     assert features.shape == (14,)
     assert np.all(np.isfinite(features))
     n_video = sum(1 for p in packets if p.payload_size >= 450 and p.payload_size != 304)
