@@ -16,16 +16,20 @@ Two implementations share the operator's bounded state:
   array operations (stacked lookback comparison under a same-segment mask,
   pointer-doubling boundary resolution, segment-reduced aggregates).  The
   streaming engine calls it once per block over every flow;
-  :meth:`FrameAssembler.push_rows` is its one-segment call.  Lookback tails
-  and open frames carry across runs, so interleaving scalar pushes and
+  :meth:`FrameAssembler.push_rows` is its one-segment call.  An assembler's
+  whole state is its lookback tail of ``(timestamp, size, frame)`` entries
+  (a frame is open exactly while an entry holds it) plus its next frame
+  index; the tail carries across runs, so interleaving scalar pushes and
   vectorized runs is frame-for-frame identical to pushing every packet
   through :meth:`~FrameAssembler.push`.
 
 Frames assembled by either path carry aggregate columns only
 (``n_packets``/``size_bytes``/``raw_size_bytes``/``start_time``/``end_time``):
-the assembler never retains a packet.  Evaluation and ground-truth code that
-needs a frame's packets goes through the batch
-:meth:`FrameAssembler.assemble` adapter, which attaches a lazy view.
+the assembler never retains a packet.  The kernel builds frame objects only
+for frames that outlive its run; the rest stay its columns, which the
+streaming engine files into windows directly (see :class:`SegmentedRun`).
+Evaluation and ground-truth code that needs a frame's packets goes through
+the batch :meth:`FrameAssembler.assemble` adapter, which attaches a lazy view.
 """
 
 from __future__ import annotations
@@ -129,23 +133,6 @@ class AssembledFrame:
         if timestamp > self._end_time:
             self._end_time = timestamp
 
-    def _add_run(
-        self,
-        n_packets: int,
-        size_bytes: int,
-        raw_size_bytes: int,
-        start_time: float,
-        end_time: float,
-    ) -> None:
-        """Bulk :meth:`add` of one vectorized run segment (aggregates only)."""
-        self.n_packets += n_packets
-        self.size_bytes += size_bytes
-        self.raw_size_bytes += raw_size_bytes
-        if start_time < self._start_time:
-            self._start_time = start_time
-        if end_time > self._end_time:
-            self._end_time = end_time
-
     @property
     def packets(self) -> list[Packet]:
         """The frame's packets (evaluation / ground-truth view).
@@ -226,22 +213,39 @@ class SegmentedRun:
     segment-major and, within a segment, carried frames come first and new
     frames follow in creation order.  Per group ``g``:
 
-    * ``g_seg[g]`` -- its segment; ``frames[g]`` -- the frame (``None`` in a
-      bailed segment); ``prior_ends[g]`` -- a carried frame's ``end_time``
-      before the run (``None`` for a new frame); ``end_ts[g]`` -- its
-      ``end_time`` after the run;
+    * ``g_seg[g]`` -- its segment; ``end_ts[g]`` / ``size_bytes[g]`` -- its
+      ``end_time`` and ``size_bytes`` after the run; ``prior_ends[g]`` -- a
+      carried frame's ``end_time`` before the run (NaN for a new frame);
     * ``occ[lo[g]:hi[g]]`` -- the flat new-row indices that joined it this
-      run, ascending (empty for a carried frame that gained nothing).
+      run, ascending (empty for a carried frame that gained nothing);
+    * ``frames[g]`` -- the frame (``None`` in a bailed segment).
 
     ``fin_groups`` are the groups finalized by a row of this run, in
     finalization order, and ``fin_rows`` the flat new-row index whose push
     finalized each.  ``bail`` is the per-segment liveness verdict (``None``
     when no ``max_gap_s`` was given).
+
+    The kernel builds :class:`AssembledFrame` objects only for the frames
+    that outlive the run (the lookback tails hold them).  A frame that is
+    created and finalized inside the run is the columns above until
+    ``frames`` is first read, which materializes it; the streaming engine
+    buckets finalized frames from ``end_ts`` / ``size_bytes`` and never
+    reads ``frames``.
     """
 
     __slots__ = (
-        "bail", "g_seg", "frames", "prior_ends", "end_ts", "lo", "hi", "occ", "fin_groups", "fin_rows",
+        "bail", "g_seg", "prior_ends", "end_ts", "size_bytes", "lo", "hi", "occ", "fin_groups",
+        "fin_rows", "_frames", "_unbuilt",
     )
+
+    @property
+    def frames(self) -> list[AssembledFrame | None]:
+        """Every group's frame, in group order (``None`` in a bailed segment)."""
+        if self._unbuilt is not None:
+            for g, *aggregates in zip(*(column.tolist() for column in self._unbuilt)):
+                self._frames[g] = AssembledFrame._from_aggregates(*aggregates)
+            self._unbuilt = None
+        return self._frames
 
 
 def assemble_segments(
@@ -272,10 +276,12 @@ def assemble_segments(
       segment reduction; a frame finalizes when the row ``lookback``
       positions past its last entry is pushed, if that row is in the run.
 
-    Every segment's frames and post-run state (lookback tail, open frames,
-    next frame index) are then written back: carried frames in place, new
-    frames aggregate-only -- the state scalar :meth:`FrameAssembler.push`
-    would have left.
+    Every kept segment that gained rows is then written back: carried
+    frames gain their rows in place, the frames that outlive the run are
+    built aggregate-only, and the assembler's state becomes the last
+    ``lookback`` combined positions as ``(timestamp, size, frame)`` entries
+    plus its bumped next frame index -- the state scalar
+    :meth:`FrameAssembler.push` would have left.
 
     ``max_gap_s`` is the streaming engine's liveness guard: segment ``s``
     bails (``bail[s]``) when any of its frames could go ``max_gap_s``
@@ -289,19 +295,17 @@ def assemble_segments(
     """
     lookback = assemblers[0].lookback
     n_segments = len(assemblers)
-    carried_ts: list[float] = []
-    carried_sizes: list[int] = []
-    carried_frames: list[AssembledFrame] = []
+    carried: list[tuple[float, int, AssembledFrame]] = []
     n_carried: list[int] = []
     next_index: list[int] = []
     for assembler in assemblers:
         recent = assembler._recent
         n_carried.append(len(recent))
         next_index.append(assembler._next_index)
-        for entry_ts, entry_size, entry_frame in recent:
-            carried_ts.append(entry_ts)
-            carried_sizes.append(entry_size)
-            carried_frames.append(entry_frame)
+        carried += recent
+    carried_ts = [entry[0] for entry in carried]
+    carried_sizes = [entry[1] for entry in carried]
+    carried_frames = [entry[2] for entry in carried]
 
     # The combined position space: each segment's carried entries, then its
     # new rows.
@@ -385,50 +389,59 @@ def assemble_segments(
         kept_seg[seg_of[order[stalls + 1]]] = False
         run.bail = ~kept_seg
 
-    # Commit.  Per-group Python work is the kernel's constant factor: every
-    # value is pre-extracted into one zip of plain scalars and new frames
-    # are built with direct slot stores.  A new frame's index is its
-    # segment's next index plus its rank among the segment's boundary rows.
+    # Commit.  Per-group Python work is the kernel's constant factor, so it
+    # touches only carried frames and the new frames that outlive the run;
+    # the rest stay columns (see SegmentedRun).  A carried frame's group is
+    # its carried entries (arrival order, so the last one holds its end
+    # time) followed by its new rows.  A new frame's index is its segment's
+    # next index plus its rank among the segment's boundary rows.
     minted = np.cumsum(new & ~matched)
     minted_before = np.concatenate(([0], minted))[cstart]
     g_fid = np.array(next_index, dtype=np.int64)[g_seg] + minted[g_root] - 1 - minted_before[g_seg]
-    carried_at = np.where(new[g_root], -1, (np.cumsum(~new) - 1)[g_root])
-    groups = np.flatnonzero(kept_seg[g_seg])
-    n_groups = len(g_seg)
-    frames: list[AssembledFrame | None] = [None] * n_groups
-    prior_ends: list[float | None] = [None] * n_groups
-    new_frame = AssembledFrame.__new__
-    for g, carried_at, frame_id, count, media_sum, raw_sum, first_ts, last_ts in zip(
-        groups.tolist(),
-        carried_at[groups].tolist(),
-        g_fid[groups].tolist(),
-        counts[groups].tolist(),
-        media_sums[groups].tolist(),
-        raw_sums[groups].tolist(),
-        ts_sorted[np.minimum(first_new, total - 1)][groups].tolist(),
-        end_ts[groups].tolist(),
-    ):
-        if carried_at >= 0:
-            frame = carried_frames[carried_at]
-            prior_ends[g] = frame._end_time
-            if count:
-                frame._add_run(count, media_sum, raw_sum, first_ts, last_ts)
-        else:
-            frame = new_frame(AssembledFrame)
-            frame.frame_index = frame_id
-            frame.n_packets = count
-            frame.size_bytes = media_sum
-            frame.raw_size_bytes = raw_sum
-            frame._start_time = first_ts
-            frame._end_time = last_ts
-            frame._packets = None
-            frame._packet_src = None
-            frame._packet_idx = None
+    g_first_ts = ts_sorted[np.minimum(first_new, total - 1)]
+    kept = kept_seg[g_seg]
+    is_new = new[g_root]
+    frames: list[AssembledFrame | None] = [None] * len(g_seg)
+    old = np.flatnonzero(kept & ~is_new)
+    old_frames = [carried_frames[c] for c in (np.cumsum(~new) - 1)[g_root[old]].tolist()]
+    for g, frame in zip(old.tolist(), old_frames):
         frames[g] = frame
+    size_bytes = media_sums.copy()
+    size_bytes[old] += np.array([frame.size_bytes for frame in old_frames], dtype=np.int64)
+    prior_ends = np.full(len(g_seg), np.nan)
+    prior_ends[old] = ts_sorted[first_new[old] - 1]
+    grew = old[counts[old] > 0]
+    for g, count, media_sum, raw_sum, first_ts, last_ts in zip(
+        grew.tolist(), *(column[grew].tolist() for column in (counts, media_sums, raw_sums, g_first_ts, end_ts))
+    ):
+        frame = frames[g]
+        frame.n_packets += count
+        frame.size_bytes += media_sum
+        frame.raw_size_bytes += raw_sum
+        if first_ts < frame._start_time:
+            frame._start_time = first_ts
+        if last_ts > frame._end_time:
+            frame._end_time = last_ts
+    columns = (g_fid, counts, media_sums, raw_sums, g_first_ts, end_ts)
+    outliving = np.flatnonzero(kept & is_new & ~finalizes)
+    new_frame = AssembledFrame.__new__
+    for g, frame_id, count, media_sum, raw_sum, first_ts, last_ts in zip(
+        outliving.tolist(), *(column[outliving].tolist() for column in columns)
+    ):
+        frame = frames[g] = new_frame(AssembledFrame)
+        frame.frame_index = frame_id
+        frame.n_packets = count
+        frame.size_bytes = media_sum
+        frame.raw_size_bytes = raw_sum
+        frame._start_time = first_ts
+        frame._end_time = last_ts
+        frame._packets = frame._packet_src = frame._packet_idx = None
+    unbuilt = np.flatnonzero(kept & is_new & finalizes)
+    run._frames = frames
+    run._unbuilt = (unbuilt, *(column[unbuilt] for column in columns))
 
-    # Post-run bounded state of every kept segment that gained rows: its
-    # lookback tail is the last ``lookback`` combined positions, and its
-    # open frames are exactly the frames with an entry there.
+    # Post-run state of every kept segment that gained rows: its lookback
+    # tail is the last ``lookback`` combined positions.
     segments = np.flatnonzero(kept_seg & (np.diff(bounds) > 0))
     tail_len = np.minimum(seg_len[segments], lookback)
     tail_pos = np.repeat(cstart[segments + 1] - tail_len, tail_len) + (
@@ -436,40 +449,28 @@ def assemble_segments(
     )
     group_of_pos = np.empty(total, dtype=np.int64)
     group_of_pos[order] = np.cumsum(head) - 1
-    tail_groups = group_of_pos[tail_pos].tolist()
-    tail_ts = all_ts[tail_pos].tolist()
-    tail_sizes = all_sizes[tail_pos].tolist()
+    tail_frames = [frames[g] for g in group_of_pos[tail_pos].tolist()]
+    tail = list(zip(all_ts[tail_pos].tolist(), all_sizes[tail_pos].tolist(), tail_frames))
     q = 0
     for s, n_tail, n_minted in zip(
         segments.tolist(), tail_len.tolist(), np.diff(minted_before)[segments].tolist()
     ):
-        recent: list[tuple[float, int, AssembledFrame]] = []
-        live: dict[int, int] = {}
-        open_frames: dict[int, AssembledFrame] = {}
-        for j in range(q, q + n_tail):
-            frame = frames[tail_groups[j]]
-            recent.append((tail_ts[j], tail_sizes[j], frame))
-            index = frame.frame_index
-            live[index] = live.get(index, 0) + 1
-            open_frames[index] = frame
-        q += n_tail
         assembler = assemblers[s]
-        assembler._recent = recent
-        assembler._live = live
-        assembler._open = open_frames
+        assembler._recent = tail[q : q + n_tail]
         assembler._next_index += n_minted
+        q += n_tail
 
     # At most one frame finalizes per pushed row, so ordering the finalizing
     # groups by their finalizing position is a total order (segment-major,
     # row order within a segment).
-    fin_groups = np.flatnonzero(finalizes & kept_seg[g_seg])
+    fin_groups = np.flatnonzero(finalizes & kept)
     by_pos = np.argsort(fin_pos[fin_groups])
     run.fin_groups = fin_groups[by_pos]
     run.fin_rows = new_rank[fin_pos[run.fin_groups]]
     run.g_seg = g_seg
-    run.frames = frames
     run.prior_ends = prior_ends
     run.end_ts = end_ts
+    run.size_bytes = size_bytes
     run.lo = first_new
     run.hi = group_ends
     run.occ = occ
@@ -483,10 +484,9 @@ class FrameAssembler:
     order with :meth:`push` (or whole sorted runs with :meth:`push_rows`) and
     collect frames as soon as they can no longer change.  The retained state
     is bounded by ``lookback`` -- the last ``lookback`` (timestamp, size,
-    frame) assignments plus the (at most ``lookback``) frames those packets
-    belong to -- so the assembler can run forever over a live capture without
-    growing.  :meth:`assemble` is a thin batch adapter over the same state
-    machine.
+    frame) assignments; a frame is open exactly while one of them holds it --
+    so the assembler can run forever over a live capture without growing.
+    :meth:`assemble` is a thin batch adapter over the same state machine.
 
     Parameters
     ----------
@@ -510,22 +510,22 @@ class FrameAssembler:
     # -- streaming interface ---------------------------------------------------
 
     def reset(self) -> None:
-        """Discard all streaming state (recent assignments and open frames)."""
-        # The frame each recent packet was assigned to, most recent last:
-        # (timestamp, payload_size, frame) triples -- one representation
-        # shared by the scalar path, the vectorized path and finalize_stale.
+        """Discard all streaming state (the lookback tail and its open frames)."""
+        # The whole state: the frame each recent packet was assigned to, most
+        # recent last, as (timestamp, payload_size, frame) triples -- one
+        # representation shared by the scalar path, the vectorized path and
+        # finalize_stale.  A frame is open exactly while an entry holds it.
         # (A short list, not a deque: at most lookback + 1 entries, and one
         # per flow at a vantage point, where a deque's block costs ~10x.)
         self._recent: list[tuple[float, int, AssembledFrame]] = []
-        # frame_index -> number of its packets still inside the lookback.
-        self._live: dict[int, int] = {}
-        self._open: dict[int, AssembledFrame] = {}
         self._next_index = 0
 
     @property
     def open_frames(self) -> list[AssembledFrame]:
-        """Frames that may still gain packets (at most ``lookback`` of them)."""
-        return [self._open[index] for index in sorted(self._open)]
+        """Frames that may still gain packets: those the lookback tail holds
+        (at most ``lookback``), in creation order."""
+        frames = {entry[2].frame_index: entry[2] for entry in self._recent}
+        return [frames[index] for index in sorted(frames)]
 
     def push(self, packet: Packet) -> list[AssembledFrame]:
         """Feed one packet (non-decreasing arrival order).
@@ -543,7 +543,6 @@ class FrameAssembler:
         timestamp = packet.timestamp
         media = size - RTP_FIXED_HEADER_LEN if size > RTP_FIXED_HEADER_LEN else 0
         recent = self._recent
-        live = self._live
         for _, previous_size, frame in reversed(recent):
             if abs(previous_size - size) <= self.delta_size:
                 frame.n_packets += 1
@@ -553,24 +552,19 @@ class FrameAssembler:
                     frame._start_time = timestamp
                 if timestamp > frame._end_time:
                     frame._end_time = timestamp
-                live[frame.frame_index] += 1
                 break
         else:
             index = self._next_index
             frame = AssembledFrame._from_aggregates(index, 1, media, size, timestamp, timestamp)
             self._next_index = index + 1
-            self._open[index] = frame
-            live[index] = 1
         recent.append((timestamp, size, frame))
         if len(recent) <= self.lookback:
             return []
-        index = recent.pop(0)[2].frame_index
-        count = live[index] - 1
-        if count:
-            live[index] = count
-            return []
-        del live[index]
-        return [self._open.pop(index)]
+        popped = recent.pop(0)[2]
+        for entry in recent:
+            if entry[2] is popped:
+                return []
+        return [popped]
 
     def push_rows(
         self,
@@ -615,7 +609,7 @@ class FrameAssembler:
         )
         if run.bail is not None and run.bail[0]:
             return None
-        frames = run.frames
+        frames = run.frames  # materializes the frames the kernel kept as columns
         finalized = [
             (row, frames[g]) for g, row in zip(run.fin_groups.tolist(), run.fin_rows.tolist())
         ]
@@ -623,7 +617,7 @@ class FrameAssembler:
 
     def flush(self) -> list[AssembledFrame]:
         """Finalize and return the remaining open frames; resets the stream."""
-        remaining = [self._open[index] for index in sorted(self._open)]
+        remaining = self.open_frames
         self.reset()
         return remaining
 
@@ -636,15 +630,12 @@ class FrameAssembler:
         frames -- and their entries in the lookback -- so estimate latency
         stays bounded in wall-clock terms.  Batch assembly never needs it.
         """
-        stale = [frame for frame in self._open.values() if frame.end_time < older_than]
-        if not stale:
+        recent = self._recent
+        if all(entry[2].end_time >= older_than for entry in recent):
             return []
-        stale_ids = {frame.frame_index for frame in stale}
-        self._recent = [entry for entry in self._recent if entry[2].frame_index not in stale_ids]
-        for frame in stale:
-            del self._open[frame.frame_index]
-            del self._live[frame.frame_index]
-        return sorted(stale, key=lambda f: f.frame_index)
+        stale = [frame for frame in self.open_frames if frame.end_time < older_than]
+        self._recent = [entry for entry in recent if entry[2].end_time >= older_than]
+        return stale
 
     # -- batch adapters --------------------------------------------------------
 

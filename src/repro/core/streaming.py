@@ -43,7 +43,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from time import perf_counter
 from typing import TYPE_CHECKING, Union
 
@@ -326,10 +326,10 @@ class _FlowStream:
         rel_lo: int,
         rel_hi: int,
         triggers: list[int],
-        spans: list[tuple[int, int, "int | None", "float | None", int]],
+        spans: list[tuple[int, int, "int | None", float, int]],
         occ_rel: list[int],
         occ_ts: list[float],
-        fins: list[tuple[int, int, AssembledFrame]],
+        fins: list[tuple[int, int, float, int]],
     ) -> list[tuple[int, "PipelineEstimate"]]:
         """Replay :meth:`_close_ready` over one committed heuristic run.
 
@@ -340,9 +340,9 @@ class _FlowStream:
         released-row occurrences this run are ``occ_rel[lo:hi]`` (timestamps
         ``occ_ts[lo:hi]``), ``fin_rel`` is the released row whose push
         finalized it (``None`` if it outlives the run), ``prior_end`` its
-        ``end_time`` before the run (``None`` for a new frame) and
-        ``first_rel`` its first occurrence (``-1`` for a carried frame).
-        ``fins`` are the finalized frames as ``(fin_rel, window, frame)`` in
+        ``end_time`` before the run (NaN for a new frame) and ``first_rel``
+        its first occurrence (``-1`` for a carried frame).  ``fins`` are the
+        finalized frames as ``(fin_rel, window, end_time, size_bytes)`` in
         finalization order.
 
         Window ``k`` closes at the first released row ``r`` past its end
@@ -375,7 +375,6 @@ class _FlowStream:
                     break  # it and every later span open past the boundary
                 i = bisect_right(occ_rel, cross, lo, hi) - 1
                 end = occ_ts[i] if i >= lo else prior_end
-                assert end is not None
                 if end >= window_end:
                     continue
                 # The frame blocks window k until it finalizes or gains a
@@ -393,11 +392,11 @@ class _FlowStream:
             if blocked:
                 break
             while ev < n_fins and fins[ev][0] <= r:
-                self._bucket(fins[ev][1], fins[ev][2])
+                self._bucket(fins[ev][1], [fins[ev][2]], fins[ev][3])
                 ev += 1
             out.append((triggers[rel_lo + r], self._emit(self._next_window)))
         while ev < n_fins:
-            self._bucket(fins[ev][1], fins[ev][2])
+            self._bucket(fins[ev][1], [fins[ev][2]], fins[ev][3])
             ev += 1
         return out
 
@@ -464,19 +463,22 @@ class _FlowStream:
         return closed
 
     def _bucket_frame(self, frame: AssembledFrame) -> None:
-        self._bucket(window_index(frame.end_time, self.start, self.window_s), frame)
+        end_time = frame._end_time
+        self._bucket(window_index(end_time, self.start, self.window_s), [end_time], frame.size_bytes)
 
-    def _bucket(self, k: int, frame: AssembledFrame) -> None:
-        """File a finalized frame under window ``k`` (its end time's window)."""
+    def _bucket(self, k: int, end_times: list[float], size_bytes: int) -> None:
+        """File finalized frames of window ``k`` (the window their end times
+        fall in) as all a window keeps of them: their end times, in
+        finalization order, and their total media bytes."""
         if k < self._next_window:  # frames for already-emitted windows cannot occur
             return
         ends = self._window_ends.get(k)
         if ends is None:
-            self._window_ends[k] = [frame._end_time]
-            self._window_bytes[k] = frame.size_bytes
+            self._window_ends[k] = end_times
+            self._window_bytes[k] = size_bytes
         else:
-            ends.append(frame._end_time)
-            self._window_bytes[k] += frame.size_bytes
+            ends += end_times
+            self._window_bytes[k] += size_bytes
 
     def _close_ready(self) -> list["PipelineEstimate"]:
         """Emit every heuristic window that can no longer gain frames.
@@ -594,6 +596,11 @@ class StreamingQoEPipeline:
         # ``(src, src_port, dst, dst_port, protocol)`` (``None`` in
         # single-flow mode); insertion order is first-seen order.
         self._streams: dict[tuple | None, _FlowStream] = {}
+        # The streams of the last block's flow table by flow code (``None``
+        # until the code is first met), so a tick reaches a flow's stream
+        # without building its registry key; a new table starts a new list.
+        self._table: tuple[FlowKey, ...] | None = None
+        self._table_streams: list[_FlowStream | None] = []
         # Estimates of a block that raised mid-tick: the windows are already
         # closed, so they are delivered by the next push_block or flush.
         self._held_estimates: list[StreamEstimate] = []
@@ -656,8 +663,10 @@ class StreamingQoEPipeline:
 
         The struct-of-arrays hot path: the block is demultiplexed by its
         pre-computed flow codes (one stable argsort, no per-packet dict
-        work), and each flow's :class:`~repro.net.flows.FlowKey` becomes a
-        registry key once per tick.
+        work), and each flow's stream is found through a list kept per flow
+        table (``block.flows``) and indexed by flow code: a flow's
+        :class:`~repro.net.flows.FlowKey` becomes a registry key only when
+        its table first meets it.
 
         The tick is **one segmented pass over the whole block** in both
         modes, not one pass per (flow, block): a light loop gathers each
@@ -749,11 +758,17 @@ class StreamingQoEPipeline:
         ``scalar_fallback_rows["disordered"]``).  Every other flow goes
         through :meth:`_release_segments` together.
         """
+        flows = block.flows
         if self.demux_flows:
             order, codes, bounds = block.flow_segments()
+            if flows is not self._table:
+                self._table = flows
+                self._table_streams = [None] * len(flows)
+            by_code = self._table_streams
         else:
             order = np.arange(len(block))
             codes, bounds = np.zeros(1, dtype=np.int64), np.array([0, len(block)])
+            by_code = [self._streams.get(None)]
         ts = block.timestamps[order]
         sizes = block.sizes[order]
         heads = bounds[:-1]
@@ -771,29 +786,23 @@ class StreamingQoEPipeline:
             newest = np.where(disordered, np.maximum.reduceat(ts, heads), last_ts)
 
         # Gather: one light pass over the flows, reading each stream's
-        # reorder buffer and watermark (nothing is written but last_seen).
-        streams = self._streams
-        flows = block.flows
-        demux = self.demux_flows
+        # reorder buffer, sequence counter and watermark (nothing is written
+        # but last_seen).
         selected: list[tuple[int, _FlowStream]] = []
         buffered: list[tuple[float, int, int, Packet | None]] = []
         n_buffered: list[int] = []
+        seqs: list[int] = []
         fallback: list[tuple[int, _FlowStream, str]] = []
         for f, code, first, new_ts, backwards in zip(
             range(n_flows), codes.tolist(), first_ts.tolist(), newest.tolist(), disordered.tolist()
         ):
-            if demux:
-                flow: FlowKey | None = flows[code]
-                key: tuple | None = (flow.src, flow.src_port, flow.dst, flow.dst_port, flow.protocol)
-            else:
-                flow = key = None
-            stream = streams.get(key)
+            stream = by_code[code]
             if stream is None:
-                stream = self._add_stream(key, flow)
+                stream = by_code[code] = self._stream_of(flows[code] if self.demux_flows else None)
             if stream.last_seen is None or new_ts > stream.last_seen:
                 stream.last_seen = new_ts
             pending = stream._pending
-            if len(pending) > 1:
+            if len(pending) > 2:  # a heap of two entries is sorted already
                 pending = sorted(pending)
             if not backwards:
                 # A run that backdates the buffer or the stream (possible
@@ -808,10 +817,13 @@ class StreamingQoEPipeline:
                 continue
             selected.append((f, stream))
             n_buffered.append(len(pending))
-            buffered.extend(pending)
+            buffered += pending
+            seqs.append(stream._seq)
         if selected:
             fallback.extend(
-                self._release_segments(ts, sizes, order, bounds, selected, buffered, n_buffered, tagged)
+                self._release_segments(
+                    ts, sizes, order, bounds, selected, buffered, n_buffered, seqs, tagged
+                )
             )
         fallback_rows = self.counters["scalar_fallback_rows"]
         for f, stream, reason in fallback:
@@ -829,14 +841,16 @@ class StreamingQoEPipeline:
         selected: list[tuple[int, _FlowStream]],
         buffered: list[tuple[float, int, int, Packet | None]],
         n_buffered: list[int],
+        seqs: list[int],
         tagged: list[tuple[int, int, FlowKey | None, _Closed]],
     ) -> list[tuple[int, _FlowStream, str]]:
         """Release, reduce and window the selected flows' runs at once.
 
         ``ts`` / ``sizes`` are the block's columns grouped by flow
         (``order`` maps them back to block rows, ``bounds`` delimits flows);
-        ``selected`` are the sorted flows as ``(flow, stream)`` and
-        ``buffered`` their sorted reorder buffers, laid end to end.
+        ``selected`` are the sorted flows as ``(flow, stream)``, ``buffered``
+        their sorted reorder buffers, laid end to end, and ``seqs`` their
+        streams' sequence counters.
 
         On sorted runs each reorder buffer is a delay line: a flow releases
         its buffer ++ run minus the newest ``reorder_depth`` rows, and
@@ -846,12 +860,13 @@ class StreamingQoEPipeline:
         :func:`~repro.core.frame_assembly.assemble_segments` call (which also
         writes the assemblers back) and one ``window_indices`` over every
         finalized frame.  Trained: one ``window_indices`` over every released
-        row.  Then a light pass scatters each flow's new buffer and watermark
-        back into its stream.  A trained flow commits its rows and closes its
-        windows (:meth:`_FlowStream._close_rows`).  A heuristic flow whose
-        horizon stays short of its next window end only buckets its finalized
-        frames; the rest replay their window closes
-        (:meth:`_FlowStream._replay_closes`).
+        row.  The rows that stay buffered become reorder entries all at
+        once; then a light pass scatters each flow's slice of them and its
+        watermark back into its stream.  A trained flow commits its rows and
+        closes its windows (:meth:`_FlowStream._close_rows`).  A heuristic
+        flow whose horizon stays short of its next window end files all its
+        finalized frames under that window at once; the rest replay their
+        window closes (:meth:`_FlowStream._replay_closes`).
 
         Returns the flows the kernel's liveness check bailed on, which
         committed nothing, for the per-packet fallback.
@@ -911,10 +926,10 @@ class StreamingQoEPipeline:
                 # their closed windows are held), then it raises again.
                 bails = []
                 pq = 0
-                for item, p0f in zip(selected, n_buffered):
+                for item, p0f, seq in zip(selected, n_buffered, seqs):
                     bails.extend(
                         self._release_segments(
-                            ts, sizes, order, bounds, [item], buffered[pq : pq + p0f], [p0f], tagged
+                            ts, sizes, order, bounds, [item], buffered[pq : pq + p0f], [p0f], [seq], tagged
                         )
                     )
                     pq += p0f
@@ -950,9 +965,12 @@ class StreamingQoEPipeline:
                     obs.time_stage("frame_assembly", started)
                 if run.bail is not None:
                     bailed[active[run.bail]] = True
+                # Finalized frames are filed from the kernel's columns.
                 fin_groups = run.fin_groups
-                fin_frames = [run.frames[g] for g in fin_groups.tolist()]
-                fin_ks = window_indices(run.end_ts[fin_groups], self.start, self.window_s).tolist()
+                fin_end = run.end_ts[fin_groups]
+                fin_ks = window_indices(fin_end, self.start, self.window_s).tolist()
+                fin_ends = fin_end.tolist()
+                fin_bytes = run.size_bytes[fin_groups].tolist()
                 fin_seg = run.g_seg[fin_groups]
                 segs = np.arange(n_active)
                 fin_lo = np.searchsorted(fin_seg, segs).tolist()
@@ -960,9 +978,12 @@ class StreamingQoEPipeline:
 
         rel_ts_list = rel_ts.tolist()
         rel_start_list = rel_start.tolist()
-        stay_ts = dl_ts[stay].tolist()
-        stay_sz = dl_sz[stay].tolist()
-        stay_i = (dl_local[stay] - p0[flow_of_dl[stay]]).tolist()
+        # The unreleased tail of each (buffer ++ run) is sorted, hence a
+        # valid heap as-is; a run row's sequence number is its stream's
+        # counter plus its index in the run.
+        stay_flow = flow_of_dl[stay]
+        stay_seq = np.array(seqs, dtype=np.int64)[stay_flow] + dl_local[stay] - p0[stay_flow]
+        stayed = list(zip(dl_ts[stay].tolist(), stay_seq.tolist(), dl_sz[stay].tolist(), repeat(None)))
         trained = self.trained
         replay = None
         bails: list[tuple[int, _FlowStream, str]] = []
@@ -983,14 +1004,8 @@ class StreamingQoEPipeline:
                 pq += p0f
                 tq += nstay
                 continue
-            # Scatter: the unreleased tail of (buffer ++ run) is sorted,
-            # hence a valid heap as-is.
-            seq0 = stream._seq
-            stream._seq = seq0 + mf
-            pending = buffered[pq + nrel : pq + p0f] if nrel < p0f else []
-            for j in range(tq, tq + nstay):
-                pending.append((stay_ts[j], seq0 + stay_i[j], stay_sz[j], None))
-            stream._pending = pending
+            stream._seq += mf
+            stream._pending = buffered[pq + nrel : pq + p0f] + stayed[tq : tq + nstay]
             pq += p0f
             tq += nstay
             if not nrel:
@@ -1010,31 +1025,39 @@ class StreamingQoEPipeline:
                 continue
             next_end = stream._next_end
             if horizon < next_end:
-                # No window can close inside this run: just bucket the
-                # finalized frames in order.
-                for q in range(fin_lo[ks], fin_hi[ks]):
-                    stream._bucket(fin_ks[q], fin_frames[q])
+                # No window can close inside this run, so every frame it
+                # finalized ends in the open window _next_window (no frame
+                # finalizes into an emitted one): file them there at once.
+                a, b = fin_lo[ks], fin_hi[ks]
+                if a < b:
+                    stream._bucket(stream._next_window, fin_ends[a:b], sum(fin_bytes[a:b]))
                 continue
             if replay is None:
                 # Placement tables in released-row coordinates, built once
                 # per tick as plain lists: the kernel's new rows are the
                 # released video rows, so v_local maps them to each flow's
                 # released-row index.  Carried slots (occ == -1) read the
-                # trailing sentinel and are never looked at.
+                # trailing sentinel and are never looked at; nor is a new
+                # frame's NaN prior end.
                 v_local = np.append(video - rel_start[v_flow], -1)
                 fin_rel = np.full(len(run.g_seg), -1, dtype=np.int64)
                 fin_rel[fin_groups] = v_local[run.fin_rows]
+                occ_rel = v_local[run.occ]
+                carried = ~np.isnan(run.prior_ends)
+                first_rel = np.where(carried, -1, occ_rel[np.minimum(run.lo, len(occ_rel) - 1)])
                 replay = (
-                    v_local[run.occ].tolist(),
+                    occ_rel.tolist(),
                     np.append(v_ts, 0.0)[run.occ].tolist(),
                     run.lo.tolist(),
                     run.hi.tolist(),
                     fin_rel.tolist(),
+                    run.prior_ends.tolist(),
+                    first_rel.tolist(),
                     np.searchsorted(run.g_seg, segs).tolist(),
                     np.searchsorted(run.g_seg, segs, side="right").tolist(),
                     dl_row[rel + depth].tolist(),
                 )
-            occ_rel_l, occ_ts_l, lo_l, hi_l, fin_rel_l, g_lo, g_hi, triggers = replay
+            occ_rel_l, occ_ts_l, lo_l, hi_l, fin_rel_l, prior_l, first_l, g_lo, g_hi, triggers = replay
             # Frames that finalize before the first closable boundary row
             # can never block a close (the boundary row only grows).
             cross0 = bisect_left(rel_ts_list, next_end, rs, re) - rs
@@ -1045,13 +1068,9 @@ class StreamingQoEPipeline:
                     fin = None
                 elif fin <= cross0:
                     continue
-                lo = lo_l[g]
-                prior_end = run.prior_ends[g]
-                spans.append(
-                    (lo, hi_l[g], fin, prior_end, -1 if prior_end is not None else occ_rel_l[lo])
-                )
+                spans.append((lo_l[g], hi_l[g], fin, prior_l[g], first_l[g]))
             fins = [
-                (fin_rel_l[g], fin_ks[q], fin_frames[q])
+                (fin_rel_l[g], fin_ks[q], fin_ends[q], fin_bytes[q])
                 for q, g in zip(range(fin_lo[ks], fin_hi[ks]), fin_groups[fin_lo[ks] : fin_hi[ks]].tolist())
             ]
             for pos, estimate in stream._replay_closes(
@@ -1114,6 +1133,8 @@ class StreamingQoEPipeline:
                 closed.extend((stream.flow, item) for item in stream.flush())
                 del self._streams[key]
                 n_evicted += 1
+        if n_evicted:  # the table's list may hold an evicted stream
+            self._table, self._table_streams = None, []
         emitted = self._resolve(closed)
         if self.obs is not None:
             if n_evicted:
@@ -1230,6 +1251,14 @@ class StreamingQoEPipeline:
         }
 
     # -- internals -------------------------------------------------------------
+
+    def _stream_of(self, flow: FlowKey | None) -> _FlowStream:
+        """The stream of ``flow`` (``None`` in single-flow mode), by its
+        registry key: a table's first meeting with a flow, which another
+        table or per-packet :meth:`push` may have registered already."""
+        key = None if flow is None else (flow.src, flow.src_port, flow.dst, flow.dst_port, flow.protocol)
+        stream = self._streams.get(key)
+        return stream if stream is not None else self._add_stream(key, flow)
 
     def _add_stream(self, key: tuple | None, flow: FlowKey | None) -> _FlowStream:
         """Register a new stream for ``flow`` under registry ``key``."""

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.frame_assembly import (
     FrameAssembler,
@@ -111,9 +112,8 @@ def _frame_key(frame):
 
 def _state_key(assembler):
     return (
-        [(ts, size, frame.frame_index) for ts, size, frame in assembler._recent],
-        {index: _frame_key(frame) for index, frame in assembler._open.items()},
-        dict(assembler._live),
+        [(ts, size, _frame_key(frame)) for ts, size, frame in assembler._recent],
+        [_frame_key(frame) for frame in assembler.open_frames],
         assembler._next_index,
     )
 
@@ -204,7 +204,7 @@ class TestPushRowsEquivalence:
         _push_scalar(scalar, packets)
         _push_vectorized(vector, packets)
         assert _state_key(vector) == _state_key(scalar)
-        assert len(vector._open) == 1
+        assert len(vector.open_frames) == 1
 
     def test_duplicate_sizes_most_recent_wins(self):
         # Two open frames both containing 1000-byte packets inside the
@@ -279,7 +279,7 @@ class TestPushRowsEquivalence:
         run = assembler.push_rows(sizes, media, timestamps)
         assert run is not None
         assert [frame.frame_index for _, frame in run.finalized] == [0]
-        assert len(assembler._open) == 1
+        assert len(assembler.open_frames) == 1
 
     def test_empty_run_is_a_no_op(self):
         assembler = FrameAssembler(delta_size=2, lookback=2)
@@ -330,3 +330,108 @@ class TestFrameSizeDifferences:
 
         assert len(intra_frame_size_differences(PacketTrace([]))) == 0
         assert len(inter_frame_size_differences(PacketTrace([]))) == 0
+
+
+class _LiveCountAssembler:
+    """Test-side reference: Algorithm 1 with per-frame live counts.
+
+    Keeps what ``FrameAssembler`` kept before its state became the lookback
+    tail alone -- a count of each frame's entries still inside the lookback
+    and a map of open frames -- and finalizes a frame when its count drops
+    to zero.  Frames are ``[index, n_packets, size_bytes, raw_size_bytes,
+    start_time, end_time]`` lists.
+    """
+
+    def __init__(self, delta_size, lookback):
+        self.delta_size = delta_size
+        self.lookback = lookback
+        self.recent = []
+        self.live = {}
+        self.open = {}
+        self.next_index = 0
+
+    def push(self, timestamp, size):
+        media = max(size - RTP_FIXED_HEADER_LEN, 0)
+        for _, previous_size, frame in reversed(self.recent):
+            if abs(previous_size - size) <= self.delta_size:
+                frame[1:4] = [frame[1] + 1, frame[2] + media, frame[3] + size]
+                frame[4] = min(frame[4], timestamp)
+                frame[5] = max(frame[5], timestamp)
+                self.live[frame[0]] += 1
+                break
+        else:
+            frame = [self.next_index, 1, media, size, timestamp, timestamp]
+            self.open[frame[0]] = frame
+            self.live[frame[0]] = 1
+            self.next_index += 1
+        self.recent.append((timestamp, size, frame))
+        if len(self.recent) <= self.lookback:
+            return []
+        index = self.recent.pop(0)[2][0]
+        self.live[index] -= 1
+        if self.live[index]:
+            return []
+        del self.live[index]
+        return [self.open.pop(index)]
+
+    def finalize_stale(self, older_than):
+        stale = sorted(index for index, frame in self.open.items() if frame[5] < older_than)
+        self.recent = [entry for entry in self.recent if entry[2][0] not in stale]
+        for index in stale:
+            del self.live[index]
+        return [self.open.pop(index) for index in stale]
+
+    def state(self):
+        return (
+            [(ts, size, tuple(frame)) for ts, size, frame in self.recent],
+            [tuple(self.open[index]) for index in sorted(self.open)],
+            self.next_index,
+        )
+
+
+_TIE_SIZES = (1000, 1002, 998, 1000, 950, 948, 700, 12)
+_rows = st.lists(
+    st.tuples(st.integers(0, 30), st.sampled_from(_TIE_SIZES)), max_size=12
+)
+_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("push"), _rows),
+        st.tuples(st.just("push_rows"), _rows),
+        st.tuples(st.just("finalize_stale"), st.integers(0, 40)),
+    ),
+    max_size=14,
+)
+
+
+class TestLookbackTailIsTheState:
+    """The assembler keeps only its lookback tail: any interleaving of
+    ``push``, ``push_rows`` and ``finalize_stale`` finalizes the frames, in
+    the order, and leaves the tail that live-count bookkeeping would."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lookback=st.integers(1, 3), ops=_ops)
+    def test_any_interleaving_matches_live_counts(self, lookback, ops):
+        assembler = FrameAssembler(delta_size=2, lookback=lookback)
+        reference = _LiveCountAssembler(delta_size=2, lookback=lookback)
+        clock = 0.0
+        for op, arg in ops:
+            if op == "finalize_stale":
+                older_than = clock - arg * 0.001
+                got = assembler.finalize_stale(older_than)
+                expected = reference.finalize_stale(older_than)
+            else:
+                packets = []
+                for gap, size in arg:
+                    clock += gap * 0.001
+                    packets.append(make_packet(clock, size))
+                if op == "push":
+                    got = _push_scalar(assembler, packets)
+                else:
+                    got = _push_vectorized(assembler, packets) if packets else []
+                expected = [
+                    frame for p in packets for frame in reference.push(p.timestamp, p.payload_size)
+                ]
+            assert [_frame_key(f) for f in got] == [tuple(f) for f in expected]
+            assert _state_key(assembler) == reference.state()
+        assert [_frame_key(f) for f in assembler.flush()] == reference.state()[1]
+        assert assembler._recent == [] and assembler.open_frames == []

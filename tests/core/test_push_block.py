@@ -449,6 +449,127 @@ class TestChunkEvictionInteraction:
         assert sorted(emitted, key=key) == sorted(reference, key=key)
 
 
+def ticks_and_pushes(pipeline, packets, ticks, idle_s=None):
+    """Feed ``packets`` as the blocks ``ticks`` to one engine and packet by
+    packet to another, with the same ``evict_idle`` sweep after every tick;
+    returns ``(block engine, its estimates, per-packet estimates)``."""
+    by_block = StreamingQoEPipeline(pipeline)
+    by_packet = StreamingQoEPipeline(pipeline)
+    got, expected = [], []
+    cursor = 0
+    for block in ticks:
+        got.extend(by_block.push_block(block))
+        for packet in packets[cursor : cursor + len(block)]:
+            expected.extend(by_packet.push(packet))
+        cursor += len(block)
+        if idle_s is not None:
+            got.extend(by_block.evict_idle(idle_s))
+            expected.extend(by_packet.evict_idle(idle_s))
+    got.extend(by_block.flush())
+    expected.extend(by_packet.flush())
+    return by_block, got, expected
+
+
+class TestStreamsByFlowTable:
+    """A tick reaches each flow's stream through a list kept per flow table
+    and indexed by flow code; a code the list has not met yet falls back to
+    the registry key.  Every run equals per-packet ``push`` fed the same
+    calls, in order."""
+
+    def test_shared_table_with_eviction_between_ticks(self, monkeypatch):
+        # Flow 1 stops at 2 s and resumes at 5 s on the same 5-tuple; every
+        # block is a slice of one block, so all share one flow table.
+        packets = interleave(
+            synthetic_flow(1, "10.0.0.1", 50001, duration_s=2.0),
+            synthetic_flow(11, "10.0.0.1", 50001, duration_s=2.0, start_s=5.0),
+            synthetic_flow(2, "10.0.0.2", 50002, duration_s=7.0),
+        )
+        table = PacketBlock.from_packets(packets)
+        ticks = [table[lo : lo + 60] for lo in range(0, len(table), 60)]
+        assert all(tick.flows is table.flows for tick in ticks)
+        registered = []
+        real_add = StreamingQoEPipeline._add_stream
+
+        def spy(engine, key, flow):
+            stream = real_add(engine, key, flow)
+            registered.append((engine, flow.dst_port, stream))
+            return stream
+
+        monkeypatch.setattr(StreamingQoEPipeline, "_add_stream", spy)
+        for pipeline in (QoEPipeline.for_vca("teams"), make_trained_pipeline()):
+            registered.clear()
+            engine, got, expected = ticks_and_pushes(pipeline, packets, ticks, idle_s=1.0)
+            assert got == expected
+            # The evicted flow re-entered as a fresh stream, once.
+            flow_1 = [stream for owner, port, stream in registered if owner is engine and port == 50001]
+            assert len(flow_1) == 2 and flow_1[0] is not flow_1[1]
+
+    def test_two_tables_with_one_flow_key_reach_one_stream(self):
+        packets = interleave(
+            synthetic_flow(3, "10.0.0.3", 50003, duration_s=3.0),
+            synthetic_flow(4, "10.0.0.4", 50004, duration_s=3.0),
+        )
+        # Every 7-row block interns its own table: the same two FlowKeys,
+        # coded 0 / 1 in one table and 1 / 0 in another.
+        ticks = list(blocks_from_packets(packets, 7))
+        assert len({tick.flows[0] for tick in ticks}) == 2
+        for pipeline in (QoEPipeline.for_vca("teams"), make_trained_pipeline()):
+            engine, got, expected = ticks_and_pushes(pipeline, packets, ticks)
+            assert got == expected
+            assert len(engine.flows) == 2
+
+    def test_push_then_push_block_on_one_flow(self):
+        packets = synthetic_flow(5, "10.0.0.5", 50005, duration_s=4.0)
+        half = len(packets) // 2
+        table = PacketBlock.from_packets(packets)
+        for pipeline in (QoEPipeline.for_vca("teams"), make_trained_pipeline()):
+            engine = StreamingQoEPipeline(pipeline)
+            got = [item for packet in packets[:half] for item in engine.push(packet)]
+            (stream,) = engine._streams.values()
+            for lo in range(half, len(packets), 50):
+                got.extend(engine.push_block(table[lo : min(lo + 50, len(packets))]))
+            assert list(engine._streams.values()) == [stream]
+            got.extend(engine.flush())
+            assert got == per_packet_run(pipeline, packets)
+
+
+class TestFinalizedFramesStayColumns:
+    def test_a_tick_builds_only_the_frames_open_after_it(self, monkeypatch):
+        """Over long sorted single-flow runs, the frames a tick finalizes are
+        filed from the kernel's columns: the only ``AssembledFrame`` objects
+        a tick constructs are frames its assembler holds open afterwards."""
+        import repro.core.frame_assembly as frame_assembly
+
+        packets = synthetic_flow(6, "10.0.0.6", 50006, duration_s=6.0)
+        pipeline = QoEPipeline.for_vca("teams")
+        ticks = list(blocks_from_packets(packets, 512))
+        built = []
+
+        class CountedFrame(frame_assembly.AssembledFrame):
+            __slots__ = ()
+
+            def __new__(cls, *args, **kwargs):
+                frame = super().__new__(cls)
+                built.append(frame)
+                return frame
+
+        monkeypatch.setattr(frame_assembly, "AssembledFrame", CountedFrame)
+        engine = StreamingQoEPipeline(pipeline)
+        emitted = []
+        for tick in ticks:
+            built.clear()
+            emitted.extend(engine.push_block(tick))
+            (stream,) = engine._streams.values()
+            open_after = stream.assembler.open_frames
+            assert all(any(frame is held for held in open_after) for frame in built)
+            assert len(built) <= len(open_after)
+        # Most frames were created and finalized inside a tick.
+        assert stream.assembler._next_index > 10 * len(ticks)
+        monkeypatch.undo()
+        emitted.extend(engine.flush())
+        assert emitted == per_packet_run(pipeline, packets)
+
+
 class TestMidBlockFailure:
     """A block that fails part-way loses no closed window and wedges nothing.
 

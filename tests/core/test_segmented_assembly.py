@@ -39,9 +39,8 @@ def frame_key(frame):
 
 def state_key(assembler):
     return (
-        [(ts, size, frame.frame_index) for ts, size, frame in assembler._recent],
-        {index: frame_key(frame) for index, frame in assembler._open.items()},
-        dict(assembler._live),
+        [(ts, size, frame_key(frame)) for ts, size, frame in assembler._recent],
+        [frame_key(frame) for frame in assembler.open_frames],
         assembler._next_index,
     )
 
